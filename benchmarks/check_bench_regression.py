@@ -6,10 +6,10 @@ repository and fails on regressions beyond a configurable tolerance
 (default 20%).  Two payload kinds are understood (auto-detected from the
 file, or forced with ``--kind``):
 
-* **ingest** — ``BENCH_ingest.json`` (written by
+* **ingest** — ``BENCH_ingest.json`` (written to ``benchmarks/out/`` by
   ``benchmarks/test_bench_ingest_throughput.py``): every cell's **batch
   throughput** is gated, calibrated by the per-edge reference path;
-* **service** — ``BENCH_service.json`` (written by
+* **service** — ``BENCH_service.json`` (written to ``benchmarks/out/`` by
   ``benchmarks/test_bench_service.py``): the multi-tenant
   **aggregate delivered eps** of the estimation service is gated,
   calibrated by ``calibration_eps`` (raw single-threaded estimator

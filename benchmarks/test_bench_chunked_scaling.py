@@ -1,23 +1,21 @@
-"""Scaling benchmark: per-group ``process`` backend vs the stream-sharded engine.
+"""Scaling benchmark: the stream-sharded engine against the serial driver.
 
-The chunked backends exist to fix two scaling pathologies of the per-group
-``process`` backend: every worker receives the *entire* stream (shipping and
-peak memory grow with stream length), and parallelism is capped at the
-number of processor groups (``c ≤ m`` gets none).  This benchmark runs the
-same configuration through ``serial``, ``process`` and ``chunked-process``
-on a synthetic Barabási–Albert stream and records:
+The chunked backends split the stream into chunks so that every
+(group × chunk) pair is an independent task: no task receives more than one
+chunk of the stream, and parallelism grows with stream length rather than
+being capped at the number of processor groups.  This benchmark runs the
+same configuration through ``serial`` and ``chunked-process`` on a
+synthetic Barabási–Albert stream and records:
 
 * wall-clock per backend (one round each — these are second-scale runs);
-* the maximum number of stream edges any single task receives (the whole
-  stream for ``process``, one chunk for ``chunked-process``);
+* the maximum number of stream edges any single task receives (one chunk
+  for ``chunked-process``);
 * exact equality of the estimates, which is asserted, not just recorded.
 
 Scale knob: the stream defaults to ~40k edges so the benchmark stays in the
 suite's time budget on a laptop; set ``REPRO_BENCH_CHUNKED_NODES`` (e.g. to
-``125000``, giving a ≥500k-edge stream) to reproduce the full-scale scaling
-claim on real hardware.  The wall-clock comparison between the process-pool
-backends is only asserted on machines with at least 4 cores; on fewer cores
-process pools cannot beat anything and the timings are recorded as-is.
+``125000``, giving a ≥500k-edge stream) to reproduce the scaling on real
+hardware.
 """
 
 from __future__ import annotations
@@ -55,21 +53,6 @@ class TestChunkedScaling:
         benchmark.extra_info["num_edges"] = len(chunked_stream)
         assert estimate.global_count == serial_reference.global_count
 
-    def test_bench_process_ships_whole_stream(
-        self, benchmark, chunked_stream, serial_reference
-    ):
-        estimate = benchmark.pedantic(
-            lambda: run_rept(chunked_stream, ReptConfig(**_CONFIG), backend="process"),
-            rounds=1,
-            iterations=1,
-        )
-        # Every per-group task receives the full stream: that is the
-        # scaling pathology the chunked engine removes.
-        benchmark.extra_info["max_task_payload_edges"] = len(chunked_stream)
-        assert estimate.global_count == serial_reference.global_count
-        assert estimate.local_counts == serial_reference.local_counts
-        assert estimate.edges_stored == serial_reference.edges_stored
-
     def test_bench_chunked_process_bounded_payload(
         self, benchmark, chunked_stream, serial_reference
     ):
@@ -92,25 +75,6 @@ class TestChunkedScaling:
         benchmark.extra_info["num_chunks"] = estimate.metadata["num_chunks"]
         assert max_payload <= BENCH_CHUNK_SIZE
         assert max_payload < len(chunked_stream)
-
-    @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 4,
-        reason="process pools cannot show wall-clock wins below 4 cores",
-    )
-    def test_chunked_beats_whole_stream_process_backend(self, chunked_stream):
-        import time
-
-        config = ReptConfig(**_CONFIG)
-        start = time.perf_counter()
-        process = run_rept(chunked_stream, config, backend="process")
-        process_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        chunked = run_rept(chunked_stream, config, backend="chunked-process")
-        chunked_seconds = time.perf_counter() - start
-        assert chunked.global_count == process.global_count
-        # Generous bound: the sharded schedule must at least be competitive
-        # (it has strictly more parallelism and ships strictly less data).
-        assert chunked_seconds < 2.0 * process_seconds
 
     def test_auto_chunk_size_scales_with_workers(self):
         # More workers -> more, smaller chunks (down to the floor).

@@ -18,10 +18,12 @@ the full-size stream:
 Every other cell asserts the batch path is not slower than per-edge (with
 a small noise allowance).
 
-Each run rewrites ``benchmarks/BENCH_ingest.json`` with the measured
-numbers so the repository carries a throughput trajectory across PRs; the
-CI smoke job uploads the file as an artifact and the regression gate
-(``benchmarks/check_bench_regression.py``) matches cells kernel-keyed.
+Each run writes the measured numbers to the git-ignored
+``benchmarks/out/BENCH_ingest.json``; the regression gate
+(``benchmarks/check_bench_regression.py``) compares that file, cells
+matched kernel-keyed, against the committed ``benchmarks/BENCH_ingest.json``
+baseline, and the CI smoke job uploads it as an artifact.  Refreshing the
+baseline is a deliberate copy of the fresh file over the committed one.
 
 Scale knobs: ``REPRO_BENCH_INGEST_EDGES`` (default 250000; CI uses a
 smaller stream), ``REPRO_BENCH_INGEST_ROUNDS`` (interleaved best-of
@@ -41,7 +43,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import ReptConfig, ReptEstimator
-from repro.core.kernel import available_native_providers
+from repro.core.kernel import resolve_kernel
 from repro.generators.traffic import packet_flow_stream
 
 BENCH_EDGES = int(os.environ.get("REPRO_BENCH_INGEST_EDGES", "250000"))
@@ -56,7 +58,7 @@ MIN_NATIVE_SPEEDUP = float(
 #: cells (process schedulers on shared CI runners jitter second-scale runs).
 NOT_SLOWER_TOLERANCE = 0.9
 BATCH_SIZE = 65536
-RESULTS_PATH = Path(__file__).with_name("BENCH_ingest.json")
+RESULTS_PATH = Path(__file__).with_name("out") / "BENCH_ingest.json"
 
 #: (m, c, hash_kind, fraction of BENCH_EDGES, kernel, headline?).  The
 #: headline rows are the acceptance-criterion configuration: two complete
@@ -149,8 +151,8 @@ def _python_twin(m, c, hash_kind, num_records):
     ],
 )
 def test_bench_ingest_throughput(full_stream, m, c, hash_kind, fraction, kernel, headline):
-    if kernel != "python" and not available_native_providers():
-        pytest.skip("no native kernel provider available in this environment")
+    if kernel != "python" and resolve_kernel(kernel, min(m, c)) == "python":
+        pytest.skip("the C kernel is not available in this environment")
     edges = full_stream.edges()
     if fraction < 1.0:
         edges = edges[: int(len(edges) * fraction)]
@@ -238,7 +240,7 @@ def test_bench_ingest_throughput(full_stream, m, c, hash_kind, fraction, kernel,
 
 
 def test_bench_ingest_writes_baseline():
-    """Persist the measured cells as the repo's throughput baseline."""
+    """Write the measured cells where the regression gate reads them."""
     assert _cells, "benchmark cells did not run"
     payload = {
         "benchmark": "ingest-throughput",
@@ -254,5 +256,6 @@ def test_bench_ingest_writes_baseline():
         "min_native_speedup": MIN_NATIVE_SPEEDUP,
         "cells": _cells,
     }
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     assert RESULTS_PATH.exists()

@@ -1,12 +1,13 @@
 """Execution backends: the same REPT estimate from every driver.
 
 REPT's accuracy is a property of its counters, not of the scheduling of the
-``c`` processors.  This example runs the same configuration through all five
-drivers — including the stream-sharded ``chunked-*`` backends, whose tasks
-are (group × chunk) pairs merged exactly afterwards — checks the estimates
-agree bit-for-bit, and reports the wall-clock time of each backend so the
-GIL's effect on the thread backend and the sharding overheads are visible
-and honest (see DESIGN.md for the runtime-reproduction caveats).
+``c`` processors.  This example runs the same configuration through all four
+drivers — the in-process ``serial`` reference, the stream-sharded
+``chunked-serial``/``chunked-process`` backends, whose tasks are
+(group × chunk) pairs merged exactly afterwards, and the ``chunked-elastic``
+shard workers — checks the estimates agree bit-for-bit, and reports the
+wall-clock time of each backend so the sharding and worker start-up
+overheads are visible and honest.
 
 Run with::
 
@@ -20,7 +21,7 @@ from repro.generators.datasets import load_dataset
 from repro.utils.tables import format_table
 from repro.utils.timer import Timer
 
-BACKENDS = ("serial", "thread", "process", "chunked-serial", "chunked-process")
+BACKENDS = ("serial", "chunked-serial", "chunked-process", "chunked-elastic")
 
 
 def main() -> None:
@@ -48,16 +49,15 @@ def main() -> None:
     print(format_table(
         ["backend", "seconds", "global estimate", "edges stored", "chunks"],
         rows,
-        title="Same configuration, five execution backends",
+        title="Same configuration, four execution backends",
     ))
     print()
     agree = len(set(estimates.values())) == 1
     print(f"Estimates identical across backends: {agree}")
-    print("Notes: the thread backend shows little speedup under CPython's GIL;")
-    print("the process backend ships the whole stream to every worker and caps")
-    print("parallelism at the number of groups; the chunked backends shard the")
-    print("stream so parallelism scales with its length and no task receives")
-    print("more than one chunk, at the cost of a cheap storing pre-pass.")
+    print("Notes: the chunked backends shard the stream so parallelism scales")
+    print("with its length and no task receives more than one chunk, at the")
+    print("cost of a cheap storing pre-pass; the elastic backend also pays for")
+    print("starting its long-running shard workers.")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
-"""Array-backed processor-group state for the compiled ingestion kernels.
+"""Array-backed processor-group state for the compiled ingestion kernel.
 
 :class:`~repro.core.state.ProcessorGroup` keeps its hot state in Python
-dicts and sets — ideal for the scalar reference path, but every probe and
-store in :meth:`~repro.core.state.ProcessorGroup.process_encoded` pays
+dicts and sets — the reference every other path is checked against, but
+every probe and store in its
+:meth:`~repro.core.state.ProcessorGroup.process_encoded` loop pays
 interpreter and hashing overhead.  This module re-hosts one group's state
-on flat int64 columns so the fused closure+store loop
-(:mod:`repro.core.kernel`) advances a whole encoded batch without touching
-a Python object:
+on flat int64 columns so the C closure+store loop (:mod:`repro.core.kernel`)
+advances a whole encoded batch — or one edge of the per-edge path —
+without touching a Python object:
 
 ``GroupArrays``
     The storage: a half-edge pool of singly-linked neighbour chains
@@ -14,8 +15,8 @@ a Python object:
     heads), dense per-node slot bitmasks keyed by interned id, flat edge
     records (``edge_u``/``edge_v``/``edge_slot``/``edge_tri``) and per-slot
     counter rows.  Growth is amortised doubling with contiguous
-    reallocation; the batch wrapper *pre-ensures* every capacity from
-    vectorised batch counts, so the compiled loop never allocates.
+    reallocation; the wrappers *pre-ensure* every capacity before a kernel
+    call, so the compiled loop never allocates.
 
 ``NativeProcessorGroup``
     A drop-in :class:`~repro.core.state.ProcessorGroup` subclass backed by
@@ -79,7 +80,7 @@ class GroupArrays:
     why native groups are limited to
     :data:`~repro.core.kernel.MAX_NATIVE_GROUP_SIZE` slots — and the
     boolean markers are uint8.  ``meta`` carries the mutable scalars the
-    kernels advance in place: ``[n_half, n_edges, epoch]``.
+    kernel advances in place: ``[n_half, n_edges, epoch]``.
     """
 
     def __init__(self, group_size: int, track_local: bool, track_eta: bool) -> None:
@@ -262,94 +263,6 @@ class GroupArrays:
             self._pair_sync = e + 1
         return e
 
-    # -- scalar ingestion ------------------------------------------------------
-
-    def ingest_scalar(self, iu: int, iv: int, slot: int, first: Optional[bool]) -> bool:
-        """Advance the arrays with one interned edge (per-edge reference path).
-
-        Mirrors :meth:`ProcessorGroup._ingest` exactly; returns True when
-        the edge was stored.  ``first=None`` derives the flag from the
-        stored-edge index (the standalone path).
-        """
-        self.ensure_nodes((iu if iu > iv else iv) + 1)
-        node_bits = self.node_bits
-        bits_u = int(node_bits[iu])
-        bits_v = int(node_bits[iv])
-        candidates = bits_u & bits_v
-        closing_at_store = 0
-        storeable = slot < self.group_size
-        track_local = self.track_local
-        track_eta = self.track_eta
-        heads = self.heads
-        pool_nbr = self.pool_nbr
-        pool_eid = self.pool_eid
-        pool_nxt = self.pool_nxt
-        mark = self.mark
-        mark_eid = self.mark_eid
-        edge_tri = self.edge_tri
-        edge_seen = self.edge_seen
-        epoch = int(self.meta[2])
-        while candidates:
-            low = candidates & -candidates
-            candidates -= low
-            s = low.bit_length() - 1
-            epoch += 1
-            h = int(heads[s, iu])
-            while h != -1:
-                w = int(pool_nbr[h])
-                mark[w] = epoch
-                mark_eid[w] = pool_eid[h]
-                h = int(pool_nxt[h])
-            closed = 0
-            h = int(heads[s, iv])
-            while h != -1:
-                w = int(pool_nbr[h])
-                if mark[w] == epoch:
-                    closed += 1
-                    if track_local:
-                        self.tau_local[s, w] += 1
-                    if track_eta:
-                        e_uw = int(mark_eid[w])
-                        e_vw = int(pool_eid[h])
-                        count_uw = int(edge_tri[e_uw])
-                        count_vw = int(edge_tri[e_vw])
-                        self.eta[s] += count_uw + count_vw
-                        if track_local:
-                            eta_local = self.eta_local
-                            eta_mark = self.eta_mark
-                            eta_local[s, w] += count_uw + count_vw
-                            eta_local[s, iu] += count_uw
-                            eta_local[s, iv] += count_vw
-                            eta_mark[s, w] = 1
-                            eta_mark[s, iu] = 1
-                            eta_mark[s, iv] = 1
-                        edge_tri[e_uw] = count_uw + 1
-                        edge_tri[e_vw] = count_vw + 1
-                        edge_seen[e_uw] = 1
-                        edge_seen[e_vw] = 1
-                h = int(pool_nxt[h])
-            if closed:
-                self.tau[s] += closed
-                if track_local:
-                    tau_local = self.tau_local
-                    tau_local[s, iu] += closed
-                    tau_local[s, iv] += closed
-                if storeable and s == slot:
-                    closing_at_store = closed
-        self.meta[2] = epoch
-        if not storeable:
-            return False
-        if first is None:
-            a, b = (iu, iv) if iu < iv else (iv, iu)
-            first = self.find_edge(slot, a, b) is None
-        if not first:
-            return False
-        self.append_edge(
-            iu, iv, slot, closing_at_store if track_eta else 0, track_eta
-        )
-        self.edges_stored[slot] += 1
-        return True
-
     # -- extraction ------------------------------------------------------------
 
     def adjacency_dict(self, slot: int) -> Dict[int, List[int]]:
@@ -439,12 +352,10 @@ class GroupArrays:
 
 
 class NativeProcessorGroup(ProcessorGroup):
-    """:class:`ProcessorGroup` backed by :class:`GroupArrays` + a compiled kernel.
+    """:class:`ProcessorGroup` backed by :class:`GroupArrays` + the C kernel.
 
-    ``provider`` names the resolved native kernel (``"cc"`` or ``"numba"``,
-    see :func:`repro.core.kernel.resolve_kernel`); only the name is held, so
-    instances pickle freely — the compiled handle is re-resolved from the
-    provider registry in the receiving process.  All public
+    Only plain arrays are held, so instances pickle freely — the compiled
+    handle is loaded in the receiving process on first use.  All public
     :class:`ProcessorGroup` semantics are preserved bit-identically; the
     inherited ``processors`` list is deliberately set to ``None`` so any
     unported internal access fails loudly instead of reading empty state.
@@ -458,14 +369,8 @@ class NativeProcessorGroup(ProcessorGroup):
         track_local: bool = True,
         track_eta: bool = False,
         interner: Optional[NodeInterner] = None,
-        provider: str = "cc",
     ) -> None:
         super().__init__(hash_function, group_size, m, track_local, track_eta, interner)
-        if provider not in kernel_mod.NATIVE_PROVIDERS:
-            raise ValueError(
-                f"provider must be one of {kernel_mod.NATIVE_PROVIDERS}, got {provider!r}"
-            )
-        self.provider = provider
         self.processors = None  # type: ignore[assignment]
         self._node_bits = None  # type: ignore[assignment]
         self._arrays = GroupArrays(group_size, track_local, track_eta)
@@ -473,25 +378,16 @@ class NativeProcessorGroup(ProcessorGroup):
 
     # -- ingestion -------------------------------------------------------------
 
-    def _ingest(self, iu: int, iv: int, slot: int, first: Optional[bool]) -> None:
-        # The per-edge hot path runs through the compiled kernel as an
-        # n=1 batch (cached argument tuple, see kernel.run_scalar) — the
-        # closure walks run at C speed, so dense streams ingest *faster*
-        # per edge than the dict/set reference.  The store decision is
-        # derived here, before the call, exactly like the batch path's
-        # precomputed first flags.
-        iu = int(iu)
-        iv = int(iv)
+    def _ingest(self, iu: int, iv: int, slot: int, first: bool) -> None:
+        # One record through the compiled kernel as an n=1 batch (cached
+        # argument tuple, see kernel.run_scalar), so the closure walks run
+        # at C speed.
         arrays = self._arrays
         arrays.ensure_nodes((iu if iu > iv else iv) + 1)
-        storeable = slot < self.group_size
-        if storeable and first is None:
-            a, b = (iu, iv) if iu < iv else (iv, iu)
-            first = arrays.find_edge(slot, a, b) is None
-        store = storeable and bool(first)
+        store = first and slot < self.group_size
         if store:
             arrays.ensure_edges(1)
-        kernel_mod.run_scalar(self.provider, iu, iv, slot, 1 if store else 0, arrays)
+        kernel_mod.run_scalar(iu, iv, slot, 1 if store else 0, arrays)
         if store and self._pairs_cache is not None:
             self._pairs_cache.add((iu, iv) if iu < iv else (iv, iu))
 
@@ -510,14 +406,14 @@ class NativeProcessorGroup(ProcessorGroup):
         cv_a = np.asarray(cv, np.int64)
         slots_a = np.asarray(slots, np.int64)
         firsts_a = np.asarray(firsts, np.uint8)
-        # Pre-ensure every capacity: the kernels never grow storage.  The
+        # Pre-ensure every capacity: the kernel never grows storage.  The
         # store count of the batch is exactly the storable first flags.
         arrays.ensure_nodes(len(self.interner.nodes))
         store_mask = (firsts_a != 0) & (slots_a < self.group_size)
         n_stores = int(np.count_nonzero(store_mask))
         if n_stores:
             arrays.ensure_edges(n_stores)
-        kernel_mod.run_batch(self.provider, n, cu_a, cv_a, slots_a, firsts_a, arrays)
+        kernel_mod.run_batch(n, cu_a, cv_a, slots_a, firsts_a, arrays)
         if n_stores and self._pairs_cache is not None:
             add = self._pairs_cache.add
             for i in np.flatnonzero(store_mask):
@@ -799,15 +695,14 @@ def make_processor_group(
 
     Resolves ``kernel`` (see :func:`repro.core.kernel.resolve_kernel`) for
     this group's size in *this* process — worker processes re-resolve
-    locally, so a pool whose children lack a provider still runs (the
-    counters are bit-identical across kernels; only the top-level estimate
-    metadata records the driver's resolved label).
+    locally, so a pool whose children cannot load the C kernel still runs
+    (the counters are bit-identical across kernels; only the top-level
+    estimate metadata records the driver's resolved label).
     """
-    label = kernel_mod.resolve_kernel(kernel, group_size)
-    if label == "python":
+    if kernel_mod.resolve_kernel(kernel, group_size) == "python":
         return ProcessorGroup(
             hash_function, group_size, m, track_local, track_eta, interner
         )
     return NativeProcessorGroup(
-        hash_function, group_size, m, track_local, track_eta, interner, provider=label
+        hash_function, group_size, m, track_local, track_eta, interner
     )

@@ -1,10 +1,10 @@
 """Assembling REPT's final estimate from per-group counters.
 
 This module is deliberately separated from the streaming state so that the
-parallel drivers (thread pool, process pool) can ship back plain
-:class:`GroupSummary` objects from workers and combine them here with the
-exact same arithmetic as the single-threaded estimator — the estimate is a
-pure function of the counters.
+execution drivers (for example the elastic cluster's shard workers) can
+ship back plain :class:`GroupSummary` objects and combine them here with
+the exact same arithmetic as the single-threaded estimator — the estimate
+is a pure function of the counters.
 
 Three cases (paper Section III):
 

@@ -41,14 +41,14 @@ class ReptConfig:
         corrupt the combined estimate.  Estimates record whether η was
         actually tracked in ``metadata["eta_tracked"]``.
     kernel:
-        Ingestion-kernel request: ``"auto"`` (default — use a compiled
-        kernel when one is available and every group fits its slot-bitmask
+        Ingestion-kernel request: ``"auto"`` (default — use the compiled C
+        kernel when it builds here and every group fits its slot-bitmask
         limit, else the pure-Python path), ``"python"`` (force the dict/set
-        reference), ``"native"`` (require *some* compiled kernel; raises if
-        none is available), or a provider pin (``"cc"``/``"numba"``).  All
-        kernels are bit-identical; estimates record the resolved label in
-        ``metadata["kernel"]``.  The ``REPRO_KERNEL`` environment variable
-        constrains what "available" means (see :mod:`repro.core.kernel`).
+        reference) or ``"native"`` (require the C kernel; raises if it
+        cannot be used).  Both kernels are bit-identical; estimates record
+        the resolved label (``"cc"`` or ``"python"``) in
+        ``metadata["kernel"]``.  ``REPRO_KERNEL=python`` in the environment
+        disables the C kernel (see :mod:`repro.core.kernel`).
     """
 
     m: int
@@ -77,8 +77,8 @@ class ReptConfig:
                 f"kernel must be one of {KERNEL_CHOICES}, got {self.kernel!r}"
             )
         if self.seed is None:
-            # Resolve the seed once so every driver backend (serial, thread,
-            # process) derives identical hash functions for this config.
+            # Resolve the seed once so every driver backend (serial, chunked,
+            # elastic) derives identical hash functions for this config.
             self.seed = int(np.random.SeedSequence().entropy % (2**63))
         if self.track_eta is None:
             self.track_eta = self.requires_eta
@@ -131,7 +131,7 @@ class ReptConfig:
         """Return one deterministic integer hash seed per processor group.
 
         Derived from the (resolved) master seed so that every driver —
-        single-threaded estimator, thread pool, process pool — constructs
+        in-process estimator, chunk workers, elastic shards — constructs
         identical hash functions and therefore identical estimates.
         """
         return [

@@ -103,7 +103,9 @@ class NodeInterner:
         hashes to the same slot, "seen before" is exactly the per-slot
         ``already_stored`` test of the storing process, hoisted out of the
         per-group loops.  With ``seen=None``, ``firsts`` is returned as
-        ``None``.
+        ``None``.  If the batch raises (an unhashable node, a record that
+        is not a pair), ``seen`` is restored before the exception
+        propagates; nodes interned on the way stay, unreferenced.
         """
         ids = self._ids
         nodes = self.nodes
@@ -119,40 +121,49 @@ class NodeInterner:
             seen_add = seen.add
             seen_size = len(seen)
         n_records = 0
-        for u, v in pairs:
-            n_records += 1
-            if u == v:
-                continue
-            iu = ids.get(u)
-            if iu is None:
-                iu = len(nodes)
-                ids[u] = iu
-                nodes.append(u)
-                keys.append(_stable_node_key(u))
-            iv = ids.get(v)
-            if iv is None:
-                iv = len(nodes)
-                ids[v] = iv
-                nodes.append(v)
-                keys.append(_stable_node_key(v))
-            # Canonical orientation mirrors repro.types.canonical_edge.
-            try:
-                flip = not (u <= v)
-            except TypeError:
-                flip = (str(u), repr(u)) > (str(v), repr(v))
-            if flip:
-                iu, iv = iv, iu
-            cu_append(iu)
-            cv_append(iv)
+        try:
+            for u, v in pairs:
+                n_records += 1
+                if u == v:
+                    continue
+                iu = ids.get(u)
+                if iu is None:
+                    iu = len(nodes)
+                    ids[u] = iu
+                    nodes.append(u)
+                    keys.append(_stable_node_key(u))
+                iv = ids.get(v)
+                if iv is None:
+                    iv = len(nodes)
+                    ids[v] = iv
+                    nodes.append(v)
+                    keys.append(_stable_node_key(v))
+                # Canonical orientation mirrors repro.types.canonical_edge.
+                try:
+                    flip = not (u <= v)
+                except TypeError:
+                    flip = (str(u), repr(u)) > (str(v), repr(v))
+                if flip:
+                    iu, iv = iv, iu
+                cu_append(iu)
+                cv_append(iv)
+                if seen is not None:
+                    # Membership keys are id-ordered (not canonical-raw order):
+                    # interning is injective, so id order identifies the
+                    # undirected edge, and id comparison is cheapest.  The
+                    # size-delta trick tests and inserts with a single probe.
+                    seen_add((iu, iv) if iu < iv else (iv, iu))
+                    new_size = len(seen)
+                    firsts_append(new_size != seen_size)
+                    seen_size = new_size
+        except BaseException:
             if seen is not None:
-                # Membership keys are id-ordered (not canonical-raw order):
-                # interning is injective, so id order identifies the
-                # undirected edge, and id comparison is cheapest.  The
-                # size-delta trick tests and inserts with a single probe.
-                seen_add((iu, iv) if iu < iv else (iv, iu))
-                new_size = len(seen)
-                firsts_append(new_size != seen_size)
-                seen_size = new_size
+                # Commit on success only: forget the keys this call added,
+                # or the failed batch's edges would count as seen forever.
+                for iu, iv, first in zip(cu, cv, firsts):
+                    if first:
+                        seen.discard((iu, iv) if iu < iv else (iv, iu))
+            raise
         return cu, cv, firsts, n_records
 
     def edge_key_array(self, cu: List[int], cv: List[int]) -> np.ndarray:

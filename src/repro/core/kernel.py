@@ -1,35 +1,20 @@
-"""Compiled ingestion kernels for the array-backed adjacency state.
+"""The compiled ingestion kernel for the array-backed adjacency state.
 
 :mod:`repro.core.adjacency` refactors a processor group's hot state onto
 flat int64 columns; this module supplies the fused closure+store loop that
-advances those columns over one encoded batch.  Three interchangeable
-implementations exist, all bit-identical (the kernel-parity property suite
-asserts exact equality against the dict/set reference):
+advances those columns over one encoded batch.  The loop is a small C
+source string, compiled once per machine with the system C compiler into a
+cached shared object and called through :mod:`ctypes` — no third-party
+dependency, available wherever a C compiler is.  Its one reference is the
+dict/set :class:`~repro.core.state.ProcessorGroup`, which it matches bit for
+bit (the kernel-parity suites assert exact equality).
 
-``cc``
-    The batch loop as a small C source string, compiled once per machine
-    with the system C compiler into a cached shared object and called
-    through :mod:`ctypes`.  No third-party dependency; available wherever
-    a C compiler is (the usual case on CI and dev machines).
-``numba``
-    :func:`_ingest_batch` JIT-compiled with ``numba.njit``.  Gated behind
-    an import guard — numba is an *optional* dependency
-    (``requirements-optional.txt``); environments without it silently fall
-    back to ``cc`` or pure Python.
-``python``
-    No compiled kernel: the dict/set reference implementation in
-    :class:`~repro.core.state.ProcessorGroup` (this module's
-    :func:`_ingest_batch` run un-jitted is used only by tests).
-
-Selection is requested as ``kernel="auto"|"python"|"native"`` (plus the
-explicit provider names ``"cc"``/``"numba"`` for pinning) on
+Selection is requested as ``kernel="auto"|"python"|"native"`` on
 :class:`~repro.core.config.ReptConfig` and resolved once per state set by
-:func:`resolve_kernel`.  The ``REPRO_KERNEL`` environment variable
-describes the *environment's* capability and overrides discovery:
-``REPRO_KERNEL=python`` disables native providers entirely (the CI
-no-native lane), ``REPRO_KERNEL=numba`` or ``=cc`` restricts discovery to
-that provider (the CI numba lane pins the JIT path even though a C
-compiler is present).
+:func:`resolve_kernel` to the label ``"cc"`` (the C kernel) or
+``"python"`` (the dict/set reference).  ``REPRO_KERNEL=python`` in the
+environment disables the C kernel outright (the CI pure-Python lane); no
+other value of the variable has an effect.
 
 The compiled loop never allocates: every capacity (node columns, half-edge
 pool, edge arrays) is ensured by the Python wrapper before the call, from
@@ -44,168 +29,24 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
 #: Values accepted by ``ReptConfig.kernel`` / ``GroupStateSet(kernel=...)``.
-KERNEL_CHOICES = ("auto", "python", "native", "cc", "numba")
+KERNEL_CHOICES = ("auto", "python", "native")
 
-#: Native provider names in ``auto`` preference order: the C kernel is
-#: compiled once per machine and cached on disk, while numba pays a JIT
-#: compile in every fresh process — prefer ``cc`` when both are present.
-NATIVE_PROVIDERS = ("cc", "numba")
+#: Resolved label of the compiled kernel (recorded in estimate metadata).
+NATIVE_LABEL = "cc"
 
 #: Slot bitmasks live in one signed int64 per node, so a native group can
 #: address at most 63 slots; wider groups fall back to the Python kernel.
 MAX_NATIVE_GROUP_SIZE = 63
 
 
-# -- reference loop (numba-jittable, also runnable as pure Python) -----------
-
-
-def _ingest_batch(
-    n,
-    cu,
-    cv,
-    slots,
-    firsts,
-    group_size,
-    track_local,
-    track_eta,
-    node_bits,
-    heads,
-    pool_nbr,
-    pool_eid,
-    pool_nxt,
-    edge_u,
-    edge_v,
-    edge_slot,
-    edge_tri,
-    edge_seen,
-    tau,
-    eta,
-    edges_stored,
-    tau_local,
-    eta_local,
-    eta_mark,
-    mark,
-    mark_eid,
-    meta,
-):
-    """Advance one group's array state over an encoded batch.
-
-    Mirrors :meth:`repro.core.state.ProcessorGroup.process_encoded` (and
-    through it the paper's UpdateTriangleCNT / UpdateTrianglePairCNT) over
-    the flat columns of :class:`repro.core.adjacency.GroupArrays`; see that
-    class for the array layout.  All counters are exact integers, so the
-    result is bit-identical to the dict/set reference.  ``meta`` carries
-    the mutable scalars ``[n_half, n_edges, epoch]``.
-
-    The neighbourhood intersection uses the epoch-stamp trick: stamping
-    ``N_u`` costs O(deg u) and membership tests during the ``N_v`` walk are
-    one comparison, with no clearing pass between edges.
-    """
-    n_half = meta[0]
-    n_edges = meta[1]
-    epoch = meta[2]
-    for k in range(n):
-        iu = cu[k]
-        iv = cv[k]
-        slot = slots[k]
-        bits_u = node_bits[iu]
-        bits_v = node_bits[iv]
-        candidates = bits_u & bits_v
-        closing_at_store = 0
-        storeable = slot < group_size
-        while candidates != 0:
-            low = candidates & (-candidates)
-            candidates -= low
-            s = 0
-            low_bits = low
-            while low_bits > 1:
-                low_bits >>= 1
-                s += 1
-            # Stamp N_u(s): mark[w] names w a shared-neighbour candidate,
-            # mark_eid[w] remembers the stored edge (u, w) for the η reads.
-            epoch += 1
-            h = heads[s, iu]
-            while h != -1:
-                w = pool_nbr[h]
-                mark[w] = epoch
-                mark_eid[w] = pool_eid[h]
-                h = pool_nxt[h]
-            closed = 0
-            h = heads[s, iv]
-            while h != -1:
-                w = pool_nbr[h]
-                if mark[w] == epoch:
-                    closed += 1
-                    if track_local:
-                        tau_local[s, w] += 1
-                    if track_eta:
-                        e_uw = mark_eid[w]
-                        e_vw = pool_eid[h]
-                        count_uw = edge_tri[e_uw]
-                        count_vw = edge_tri[e_vw]
-                        eta[s] += count_uw + count_vw
-                        if track_local:
-                            eta_local[s, w] += count_uw + count_vw
-                            eta_local[s, iu] += count_uw
-                            eta_local[s, iv] += count_vw
-                            eta_mark[s, w] = 1
-                            eta_mark[s, iu] = 1
-                            eta_mark[s, iv] = 1
-                        edge_tri[e_uw] = count_uw + 1
-                        edge_tri[e_vw] = count_vw + 1
-                        edge_seen[e_uw] = 1
-                        edge_seen[e_vw] = 1
-                h = pool_nxt[h]
-            if closed != 0:
-                tau[s] += closed
-                if track_local:
-                    tau_local[s, iu] += closed
-                    tau_local[s, iv] += closed
-                if storeable and s == slot:
-                    closing_at_store = closed
-        if firsts[k] != 0 and storeable:
-            e = n_edges
-            n_edges += 1
-            if iu < iv:
-                edge_u[e] = iu
-                edge_v[e] = iv
-            else:
-                edge_u[e] = iv
-                edge_v[e] = iu
-            edge_slot[e] = slot
-            if track_eta:
-                edge_tri[e] = closing_at_store
-                edge_seen[e] = 1
-            else:
-                edge_tri[e] = 0
-            pool_nbr[n_half] = iv
-            pool_eid[n_half] = e
-            pool_nxt[n_half] = heads[slot, iu]
-            heads[slot, iu] = n_half
-            n_half += 1
-            pool_nbr[n_half] = iu
-            pool_eid[n_half] = e
-            pool_nxt[n_half] = heads[slot, iv]
-            heads[slot, iv] = n_half
-            n_half += 1
-            edges_stored[slot] += 1
-            bit = 1 << slot
-            node_bits[iu] = bits_u | bit
-            node_bits[iv] = bits_v | bit
-    meta[0] = n_half
-    meta[1] = n_edges
-    meta[2] = epoch
-    return 0
-
-
-# -- cc provider: C source compiled once per machine, loaded via ctypes ------
+# -- the C kernel, compiled once per machine and loaded via ctypes -------------
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -213,9 +54,13 @@ _C_SOURCE = r"""
 typedef int64_t i64;
 typedef uint8_t u8;
 
-/* The fused closure+store loop; a line-for-line transcription of the
- * Python reference `_ingest_batch` in repro/core/kernel.py — keep the two
- * in lockstep, the kernel-parity CI matrix asserts bit-identity. */
+/* The fused closure+store loop over one group's flat columns (layout in
+ * repro/core/adjacency.py); the same update rules as the dict/set loop of
+ * ProcessorGroup.process_encoded, which the kernel-parity suites hold it
+ * to bit for bit.  meta carries the mutable scalars [n_half, n_edges,
+ * epoch].  The neighbourhood intersection stamps N_u with a fresh epoch,
+ * so each membership test during the N_v walk is one comparison and no
+ * clearing pass runs between edges. */
 int64_t rept_ingest_batch(
     i64 n,
     const i64 *cu, const i64 *cv, const i64 *slots, const u8 *firsts,
@@ -344,8 +189,9 @@ int64_t rept_ingest_batch(
 }
 """
 
-#: Memoised provider handles; ``False`` = probed and unavailable.
-_PROVIDERS: dict = {}
+#: The loaded kernel function, or the exception that stopped it from
+#: loading; ``None`` until first probed.
+_kernel = None
 
 
 def _kernel_cache_dir() -> str:
@@ -355,7 +201,7 @@ def _kernel_cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), "repro-kernel-cache")
 
 
-def _build_cc():
+def _build():
     """Compile (or load the cached) C kernel; raises on any failure."""
     compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
@@ -394,61 +240,51 @@ def _build_cc():
     return fn
 
 
-def _build_numba():
-    """JIT-compile the reference loop with numba; raises when absent."""
-    import numba  # noqa: F401 — the import guard the CI matrix exercises
-
-    return numba.njit(cache=False, fastmath=False)(_ingest_batch)
-
-
-_BUILDERS = {"cc": _build_cc, "numba": _build_numba}
-
-
-def provider_available(name: str) -> bool:
-    """Probe (and memoise) whether a native provider can be built here."""
-    handle = _PROVIDERS.get(name)
-    if handle is None:
-        builder = _BUILDERS.get(name)
-        if builder is None:
-            return False
+def _load():
+    """The kernel function or its build failure, probed once per process."""
+    global _kernel
+    if _kernel is None:
         try:
-            handle = builder()
-        except Exception:
-            handle = False
-        _PROVIDERS[name] = handle
-    return handle is not False
+            _kernel = _build()
+        except Exception as exc:
+            _kernel = exc
+    return _kernel
 
 
-def reset_provider_cache() -> None:
-    """Drop memoised provider probes (test hook for env overrides)."""
-    _PROVIDERS.clear()
+def _handle():
+    kernel = _load()
+    if isinstance(kernel, Exception):
+        raise ConfigurationError(
+            f"the C ingestion kernel cannot be built here: {kernel}"
+        ) from kernel
+    return kernel
 
 
-def _env_override() -> Optional[str]:
-    value = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    return value or None
+def native_available() -> bool:
+    """Whether the C kernel builds and loads here (``REPRO_KERNEL`` aside)."""
+    return not isinstance(_load(), Exception)
 
 
-def available_native_providers() -> List[str]:
-    """Native providers usable in this environment, in preference order."""
-    env = _env_override()
-    if env == "python":
-        return []
-    if env in NATIVE_PROVIDERS:
-        return [env] if provider_available(env) else []
-    return [name for name in NATIVE_PROVIDERS if provider_available(name)]
+def reset_kernel_cache() -> None:
+    """Forget the memoised build probe (test hook)."""
+    global _kernel
+    _kernel = None
+
+
+def _python_forced() -> bool:
+    return os.environ.get("REPRO_KERNEL", "").strip().lower() == "python"
 
 
 def resolve_kernel(requested: str, max_group_size: Optional[int] = None) -> str:
-    """Resolve a kernel request to ``"python"`` or a native provider name.
+    """Resolve a kernel request to ``"python"`` or :data:`NATIVE_LABEL`.
 
     ``requested`` is one of :data:`KERNEL_CHOICES`; ``max_group_size``
     gates native eligibility (signed-int64 slot bitmasks limit native
     groups to :data:`MAX_NATIVE_GROUP_SIZE` slots — wider groups fall back
-    under ``auto`` and are rejected for explicit native requests).  The
-    ``REPRO_KERNEL`` environment override is honoured as described in the
-    module docstring.  Raises :class:`~repro.exceptions.ConfigurationError`
-    when an explicit native request cannot be satisfied.
+    under ``auto`` and are rejected for ``native``).  ``REPRO_KERNEL=python``
+    makes ``auto`` resolve to ``"python"`` and ``native`` raise.  Raises
+    :class:`~repro.exceptions.ConfigurationError` when a ``native`` request
+    cannot be satisfied, naming the build failure if there was one.
     """
     if requested not in KERNEL_CHOICES:
         raise ConfigurationError(
@@ -457,50 +293,26 @@ def resolve_kernel(requested: str, max_group_size: Optional[int] = None) -> str:
     if requested == "python":
         return "python"
     fits = max_group_size is None or max_group_size <= MAX_NATIVE_GROUP_SIZE
-    env = _env_override()
     if requested == "auto":
-        if not fits:
-            return "python"
-        candidates = available_native_providers()
-        return candidates[0] if candidates else "python"
-    # Explicit native request ("native", "cc" or "numba").
+        if fits and not _python_forced() and native_available():
+            return NATIVE_LABEL
+        return "python"
     if not fits:
         raise ConfigurationError(
-            f"kernel={requested!r} requires every group size <= "
+            f"kernel='native' requires every group size <= "
             f"{MAX_NATIVE_GROUP_SIZE} (got {max_group_size})"
         )
-    if env == "python":
+    if _python_forced():
         raise ConfigurationError(
-            f"kernel={requested!r} requested but REPRO_KERNEL=python disables "
-            "native kernels in this environment"
+            "kernel='native' requested but REPRO_KERNEL=python disables "
+            "the C kernel in this environment"
         )
-    candidates = available_native_providers()
-    if requested == "native":
-        if not candidates:
-            raise ConfigurationError(
-                "kernel='native' requested but no native provider is available "
-                "(no C compiler and no numba; set kernel='auto' to fall back)"
-            )
-        return candidates[0]
-    if requested not in candidates:
-        raise ConfigurationError(
-            f"kernel={requested!r} requested but that provider is unavailable "
-            f"(available: {candidates or ['python']})"
-        )
-    return requested
+    _handle()
+    return NATIVE_LABEL
 
 
-def _resolve_handle(provider: str):
-    handle = _PROVIDERS.get(provider)
-    if handle is None or handle is False:
-        if not provider_available(provider):
-            raise ConfigurationError(f"native kernel provider {provider!r} unavailable")
-        handle = _PROVIDERS[provider]
-    return handle
-
-
-def _cc_state_block(arrays):
-    """The cc call arguments from ``group_size`` onward, as a cached tuple.
+def _state_block(arrays):
+    """The call arguments from ``group_size`` onward, as a cached tuple.
 
     Raw ``.ctypes.data`` pointers are only valid until a column is
     reallocated; :class:`~repro.core.adjacency.GroupArrays` clears its
@@ -509,7 +321,7 @@ def _cc_state_block(arrays):
     pointers costs ~25µs — caching is what makes scalar (n=1) kernel calls
     viable.
     """
-    block = arrays._call_cache.get("cc-state")
+    block = arrays._call_cache.get("state")
     if block is None:
         block = (
             arrays.group_size,
@@ -536,117 +348,53 @@ def _cc_state_block(arrays):
             arrays.mark_eid.ctypes.data,
             arrays.meta.ctypes.data,
         )
-        arrays._call_cache["cc-state"] = block
+        arrays._call_cache["state"] = block
     return block
 
 
-def run_batch(provider: str, n, cu, cv, slots, firsts, arrays) -> None:
-    """Dispatch one encoded batch to ``provider`` over ``arrays``.
+def run_batch(n, cu, cv, slots, firsts, arrays) -> None:
+    """Run the kernel over one encoded batch of ``n`` records.
 
     ``arrays`` is a :class:`repro.core.adjacency.GroupArrays`; every
-    capacity must already be ensured (the kernels never grow storage).
+    capacity must already be ensured (the kernel never grows storage).
     """
-    handle = _resolve_handle(provider)
-    if provider == "cc":
-        handle(
-            n,
-            cu.ctypes.data,
-            cv.ctypes.data,
-            slots.ctypes.data,
-            firsts.ctypes.data,
-            *_cc_state_block(arrays),
-        )
-    else:
-        handle(
-            n,
-            cu,
-            cv,
-            slots,
-            firsts,
-            arrays.group_size,
-            arrays.track_local,
-            arrays.track_eta,
-            arrays.node_bits,
-            arrays.heads,
-            arrays.pool_nbr,
-            arrays.pool_eid,
-            arrays.pool_nxt,
-            arrays.edge_u,
-            arrays.edge_v,
-            arrays.edge_slot,
-            arrays.edge_tri,
-            arrays.edge_seen,
-            arrays.tau,
-            arrays.eta,
-            arrays.edges_stored,
-            arrays.tau_local,
-            arrays.eta_local,
-            arrays.eta_mark,
-            arrays.mark,
-            arrays.mark_eid,
-            arrays.meta,
-        )
+    _handle()(
+        n,
+        cu.ctypes.data,
+        cv.ctypes.data,
+        slots.ctypes.data,
+        firsts.ctypes.data,
+        *_state_block(arrays),
+    )
 
 
-def run_scalar(provider: str, iu: int, iv: int, slot: int, first: int, arrays) -> None:
-    """Dispatch one interned edge to ``provider`` (the per-edge path).
+def run_scalar(iu: int, iv: int, slot: int, first: int, arrays) -> None:
+    """Run the kernel over one interned edge (the per-edge path).
 
     Semantically ``run_batch`` with ``n = 1``, but the four input columns
     are preallocated single-element buffers owned by ``arrays`` and the
     whole argument tuple is cached alongside the state-pointer block, so a
-    call costs one write per operand plus the FFI dispatch (~3µs for cc)
-    instead of rebuilding ~28 arguments.  ``first`` must already encode the
-    store decision (0/1): the caller derives first-occurrence before the
-    call, exactly like the batch path's precomputed flags.
+    call costs one write per operand plus the FFI dispatch (~3µs) instead
+    of rebuilding ~28 arguments.  ``first`` must already encode the store
+    decision (0/1): the caller derives first-occurrence before the call,
+    exactly like the batch path's precomputed flags.
     """
-    handle = _resolve_handle(provider)
-    entry = arrays._call_cache.get(("scalar", provider))
+    entry = arrays._call_cache.get("scalar")
     if entry is None:
         cu = np.zeros(1, np.int64)
         cv = np.zeros(1, np.int64)
         slots = np.zeros(1, np.int64)
         firsts = np.zeros(1, np.uint8)
-        if provider == "cc":
-            args = (
-                1,
-                cu.ctypes.data,
-                cv.ctypes.data,
-                slots.ctypes.data,
-                firsts.ctypes.data,
-            ) + _cc_state_block(arrays)
-        else:
-            args = (
-                1,
-                cu,
-                cv,
-                slots,
-                firsts,
-                arrays.group_size,
-                arrays.track_local,
-                arrays.track_eta,
-                arrays.node_bits,
-                arrays.heads,
-                arrays.pool_nbr,
-                arrays.pool_eid,
-                arrays.pool_nxt,
-                arrays.edge_u,
-                arrays.edge_v,
-                arrays.edge_slot,
-                arrays.edge_tri,
-                arrays.edge_seen,
-                arrays.tau,
-                arrays.eta,
-                arrays.edges_stored,
-                arrays.tau_local,
-                arrays.eta_local,
-                arrays.eta_mark,
-                arrays.mark,
-                arrays.mark_eid,
-                arrays.meta,
-            )
-        entry = (cu, cv, slots, firsts, args)
-        arrays._call_cache[("scalar", provider)] = entry
-    cu, cv, slots, firsts, args = entry
+        args = (
+            1,
+            cu.ctypes.data,
+            cv.ctypes.data,
+            slots.ctypes.data,
+            firsts.ctypes.data,
+        ) + _state_block(arrays)
+        entry = (cu, cv, slots, firsts, args, _handle())
+        arrays._call_cache["scalar"] = entry
+    cu, cv, slots, firsts, args, handle = entry
     cu[0] = iu
     cv[0] = iv
     slots[0] = slot

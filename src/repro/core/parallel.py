@@ -1,4 +1,4 @@
-"""Execution drivers for REPT: serial, pooled, and stream-sharded backends.
+"""Execution drivers for REPT: serial, stream-sharded and elastic backends.
 
 The estimator's accuracy is a property of its counters, not of how the
 counters are advanced, so the drivers all produce *identical* estimates for
@@ -6,21 +6,19 @@ the same :class:`~repro.core.config.ReptConfig` (hash seeds are derived
 deterministically from the resolved config seed).  The backends differ only
 in how the work is scheduled:
 
-* ``serial`` — one thread advances every group (reference implementation);
-* ``thread`` — a thread pool advances groups concurrently.  Under CPython's
-  GIL this gives little speedup for pure-Python counting, but exercises the
-  concurrency structure a multi-core implementation would use;
-* ``process`` — a process pool with one task per *group*; each worker
-  receives the entire stream, so wall-clock and shipping cost grow with
-  ``c`` and parallelism is capped at the number of groups (``c ≤ m`` gets
-  none at all);
+* ``serial`` — one state set advances every group in process (reference
+  implementation);
 * ``chunked-process`` — the stream-sharded engine: the stream is split into
-  chunks and every (group × chunk) pair becomes an independent task, so
-  parallelism scales with stream length even for a single group and no task
-  ever receives more than one chunk of the stream;
+  chunks and every (group × chunk) pair becomes an independent task on a
+  supervised process pool, so parallelism scales with stream length even
+  for a single group and no task ever receives more than one chunk of the
+  stream;
 * ``chunked-serial`` — the same sharded schedule executed inline, used as
   the equality reference for the merge logic and as the zero-overhead
-  fallback.
+  fallback;
+* ``chunked-elastic`` — group shards on long-running worker processes that
+  survive worker death and join by live migration (see
+  :mod:`repro.cluster`).
 
 Shard-then-merge design
 -----------------------
@@ -79,7 +77,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -104,17 +102,10 @@ from repro.testing.faults import maybe_fail
 from repro.types import EdgeTuple, NodeId
 
 ParallelBackend = str
-"""One of ``"serial"``, ``"thread"``, ``"process"``, ``"chunked-serial"``,
-``"chunked-process"``, ``"chunked-elastic"``."""
+"""One of ``"serial"``, ``"chunked-serial"``, ``"chunked-process"``,
+``"chunked-elastic"``."""
 
-_BACKENDS = (
-    "serial",
-    "thread",
-    "process",
-    "chunked-serial",
-    "chunked-process",
-    "chunked-elastic",
-)
+_BACKENDS = ("serial", "chunked-serial", "chunked-process", "chunked-elastic")
 
 #: Smallest chunk the auto-tuner will produce; below this the per-task
 #: overhead (pickling, pool dispatch, snapshot seeding) dominates the work.
@@ -165,51 +156,14 @@ def _make_group(
     )
 
 
-def _summarise_group(group: ProcessorGroup, is_complete: bool) -> GroupSummary:
-    """Detach a group's counters into a plain, picklable summary."""
-    return group.summarise(is_complete)
-
-
 #: Edges per ``ProcessorGroup.process_edges`` call inside workers — bounds
 #: the transient encode arrays without giving up the batch amortisation.
 _WORKER_BATCH_EDGES = 65536
 
 
-def _group_worker(
-    edges: Sequence[EdgeTuple],
-    hash_kind: str,
-    hash_seed: int,
-    group_size: int,
-    m: int,
-    is_complete: bool,
-    track_local: bool,
-    track_eta: bool,
-    kernel: str = "python",
-) -> GroupSummary:
-    """Advance one processor group over the whole stream and summarise it.
-
-    Module-level (not a closure) so it can be pickled by the process pool.
-    Ingestion runs through the batched pipeline (bit-identical to the
-    per-edge loop), with a persistent first-occurrence set across batches.
-    The kernel request is re-resolved in this process (compiled handles do
-    not pickle); all kernels are bit-identical, so mixed resolution across
-    workers cannot change the summary.
-    """
-    group = _make_group(
-        hash_kind, hash_seed, group_size, m, track_local, track_eta, kernel
-    )
-    ingest_edge_batches(group, edges, seen=set(), batch_edges=_WORKER_BATCH_EDGES)
-    return _summarise_group(group, is_complete)
-
-
-def _work_items(config: ReptConfig) -> List[Tuple[int, int, bool]]:
-    """Return ``(hash_seed, group_size, is_complete)`` per group."""
-    sizes = config.group_sizes()
-    seeds = config.group_hash_seeds()
-    return [
-        (seeds[index], size, config.uses_groups and size == config.m)
-        for index, size in enumerate(sizes)
-    ]
+def _work_items(config: ReptConfig) -> List[Tuple[int, int]]:
+    """Return ``(hash_seed, group_size)`` per group."""
+    return list(zip(config.group_hash_seeds(), config.group_sizes()))
 
 
 # -- chunked engine ----------------------------------------------------------
@@ -611,7 +565,7 @@ def _run_chunked(
 def _chunked_phases_inline(
     edge_list: List[EdgeTuple],
     config: ReptConfig,
-    items: Sequence[Tuple[int, int, bool]],
+    items: Sequence[Tuple[int, int]],
     spans: Sequence[Tuple[int, int]],
     track_local: bool,
     track_eta: bool,
@@ -625,7 +579,7 @@ def _chunked_phases_inline(
     """
     chunk_states: Dict[Tuple[int, int], GroupSnapshot] = {}
     stored_all: Dict[int, List[List[StoredEdgeRecord]]] = {}
-    for group_index, (seed, group_size, _complete) in enumerate(items):
+    for group_index, (seed, group_size) in enumerate(items):
         stored_all[group_index] = [
             _storing_worker(
                 edge_list[start:stop], config.hash_kind, seed, group_size,
@@ -633,7 +587,7 @@ def _chunked_phases_inline(
             )
             for chunk_index, (start, stop) in enumerate(spans)
         ]
-    for group_index, (seed, group_size, _complete) in enumerate(items):
+    for group_index, (seed, group_size) in enumerate(items):
         snapshots = _prefix_snapshots(
             stored_all[group_index],
             initial=initial_stored[group_index] if initial_stored else None,
@@ -657,7 +611,7 @@ def _chunked_phases_inline(
 def _chunked_phases_pooled(
     edge_list: List[EdgeTuple],
     config: ReptConfig,
-    items: Sequence[Tuple[int, int, bool]],
+    items: Sequence[Tuple[int, int]],
     spans: Sequence[Tuple[int, int]],
     workers: int,
     track_local: bool,
@@ -694,7 +648,7 @@ def _chunked_phases_pooled(
     # Phase 1: storing pass.
     storing_tasks = {}
     storing_inline = {}
-    for group_index, (seed, group_size, _c) in enumerate(items):
+    for group_index, (seed, group_size) in enumerate(items):
         for chunk_index, span in enumerate(spans):
             key = (group_index, chunk_index)
             storing_tasks[key] = (
@@ -732,7 +686,7 @@ def _chunked_phases_pooled(
     # the boundary snapshots.
     counting_tasks = {}
     counting_inline = {}
-    for group_index, (seed, group_size, _c) in enumerate(items):
+    for group_index, (seed, group_size) in enumerate(items):
         for chunk_index, span in enumerate(spans):
             key = (group_index, chunk_index)
             counting_tasks[key] = (
@@ -905,17 +859,17 @@ def run_rept(
     config:
         REPT parameters.
     backend:
-        ``"serial"``, ``"thread"``, ``"process"``, ``"chunked-serial"``,
-        ``"chunked-process"`` or ``"chunked-elastic"`` (long-running shard
-        workers with failure-aware live migration — see
-        :mod:`repro.cluster`).
+        ``"serial"``, ``"chunked-serial"``, ``"chunked-process"`` or
+        ``"chunked-elastic"`` (long-running shard workers with
+        failure-aware live migration — see :mod:`repro.cluster`).
     max_workers:
-        Worker cap for the pooled backends (default: number of groups for
-        the per-group backends, CPU count for the chunked backends).
+        Worker cap for the pooled backends (default: CPU count for
+        ``chunked-process``, the number of groups capped at the CPU count
+        for ``chunked-elastic``).
     chunk_size:
         Edges per chunk for the chunked backends (default: auto-tuned from
         stream length and worker count, see :func:`auto_chunk_size`).
-        Ignored by the per-group backends.
+        Ignored by ``serial``.
     supervision:
         Worker-failure policy for ``"chunked-process"`` (default:
         :data:`DEFAULT_SUPERVISION` — retries with deterministic backoff,
@@ -935,58 +889,35 @@ def run_rept(
             f"unknown backend {backend!r}; expected one of {_BACKENDS}"
         )
     edge_list: List[EdgeTuple] = list(edges)
-    items = _work_items(config)
-    track_local = config.track_local
-    track_eta = bool(config.track_eta)
     chunk_info: Dict[str, float] = {}
 
     if backend == "chunked-elastic":
         return _run_elastic(edge_list, config, max_workers, chunk_size, supervision)
 
-    if backend in ("chunked-serial", "chunked-process"):
-        summaries, chunk_info = _run_chunked(
-            edge_list, config, backend == "chunked-process", max_workers,
-            chunk_size, supervision=supervision,
-        )
-    elif backend == "serial" or len(items) == 1:
+    if backend == "serial":
         # The in-process reference: one shared state set advances every
         # group, so canonicalisation/interning run once per batch for all
-        # of them (bit-identical to the per-group schedule).
+        # of them.
         state = GroupStateSet(config)
         state.ingest_stream(edge_list, batch_edges=_WORKER_BATCH_EDGES)
         summaries = state.summaries()
     else:
-        executor_cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-        workers = max_workers or len(items)
-        with executor_cls(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _group_worker,
-                    edge_list,
-                    config.hash_kind,
-                    seed,
-                    size,
-                    config.m,
-                    complete,
-                    track_local,
-                    track_eta,
-                    config.kernel,
-                )
-                for seed, size, complete in items
-            ]
-            summaries = [future.result() for future in futures]
+        summaries, chunk_info = _run_chunked(
+            edge_list, config, backend == "chunked-process", max_workers,
+            chunk_size, supervision=supervision,
+        )
 
     estimate = combine_group_estimates(
         summaries,
         m=config.m,
         c=config.c,
         edges_processed=len(edge_list),
-        track_local=track_local,
-        eta_tracked=track_eta,
+        track_local=config.track_local,
+        eta_tracked=bool(config.track_eta),
     )
     estimate.metadata.update(chunk_info)
     # Resolved in the driver; pool workers re-resolve per process, which is
-    # safe because every kernel is bit-identical (the label is descriptive).
+    # safe because both kernels are bit-identical (the label is descriptive).
     from repro.core.kernel import resolve_kernel
 
     estimate.metadata["kernel"] = resolve_kernel(

@@ -27,9 +27,8 @@ Two further exact optimisations serve the batched ingestion pipeline:
 * :meth:`ProcessorGroup.process_encoded` consumes whole batches whose
   canonicalisation, hashing and first-occurrence flags were precomputed as
   array operations, dropping into per-edge Python only for the residual
-  state updates.  It advances the counters through the same update rules as
-  :meth:`ProcessorGroup.process_edge`, so both paths produce bit-identical
-  state (asserted by the batch-equivalence tests).
+  state updates.  It is the group's only ingestion loop: a per-edge call is
+  a one-record batch, so the two paths cannot drift apart.
 
 Mergeable chunk state
 ---------------------
@@ -284,50 +283,21 @@ class ProcessorGroup:
     # -- per-edge update ----------------------------------------------------
 
     def process_edge(self, u: NodeId, v: NodeId) -> None:
-        """Advance every processor of the group with the arriving edge."""
-        intern = self.interner.intern
-        self._ingest(intern(u), intern(v), self.hash_function.bucket(u, v), None)
+        """Advance every processor of the group with the arriving edge.
 
-    def _ingest(self, iu: int, iv: int, slot: int, first: Optional[bool]) -> None:
-        """Advance the group with one interned edge.
-
-        ``slot`` is the edge's hash bucket; ``first`` is the precomputed
-        first-occurrence flag of the canonical edge (None: derive it from
-        the stored adjacency, the standalone path).
+        A one-record :meth:`process_edges` call, so a self-loop is skipped
+        exactly like in a batch.
         """
-        node_bits = self._node_bits
-        bits_u = node_bits.get(iu, 0)
-        bits_v = node_bits.get(iv, 0)
-        storeable = slot < self.group_size
-        closing_at_store = 0
+        self.process_edges(((u, v),))
 
-        candidates = bits_u & bits_v
-        if candidates:
-            processors = self.processors
-            update = self._update_processor
-            while candidates:
-                low = candidates & -candidates
-                candidates -= low
-                s = low.bit_length() - 1
-                closed = update(processors[s], iu, iv)
-                if storeable and s == slot:
-                    closing_at_store = closed
+    def _ingest(self, iu: int, iv: int, slot: int, first: bool) -> None:
+        """Advance the group with one encoded record (see :meth:`process_encoded`).
 
-        if storeable:
-            processor = self.processors[slot]
-            if first is None:
-                neighbors = processor.adjacency.get(iu)
-                first = neighbors is None or iv not in neighbors
-            if first:
-                track_eta = self.track_eta
-                processor.store_edge(
-                    iu, iv, closing_at_store if track_eta else 0, track_pairs=track_eta
-                )
-                bit = 1 << slot
-                node_bits[iu] = bits_u | bit
-                node_bits[iv] = bits_v | bit
-                if self._pairs_cache is not None:
-                    self._pairs_cache.add((iu, iv) if iu < iv else (iv, iu))
+        The per-edge entry point of :meth:`GroupStateSet.process_edge`,
+        which has already interned the endpoints, hashed the slot and taken
+        the first-occurrence flag from its ``seen`` set.
+        """
+        self.process_encoded((iu,), (iv,), (slot,), (first,))
 
     # -- batched update ------------------------------------------------------
 
@@ -344,10 +314,11 @@ class ProcessorGroup:
         dropped), ``slots`` this group's precomputed hash buckets (see
         :meth:`~repro.hashing.base.EdgeHashFunction.bucket_from_keys`) and
         ``firsts`` the stream-global first-occurrence flags from
-        :meth:`~repro.core.interning.NodeInterner.encode_pairs`.  The loop
-        applies exactly the update rules of :meth:`process_edge`; only the
-        edges whose endpoints actually co-occur in a slot reach the closure
-        logic, everything else is a handful of int operations.
+        :meth:`~repro.core.interning.NodeInterner.encode_pairs`.  This is
+        the group's one ingestion loop — per-edge calls arrive here as
+        one-record batches.  Only the edges whose endpoints actually
+        co-occur in a slot reach the closure logic, everything else is a
+        handful of int operations.
         """
         node_bits = self._node_bits
         processors = self.processors
@@ -358,7 +329,6 @@ class ProcessorGroup:
         # Hoisted per-slot structures: one list index instead of an
         # attribute chain on every probe and store.
         adjacencies = [processor.adjacency for processor in processors]
-        stored_counts = [0] * group_size
         pairs_cache = self._pairs_cache
         # ``slot < group_size`` can only fail for a partial group; complete
         # groups (group_size == m) take a branch-free specialisation.
@@ -406,22 +376,18 @@ class ProcessorGroup:
                     processors[slot].edge_triangles[
                         (iu, iv) if iu < iv else (iv, iu)
                     ] = closing_at_store
-                stored_counts[slot] += 1
+                processors[slot].edges_stored += 1
                 bit = 1 << slot
                 node_bits[iu] = bits_u | bit
                 node_bits[iv] = bits_v | bit
                 if pairs_cache is not None:
                     pairs_cache.add((iu, iv) if iu < iv else (iv, iu))
-        for slot, count in enumerate(stored_counts):
-            if count:
-                processors[slot].edges_stored += count
 
     def process_edges(self, edges, seen: Optional[Set[Tuple[int, int]]] = None) -> None:
         """Standalone batched ingestion for one group.
 
         Encodes ``edges`` through this group's interner, hashes the batch
-        vectorially and advances the counters via :meth:`process_encoded` —
-        bit-identical to per-edge :meth:`process_edge` calls.
+        vectorially and advances the counters via :meth:`process_encoded`.
 
         ``seen`` carries first-occurrence state across calls (the id-ordered
         interned pairs already consumed); when omitted it is derived from
@@ -467,17 +433,6 @@ class ProcessorGroup:
                     if iu < iv:
                         seen.add((iu, iv))
         return seen
-
-    def _update_processor(self, processor: ProcessorCounters, u: int, v: int) -> int:
-        """Apply UpdateTriangleCNT / UpdateTrianglePairCNT for one processor.
-
-        ``u``/``v`` are interned ids.  Returns the number of semi-triangles
-        closed by ``(u, v)`` on this processor, i.e. ``|N_u(i) ∩ N_v(i)|``.
-        """
-        common = processor.neighbors(u) & processor.neighbors(v)
-        if not common:
-            return 0
-        return self._apply_closure(processor, u, v, common)
 
     def _apply_closure(
         self, processor: ProcessorCounters, u: int, v: int, common: Set[int]
@@ -922,7 +877,7 @@ def _native_batch_columns(batch: EncodedBatch):
 
     The monitor feeds one :class:`EncodedBatch` to many overlapping
     windows; converting the shared columns once per batch (cached on the
-    batch object) keeps the native kernels from paying a list->array
+    batch object) keeps the native groups from paying a list->array
     round trip per window.
     """
     cached = getattr(batch, "_native_columns", None)
@@ -963,10 +918,9 @@ class GroupStateSet:
         instead of rebuilding them; must match the config's seeds.
     kernel:
         Optional override of the config's ingestion-kernel request
-        (``"auto"``/``"python"``/``"native"``/provider names).  The request
-        is resolved once here — :attr:`kernel` holds the resolved label
-        (``"python"``, ``"cc"`` or ``"numba"``), which is also recorded in
-        estimate metadata.
+        (``"auto"``/``"python"``/``"native"``).  The request is resolved
+        once here — :attr:`kernel` holds the resolved label (``"python"`` or
+        ``"cc"``), which is also recorded in estimate metadata.
     """
 
     def __init__(
@@ -1011,7 +965,6 @@ class GroupStateSet:
                     track_local=config.track_local,
                     track_eta=bool(config.track_eta),
                     interner=self.interner,
-                    provider=self.kernel,
                 )
                 for index, size in enumerate(sizes)
             ]
@@ -1031,29 +984,41 @@ class GroupStateSet:
     # -- ingestion -----------------------------------------------------------
 
     def process_edge(self, u: NodeId, v: NodeId) -> None:
-        """Advance every group with one raw edge (scalar path)."""
+        """Advance every group with one raw edge (the per-edge path).
+
+        Interns once and takes the first-occurrence flag from ``seen``
+        exactly like :meth:`process_edges`, then hands each group the
+        encoded record.  Every slot is hashed before ``seen`` changes, so a
+        node the hash rejects leaves ``seen`` and the counters untouched.
+        """
         if u == v:
             return
         intern = self.interner.intern
         iu = intern(u)
         iv = intern(v)
-        self.seen.add((iu, iv) if iu < iv else (iv, iu))
-        for group in self.groups:
-            group.process_edge(u, v)
+        groups = self.groups
+        slots = [group.hash_function.bucket(u, v) for group in groups]
+        seen = self.seen
+        size = len(seen)
+        seen.add((iu, iv) if iu < iv else (iv, iu))
+        first = len(seen) != size
+        for group, slot in zip(groups, slots):
+            group._ingest(iu, iv, slot, first)
 
     def process_edges(self, edges: Iterable[EdgeTuple]) -> int:
         """Advance every group over a raw batch; returns records consumed.
 
         Canonicalisation, interning and hashing run once as array
         operations shared by all groups — bit-identical to per-edge
-        :meth:`process_edge` calls.
+        :meth:`process_edge` calls.  A batch that raises leaves ``seen``
+        as it was (see :meth:`~repro.core.interning.NodeInterner.encode_pairs`).
         """
         cu, cv, firsts, n_records = self.interner.encode_pairs(edges, self.seen)
         if cu:
             edge_keys = self.interner.edge_key_array(cu, cv)
             if self._native:
                 # One list->array conversion shared by every group; slot
-                # arrays go to the kernels without a tolist round trip.
+                # arrays go to the kernel without a tolist round trip.
                 cu = np.asarray(cu, np.int64)
                 cv = np.asarray(cv, np.int64)
                 firsts = np.asarray(firsts, np.uint8)

@@ -21,7 +21,7 @@ from repro.utils.tables import format_table
 from repro.utils.timer import Timer
 
 #: Backends compared by default, reference first.
-DEFAULT_BACKENDS = ("serial", "thread", "process", "chunked-serial", "chunked-process")
+DEFAULT_BACKENDS = ("serial", "chunked-serial", "chunked-process", "chunked-elastic")
 
 
 def backend_comparison(
@@ -42,9 +42,10 @@ def backend_comparison(
     backend's estimate is bit-identical to the first (reference) backend —
     which it must be; a mismatch raises :class:`ExperimentError` because it
     indicates a broken merge, not a tuning problem.  ``elastic=True`` adds
-    the ``chunked-elastic`` shard-coordinator backend to the comparison
-    (the CLI's ``--elastic``, typically with ``--workers N`` and a
-    ``--chaos`` plan targeting the cluster fault sites).
+    the ``chunked-elastic`` shard-coordinator backend to an explicit
+    ``backends`` list that lacks it (the CLI's ``--elastic``, typically with
+    ``--workers N`` and a ``--chaos`` plan targeting the cluster fault
+    sites).
     """
     if not backends:
         raise ExperimentError("at least one backend is required")

@@ -28,6 +28,8 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.core.kernel import KERNEL_CHOICES
+from repro.experiments.backends import DEFAULT_BACKENDS
 from repro.experiments.registry import artefact_names, get_artefact
 from repro.experiments.spec import ExperimentResult
 
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=None,
         help="execution backends for the 'backends' artefact "
-        "(default: serial thread process chunked-serial chunked-process)",
+        f"(default: {' '.join(DEFAULT_BACKENDS)})",
     )
     parser.add_argument(
         "--chunk-size",
@@ -82,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--elastic",
         action="store_true",
-        help="include the 'chunked-elastic' shard-coordinator backend in "
-        "the 'backends' artefact (combine with --workers and --chaos for "
+        help="add the 'chunked-elastic' shard-coordinator backend to an "
+        "explicit --backends list (combine with --workers and --chaos for "
         "membership-change chaos drills)",
     )
     parser.add_argument(
@@ -131,12 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel",
-        choices=("auto", "python", "native", "cc", "numba"),
+        choices=KERNEL_CHOICES,
         default=None,
         help="ingestion-kernel selection for the 'ingest', 'backends' and "
-        "'monitor' artefacts: 'auto' (default) uses a compiled kernel when "
-        "available, 'python' forces the dict/set reference, 'native' "
-        "requires a compiled kernel, 'cc'/'numba' pin a provider",
+        "'monitor' artefacts: 'auto' (default) uses the compiled C kernel "
+        "when it builds here, 'python' forces the dict/set reference, "
+        "'native' requires the C kernel",
     )
     parser.add_argument(
         "--chaos",

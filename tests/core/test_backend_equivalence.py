@@ -19,8 +19,6 @@ from repro.generators.random_graphs import barabasi_albert_stream
 #: (m, c) covering c < m, c == m, c % m == 0 and c % m != 0.
 GRID = [(4, 3), (4, 4), (3, 6), (4, 11)]
 
-CHUNKED_BACKENDS = ("chunked-serial", "chunked-process")
-ALL_BACKENDS = ("thread", "process") + CHUNKED_BACKENDS
 
 
 @pytest.fixture(scope="module")
@@ -49,22 +47,15 @@ class TestBackendEquivalence:
         )
         assert_identical(estimate, reference)
 
-    @pytest.mark.parametrize("m,c", GRID)
-    def test_thread_matches_serial(self, grid_stream, m, c):
-        config = ReptConfig(m=m, c=c, seed=13)
-        reference = run_rept(grid_stream, config, backend="serial")
-        assert_identical(run_rept(grid_stream, config, backend="thread"), reference)
-
     @pytest.mark.slow
     @pytest.mark.parametrize("m,c", GRID)
     def test_process_backends_match_serial(self, grid_stream, m, c):
         config = ReptConfig(m=m, c=c, seed=13)
         reference = run_rept(grid_stream, config, backend="serial")
-        for backend in ("process", "chunked-process"):
-            estimate = run_rept(
-                grid_stream, config, backend=backend, chunk_size=97, max_workers=2
-            )
-            assert_identical(estimate, reference)
+        estimate = run_rept(
+            grid_stream, config, backend="chunked-process", chunk_size=97, max_workers=2
+        )
+        assert_identical(estimate, reference)
 
     @pytest.mark.parametrize("m,c", GRID)
     def test_estimator_matches_chunked(self, grid_stream, m, c):

@@ -2,16 +2,17 @@
 
 Covers the :class:`NodeInterner` table, the estimator-level
 ``process_edges`` override (bit-identical to per-edge ingestion across
-configurations and node-id types), the standalone
-:meth:`ProcessorGroup.process_edges` batch path, and the batch plumbing of
-``DriverBackedRept``.
+configurations and node-id types), batches that raise part-way, the
+standalone :meth:`ProcessorGroup.process_edges` batch path, and the batch
+plumbing of ``DriverBackedRept``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import DriverBackedRept, NodeInterner, ReptConfig, ReptEstimator
-from repro.core.state import ProcessorGroup
+from repro.core.kernel import native_available
+from repro.core.state import GroupStateSet, ProcessorGroup
 from repro.generators.planted import planted_triangles_stream
 from repro.generators.random_graphs import barabasi_albert_stream
 from repro.hashing import make_hash_function
@@ -146,6 +147,36 @@ class TestReptBatchEquivalence:
         estimator = ReptEstimator(ReptConfig(m=4, c=4, seed=1))
         with pytest.raises(ValueError):
             estimator.process_stream([(1, 2)], batch_size=0)
+
+
+class TestFailedBatch:
+    """A batch that raises part-way must not mark its earlier records as
+    seen: those edges would otherwise count as duplicates forever and
+    never be stored."""
+
+    @pytest.mark.parametrize("kernel", ["python", "native"])
+    def test_raising_batch_does_not_hide_its_edges(self, kernel, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        if kernel == "native" and not native_available():
+            pytest.skip("the C kernel is not buildable here")
+        state = GroupStateSet(ReptConfig(m=1, c=1, seed=1), kernel=kernel)
+        with pytest.raises(TypeError):
+            state.process_edges([(1, 2), (2, 3), ([9], 3)])
+        with pytest.raises(TypeError):
+            state.process_edge([9], 3)
+        assert state.seen == set()
+        assert state.total_edges_stored() == 0
+        n_records = state.process_edges([(1, 2), (2, 3), (1, 3)])
+        assert state.total_edges_stored() == 3
+        assert state.estimate(n_records).global_count == 1.0
+
+    def test_standalone_group_keeps_its_pairs_cache_clean(self):
+        group = ProcessorGroup(make_hash_function("splitmix", 1, seed=1), 1, 1)
+        with pytest.raises(ValueError):
+            group.process_edges([(1, 2), (1, 2, 3)])
+        group.process_edges([(1, 2), (2, 3), (1, 3)])
+        assert group.total_edges_stored() == 3
+        assert group.tau_values() == [1]
 
 
 class TestProcessorGroupBatch:

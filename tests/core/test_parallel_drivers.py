@@ -1,4 +1,4 @@
-"""Tests for the serial / thread / process REPT drivers."""
+"""Tests for the serial and chunked REPT drivers."""
 
 import pytest
 
@@ -16,29 +16,22 @@ class TestDriverEquivalence:
         assert driven.global_count == pytest.approx(direct.global_count)
         assert driven.local_counts == direct.local_counts
 
-    def test_thread_backend_matches_serial(self, clique_stream):
-        config = ReptConfig(m=3, c=7, seed=5)
-        serial = run_rept(clique_stream.edges(), config, backend="serial")
-        threaded = run_rept(clique_stream.edges(), config, backend="thread")
-        assert threaded.global_count == pytest.approx(serial.global_count)
-        assert threaded.edges_stored == serial.edges_stored
-
-    @pytest.mark.slow
-    def test_process_backend_matches_serial(self, clique_stream):
-        config = ReptConfig(m=2, c=4, seed=5)
-        serial = run_rept(clique_stream.edges(), config, backend="serial")
-        processed = run_rept(clique_stream.edges(), config, backend="process", max_workers=2)
-        assert processed.global_count == pytest.approx(serial.global_count)
-
     def test_unknown_backend_rejected(self, triangle_stream):
         with pytest.raises(ConfigurationError):
             run_rept(triangle_stream.edges(), ReptConfig(m=2, c=2, seed=1), backend="gpu")
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_per_group_pool_backends_are_gone(self, triangle_stream, backend):
+        with pytest.raises(ConfigurationError):
+            run_rept(triangle_stream.edges(), ReptConfig(m=2, c=2, seed=1), backend=backend)
+
     def test_single_group_short_circuits_pools(self, triangle_stream):
-        # c <= m means one group; the pooled backends fall back to inline work.
+        # A stream that fits one chunk never starts a pool: the chunked
+        # process backend runs it inline.
         config = ReptConfig(m=4, c=2, seed=1)
-        estimate = run_rept(triangle_stream.edges(), config, backend="thread")
+        estimate = run_rept(triangle_stream.edges(), config, backend="chunked-process")
         assert estimate.edges_processed == 3
+        assert estimate.metadata["num_chunks"] == 1.0
 
     def test_self_loops_skipped_by_driver(self):
         config = ReptConfig(m=1, c=1, seed=1)

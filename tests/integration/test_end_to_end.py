@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro import (
     ExactStreamingCounter,
     ReptConfig,
@@ -114,12 +112,12 @@ class TestTrafficMonitoringScenario:
 
 
 class TestDriverConsistencyOnDataset:
-    def test_serial_and_thread_identical_on_dataset(self):
+    def test_serial_matches_chunked(self):
         stream = load_dataset("web-google-sim").prefix(2000)
         config = ReptConfig(m=3, c=7, seed=42, track_local=False)
         serial = run_rept(stream.edges(), config, backend="serial")
-        threaded = run_rept(stream.edges(), config, backend="thread")
-        assert serial.global_count == pytest.approx(threaded.global_count)
+        chunked = run_rept(stream.edges(), config, backend="chunked-serial", chunk_size=300)
+        assert serial.global_count == chunked.global_count
 
     def test_stream_order_changes_estimate_but_not_truth(self):
         stream = load_dataset("youtube-sim").prefix(1500)

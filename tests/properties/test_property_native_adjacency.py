@@ -22,19 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adjacency import GroupArrays, NativeProcessorGroup
-from repro.core.kernel import provider_available
-from repro.core.state import ProcessorGroup
+from repro.core.config import ReptConfig
+from repro.core.kernel import native_available
+from repro.core.state import GroupStateSet, ProcessorGroup
 from repro.hashing import make_hash_function
 
-pytestmark = pytest.mark.skipif(
-    not provider_available("cc"), reason="no C compiler available"
-)
+pytestmark = pytest.mark.skipif(not native_available(), reason="no C compiler available")
 
 SEED = 20240808
 
 # Small node universe => duplicates and triangles are common.  Self-loops
-# are excluded: the group-level API contract (process_edge) assumes the
-# caller filtered them, as GroupStateSet and the encode pipeline both do.
+# are excluded: every ingestion path skips them, so they would only thin
+# out the examples.
 node_ids = st.integers(min_value=0, max_value=15)
 edges_strategy = st.lists(
     st.tuples(node_ids, node_ids).filter(lambda e: e[0] != e[1]),
@@ -44,6 +43,9 @@ edges_strategy = st.lists(
 #: (m, group_size) with partial groups (group_size < m) and η tracking on
 #: the full-size ones — both closure variants of the kernel.
 shapes = st.sampled_from([(1, 1), (3, 3), (4, 2), (5, 5), (6, 3), (2, 1)])
+#: (m, c) of whole configurations: one group (c <= m), complete groups, and
+#: complete groups plus a partial one.
+configs = st.sampled_from([(1, 1), (4, 2), (3, 3), (2, 4), (3, 7), (4, 9)])
 chunk_seeds = st.integers(min_value=0, max_value=2**16)
 
 
@@ -62,9 +64,22 @@ def _pair(m, group_size, track_eta=True, track_local=True):
         m=m,
         track_local=track_local,
         track_eta=track_eta,
-        provider="cc",
     )
     return python, native
+
+
+def _state_pair(config):
+    """A python and a native :class:`GroupStateSet` of one config.
+
+    ``REPRO_KERNEL`` is cleared while resolving, so the native side is
+    built even in an environment that forces the python kernel.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_KERNEL", raising=False)
+        return (
+            GroupStateSet(config, kernel="python"),
+            GroupStateSet(config, kernel="native"),
+        )
 
 
 def _chunks(edges, seed):
@@ -100,15 +115,22 @@ class TestIngestionEquivalence:
             native.process_edges(chunk, seen=None)
         _assert_groups_equal(python, native)
 
-    @given(edges=edges_strategy, shape=shapes)
+    @given(edges=edges_strategy, shape=configs)
     @settings(max_examples=40, deadline=None)
     def test_per_edge_path_matches_dict_impl(self, edges, shape):
-        m, group_size = shape
-        python, native = _pair(m, group_size)
+        """The per-edge path hands each group an encoded record; the native
+        groups run it through the scalar kernel call, the dict groups
+        through their one batch loop."""
+        m, c = shape
+        python, native = _state_pair(ReptConfig(m=m, c=c, seed=SEED, track_eta=True))
+        assert native.kernel == "cc"
         for u, v in edges:
             python.process_edge(u, v)
             native.process_edge(u, v)
-        _assert_groups_equal(python, native)
+        assert python.seen == native.seen
+        assert python.summaries() == native.summaries()
+        for python_group, native_group in zip(python.groups, native.groups):
+            _assert_groups_equal(python_group, native_group)
 
     @given(edges=edges_strategy, shape=shapes)
     @settings(max_examples=25, deadline=None)
