@@ -38,10 +38,10 @@ treats that worker as failed and migrates its shards.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set
 
 from repro.core.config import ReptConfig
-from repro.core.interning import NodeInterner
+from repro.core.interning import NodeInterner, pack_pair, unpack_pair
 from repro.core.state import first_flags
 from repro.testing.faults import maybe_fail
 
@@ -100,7 +100,8 @@ class ShardState:
         #: First-occurrence scope.  Per-shard (not per-worker!) so the flags
         #: survive migration: a shard's ``seen`` travels in its portable
         #: state, while the other shards on the same worker keep their own.
-        self.seen: Set[Tuple[int, int]] = set()
+        #: Holds packed pair keys (see :func:`~repro.core.interning.pack_pair`).
+        self.seen: Set[int] = set()
         self.applied_seq = 0
 
     # -- ingestion ------------------------------------------------------------
@@ -137,7 +138,7 @@ class ShardState:
             "shard_id": self.shard_id,
             "applied_seq": self.applied_seq,
             "snapshot": self.group.snapshot(),
-            "seen": [(nodes[iu], nodes[iv]) for iu, iv in self.seen],
+            "seen": [(nodes[lo], nodes[hi]) for lo, hi in map(unpack_pair, self.seen)],
         }
 
     def restore(self, state: Dict[str, object]) -> None:
@@ -149,12 +150,7 @@ class ShardState:
             )
         self.group.restore(state["snapshot"])
         intern = self.interner.intern
-        self.seen = set()
-        add = self.seen.add
-        for u, v in state["seen"]:
-            iu = intern(u)
-            iv = intern(v)
-            add((iu, iv) if iu < iv else (iv, iu))
+        self.seen = {pack_pair(intern(u), intern(v)) for u, v in state["seen"]}
         self.applied_seq = int(state["applied_seq"])
 
     # -- aggregates -----------------------------------------------------------

@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core import kernel as kernel_mod
-from repro.core.interning import NodeInterner
+from repro.core.interning import NodeInterner, pack_pair, pack_pairs
 from repro.core.state import (
     GroupSnapshot,
     ProcessorCounters,
@@ -232,36 +232,24 @@ class GroupArrays:
         """Return the eid of the id-ordered pair ``(a, b)`` on ``slot``."""
         return self._sync_pairs().get((slot, a, b))
 
-    def append_edge(self, iu: int, iv: int, slot: int, tri: int = 0, tri_present: bool = False) -> int:
-        """Cold-path edge insert (restore/seed/merge); counters untouched."""
+    def append_edge(self, iu: int, iv: int, slot: int) -> None:
+        """Cold-path insert of one edge (see :meth:`append_edges`)."""
         a, b = (iu, iv) if iu < iv else (iv, iu)
-        self.ensure_nodes(b + 1)
-        self.ensure_edges(1)
-        n_half = int(self.meta[0])
+        self.append_edges([a], [b], [slot])
+
+    def append_edges(self, us: Sequence[int], vs: Sequence[int], ss: Sequence[int]) -> None:
+        """Insert id-ordered pairs ``us[k] < vs[k]`` on slots ``ss[k]`` in
+        one compiled call (restore/seed/merge; per-edge counters zero)."""
+        n = len(us)
+        self.ensure_nodes(max(vs) + 1)
+        self.ensure_edges(n)
         e = int(self.meta[1])
-        self.edge_u[e] = a
-        self.edge_v[e] = b
-        self.edge_slot[e] = slot
-        self.edge_tri[e] = tri
-        self.edge_seen[e] = 1 if tri_present else 0
-        heads = self.heads
-        self.pool_nbr[n_half] = b
-        self.pool_eid[n_half] = e
-        self.pool_nxt[n_half] = heads[slot, a]
-        heads[slot, a] = n_half
-        self.pool_nbr[n_half + 1] = a
-        self.pool_eid[n_half + 1] = e
-        self.pool_nxt[n_half + 1] = heads[slot, b]
-        heads[slot, b] = n_half + 1
-        self.meta[0] = n_half + 2
-        self.meta[1] = e + 1
-        bit = 1 << slot
-        self.node_bits[a] |= bit
-        self.node_bits[b] |= bit
+        kernel_mod.append_edges(
+            np.array(us, np.int64), np.array(vs, np.int64), np.array(ss, np.int64), self
+        )
         if self._pair_sync == e:
-            self._pair_eids[(slot, a, b)] = e
-            self._pair_sync = e + 1
-        return e
+            self._pair_eids.update(zip(zip(ss, us, vs), range(e, e + n)))
+            self._pair_sync = e + n
 
     # -- extraction ------------------------------------------------------------
 
@@ -333,21 +321,25 @@ class GroupArrays:
         marks[idx] = 0
         return out
 
-    def take_edge_triangles(self, slot: int) -> Dict[Tuple[int, int], int]:
+    def take_edge_triangles(self) -> List[Dict[Tuple[int, int], int]]:
+        """Detach every slot's per-edge counters (eid order, then loose)."""
         n = int(self.meta[1])
-        sel = np.flatnonzero((self.edge_slot[:n] == slot) & (self.edge_seen[:n] != 0))
-        edge_u = self.edge_u
-        edge_v = self.edge_v
-        edge_tri = self.edge_tri
-        out = {
-            (int(edge_u[e]), int(edge_v[e])): int(edge_tri[e]) for e in sel
-        }
-        edge_tri[sel] = 0
-        self.edge_seen[sel] = 0
-        loose = self.loose_tri[slot]
-        if loose:
-            out.update(loose)
-            self.loose_tri[slot] = {}
+        sel = np.flatnonzero(self.edge_seen[:n])
+        out: List[Dict[Tuple[int, int], int]] = [{} for _ in range(self.group_size)]
+        if len(sel):
+            for slot, a, b, tri in zip(
+                self.edge_slot[sel].tolist(),
+                self.edge_u[sel].tolist(),
+                self.edge_v[sel].tolist(),
+                self.edge_tri[sel].tolist(),
+            ):
+                out[slot][(a, b)] = tri
+            self.edge_tri[sel] = 0
+            self.edge_seen[sel] = 0
+        for slot, loose in enumerate(self.loose_tri):
+            if loose:
+                out[slot].update(loose)
+                self.loose_tri[slot] = {}
         return out
 
 
@@ -374,7 +366,7 @@ class NativeProcessorGroup(ProcessorGroup):
         self.processors = None  # type: ignore[assignment]
         self._node_bits = None  # type: ignore[assignment]
         self._arrays = GroupArrays(group_size, track_local, track_eta)
-        self._pairs_cache: Optional[Set[Tuple[int, int]]] = None
+        self._pairs_cache: Optional[Set[int]] = None
 
     # -- ingestion -------------------------------------------------------------
 
@@ -389,7 +381,7 @@ class NativeProcessorGroup(ProcessorGroup):
             arrays.ensure_edges(1)
         kernel_mod.run_scalar(iu, iv, slot, 1 if store else 0, arrays)
         if store and self._pairs_cache is not None:
-            self._pairs_cache.add((iu, iv) if iu < iv else (iv, iu))
+            self._pairs_cache.add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
 
     def process_encoded(
         self,
@@ -406,34 +398,31 @@ class NativeProcessorGroup(ProcessorGroup):
         cv_a = np.asarray(cv, np.int64)
         slots_a = np.asarray(slots, np.int64)
         firsts_a = np.asarray(firsts, np.uint8)
-        # Pre-ensure every capacity: the kernel never grows storage.  The
-        # store count of the batch is exactly the storable first flags.
-        arrays.ensure_nodes(len(self.interner.nodes))
+        # Pre-ensure every capacity: the kernel never grows storage.  Node
+        # columns cover the ids this batch references (not the whole shared
+        # interner); the store count is exactly the storable first flags.
+        arrays.ensure_nodes(max(int(cu_a.max()), int(cv_a.max())) + 1)
         store_mask = (firsts_a != 0) & (slots_a < self.group_size)
         n_stores = int(np.count_nonzero(store_mask))
         if n_stores:
             arrays.ensure_edges(n_stores)
         kernel_mod.run_batch(n, cu_a, cv_a, slots_a, firsts_a, arrays)
         if n_stores and self._pairs_cache is not None:
-            add = self._pairs_cache.add
-            for i in np.flatnonzero(store_mask):
-                a = int(cu_a[i])
-                b = int(cv_a[i])
-                add((a, b) if a < b else (b, a))
+            self._pairs_cache.update(
+                pack_pairs(cu_a[store_mask], cv_a[store_mask]).tolist()
+            )
 
-    def _stored_pairs(self) -> Set[Tuple[int, int]]:
+    def _stored_pairs(self) -> Set[int]:
         cache = self._pairs_cache
         if cache is None:
             cache = self._derive_stored_pairs()
             self._pairs_cache = cache
         return cache
 
-    def _derive_stored_pairs(self) -> Set[Tuple[int, int]]:
+    def _derive_stored_pairs(self) -> Set[int]:
         arrays = self._arrays
         n = arrays.n_edges
-        edge_u = arrays.edge_u
-        edge_v = arrays.edge_v
-        return {(int(edge_u[e]), int(edge_v[e])) for e in range(n)}
+        return set(pack_pairs(arrays.edge_u[:n], arrays.edge_v[:n]).tolist())
 
     # -- chunked execution support ---------------------------------------------
 
@@ -479,24 +468,33 @@ class NativeProcessorGroup(ProcessorGroup):
         self._arrays = GroupArrays(self.group_size, self.track_local, self.track_eta)
         self._pairs_cache = None
         intern = self.interner.intern
-        for slot, entry in enumerate(snapshot["processors"]):
-            self._fold_counters(slot, _internalize_processor(entry, intern))
+        self._fold_group(
+            [_internalize_processor(entry, intern) for entry in snapshot["processors"]]
+        )
 
     def seed_adjacency(self, stored_edges: Sequence[Tuple[int, NodeId, NodeId]]) -> None:
-        intern = self.interner.intern
-        arrays = self._arrays
         group_size = self.group_size
-        cache = self._pairs_cache
         for slot, u, v in stored_edges:
             if not 0 <= slot < group_size:
                 raise ValueError(f"stored edge ({u!r}, {v!r}) names invalid slot {slot}")
+        intern = self.interner.intern
+        arrays = self._arrays
+        index = arrays._sync_pairs()
+        # New (slot, lo, hi) keys in record order: the eids a record-by-
+        # record insert would assign.
+        fresh: Dict[Tuple[int, int, int], None] = {}
+        for slot, u, v in stored_edges:
             iu = intern(u)
             iv = intern(v)
-            a, b = (iu, iv) if iu < iv else (iv, iu)
-            if arrays.find_edge(slot, a, b) is None:
-                arrays.append_edge(a, b, slot)
-            if cache is not None:
-                cache.add((a, b))
+            key = (slot, iu, iv) if iu < iv else (slot, iv, iu)
+            if key not in index:
+                fresh[key] = None
+        if not fresh:
+            return
+        ss, us, vs = zip(*fresh)
+        arrays.append_edges(us, vs, ss)
+        if self._pairs_cache is not None:
+            self._pairs_cache.update(map(pack_pair, us, vs))
 
     def merge_snapshot(self, snapshot: GroupSnapshot) -> None:
         if snapshot["group_size"] != self.group_size or snapshot["m"] != self.m:
@@ -506,30 +504,55 @@ class NativeProcessorGroup(ProcessorGroup):
                 f"(group_size={snapshot['group_size']}, m={snapshot['m']})"
             )
         intern = self.interner.intern
-        for slot, entry in enumerate(snapshot["processors"]):
-            self._fold_counters(slot, _internalize_processor(entry, intern))
+        self._fold_group(
+            [_internalize_processor(entry, intern) for entry in snapshot["processors"]]
+        )
         self._pairs_cache = None
 
-    def _fold_counters(self, slot: int, later: ProcessorCounters) -> None:
-        """Fold one slot's chunk counters into the arrays.
+    def _fold_group(self, laters: Sequence[ProcessorCounters]) -> None:
+        """Fold every slot's chunk counters into the arrays.
 
-        Mirrors :meth:`ProcessorCounters.merge` exactly: the adjacency
-        edges are appended first (so every ``edge_triangles`` key of a
-        well-formed chunk finds its eid), then the per-edge counters fold
-        with the closed-form η correction against the *prior* values, then
-        the scalar and per-node counters add.
+        Mirrors :meth:`ProcessorCounters.merge` slot by slot exactly.  The
+        adjacency edges new to each slot are appended first, slot-major and
+        id-sorted in one compiled call — the edge ids a slot-at-a-time fold
+        would assign — so every ``edge_triangles`` key of a well-formed
+        chunk finds its eid; then each slot's per-edge counters fold with
+        the closed-form η correction against the *prior* values, and its
+        scalar and per-node counters add.  Node columns grow to the ids the
+        counters reference, not to the shared interner.
         """
         arrays = self._arrays
-        # Everything in ``later`` was interned through self.interner.
-        arrays.ensure_nodes(len(self.interner.nodes))
-        pairs = set()
-        for iu, neighbors in later.adjacency.items():
-            for iv in neighbors:
-                if iu < iv:
-                    pairs.add((iu, iv))
-        for a, b in sorted(pairs):
-            if arrays.find_edge(slot, a, b) is None:
-                arrays.append_edge(a, b, slot)
+        index = arrays._sync_pairs()
+        us: List[int] = []
+        vs: List[int] = []
+        ss: List[int] = []
+        top = -1
+        for slot, later in enumerate(laters):
+            pairs = {
+                (iu, iv)
+                for iu, neighbors in later.adjacency.items()
+                for iv in neighbors
+                if iu < iv
+            }
+            for a, b in sorted(pairs):
+                if (slot, a, b) not in index:
+                    us.append(a)
+                    vs.append(b)
+                    ss.append(slot)
+            for nodes in (later.tau_local, later.eta_local):
+                if nodes:
+                    top = max(top, max(nodes))
+            if later.edge_triangles:
+                top = max(top, max(b for _, b in later.edge_triangles))
+        if us:
+            arrays.append_edges(us, vs, ss)
+        arrays.ensure_nodes(top + 1)
+        for slot, later in enumerate(laters):
+            self._fold_counters(slot, later)
+
+    def _fold_counters(self, slot: int, later: ProcessorCounters) -> None:
+        """Fold one slot's counters; its edges are already appended."""
+        arrays = self._arrays
         track_local = self.track_local
         has_eta_local = arrays.has_eta_local
         for key, delta in later.edge_triangles.items():
@@ -590,6 +613,7 @@ class NativeProcessorGroup(ProcessorGroup):
             else:
                 neighbors.add(iu)
         arrays = self._arrays
+        per_slot_triangles = arrays.take_edge_triangles()
         deltas: List[ProcessorCounters] = []
         for slot in range(self.group_size):
             deltas.append(
@@ -597,7 +621,7 @@ class NativeProcessorGroup(ProcessorGroup):
                     adjacency=per_slot_adjacency[slot],
                     tau=int(arrays.tau[slot]),
                     tau_local=arrays.take_tau_local(slot),
-                    edge_triangles=arrays.take_edge_triangles(slot),
+                    edge_triangles=per_slot_triangles[slot],
                     eta=int(arrays.eta[slot]),
                     eta_local=arrays.take_eta_local(slot),
                     edges_stored=int(arrays.edges_stored[slot]),
@@ -613,8 +637,7 @@ class NativeProcessorGroup(ProcessorGroup):
             raise ValueError(
                 f"expected {self.group_size} per-slot deltas, got {len(deltas)}"
             )
-        for slot, delta in enumerate(deltas):
-            self._fold_counters(slot, delta)
+        self._fold_group(deltas)
         self._pairs_cache = None
 
     # -- aggregates ------------------------------------------------------------

@@ -13,6 +13,23 @@ NumPy array: the batched ingestion pipeline gathers per-edge canonical key
 pairs with two fancy-index reads and hands them to the vectorized hash
 layer (:meth:`~repro.hashing.base.EdgeHashFunction.bucket_from_keys`).
 
+On a native state set, batches whose records are all 2-item tuples or
+lists of plain ``int`` node ids inside int64 take a compiled encode pass
+(:meth:`NodeInterner._encode_columns`).  Ids come from an open-addressing
+int64→id cache probed in C; values it lacks are looked up in ``_ids``
+itself (so dict equality holds exactly as in the Python loop: ``1`` finds
+a held ``True`` or ``1.0``), values new to the interner are interned in
+first-appearance order, and all of them enter the cache.  One C walk over
+the interleaved endpoints then skips self-loops, canonicalises and writes
+the ids and the packed pair keys with in-batch first flags; the
+cross-batch ``seen`` test runs as three C-level set passes.  Every other
+batch keeps the Python loop of :meth:`NodeInterner.encode_pairs`, which is
+the parity oracle for the compiled pass.
+
+First-occurrence (``seen``) sets hold *packed* pair keys, ``lo << 32 | hi``
+for the id-ordered dense ids of an undirected edge (:func:`pack_pair`):
+one int per distinct edge instead of a tuple.
+
 Interned ids are an internal representation only — every public surface of
 the estimators (estimates, summaries, snapshots) speaks raw node
 identifiers, so interning is invisible to callers and to the cross-backend
@@ -21,12 +38,71 @@ equivalence guarantees.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core import kernel as kernel_mod
 from repro.hashing.base import _GOLDEN64, _stable_node_key
 from repro.types import EdgeTuple, NodeId
+
+#: Width of the high id in a packed pair key; dense ids stay below 2**32.
+PAIR_SHIFT = 32
+_PAIR_LOW = (1 << PAIR_SHIFT) - 1
+
+
+def pack_pair(a: int, b: int) -> int:
+    """The packed ``seen`` key of the undirected id pair ``{a, b}``.
+
+    ``lo << 32 | hi`` over the id-ordered pair: interning is injective, so
+    id order identifies the edge.  Per-record loops inline this expression.
+    """
+    return (a << PAIR_SHIFT | b) if a < b else (b << PAIR_SHIFT | a)
+
+
+def unpack_pair(key: int) -> Tuple[int, int]:
+    """The id-ordered pair ``(lo, hi)`` of a packed key."""
+    return key >> PAIR_SHIFT, key & _PAIR_LOW
+
+
+def pack_pairs(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`pack_pair` over int64 id columns (``uint64``)."""
+    lo = np.minimum(cu, cv).astype(np.uint64)
+    hi = np.maximum(cu, cv).astype(np.uint64)
+    return lo << np.uint64(PAIR_SHIFT) | hi
+
+
+_RECORD_TYPES = frozenset({tuple, list})
+#: Initial cells of the interner's int64 id cache (kept at most half full).
+_CACHE_MIN = 1024
+
+
+def _int_endpoints(pairs) -> Optional[List[int]]:
+    """Interleaved endpoints ``[u0, v0, u1, v1, ...]`` of an all-int batch, or None.
+
+    The batch qualifies when it is a non-empty list or tuple of 2-item
+    tuple/list records whose items are plain ``int`` — exactly the batches
+    on which :meth:`NodeInterner.encode_pairs` reads each record as
+    ``u, v`` and compares raw ints.  The first record is checked on its
+    own first, so a batch of other ids falls back in constant time.
+    """
+    if type(pairs) not in (list, tuple) or not pairs:
+        return None
+    head = pairs[0]
+    if (
+        type(head) not in _RECORD_TYPES
+        or len(head) != 2
+        or type(head[0]) is not int
+        or type(head[1]) is not int
+    ):
+        return None
+    if not set(map(type, pairs)) <= _RECORD_TYPES or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if set(map(type, flat)) != {int}:
+        return None
+    return flat
 
 
 class NodeInterner:
@@ -37,7 +113,16 @@ class NodeInterner:
     of one estimator so all groups agree on node identities.
     """
 
-    __slots__ = ("_ids", "nodes", "_keys", "_key_array", "_key_array_len")
+    __slots__ = (
+        "_ids",
+        "nodes",
+        "_keys",
+        "_key_array",
+        "_key_array_len",
+        "_cache_val",
+        "_cache_id",
+        "_cache_used",
+    )
 
     def __init__(self) -> None:
         self._ids: Dict[NodeId, int] = {}
@@ -46,8 +131,30 @@ class NodeInterner:
         # Python-int keys (append-only); the uint64 array view is rebuilt
         # lazily when the table has grown since the last batch.
         self._keys: List[int] = []
+        self._reset_derived()
+
+    def _reset_derived(self) -> None:
         self._key_array: np.ndarray = np.empty(0, dtype=np.uint64)
         self._key_array_len = 0
+        # The int64 value -> dense id cache of _encode_columns: open
+        # addressing, id -1 marks an empty cell.  Each entry is what
+        # ``_ids.get(value)`` returned when it was cached, and ids never
+        # change, so every entry stays exact whatever else is interned.
+        self._cache_val = np.zeros(_CACHE_MIN, np.int64)
+        self._cache_id = np.full(_CACHE_MIN, -1, np.int64)
+        self._cache_used = 0
+
+    def __getstate__(self):
+        # The key array and the id cache are derived from the rest.
+        return {"_ids": self._ids, "nodes": self.nodes, "_keys": self._keys}
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):  # the slot pickle of earlier versions
+            state = state[1]
+        self._ids = state["_ids"]
+        self.nodes = state["nodes"]
+        self._keys = state["_keys"]
+        self._reset_derived()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -86,7 +193,7 @@ class NodeInterner:
     def encode_pairs(
         self,
         pairs: Iterable[EdgeTuple],
-        seen: Optional[Set[Tuple[int, int]]] = None,
+        seen: Optional[Set[int]] = None,
     ):
         """Intern and canonicalise a batch of raw edge pairs in one pass.
 
@@ -99,7 +206,8 @@ class NodeInterner:
 
         When ``seen`` is given it is used (and updated in place) to flag
         each surviving record's first occurrence: ``firsts[k]`` is True iff
-        the canonical edge had not been seen before.  Because an edge always
+        the canonical edge's packed key (:func:`pack_pair`) had not been
+        seen before.  Because an edge always
         hashes to the same slot, "seen before" is exactly the per-slot
         ``already_stored`` test of the storing process, hoisted out of the
         per-group loops.  With ``seen=None``, ``firsts`` is returned as
@@ -148,11 +256,9 @@ class NodeInterner:
                 cu_append(iu)
                 cv_append(iv)
                 if seen is not None:
-                    # Membership keys are id-ordered (not canonical-raw order):
-                    # interning is injective, so id order identifies the
-                    # undirected edge, and id comparison is cheapest.  The
+                    # Packed id-ordered keys (pack_pair, inlined); the
                     # size-delta trick tests and inserts with a single probe.
-                    seen_add((iu, iv) if iu < iv else (iv, iu))
+                    seen_add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
                     new_size = len(seen)
                     firsts_append(new_size != seen_size)
                     seen_size = new_size
@@ -162,9 +268,92 @@ class NodeInterner:
                 # or the failed batch's edges would count as seen forever.
                 for iu, iv, first in zip(cu, cv, firsts):
                     if first:
-                        seen.discard((iu, iv) if iu < iv else (iv, iu))
+                        seen.discard(pack_pair(iu, iv))
             raise
         return cu, cv, firsts, n_records
+
+    def _encode_columns(self, pairs, seen: Set[int]):
+        """The compiled :meth:`encode_pairs` of an all-int batch, or None.
+
+        Takes a non-empty list or tuple of 2-item tuple/list records of
+        plain ``int`` ids inside int64; returns ``(cu, cv, edge_keys,
+        firsts, n_records)`` as int64/int64/uint64/uint8 arrays, equal
+        element for element to ``encode_pairs(pairs, seen)`` followed by
+        :meth:`edge_key_array`, with ``seen`` and the interner advanced
+        identically.  Returns None, having changed nothing, when the batch
+        does not qualify — the caller then takes :meth:`encode_pairs`.
+        """
+        flat = _int_endpoints(pairs)
+        if flat is None:
+            return None
+        try:
+            raw = np.fromiter(flat, np.int64, len(flat))
+        except OverflowError:
+            return None
+        dense = np.empty(len(raw), np.int64)
+        kernel_mod.table_lookup(raw, self._cache_val, self._cache_id, dense)
+        missed = np.flatnonzero(dense < 0)
+        if len(missed):
+            self._resolve_missed(raw, dense, missed)
+        n = len(pairs)
+        cu = np.empty(n, np.int64)
+        cv = np.empty(n, np.int64)
+        packed = np.empty(n, np.uint64)
+        firsts = np.empty(n, np.uint8)
+        n_out = kernel_mod.encode_columns(raw, dense, cu, cv, packed, firsts)
+        cu = cu[:n_out]
+        cv = cv[:n_out]
+        firsts = firsts[:n_out]
+        # Only in-batch firsts can be new to ``seen``: one membership pass
+        # over their packed keys, then one bulk insert.
+        idx = np.flatnonzero(firsts)
+        candidates = packed[idx].tolist()
+        known = np.fromiter(map(seen.__contains__, candidates), bool, len(candidates))
+        firsts[idx[known]] = 0
+        seen.update(candidates)
+        return cu, cv, self.edge_key_array(cu, cv), firsts, n
+
+    def _resolve_missed(self, raw: np.ndarray, dense: np.ndarray, missed: np.ndarray) -> None:
+        """Fill in the ids of endpoints the cache lacks, as :meth:`encode_pairs` would.
+
+        ``missed`` indexes those endpoints of ``raw``.  Their values are
+        looked up in ``_ids`` itself, so dict equality holds exactly (``1``
+        finds a held ``True`` or ``1.0``); values ``_ids`` lacks are
+        interned in first-appearance order, u before v.  Self-loop
+        endpoints are skipped, since ``encode_pairs`` never interns them.
+        Every resolved value then enters the cache.
+        """
+        missed = missed[raw[missed] != raw[missed ^ 1]]
+        if not len(missed):
+            return
+        values, first, inverse = np.unique(
+            raw[missed], return_index=True, return_inverse=True
+        )
+        listed = values.tolist()
+        ids = np.fromiter(map(self._ids.get, listed, repeat(-1)), np.int64, len(listed))
+        new = np.flatnonzero(ids < 0)
+        if len(new):
+            new = new[np.argsort(first[new])]
+            base = len(self.nodes)
+            ids[new] = np.arange(base, base + len(new))
+            fresh = values[new]
+            nodes = fresh.tolist()
+            self.nodes.extend(nodes)
+            self._ids.update(zip(nodes, range(base, base + len(nodes))))
+            # _stable_node_key of an int64 int is its two's-complement uint64.
+            self._keys.extend(fresh.view(np.uint64).tolist())
+        dense[missed] = ids[inverse]
+        used = self._cache_used + len(values)
+        if 2 * used > len(self._cache_id):
+            # Rebuild at the next power of two that keeps the cache half empty.
+            held = self._cache_id >= 0
+            values = np.concatenate((self._cache_val[held], values))
+            ids = np.concatenate((self._cache_id[held], ids))
+            cap = 1 << (2 * used - 1).bit_length()
+            self._cache_val = np.zeros(cap, np.int64)
+            self._cache_id = np.full(cap, -1, np.int64)
+        kernel_mod.table_insert(values, ids, self._cache_val, self._cache_id)
+        self._cache_used = used
 
     def edge_key_array(self, cu: List[int], cv: List[int]) -> np.ndarray:
         """Canonical 64-bit edge keys for encoded id pairs (``uint64``).

@@ -16,9 +16,20 @@ Selection is requested as ``kernel="auto"|"python"|"native"`` on
 environment disables the C kernel outright (the CI pure-Python lane); no
 other value of the variable has an effect.
 
-The compiled loop never allocates: every capacity (node columns, half-edge
-pool, edge arrays) is ensured by the Python wrapper before the call, from
-vectorised counts of the batch's storable first occurrences.
+The same library carries the encode pass behind
+:meth:`~repro.core.interning.NodeInterner._encode_columns`: the probe and
+insert of the interner's open-addressing int64→id cache, and one walk over
+an all-int batch's interleaved endpoints and their dense ids that skips
+self-loops, canonicalises by raw value and writes the ids and the packed
+``lo << 32 | hi`` pair keys with in-batch first flags.  It also carries the
+bulk edge append that folds a whole group's pane deltas, snapshot or
+seeded adjacency in one call; the ingest loop's store step and the bulk
+append share one edge insert.
+
+No compiled function allocates: every capacity (node columns, half-edge
+pool, edge arrays, the encode pass's scratch set) is ensured by the Python
+wrapper before the call, from vectorised counts of the batch's storable
+first occurrences.
 """
 
 from __future__ import annotations
@@ -53,6 +64,35 @@ _C_SOURCE = r"""
 
 typedef int64_t i64;
 typedef uint8_t u8;
+
+/* Stores edge e = {x, y} on slot: the id-ordered edge columns with
+ * per-edge counter tri and flag seen, x's half-edge then y's at the heads
+ * of their slot lists from pool index n_half, and the slot bit of both
+ * nodes.  The one edge insert of the ingest loop and the bulk append. */
+static inline void rept_link_edge(
+    i64 e, i64 x, i64 y, i64 slot, i64 tri, u8 seen, i64 n_half,
+    i64 node_cap, i64 *node_bits, i64 *heads,
+    i64 *pool_nbr, i64 *pool_eid, i64 *pool_nxt,
+    i64 *edge_u, i64 *edge_v, i64 *edge_slot, i64 *edge_tri, u8 *edge_seen)
+{
+    edge_u[e] = x < y ? x : y;
+    edge_v[e] = x < y ? y : x;
+    edge_slot[e] = slot;
+    edge_tri[e] = tri;
+    edge_seen[e] = seen;
+    i64 *hrow = heads + slot * node_cap;
+    pool_nbr[n_half] = y;
+    pool_eid[n_half] = e;
+    pool_nxt[n_half] = hrow[x];
+    hrow[x] = n_half;
+    pool_nbr[n_half + 1] = x;
+    pool_eid[n_half + 1] = e;
+    pool_nxt[n_half + 1] = hrow[y];
+    hrow[y] = n_half + 1;
+    i64 bit = (i64)1 << slot;
+    node_bits[x] |= bit;
+    node_bits[y] |= bit;
+}
 
 /* The fused closure+store loop over one group's flat columns (layout in
  * repro/core/adjacency.py); the same update rules as the dict/set loop of
@@ -149,37 +189,14 @@ int64_t rept_ingest_batch(
             }
         }
         if (firsts[k] != 0 && storeable) {
-            i64 e = n_edges;
+            rept_link_edge(
+                n_edges, iu, iv, slot,
+                track_eta ? closing_at_store : 0, track_eta ? 1 : 0, n_half,
+                node_cap, node_bits, heads, pool_nbr, pool_eid, pool_nxt,
+                edge_u, edge_v, edge_slot, edge_tri, edge_seen);
             n_edges += 1;
-            if (iu < iv) {
-                edge_u[e] = iu;
-                edge_v[e] = iv;
-            } else {
-                edge_u[e] = iv;
-                edge_v[e] = iu;
-            }
-            edge_slot[e] = slot;
-            if (track_eta) {
-                edge_tri[e] = closing_at_store;
-                edge_seen[e] = 1;
-            } else {
-                edge_tri[e] = 0;
-            }
-            i64 *hrow = heads + slot * node_cap;
-            pool_nbr[n_half] = iv;
-            pool_eid[n_half] = e;
-            pool_nxt[n_half] = hrow[iu];
-            hrow[iu] = n_half;
-            n_half += 1;
-            pool_nbr[n_half] = iu;
-            pool_eid[n_half] = e;
-            pool_nxt[n_half] = hrow[iv];
-            hrow[iv] = n_half;
-            n_half += 1;
+            n_half += 2;
             edges_stored[slot] += 1;
-            i64 bit = (i64)1 << slot;
-            node_bits[iu] = bits_u | bit;
-            node_bits[iv] = bits_v | bit;
         }
     }
     meta[0] = n_half;
@@ -187,9 +204,125 @@ int64_t rept_ingest_batch(
     meta[2] = epoch;
     return 0;
 }
+
+/* Cold-path bulk insert of n id-ordered edges (us[k] < vs[k]) on slots
+ * ss[k] with zeroed per-edge counters (GroupArrays.append_edges).
+ * Capacities are ensured by the caller. */
+int64_t rept_append_edges(
+    i64 n, const i64 *us, const i64 *vs, const i64 *ss,
+    i64 node_cap, i64 *node_bits, i64 *heads,
+    i64 *pool_nbr, i64 *pool_eid, i64 *pool_nxt,
+    i64 *edge_u, i64 *edge_v, i64 *edge_slot, i64 *edge_tri, u8 *edge_seen,
+    i64 *meta)
+{
+    i64 n_half = meta[0];
+    i64 n_edges = meta[1];
+    for (i64 k = 0; k < n; k++) {
+        rept_link_edge(
+            n_edges, us[k], vs[k], ss[k], 0, 0, n_half,
+            node_cap, node_bits, heads, pool_nbr, pool_eid, pool_nxt,
+            edge_u, edge_v, edge_slot, edge_tri, edge_seen);
+        n_edges += 1;
+        n_half += 2;
+    }
+    meta[0] = n_half;
+    meta[1] = n_edges;
+    return 0;
+}
+
+/* -- the encode pass --------------------------------------------------------
+ * NodeInterner's int64 id cache is an open-addressing table with linear
+ * probing over raw int64 values, tab_id[h] == -1 marking an empty cell. */
+
+static inline i64 rept_cell(uint64_t key, i64 mask)
+{
+    uint64_t h = key * 0x9E3779B97F4A7C15ULL;
+    return (i64)((h ^ (h >> 32)) & (uint64_t)mask);
+}
+
+/* out[k] = the cached id of values[k], or -1 when the cache lacks it. */
+int64_t rept_table_lookup(
+    i64 n, const i64 *values, const i64 *tab_val, const i64 *tab_id, i64 mask,
+    i64 *out)
+{
+    for (i64 k = 0; k < n; k++) {
+        i64 h = rept_cell((uint64_t)values[k], mask);
+        i64 id;
+        while ((id = tab_id[h]) != -1 && tab_val[h] != values[k])
+            h = (h + 1) & mask;
+        out[k] = id;
+    }
+    return 0;
+}
+
+/* Inserts n (value, id) pairs absent from the table; the caller keeps it
+ * at most half full. */
+int64_t rept_table_insert(
+    i64 n, const i64 *values, const i64 *ids,
+    i64 *tab_val, i64 *tab_id, i64 mask)
+{
+    for (i64 k = 0; k < n; k++) {
+        i64 h = rept_cell((uint64_t)values[k], mask);
+        while (tab_id[h] != -1)
+            h = (h + 1) & mask;
+        tab_val[h] = values[k];
+        tab_id[h] = ids[k];
+    }
+    return 0;
+}
+
+/* The column form of NodeInterner.encode_pairs over interleaved endpoints:
+ * raw int64 values flat[2k], flat[2k+1] and their dense ids ids[2k],
+ * ids[2k+1].  Skips self-loops, canonicalises by raw value and writes the
+ * dense ids cu/cv, the packed id-ordered pair keys lo << 32 | hi and their
+ * in-batch first flags, tracked in batch_keys (an empty open-addressing
+ * set of packed keys, 0 marking an empty cell: no packed key is 0 because
+ * lo < hi).  Returns the number of records written. */
+int64_t rept_encode_columns(
+    i64 n, const i64 *flat, const i64 *ids,
+    uint64_t *batch_keys, i64 batch_mask,
+    i64 *cu, i64 *cv, uint64_t *packed, u8 *firsts)
+{
+    i64 out = 0;
+    for (i64 k = 0; k < n; k++) {
+        i64 u = flat[2 * k];
+        i64 v = flat[2 * k + 1];
+        if (u == v)
+            continue;
+        i64 iu = ids[2 * k];
+        i64 iv = ids[2 * k + 1];
+        if (u > v) {
+            iu = ids[2 * k + 1];
+            iv = ids[2 * k];
+        }
+        cu[out] = iu;
+        cv[out] = iv;
+        uint64_t p = iu < iv
+            ? ((uint64_t)iu << 32) | (uint64_t)iv
+            : ((uint64_t)iv << 32) | (uint64_t)iu;
+        packed[out] = p;
+        i64 b = rept_cell(p, batch_mask);
+        u8 first = 1;
+        for (;;) {
+            uint64_t q = batch_keys[b];
+            if (q == 0) {
+                batch_keys[b] = p;
+                break;
+            }
+            if (q == p) {
+                first = 0;
+                break;
+            }
+            b = (b + 1) & batch_mask;
+        }
+        firsts[out] = first;
+        out++;
+    }
+    return out;
+}
 """
 
-#: The loaded kernel function, or the exception that stopped it from
+#: The loaded kernel library, or the exception that stopped it from
 #: loading; ``None`` until first probed.
 _kernel = None
 
@@ -223,25 +356,49 @@ def _build():
         # Atomic publish: concurrent builders race benignly.
         os.replace(tmp_path, so_path)
     lib = ctypes.CDLL(so_path)
-    fn = lib.rept_ingest_batch
-    fn.restype = ctypes.c_int64
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    fn.argtypes = [
-        i64, ptr, ptr, ptr, ptr,          # n, cu, cv, slots, firsts
-        i64, i64, i64, i64,               # group_size, node_cap, track_local, track_eta
-        ptr, ptr,                         # node_bits, heads
-        ptr, ptr, ptr,                    # pool_nbr, pool_eid, pool_nxt
-        ptr, ptr, ptr, ptr, ptr,          # edge_u, edge_v, edge_slot, edge_tri, edge_seen
-        ptr, ptr, ptr,                    # tau, eta, edges_stored
-        ptr, ptr, ptr,                    # tau_local, eta_local, eta_mark
-        ptr, ptr, ptr,                    # mark, mark_eid, meta
-    ]
-    return fn
+    signatures = {
+        "rept_ingest_batch": [
+            i64, ptr, ptr, ptr, ptr,      # n, cu, cv, slots, firsts
+            i64, i64, i64, i64,           # group_size, node_cap, track_local, track_eta
+            ptr, ptr,                     # node_bits, heads
+            ptr, ptr, ptr,                # pool_nbr, pool_eid, pool_nxt
+            ptr, ptr, ptr, ptr, ptr,      # edge_u, edge_v, edge_slot, edge_tri, edge_seen
+            ptr, ptr, ptr,                # tau, eta, edges_stored
+            ptr, ptr, ptr,                # tau_local, eta_local, eta_mark
+            ptr, ptr, ptr,                # mark, mark_eid, meta
+        ],
+        "rept_append_edges": [
+            i64, ptr, ptr, ptr,           # n, us, vs, ss
+            i64, ptr, ptr,                # node_cap, node_bits, heads
+            ptr, ptr, ptr,                # pool_nbr, pool_eid, pool_nxt
+            ptr, ptr, ptr, ptr, ptr,      # edge_u, edge_v, edge_slot, edge_tri, edge_seen
+            ptr,                          # meta
+        ],
+        "rept_table_lookup": [
+            i64, ptr, ptr, ptr, i64,      # n, values, tab_val, tab_id, mask
+            ptr,                          # out
+        ],
+        "rept_table_insert": [
+            i64, ptr, ptr,                # n, values, ids
+            ptr, ptr, i64,                # tab_val, tab_id, mask
+        ],
+        "rept_encode_columns": [
+            i64, ptr, ptr,                # n, flat, ids
+            ptr, i64,                     # batch_keys, batch_mask
+            ptr, ptr, ptr, ptr,           # cu, cv, packed, firsts
+        ],
+    }
+    for name, argtypes in signatures.items():
+        fn = getattr(lib, name)
+        fn.restype = i64
+        fn.argtypes = argtypes
+    return lib
 
 
 def _load():
-    """The kernel function or its build failure, probed once per process."""
+    """The kernel library or its build failure, probed once per process."""
     global _kernel
     if _kernel is None:
         try:
@@ -358,7 +515,7 @@ def run_batch(n, cu, cv, slots, firsts, arrays) -> None:
     ``arrays`` is a :class:`repro.core.adjacency.GroupArrays`; every
     capacity must already be ensured (the kernel never grows storage).
     """
-    _handle()(
+    _handle().rept_ingest_batch(
         n,
         cu.ctypes.data,
         cv.ctypes.data,
@@ -392,7 +549,7 @@ def run_scalar(iu: int, iv: int, slot: int, first: int, arrays) -> None:
             slots.ctypes.data,
             firsts.ctypes.data,
         ) + _state_block(arrays)
-        entry = (cu, cv, slots, firsts, args, _handle())
+        entry = (cu, cv, slots, firsts, args, _handle().rept_ingest_batch)
         arrays._call_cache["scalar"] = entry
     cu, cv, slots, firsts, args, handle = entry
     cu[0] = iu
@@ -400,3 +557,76 @@ def run_scalar(iu: int, iv: int, slot: int, first: int, arrays) -> None:
     slots[0] = slot
     firsts[0] = first
     handle(*args)
+
+
+def append_edges(us: np.ndarray, vs: np.ndarray, ss: np.ndarray, arrays) -> None:
+    """Append id-ordered edges ``us[k] < vs[k]`` on slots ``ss[k]`` in one call.
+
+    Per-edge counters start at zero; node and edge capacities must already
+    be ensured (:meth:`~repro.core.adjacency.GroupArrays.append_edges`).
+    """
+    _handle().rept_append_edges(
+        len(us),
+        us.ctypes.data,
+        vs.ctypes.data,
+        ss.ctypes.data,
+        arrays.node_cap,
+        arrays.node_bits.ctypes.data,
+        arrays.heads.ctypes.data,
+        arrays.pool_nbr.ctypes.data,
+        arrays.pool_eid.ctypes.data,
+        arrays.pool_nxt.ctypes.data,
+        arrays.edge_u.ctypes.data,
+        arrays.edge_v.ctypes.data,
+        arrays.edge_slot.ctypes.data,
+        arrays.edge_tri.ctypes.data,
+        arrays.edge_seen.ctypes.data,
+        arrays.meta.ctypes.data,
+    )
+
+
+def table_lookup(values: np.ndarray, table_val, table_id, out: np.ndarray) -> None:
+    """``out[k]`` = the id an int64 table holds for ``values[k]``, or -1."""
+    _handle().rept_table_lookup(
+        len(values),
+        values.ctypes.data,
+        table_val.ctypes.data,
+        table_id.ctypes.data,
+        len(table_id) - 1,
+        out.ctypes.data,
+    )
+
+
+def table_insert(values: np.ndarray, ids: np.ndarray, table_val, table_id) -> None:
+    """Insert ``(values[k], ids[k])`` pairs absent from an int64 table
+    (kept at most half full by the caller)."""
+    _handle().rept_table_insert(
+        len(values),
+        values.ctypes.data,
+        ids.ctypes.data,
+        table_val.ctypes.data,
+        table_id.ctypes.data,
+        len(table_id) - 1,
+    )
+
+
+def encode_columns(flat, ids, cu, cv, packed, firsts) -> int:
+    """Run the encode pass over interleaved int64 endpoints and their ids.
+
+    ``flat`` holds the raw values and ``ids`` the dense ids of a batch's
+    endpoints ``[u0, v0, u1, v1, ...]``; the output columns hold one entry
+    per record.  Returns the number of records written (self-loops are
+    skipped).
+    """
+    batch_keys = np.zeros(1 << (len(flat) - 1).bit_length(), np.uint64)
+    return _handle().rept_encode_columns(
+        len(flat) // 2,
+        flat.ctypes.data,
+        ids.ctypes.data,
+        batch_keys.ctypes.data,
+        len(batch_keys) - 1,
+        cu.ctypes.data,
+        cv.ctypes.data,
+        packed.ctypes.data,
+        firsts.ctypes.data,
+    )

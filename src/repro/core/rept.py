@@ -11,7 +11,7 @@ and delegates the final arithmetic to
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, Set
 
 from repro.baselines.base import StreamingTriangleEstimator, TriangleEstimate
 from repro.core.combine import GroupSummary
@@ -87,8 +87,9 @@ class ReptEstimator(StreamingTriangleEstimator):
         return self._state.interner
 
     @property
-    def _seen_edges(self) -> Set[Tuple[int, int]]:
-        """Canonical interned edges seen so far (id-ordered keys)."""
+    def _seen_edges(self) -> Set[int]:
+        """Interned edges seen so far, as packed id-ordered keys
+        ``lo << 32 | hi`` (see :func:`~repro.core.interning.pack_pair`)."""
         return self._state.seen
 
     # -- streaming ------------------------------------------------------------

@@ -81,7 +81,7 @@ import numpy as np
 
 from repro.core.combine import GroupSummary, combine_group_estimates
 from repro.core.config import ReptConfig
-from repro.core.interning import NodeInterner
+from repro.core.interning import NodeInterner, pack_pair, unpack_pair
 from repro.hashing.base import EdgeHashFunction
 from repro.types import EdgeTuple, NodeId, canonical_edge
 
@@ -276,9 +276,10 @@ class ProcessorGroup:
         ]
         # dense node id -> bitmask of slots where the node has a stored edge.
         self._node_bits: Dict[int, int] = {}
-        # Cached seen-pairs set handed to process_edges(seen=None) callers;
-        # see _stored_pairs for the maintenance contract.
-        self._pairs_cache: Optional[Set[Tuple[int, int]]] = None
+        # Cached seen-pairs set (packed keys) handed to
+        # process_edges(seen=None) callers; see _stored_pairs for the
+        # maintenance contract.
+        self._pairs_cache: Optional[Set[int]] = None
 
     # -- per-edge update ----------------------------------------------------
 
@@ -381,17 +382,17 @@ class ProcessorGroup:
                 node_bits[iu] = bits_u | bit
                 node_bits[iv] = bits_v | bit
                 if pairs_cache is not None:
-                    pairs_cache.add((iu, iv) if iu < iv else (iv, iu))
+                    pairs_cache.add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
 
-    def process_edges(self, edges, seen: Optional[Set[Tuple[int, int]]] = None) -> None:
+    def process_edges(self, edges, seen: Optional[Set[int]] = None) -> None:
         """Standalone batched ingestion for one group.
 
         Encodes ``edges`` through this group's interner, hashes the batch
         vectorially and advances the counters via :meth:`process_encoded`.
 
-        ``seen`` carries first-occurrence state across calls (the id-ordered
-        interned pairs already consumed); when omitted it is derived from
-        the stored adjacency, which is exact even after
+        ``seen`` carries first-occurrence state across calls (the packed
+        keys of the interned pairs already consumed); when omitted it is
+        derived from the stored adjacency, which is exact even after
         :meth:`seed_adjacency` (an edge is stored iff it was seen and its
         slot is real, and unstoreable edges never consult the flag).
         """
@@ -406,11 +407,11 @@ class ProcessorGroup:
         ).tolist()
         self.process_encoded(cu, cv, slots, firsts)
 
-    def _stored_pairs(self) -> Set[Tuple[int, int]]:
+    def _stored_pairs(self) -> Set[int]:
         """Return the cached seen-pairs set covering every stored edge.
 
         The cache is derived once (O(stored edges)) and maintained
-        incrementally: every store adds its id-ordered pair, and the cold
+        incrementally: every store adds its packed pair key, and the cold
         mutators (restore/merge/seed) invalidate it.  Because callers use
         the returned set as a live first-occurrence ``seen`` set, it may
         also accumulate *unstoreable* seen pairs — harmless, since an
@@ -424,15 +425,15 @@ class ProcessorGroup:
             self._pairs_cache = cache
         return cache
 
-    def _derive_stored_pairs(self) -> Set[Tuple[int, int]]:
-        """Rebuild the id-ordered interned pairs of every stored edge."""
-        seen: Set[Tuple[int, int]] = set()
-        for processor in self.processors:
-            for iu, neighbors in processor.adjacency.items():
-                for iv in neighbors:
-                    if iu < iv:
-                        seen.add((iu, iv))
-        return seen
+    def _derive_stored_pairs(self) -> Set[int]:
+        """Rebuild the packed pair keys of every stored edge."""
+        return {
+            pack_pair(iu, iv)
+            for processor in self.processors
+            for iu, neighbors in processor.adjacency.items()
+            for iv in neighbors
+            if iu < iv
+        }
 
     def _apply_closure(
         self, processor: ProcessorCounters, u: int, v: int, common: Set[int]
@@ -542,7 +543,7 @@ class ProcessorGroup:
             node_bits[iu] = node_bits.get(iu, 0) | bit
             node_bits[iv] = node_bits.get(iv, 0) | bit
             if pairs_cache is not None:
-                pairs_cache.add((iu, iv) if iu < iv else (iv, iu))
+                pairs_cache.add(pack_pair(iu, iv))
 
     def merge(self, later: "ProcessorGroup") -> None:
         """Fold in a group advanced over the next chunk (see ProcessorCounters.merge).
@@ -809,14 +810,15 @@ def externalize_delta_snapshot(
 
 
 def first_flags(
-    seen: Set[Tuple[int, int]], cu: Sequence[int], cv: Sequence[int]
+    seen: Set[int], cu: Sequence[int], cv: Sequence[int]
 ) -> List[bool]:
     """Stream-global first-occurrence flags of encoded canonical id pairs.
 
     The standalone counterpart of the flags
     :meth:`~repro.core.interning.NodeInterner.encode_pairs` computes inline:
     given an already-encoded batch, flag each record whose undirected edge
-    (id-ordered key) is new to ``seen``, updating ``seen`` in place.  Used
+    (packed key, :func:`~repro.core.interning.pack_pair`) is new to
+    ``seen``, updating ``seen`` in place.  Used
     by consumers that share one encoded batch across several independent
     first-occurrence scopes (the windowed monitor's overlapping windows).
     """
@@ -825,7 +827,7 @@ def first_flags(
     add = seen.add
     size = len(seen)
     for iu, iv in zip(cu, cv):
-        add((iu, iv) if iu < iv else (iv, iu))
+        add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
         new_size = len(seen)
         append(new_size != size)
         size = new_size
@@ -835,7 +837,7 @@ def first_flags(
 def ingest_edge_batches(
     group: ProcessorGroup,
     edges: Sequence[EdgeTuple],
-    seen: Optional[Set[Tuple[int, int]]] = None,
+    seen: Optional[Set[int]] = None,
     batch_edges: int = 65536,
 ) -> None:
     """Drive one group over ``edges`` through the batched pipeline.
@@ -937,7 +939,9 @@ class GroupStateSet:
 
         self.config = config
         self.interner = interner if interner is not None else NodeInterner()
-        self.seen: Set[Tuple[int, int]] = set()
+        #: Packed keys (:func:`~repro.core.interning.pack_pair`) of every
+        #: distinct edge consumed — the stream-global first-occurrence set.
+        self.seen: Set[int] = set()
         sizes = config.group_sizes()
         if hash_functions is None:
             seeds = config.group_hash_seeds()
@@ -1000,7 +1004,7 @@ class GroupStateSet:
         slots = [group.hash_function.bucket(u, v) for group in groups]
         seen = self.seen
         size = len(seen)
-        seen.add((iu, iv) if iu < iv else (iv, iu))
+        seen.add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
         first = len(seen) != size
         for group, slot in zip(groups, slots):
             group._ingest(iu, iv, slot, first)
@@ -1012,7 +1016,19 @@ class GroupStateSet:
         operations shared by all groups — bit-identical to per-edge
         :meth:`process_edge` calls.  A batch that raises leaves ``seen``
         as it was (see :meth:`~repro.core.interning.NodeInterner.encode_pairs`).
+        On a native state set an all-int batch is encoded by the compiled
+        pass (:meth:`~repro.core.interning.NodeInterner._encode_columns`)
+        and its columns go straight to the hash and the kernel.
         """
+        if self._native:
+            columns = self.interner._encode_columns(edges, self.seen)
+            if columns is not None:
+                cu, cv, edge_keys, firsts, n_records = columns
+                if len(cu):
+                    for group in self.groups:
+                        slots = group.hash_function.bucket_from_keys(edge_keys)
+                        group.process_encoded(cu, cv, slots, firsts)
+                return n_records
         cu, cv, firsts, n_records = self.interner.encode_pairs(edges, self.seen)
         if cu:
             edge_keys = self.interner.edge_key_array(cu, cv)
@@ -1163,7 +1179,7 @@ class GroupStateSet:
         nodes = self.interner.nodes
         return {
             "snapshots": self.snapshot(),
-            "seen": [(nodes[iu], nodes[iv]) for iu, iv in self.seen],
+            "seen": [(nodes[lo], nodes[hi]) for lo, hi in map(unpack_pair, self.seen)],
         }
 
     def restore_portable(self, state: Dict[str, object]) -> None:
@@ -1183,12 +1199,15 @@ class GroupStateSet:
         for group, snapshot in zip(self.groups, snapshots):
             group.restore(snapshot)
         intern = self.interner.intern
-        self.seen = set()
-        add = self.seen.add
-        for u, v in state["seen"]:
-            iu = intern(u)
-            iv = intern(v)
-            add((iu, iv) if iu < iv else (iv, iu))
+        self.seen = {pack_pair(intern(u), intern(v)) for u, v in state["seen"]}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        # Durable estimator checkpoints pickle whole state sets; one written
+        # while ``seen`` held (lo, hi) tuples resumes with packed keys.
+        seen = self.seen
+        if seen and type(next(iter(seen))) is tuple:
+            self.seen = {pack_pair(a, b) for a, b in seen}
 
     # -- aggregates -----------------------------------------------------------
 

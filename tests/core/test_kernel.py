@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.core.config import ReptConfig
+from repro.core.interning import NodeInterner, pack_pair
 from repro.core.kernel import (
     KERNEL_CHOICES,
     MAX_NATIVE_GROUP_SIZE,
@@ -290,6 +291,32 @@ class TestPairsCache:
             interner = group.interner
             stored = set()
             for _slot, u, v in group.stored_edges():
-                iu, iv = interner.id_of(u), interner.id_of(v)
-                stored.add((iu, iv) if iu < iv else (iv, iu))
+                stored.add(pack_pair(interner.id_of(u), interner.id_of(v)))
             assert pairs == stored
+
+
+@needs_cc
+class TestSharedInternerFootprint:
+    """Regression: a native group sized its node columns to the whole
+    shared interner, so every node a neighbour interned grew it."""
+
+    def test_group_grows_only_to_the_ids_it_references(self, clean_env):
+        interner = NodeInterner()
+        config = ReptConfig(m=8, c=8, seed=SEED, track_local=True)
+        a = GroupStateSet(config, interner=interner, kernel="native")
+        b = GroupStateSet(config, interner=interner, kernel="native")
+        a.process_edges([(i, i + 1000) for i in range(1000)])
+        arrays = a.groups[0]._arrays
+        assert arrays.node_cap == 2048
+        b.process_edges(
+            [(10**6 + 2 * i, 10**6 + 2 * i + 1) for i in range(50_000)]
+        )
+        assert len(interner) == 102_000
+        a.process_edges([(0, 1)])
+        a.process_edge(2, 3)
+        assert a.groups[0]._arrays.node_cap == 2048
+        # Restores and merges fold through the same sizing.
+        c = GroupStateSet(config, interner=interner, kernel="native")
+        c.restore_portable(a.portable_state())
+        c.merge_snapshots(a.snapshot())
+        assert c.groups[0]._arrays.node_cap == 2048
