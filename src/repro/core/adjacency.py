@@ -16,29 +16,49 @@ without touching a Python object:
     records (``edge_u``/``edge_v``/``edge_slot``/``edge_tri``) and per-slot
     counter rows.  Growth is amortised doubling with contiguous
     reallocation; the wrappers *pre-ensure* every capacity before a kernel
-    call, so the compiled loop never allocates.
+    call, so the compiled loop never allocates.  There is no separate edge
+    index: an edge's row in the flat columns (its *eid*) is found by the
+    compiled lookup, which walks both endpoints' neighbour chains on the
+    edge's slot in lockstep.
+
+``ColumnarDelta``
+    One group's pane delta (or snapshot, once internalised) as int64
+    columns: pane-new stored edges, detached per-edge counters, the
+    touched ``τ_v``/``η_v`` cells and the per-slot counter rows.  It reads
+    as a sequence of per-slot :class:`~repro.core.state.ProcessorCounters`,
+    built only when indexed, so every consumer of the dict protocol still
+    works; the monitor's hot path never indexes it.
 
 ``NativeProcessorGroup``
     A drop-in :class:`~repro.core.state.ProcessorGroup` subclass backed by
     ``GroupArrays``.  Public semantics — snapshot/restore/merge,
     ``seed_adjacency``, the pane-delta protocol, aggregates and stored-edge
     introspection — are preserved exactly (bit-identical counters, asserted
-    by the kernel-parity property suite), so the chunked, elastic, durable
-    and monitor paths are untouched at their boundaries.
+    by the kernel-parity and pane-delta property suites), so the chunked,
+    elastic, durable and monitor paths are untouched at their boundaries.
+    ``restore``, ``merge_snapshot`` and ``merge_deltas`` share one fold
+    (:meth:`NativeProcessorGroup._fold_group`): new edges are appended in
+    one compiled call, the per-edge counters fold with the exact η
+    correction in another, and node cells and slot rows are numpy adds.
 
-Dict-equivalence notes (the subtle bits the parity suite pins down):
+Dict-equivalence notes (the subtle bits the parity suites pin down):
 
 * ``tau_local`` entries in the dict implementation are created only with
   strictly positive increments, so non-zero array cells recover the dict
   exactly; explicit zero-valued entries can only arrive via merges of
   pathological snapshots and are preserved in ``tau_zero`` side sets.
+  Counts are non-negative: a merged negative ``τ_v`` that later cancels
+  to zero leaves the dict a zero entry the arrays do not record.
 * ``eta_local`` *does* receive zero increments in normal operation
   (``count_uw`` may be 0 when the wedge edge was stored this instant), and
   the dict keeps those explicit zero entries — ``eta_mark`` records
   touched cells so extraction reproduces them.
 * ``edge_triangles`` is keyed by stored edges but a merged snapshot may
   contain keys whose edge is not in the adjacency; those live in the
-  ``loose_tri`` side dicts and fold with the same η correction.
+  ``loose_tri`` side dicts and fold with the same η correction.  Once such
+  an edge is stored, its loose counter moves onto the edge
+  (:meth:`GroupArrays.settle_loose`), unless the ingest loop already set
+  the edge's counter — the dict reference overwrites the key there.
 * ``edge_tri``/``edge_seen`` carry the *detachable* per-edge counters: the
   pane-delta protocol zeroes them while the adjacency (pool, heads,
   bitmasks) stays — exactly the seeded-at-a-boundary state the merge
@@ -47,12 +67,13 @@ Dict-equivalence notes (the subtle bits the parity suite pins down):
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core import kernel as kernel_mod
-from repro.core.interning import NodeInterner, pack_pair, pack_pairs
+from repro.core.interning import NodeInterner, pack_pairs
 from repro.core.state import (
     GroupSnapshot,
     ProcessorCounters,
@@ -71,6 +92,117 @@ def _grown(array: np.ndarray, cap: int) -> np.ndarray:
     out = np.zeros(cap, dtype=array.dtype)
     out[: array.shape[0]] = array
     return out
+
+
+def _columns(records, width: int) -> np.ndarray:
+    """``(width, n)`` C-contiguous int64 columns of ``n`` int records."""
+    return np.array(records, np.int64).reshape(-1, width).T.copy()
+
+
+def _cell_dict(cells: np.ndarray, slot: int) -> Dict[int, int]:
+    sel = cells[0] == slot
+    return dict(zip(cells[1, sel].tolist(), cells[2, sel].tolist()))
+
+
+class ColumnarDelta(SequenceABC):
+    """One native group's counters as int64 columns (see module docstring).
+
+    Every column block is a C-contiguous int64 array with one column per
+    entry:
+
+    * ``edges`` ``(3, n)`` — slot, lo, hi of the stored edges the delta
+      adds (the pane-new ones for a pane delta), id-ordered;
+    * ``tri`` ``(4, n)`` — slot, lo, hi, value of the per-edge counters
+      ``τ_(u,v)``;
+    * ``tau_cells`` ``(3, n)`` — slot, node, value of the ``τ_v`` entries
+      (explicit zero entries are cells with value 0);
+    * ``eta_cells`` ``(3, n)`` — slot, node, value of the ``η_v`` entries;
+    * ``rows`` ``(3, group_size)`` — ``τ``, ``η`` and ``edges_stored`` per
+      slot.
+
+    ``loose`` is ``None`` or the per-slot dicts of per-edge counters whose
+    edge the group does not store (rare; they ride along as they are).
+
+    Read-only :class:`~collections.abc.Sequence` of ``group_size``
+    :class:`~repro.core.state.ProcessorCounters`, each built when indexed,
+    so code written against per-slot counters (snapshot externalisation,
+    the dict group's merge) reads it unchanged.
+    """
+
+    __slots__ = ("edges", "tri", "tau_cells", "eta_cells", "rows", "loose")
+
+    def __init__(
+        self,
+        edges: np.ndarray,
+        tri: np.ndarray,
+        tau_cells: np.ndarray,
+        eta_cells: np.ndarray,
+        rows: np.ndarray,
+        loose: Optional[List[Dict[Tuple[int, int], int]]] = None,
+    ) -> None:
+        self.edges = edges
+        self.tri = tri
+        self.tau_cells = tau_cells
+        self.eta_cells = eta_cells
+        self.rows = rows
+        self.loose = loose
+
+    def __len__(self) -> int:
+        return self.rows.shape[1]
+
+    def __getitem__(self, slot: int) -> ProcessorCounters:
+        size = len(self)
+        if slot < 0:
+            slot += size
+        if not 0 <= slot < size:
+            raise IndexError("slot index out of range")
+        adjacency: Dict[int, Set[int]] = {}
+        edges = self.edges
+        for a, b in zip(*edges[1:, edges[0] == slot].tolist()):
+            adjacency.setdefault(a, set()).add(b)
+            adjacency.setdefault(b, set()).add(a)
+        tri = self.tri
+        sel = tri[0] == slot
+        edge_triangles = dict(zip(zip(*tri[1:3, sel].tolist()), tri[3, sel].tolist()))
+        if self.loose is not None:
+            edge_triangles.update(self.loose[slot])
+        rows = self.rows
+        return ProcessorCounters(
+            adjacency=adjacency,
+            tau=int(rows[0, slot]),
+            tau_local=_cell_dict(self.tau_cells, slot),
+            edge_triangles=edge_triangles,
+            eta=int(rows[1, slot]),
+            eta_local=_cell_dict(self.eta_cells, slot),
+            edges_stored=int(rows[2, slot]),
+        )
+
+
+def _counter_columns(laters: Sequence[ProcessorCounters]) -> ColumnarDelta:
+    """The :class:`ColumnarDelta` of per-slot (interned) counters.
+
+    ``edge_triangles`` keys must be id-ordered, as interned counters'
+    keys are.
+    """
+    edges = []
+    tri = []
+    tau_cells = []
+    eta_cells = []
+    rows = np.zeros((3, len(laters)), np.int64)
+    for slot, later in enumerate(laters):
+        for a, neighbors in later.adjacency.items():
+            edges.extend((slot, a, b) for b in neighbors if a < b)
+        tri.extend((slot, a, b, value) for (a, b), value in later.edge_triangles.items())
+        tau_cells.extend((slot, node, value) for node, value in later.tau_local.items())
+        eta_cells.extend((slot, node, value) for node, value in later.eta_local.items())
+        rows[:, slot] = (later.tau, later.eta, later.edges_stored)
+    return ColumnarDelta(
+        _columns(edges, 3),
+        _columns(tri, 4),
+        _columns(tau_cells, 3),
+        _columns(eta_cells, 3),
+        rows,
+    )
 
 
 class GroupArrays:
@@ -133,10 +265,6 @@ class GroupArrays:
             {} for _ in range(group_size)
         ]
         self.tau_zero: List[Set[int]] = [set() for _ in range(group_size)]
-        # Lazily synchronised (slot, u, v) -> eid index; kernel stores
-        # bypass it, _sync_pairs catches up over the appended suffix.
-        self._pair_eids: Dict[Tuple[int, int, int], int] = {}
-        self._pair_sync = 0
         # Per-call-site cache of kernel argument tuples (raw ctypes
         # pointers + scalar input buffers).  Pointers die whenever a column
         # reallocates, so every growth clears this dict, and pickling drops
@@ -149,6 +277,10 @@ class GroupArrays:
         return state
 
     def __setstate__(self, state) -> None:
+        # Older pickles carry a (slot, u, v) -> eid dict and its sync mark;
+        # the compiled lookup replaced them.
+        state.pop("_pair_eids", None)
+        state.pop("_pair_sync", None)
         self.__dict__.update(state)
         self._call_cache = {}
 
@@ -214,23 +346,14 @@ class GroupArrays:
             self.pool_cap = cap
             self._call_cache.clear()
 
-    # -- edge index -----------------------------------------------------------
-
-    def _sync_pairs(self) -> Dict[Tuple[int, int, int], int]:
-        n_edges = int(self.meta[1])
-        if self._pair_sync < n_edges:
-            index = self._pair_eids
-            edge_u = self.edge_u
-            edge_v = self.edge_v
-            edge_slot = self.edge_slot
-            for e in range(self._pair_sync, n_edges):
-                index[(int(edge_slot[e]), int(edge_u[e]), int(edge_v[e]))] = e
-            self._pair_sync = n_edges
-        return self._pair_eids
+    # -- edge lookup and insertion ---------------------------------------------
 
     def find_edge(self, slot: int, a: int, b: int) -> Optional[int]:
-        """Return the eid of the id-ordered pair ``(a, b)`` on ``slot``."""
-        return self._sync_pairs().get((slot, a, b))
+        """Return the eid of the pair ``{a, b}`` on ``slot``, if stored."""
+        if a >= self.node_cap or b >= self.node_cap:
+            return None
+        eid = int(kernel_mod.find_edges(np.array([slot]), np.array([a]), np.array([b]), self)[0])
+        return None if eid < 0 else eid
 
     def append_edge(self, iu: int, iv: int, slot: int) -> None:
         """Cold-path insert of one edge (see :meth:`append_edges`)."""
@@ -239,17 +362,36 @@ class GroupArrays:
 
     def append_edges(self, us: Sequence[int], vs: Sequence[int], ss: Sequence[int]) -> None:
         """Insert id-ordered pairs ``us[k] < vs[k]`` on slots ``ss[k]`` in
-        one compiled call (restore/seed/merge; per-edge counters zero)."""
-        n = len(us)
-        self.ensure_nodes(max(vs) + 1)
-        self.ensure_edges(n)
-        e = int(self.meta[1])
-        kernel_mod.append_edges(
-            np.array(us, np.int64), np.array(vs, np.int64), np.array(ss, np.int64), self
-        )
-        if self._pair_sync == e:
-            self._pair_eids.update(zip(zip(ss, us, vs), range(e, e + n)))
-            self._pair_sync = e + n
+        one compiled call (restore/seed/merge; per-edge counters zero,
+        apart from loose counters the new edges settle)."""
+        us = np.asarray(us, np.int64)
+        vs = np.asarray(vs, np.int64)
+        ss = np.asarray(ss, np.int64)
+        self.ensure_nodes(int(vs.max()) + 1)
+        self.ensure_edges(len(us))
+        kernel_mod.append_edges(us, vs, ss, self)
+        self.settle_loose()
+
+    def settle_loose(self) -> None:
+        """Move each loose per-edge counter whose edge is now stored onto it.
+
+        The dict reference keeps one ``edge_triangles`` entry per key, so a
+        loose counter becomes the stored edge's prior — unless the ingest
+        loop already set that edge's counter at store time, which the dict
+        loop does by overwriting the key; then the loose value is dropped.
+        """
+        for slot, loose in enumerate(self.loose_tri):
+            if not loose:
+                continue
+            keys = list(loose)
+            a, b = _columns(keys, 2)
+            eids = kernel_mod.find_edges(np.full(len(keys), slot), a, b, self)
+            for key, eid in zip(keys, eids.tolist()):
+                if eid >= 0:
+                    value = loose.pop(key)
+                    if not self.edge_seen[eid]:
+                        self.edge_tri[eid] = value
+                        self.edge_seen[eid] = 1
 
     # -- extraction ------------------------------------------------------------
 
@@ -296,51 +438,64 @@ class GroupArrays:
 
     # -- detachment (pane-delta protocol) --------------------------------------
 
-    def take_tau_local(self, slot: int) -> Dict[int, int]:
-        if not self.track_local:
-            return {}
-        row = self.tau_local[slot]
-        idx = np.flatnonzero(row)
-        out = {int(i): int(row[i]) for i in idx}
-        row[idx] = 0
-        zeros = self.tau_zero[slot]
-        if zeros:
-            for node in zeros:
-                out.setdefault(node, 0)
-            zeros.clear()
-        return out
+    def detach(self, new_stored: np.ndarray) -> ColumnarDelta:
+        """Detach every counter as a :class:`ColumnarDelta` and zero it.
 
-    def take_eta_local(self, slot: int) -> Dict[int, int]:
-        if not self.has_eta_local:
-            return {}
-        row = self.eta_local[slot]
-        marks = self.eta_mark[slot]
-        idx = np.flatnonzero(marks)
-        out = {int(i): int(row[i]) for i in idx}
-        row[idx] = 0
-        marks[idx] = 0
-        return out
-
-    def take_edge_triangles(self) -> List[Dict[Tuple[int, int], int]]:
-        """Detach every slot's per-edge counters (eid order, then loose)."""
+        ``new_stored`` holds the ``(slot, u, v)`` columns of the edges
+        stored since the last detach; the adjacency stays.
+        """
+        slots, u, v = new_stored
+        edges = np.stack((slots, np.minimum(u, v), np.maximum(u, v)))
         n = int(self.meta[1])
         sel = np.flatnonzero(self.edge_seen[:n])
-        out: List[Dict[Tuple[int, int], int]] = [{} for _ in range(self.group_size)]
-        if len(sel):
-            for slot, a, b, tri in zip(
-                self.edge_slot[sel].tolist(),
-                self.edge_u[sel].tolist(),
-                self.edge_v[sel].tolist(),
-                self.edge_tri[sel].tolist(),
-            ):
-                out[slot][(a, b)] = tri
-            self.edge_tri[sel] = 0
-            self.edge_seen[sel] = 0
-        for slot, loose in enumerate(self.loose_tri):
-            if loose:
-                out[slot].update(loose)
-                self.loose_tri[slot] = {}
-        return out
+        tri = np.stack(
+            (self.edge_slot[sel], self.edge_u[sel], self.edge_v[sel], self.edge_tri[sel])
+        )
+        self.edge_tri[sel] = 0
+        self.edge_seen[sel] = 0
+        loose = None
+        if any(self.loose_tri):
+            loose = self.loose_tri
+            self.loose_tri = [{} for _ in range(self.group_size)]
+        rows = np.stack((self.tau, self.eta, self.edges_stored))
+        self.tau[:] = 0
+        self.eta[:] = 0
+        self.edges_stored[:] = 0
+        return ColumnarDelta(
+            edges, tri, self._take_tau_cells(), self._take_eta_cells(), rows, loose
+        )
+
+    def _take_tau_cells(self) -> np.ndarray:
+        if not self.track_local:
+            return _columns((), 3)
+        flat = self.tau_local.reshape(-1)
+        idx = np.flatnonzero(flat)
+        slots, nodes = np.divmod(idx, self.node_cap)
+        cells = np.stack((slots, nodes, flat[idx]))
+        if any(self.tau_zero):
+            zeros = [
+                (slot, node, 0)
+                for slot, members in enumerate(self.tau_zero)
+                for node in members
+                if self.tau_local[slot, node] == 0
+            ]
+            cells = np.concatenate((cells, _columns(zeros, 3)), axis=1)
+            for members in self.tau_zero:
+                members.clear()
+        flat[idx] = 0
+        return cells
+
+    def _take_eta_cells(self) -> np.ndarray:
+        if not self.has_eta_local:
+            return _columns((), 3)
+        marks = self.eta_mark.reshape(-1)
+        idx = np.flatnonzero(marks)
+        flat = self.eta_local.reshape(-1)
+        slots, nodes = np.divmod(idx, self.node_cap)
+        cells = np.stack((slots, nodes, flat[idx]))
+        flat[idx] = 0
+        marks[idx] = 0
+        return cells
 
 
 class NativeProcessorGroup(ProcessorGroup):
@@ -380,8 +535,11 @@ class NativeProcessorGroup(ProcessorGroup):
         if store:
             arrays.ensure_edges(1)
         kernel_mod.run_scalar(iu, iv, slot, 1 if store else 0, arrays)
-        if store and self._pairs_cache is not None:
-            self._pairs_cache.add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
+        if store:
+            if self._pairs_cache is not None:
+                self._pairs_cache.add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
+            if any(arrays.loose_tri):
+                arrays.settle_loose()
 
     def process_encoded(
         self,
@@ -407,10 +565,13 @@ class NativeProcessorGroup(ProcessorGroup):
         if n_stores:
             arrays.ensure_edges(n_stores)
         kernel_mod.run_batch(n, cu_a, cv_a, slots_a, firsts_a, arrays)
-        if n_stores and self._pairs_cache is not None:
-            self._pairs_cache.update(
-                pack_pairs(cu_a[store_mask], cv_a[store_mask]).tolist()
-            )
+        if n_stores:
+            if self._pairs_cache is not None:
+                self._pairs_cache.update(
+                    pack_pairs(cu_a[store_mask], cv_a[store_mask]).tolist()
+                )
+            if any(arrays.loose_tri):
+                arrays.settle_loose()
 
     def _stored_pairs(self) -> Set[int]:
         cache = self._pairs_cache
@@ -469,7 +630,9 @@ class NativeProcessorGroup(ProcessorGroup):
         self._pairs_cache = None
         intern = self.interner.intern
         self._fold_group(
-            [_internalize_processor(entry, intern) for entry in snapshot["processors"]]
+            _counter_columns(
+                [_internalize_processor(entry, intern) for entry in snapshot["processors"]]
+            )
         )
 
     def seed_adjacency(self, stored_edges: Sequence[Tuple[int, NodeId, NodeId]]) -> None:
@@ -478,23 +641,26 @@ class NativeProcessorGroup(ProcessorGroup):
             if not 0 <= slot < group_size:
                 raise ValueError(f"stored edge ({u!r}, {v!r}) names invalid slot {slot}")
         intern = self.interner.intern
-        arrays = self._arrays
-        index = arrays._sync_pairs()
         # New (slot, lo, hi) keys in record order: the eids a record-by-
         # record insert would assign.
         fresh: Dict[Tuple[int, int, int], None] = {}
         for slot, u, v in stored_edges:
             iu = intern(u)
             iv = intern(v)
-            key = (slot, iu, iv) if iu < iv else (slot, iv, iu)
-            if key not in index:
-                fresh[key] = None
+            fresh[(slot, iu, iv) if iu < iv else (slot, iv, iu)] = None
         if not fresh:
             return
-        ss, us, vs = zip(*fresh)
-        arrays.append_edges(us, vs, ss)
+        ss, us, vs = _columns(list(fresh), 3)
+        arrays = self._arrays
+        arrays.ensure_nodes(int(vs.max()) + 1)
+        new = kernel_mod.find_edges(ss, us, vs, arrays) < 0
+        if not new.any():
+            return
+        us = us[new]
+        vs = vs[new]
+        arrays.append_edges(us, vs, ss[new])
         if self._pairs_cache is not None:
-            self._pairs_cache.update(map(pack_pair, us, vs))
+            self._pairs_cache.update(pack_pairs(us, vs).tolist())
 
     def merge_snapshot(self, snapshot: GroupSnapshot) -> None:
         if snapshot["group_size"] != self.group_size or snapshot["m"] != self.m:
@@ -505,138 +671,99 @@ class NativeProcessorGroup(ProcessorGroup):
             )
         intern = self.interner.intern
         self._fold_group(
-            [_internalize_processor(entry, intern) for entry in snapshot["processors"]]
+            _counter_columns(
+                [_internalize_processor(entry, intern) for entry in snapshot["processors"]]
+            )
         )
         self._pairs_cache = None
 
-    def _fold_group(self, laters: Sequence[ProcessorCounters]) -> None:
-        """Fold every slot's chunk counters into the arrays.
+    def _fold_group(self, delta: ColumnarDelta) -> None:
+        """Fold a whole group's counters, slot by slot exactly like
+        :meth:`ProcessorCounters.merge`.
 
-        Mirrors :meth:`ProcessorCounters.merge` slot by slot exactly.  The
-        adjacency edges new to each slot are appended first, slot-major and
-        id-sorted in one compiled call — the edge ids a slot-at-a-time fold
-        would assign — so every ``edge_triangles`` key of a well-formed
-        chunk finds its eid; then each slot's per-edge counters fold with
-        the closed-form η correction against the *prior* values, and its
-        scalar and per-node counters add.  Node columns grow to the ids the
-        counters reference, not to the shared interner.
+        1. The stored edges new to each slot are sorted slot-major and by
+           id — the edge ids a slot-at-a-time fold would assign — and the
+           ones not already stored are appended in one compiled call (their
+           loose counters settle onto them as priors).
+        2. The per-edge counters fold in one compiled call that finds each
+           eid by a chain walk and applies the closed-form η correction
+           against the prior value; counters whose edge is not stored fold
+           into the loose side dicts the same way.
+        3. ``τ_v``/``η_v`` cells and the slot rows are numpy adds.
+
+        Node columns grow to the ids the delta references, not to the
+        shared interner.
         """
         arrays = self._arrays
-        index = arrays._sync_pairs()
-        us: List[int] = []
-        vs: List[int] = []
-        ss: List[int] = []
+        edges = delta.edges
+        tri = delta.tri
+        if delta.loose is not None:
+            extra = [
+                (slot, a, b, value)
+                for slot, loose in enumerate(delta.loose)
+                for (a, b), value in loose.items()
+            ]
+            if extra:
+                tri = np.concatenate((tri, _columns(extra, 4)), axis=1)
         top = -1
-        for slot, later in enumerate(laters):
-            pairs = {
-                (iu, iv)
-                for iu, neighbors in later.adjacency.items()
-                for iv in neighbors
-                if iu < iv
-            }
-            for a, b in sorted(pairs):
-                if (slot, a, b) not in index:
-                    us.append(a)
-                    vs.append(b)
-                    ss.append(slot)
-            for nodes in (later.tau_local, later.eta_local):
-                if nodes:
-                    top = max(top, max(nodes))
-            if later.edge_triangles:
-                top = max(top, max(b for _, b in later.edge_triangles))
-        if us:
-            arrays.append_edges(us, vs, ss)
+        for ids in (edges[1:], tri[1:3], delta.tau_cells[1], delta.eta_cells[1]):
+            if ids.size:
+                top = max(top, int(ids.max()))
         arrays.ensure_nodes(top + 1)
-        for slot, later in enumerate(laters):
-            self._fold_counters(slot, later)
 
-    def _fold_counters(self, slot: int, later: ProcessorCounters) -> None:
-        """Fold one slot's counters; its edges are already appended."""
-        arrays = self._arrays
-        track_local = self.track_local
-        has_eta_local = arrays.has_eta_local
-        for key, delta in later.edge_triangles.items():
-            a, b = key
-            eid = arrays.find_edge(slot, a, b)
-            if eid is None:
+        if edges.shape[1]:
+            ss, us, vs = edges[:, np.lexsort((edges[2], edges[1], edges[0]))]
+            new = np.ones(len(ss), bool)
+            new[1:] = (ss[1:] != ss[:-1]) | (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
+            new &= kernel_mod.find_edges(ss, us, vs, arrays) < 0
+            if new.any():
+                arrays.append_edges(us[new], vs[new], ss[new])
+
+        if tri.shape[1]:
+            misses = kernel_mod.fold_edge_counters(tri[0], tri[1], tri[2], tri[3], arrays)
+            for slot, a, b, value in zip(*tri[:, misses].tolist()):
                 loose = arrays.loose_tri[slot]
-                prior = loose.get(key, 0)
-                loose[key] = prior + delta
-            else:
-                prior = int(arrays.edge_tri[eid]) if arrays.edge_seen[eid] else 0
-                arrays.edge_tri[eid] = prior + delta
-                arrays.edge_seen[eid] = 1
-            if prior:
-                correction = delta * prior
-                arrays.eta[slot] += correction
-                if track_local and has_eta_local:
-                    arrays.eta_local[slot, a] += correction
-                    arrays.eta_local[slot, b] += correction
-                    arrays.eta_mark[slot, a] = 1
-                    arrays.eta_mark[slot, b] = 1
-        arrays.tau[slot] += later.tau
-        arrays.eta[slot] += later.eta
-        if track_local:
-            tau_local = arrays.tau_local
-            tau_zero = arrays.tau_zero[slot]
-            for node, value in later.tau_local.items():
-                total = int(tau_local[slot, node]) + value
-                tau_local[slot, node] = total
-                if total == 0:
-                    tau_zero.add(node)
-            if has_eta_local:
-                eta_local = arrays.eta_local
-                eta_mark = arrays.eta_mark
-                for node, value in later.eta_local.items():
-                    eta_local[slot, node] += value
-                    eta_mark[slot, node] = 1
-        arrays.edges_stored[slot] += later.edges_stored
+                prior = loose.get((a, b), 0)
+                loose[(a, b)] = prior + value
+                if prior:
+                    correction = value * prior
+                    arrays.eta[slot] += correction
+                    if arrays.has_eta_local:
+                        arrays.eta_local[slot, a] += correction
+                        arrays.eta_local[slot, b] += correction
+                        arrays.eta_mark[slot, a] = 1
+                        arrays.eta_mark[slot, b] = 1
+
+        if self.track_local:
+            cells = delta.tau_cells
+            if cells.shape[1]:
+                slots, nodes, values = cells
+                np.add.at(arrays.tau_local, (slots, nodes), values)
+                zero = arrays.tau_local[slots, nodes] == 0
+                for slot, node in zip(slots[zero].tolist(), nodes[zero].tolist()):
+                    arrays.tau_zero[slot].add(node)
+            cells = delta.eta_cells
+            if arrays.has_eta_local and cells.shape[1]:
+                slots, nodes, values = cells
+                np.add.at(arrays.eta_local, (slots, nodes), values)
+                arrays.eta_mark[slots, nodes] = 1
+        rows = delta.rows
+        arrays.tau += rows[0]
+        arrays.eta += rows[1]
+        arrays.edges_stored += rows[2]
 
     # -- pane-delta protocol ---------------------------------------------------
 
-    def take_pane_deltas(
-        self, new_stored: Sequence[Tuple[int, int, int]]
-    ) -> List[ProcessorCounters]:
-        per_slot_adjacency: List[Dict[int, Set[int]]] = [
-            {} for _ in range(self.group_size)
-        ]
-        for slot, iu, iv in new_stored:
-            adjacency = per_slot_adjacency[slot]
-            neighbors = adjacency.get(iu)
-            if neighbors is None:
-                adjacency[iu] = {iv}
-            else:
-                neighbors.add(iv)
-            neighbors = adjacency.get(iv)
-            if neighbors is None:
-                adjacency[iv] = {iu}
-            else:
-                neighbors.add(iu)
-        arrays = self._arrays
-        per_slot_triangles = arrays.take_edge_triangles()
-        deltas: List[ProcessorCounters] = []
-        for slot in range(self.group_size):
-            deltas.append(
-                ProcessorCounters(
-                    adjacency=per_slot_adjacency[slot],
-                    tau=int(arrays.tau[slot]),
-                    tau_local=arrays.take_tau_local(slot),
-                    edge_triangles=per_slot_triangles[slot],
-                    eta=int(arrays.eta[slot]),
-                    eta_local=arrays.take_eta_local(slot),
-                    edges_stored=int(arrays.edges_stored[slot]),
-                )
-            )
-        arrays.tau[:] = 0
-        arrays.eta[:] = 0
-        arrays.edges_stored[:] = 0
-        return deltas
+    def take_pane_deltas(self, new_stored: np.ndarray) -> ColumnarDelta:
+        return self._arrays.detach(new_stored)
 
     def merge_deltas(self, deltas: Sequence[ProcessorCounters]) -> None:
         if len(deltas) != self.group_size:
             raise ValueError(
                 f"expected {self.group_size} per-slot deltas, got {len(deltas)}"
             )
+        if not isinstance(deltas, ColumnarDelta):
+            deltas = _counter_columns(deltas)
         self._fold_group(deltas)
         self._pairs_cache = None
 

@@ -22,9 +22,18 @@ insert of the interner's open-addressing int64→id cache, and one walk over
 an all-int batch's interleaved endpoints and their dense ids that skips
 self-loops, canonicalises by raw value and writes the ids and the packed
 ``lo << 32 | hi`` pair keys with in-batch first flags.  It also carries the
-bulk edge append that folds a whole group's pane deltas, snapshot or
-seeded adjacency in one call; the ingest loop's store step and the bulk
-append share one edge insert.
+cold-path calls of the group fold
+(:meth:`~repro.core.adjacency.NativeProcessorGroup._fold_group`), which
+merges a whole group's pane delta, snapshot or seeded adjacency:
+
+* the bulk edge append (the ingest loop's store step and the bulk append
+  share one edge insert);
+* the edge lookup, which finds an edge's eid by walking both endpoints'
+  neighbour chains on its slot in lockstep — the groups keep no other
+  edge index;
+* the per-edge counter fold, which adds detached ``τ_(u,v)`` counters onto
+  the stored edges with the exact η correction against each prior value
+  and returns the counters whose edge is not stored.
 
 No compiled function allocates: every capacity (node columns, half-edge
 pool, edge arrays, the encode pass's scratch set) is ensured by the Python
@@ -230,6 +239,82 @@ int64_t rept_append_edges(
     return 0;
 }
 
+/* The eid of edge {a, b} on slot, or -1.  Walks a's and b's neighbour
+ * chains on that slot in lockstep: a stored edge sits in both, so the walk
+ * stops after at most twice the smaller of the two degrees. */
+static inline i64 rept_find_edge(
+    i64 slot, i64 a, i64 b, i64 node_cap, const i64 *heads,
+    const i64 *pool_nbr, const i64 *pool_eid, const i64 *pool_nxt)
+{
+    const i64 *hrow = heads + slot * node_cap;
+    i64 ha = hrow[a];
+    i64 hb = hrow[b];
+    while (ha != -1 && hb != -1) {
+        if (pool_nbr[ha] == b)
+            return pool_eid[ha];
+        if (pool_nbr[hb] == a)
+            return pool_eid[hb];
+        ha = pool_nxt[ha];
+        hb = pool_nxt[hb];
+    }
+    return -1;
+}
+
+/* out[k] = the eid of edge {us[k], vs[k]} on slot ss[k], or -1. */
+int64_t rept_find_edges(
+    i64 n, const i64 *ss, const i64 *us, const i64 *vs,
+    i64 node_cap, const i64 *heads,
+    const i64 *pool_nbr, const i64 *pool_eid, const i64 *pool_nxt,
+    i64 *out)
+{
+    for (i64 k = 0; k < n; k++)
+        out[k] = rept_find_edge(
+            ss[k], us[k], vs[k], node_cap, heads, pool_nbr, pool_eid, pool_nxt);
+    return 0;
+}
+
+/* Folds n detached per-edge counters ds[k] of edges {us[k], vs[k]} on
+ * slots ss[k] into the stored edges' counters, with the eta correction of
+ * ProcessorCounters.merge against each prior value (eta_local too when
+ * has_eta_local).  Writes the indices k whose edge is not stored to misses
+ * and returns their number; the caller folds those into its loose side
+ * dicts. */
+int64_t rept_fold_edge_counters(
+    i64 n, const i64 *ss, const i64 *us, const i64 *vs, const i64 *ds,
+    i64 node_cap, i64 has_eta_local, const i64 *heads,
+    const i64 *pool_nbr, const i64 *pool_eid, const i64 *pool_nxt,
+    i64 *edge_tri, u8 *edge_seen,
+    i64 *eta, i64 *eta_local, u8 *eta_mark,
+    i64 *misses)
+{
+    i64 n_miss = 0;
+    for (i64 k = 0; k < n; k++) {
+        i64 s = ss[k];
+        i64 a = us[k];
+        i64 b = vs[k];
+        i64 e = rept_find_edge(s, a, b, node_cap, heads, pool_nbr, pool_eid, pool_nxt);
+        if (e < 0) {
+            misses[n_miss++] = k;
+            continue;
+        }
+        i64 prior = edge_seen[e] ? edge_tri[e] : 0;
+        edge_tri[e] = prior + ds[k];
+        edge_seen[e] = 1;
+        if (prior != 0) {
+            i64 correction = ds[k] * prior;
+            eta[s] += correction;
+            if (has_eta_local) {
+                i64 row = s * node_cap;
+                eta_local[row + a] += correction;
+                eta_local[row + b] += correction;
+                eta_mark[row + a] = 1;
+                eta_mark[row + b] = 1;
+            }
+        }
+    }
+    return n_miss;
+}
+
 /* -- the encode pass --------------------------------------------------------
  * NodeInterner's int64 id cache is an open-addressing table with linear
  * probing over raw int64 values, tab_id[h] == -1 marking an empty cell. */
@@ -375,6 +460,20 @@ def _build():
             ptr, ptr, ptr,                # pool_nbr, pool_eid, pool_nxt
             ptr, ptr, ptr, ptr, ptr,      # edge_u, edge_v, edge_slot, edge_tri, edge_seen
             ptr,                          # meta
+        ],
+        "rept_find_edges": [
+            i64, ptr, ptr, ptr,           # n, ss, us, vs
+            i64, ptr,                     # node_cap, heads
+            ptr, ptr, ptr,                # pool_nbr, pool_eid, pool_nxt
+            ptr,                          # out
+        ],
+        "rept_fold_edge_counters": [
+            i64, ptr, ptr, ptr, ptr,      # n, ss, us, vs, ds
+            i64, i64, ptr,                # node_cap, has_eta_local, heads
+            ptr, ptr, ptr,                # pool_nbr, pool_eid, pool_nxt
+            ptr, ptr,                     # edge_tri, edge_seen
+            ptr, ptr, ptr,                # eta, eta_local, eta_mark
+            ptr,                          # misses
         ],
         "rept_table_lookup": [
             i64, ptr, ptr, ptr, i64,      # n, values, tab_val, tab_id, mask
@@ -583,6 +682,63 @@ def append_edges(us: np.ndarray, vs: np.ndarray, ss: np.ndarray, arrays) -> None
         arrays.edge_seen.ctypes.data,
         arrays.meta.ctypes.data,
     )
+
+
+def find_edges(ss: np.ndarray, us: np.ndarray, vs: np.ndarray, arrays) -> np.ndarray:
+    """The eid of each edge ``{us[k], vs[k]}`` on slot ``ss[k]``, or -1.
+
+    Every id must be below ``arrays.node_cap``.
+    """
+    ss, us, vs = (np.ascontiguousarray(c, np.int64) for c in (ss, us, vs))
+    out = np.empty(len(ss), np.int64)
+    _handle().rept_find_edges(
+        len(ss),
+        ss.ctypes.data,
+        us.ctypes.data,
+        vs.ctypes.data,
+        arrays.node_cap,
+        arrays.heads.ctypes.data,
+        arrays.pool_nbr.ctypes.data,
+        arrays.pool_eid.ctypes.data,
+        arrays.pool_nxt.ctypes.data,
+        out.ctypes.data,
+    )
+    return out
+
+
+def fold_edge_counters(
+    ss: np.ndarray, us: np.ndarray, vs: np.ndarray, ds: np.ndarray, arrays
+) -> np.ndarray:
+    """Fold per-edge counter deltas ``ds[k]`` into the stored edges.
+
+    Applies :meth:`~repro.core.state.ProcessorCounters.merge`'s η
+    correction against each stored edge's prior counter and returns the
+    indices ``k`` whose edge ``{us[k], vs[k]}`` is not stored on slot
+    ``ss[k]`` (left untouched for the caller).  Ids must be below
+    ``arrays.node_cap``.
+    """
+    ss, us, vs, ds = (np.ascontiguousarray(c, np.int64) for c in (ss, us, vs, ds))
+    misses = np.empty(len(ss), np.int64)
+    n_miss = _handle().rept_fold_edge_counters(
+        len(ss),
+        ss.ctypes.data,
+        us.ctypes.data,
+        vs.ctypes.data,
+        ds.ctypes.data,
+        arrays.node_cap,
+        1 if arrays.has_eta_local else 0,
+        arrays.heads.ctypes.data,
+        arrays.pool_nbr.ctypes.data,
+        arrays.pool_eid.ctypes.data,
+        arrays.pool_nxt.ctypes.data,
+        arrays.edge_tri.ctypes.data,
+        arrays.edge_seen.ctypes.data,
+        arrays.eta.ctypes.data,
+        arrays.eta_local.ctypes.data,
+        arrays.eta_mark.ctypes.data,
+        misses.ctypes.data,
+    )
+    return misses[:n_miss]
 
 
 def table_lookup(values: np.ndarray, table_val, table_id, out: np.ndarray) -> None:

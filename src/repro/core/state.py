@@ -63,13 +63,27 @@ Three consumers exploit that mergeability: the chunked execution backends
 abstraction they all build on: the complete counter state of one
 :class:`~repro.core.config.ReptConfig` — every processor group, the shared
 interning table and the stream-global first-occurrence set — with batch
-ingestion, snapshot/merge and summarisation in one place.  The monitor
-additionally uses the *pane delta* protocol
+ingestion, snapshot/merge and summarisation in one place.
+
+Pane deltas
+-----------
+The monitor additionally uses the *pane delta* protocol
 (:meth:`ProcessorGroup.take_pane_deltas` / :meth:`ProcessorGroup.merge_deltas`):
 a live group keeps its stored-edge index while its counters are detached
 and re-zeroed at every pane boundary, which leaves the group in exactly the
 seeded-at-a-chunk-boundary state the merge contract expects — so a window
 advances by folding one O(pane) delta instead of re-ingesting the window.
+
+The delta's adjacency holds only the pane-new stored edges.  The caller
+names them: :meth:`GroupStateSet.ingest_encoded` with
+``collect_stored=True`` returns each group's stored edges of a batch as
+``(slot, iu, iv)`` int64 columns on either kernel, and the caller
+concatenates a pane's columns and hands them to the take.  A dict group's
+delta is ``group_size`` :class:`ProcessorCounters` — the reference.  An
+array-backed group's delta is one
+:class:`~repro.core.adjacency.ColumnarDelta` of int64 columns that reads
+as the same sequence of counters, and its fold is compiled, so no
+per-edge Python object is built, kept or walked on that path.
 """
 
 from __future__ import annotations
@@ -581,17 +595,19 @@ class ProcessorGroup:
 
     # -- pane-delta protocol (windowed monitoring) ----------------------------
 
-    def take_pane_deltas(
-        self, new_stored: Sequence[Tuple[int, int, int]]
-    ) -> List[ProcessorCounters]:
+    def take_pane_deltas(self, new_stored: np.ndarray) -> List[ProcessorCounters]:
         """Detach the counters accumulated since the last call as per-slot deltas.
 
-        ``new_stored`` lists the ``(slot, iu, iv)`` records (interned ids,
-        id-ordered or canonical — only set membership matters) of the edges
-        stored since the previous boundary; the caller collects them from
-        the first-occurrence flags it already computes per batch.  The
-        returned :class:`ProcessorCounters` carry the pane's counter deltas
-        plus an adjacency holding *only* the pane-new stored edges.
+        ``new_stored`` holds the ``(slot, iu, iv)`` int64 columns (a
+        ``(3, n)`` array of interned ids, id-ordered or canonical — only set
+        membership matters) of the edges stored since the previous
+        boundary: the caller concatenates what
+        :meth:`GroupStateSet.ingest_encoded` returns with
+        ``collect_stored=True``.  The returned :class:`ProcessorCounters`
+        carry the pane's counter deltas plus an adjacency holding *only*
+        the pane-new stored edges.  (The array-backed group returns the
+        same counters as columns, see
+        :class:`~repro.core.adjacency.ColumnarDelta`.)
 
         After the call this group keeps its full stored-edge index (and node
         bitmasks) but has all counters zeroed — exactly the state
@@ -602,7 +618,7 @@ class ProcessorGroup:
         per_slot_adjacency: List[Dict[int, Set[int]]] = [
             {} for _ in self.processors
         ]
-        for slot, iu, iv in new_stored:
+        for slot, iu, iv in zip(*new_stored.tolist()):
             adjacency = per_slot_adjacency[slot]
             neighbors = adjacency.get(iu)
             if neighbors is None:
@@ -874,13 +890,13 @@ class EncodedBatch:
     n_records: int
 
 
-def _native_batch_columns(batch: EncodedBatch):
-    """Memoised int64/uint8 column views of an encoded batch.
+def _batch_columns(batch: EncodedBatch):
+    """Memoised int64 column views of an encoded batch.
 
     The monitor feeds one :class:`EncodedBatch` to many overlapping
     windows; converting the shared columns once per batch (cached on the
-    batch object) keeps the native groups from paying a list->array
-    round trip per window.
+    batch object) keeps the native groups and the stored-edge collection
+    from paying a list->array round trip per window.
     """
     cached = getattr(batch, "_native_columns", None)
     if cached is None:
@@ -1080,7 +1096,7 @@ class GroupStateSet:
         batch: EncodedBatch,
         collect_stored: bool = False,
         firsts: Optional[Sequence[bool]] = None,
-    ) -> Optional[List[List[Tuple[int, int, int]]]]:
+    ) -> Optional[List[np.ndarray]]:
         """Advance every group over a shared encoded batch.
 
         First-occurrence flags come from *this* state set's ``seen`` set, so
@@ -1088,54 +1104,44 @@ class GroupStateSet:
         independent dedup scopes.  A caller owning its own dedup scope (the
         windowed monitor's shared arrival index) may pass precomputed
         ``firsts`` instead — then ``seen`` is neither consulted nor updated.
-        With ``collect_stored=True`` the per-group ``(slot, iu, iv)``
-        records stored by this batch are returned — the bookkeeping
-        :meth:`ProcessorGroup.take_pane_deltas` needs.
+        With ``collect_stored=True`` each group's edges stored by this batch
+        are returned as ``(slot, iu, iv)`` int64 columns (a ``(3, n)``
+        array, in record order) on either kernel — concatenated per pane,
+        they are what :meth:`take_pane_deltas` needs.
         """
         if not batch.cu:
-            return [[] for _ in self.groups] if collect_stored else None
+            if collect_stored:
+                return [np.empty((3, 0), np.int64) for _ in self.groups]
+            return None
         if firsts is None:
             firsts = first_flags(self.seen, batch.cu, batch.cv)
-        stored: Optional[List[List[Tuple[int, int, int]]]] = None
-        if collect_stored:
-            stored = []
         if self._native:
-            cu_a, cv_a, slots_arrays = _native_batch_columns(batch)
+            cu_a, cv_a, slots_arrays = _batch_columns(batch)
             firsts_a = np.asarray(firsts, np.uint8)
             for group, slots_a in zip(self.groups, slots_arrays):
                 group.process_encoded(cu_a, cv_a, slots_a, firsts_a)
-                if stored is not None:
-                    idx = np.flatnonzero(
-                        (firsts_a != 0) & (slots_a < group.group_size)
-                    )
-                    stored.append(
-                        [
-                            (int(slots_a[i]), int(cu_a[i]), int(cv_a[i]))
-                            for i in idx
-                        ]
-                    )
-            return stored
-        for group, slots in zip(self.groups, batch.slots):
-            group.process_encoded(batch.cu, batch.cv, slots, firsts)
-            if stored is not None:
-                group_size = group.group_size
-                stored.append(
-                    [
-                        (slot, iu, iv)
-                        for iu, iv, slot, first in zip(
-                            batch.cu, batch.cv, slots, firsts
-                        )
-                        if first and slot < group_size
-                    ]
-                )
+        else:
+            for group, slots in zip(self.groups, batch.slots):
+                group.process_encoded(batch.cu, batch.cv, slots, firsts)
+        if not collect_stored:
+            return None
+        cu_a, cv_a, slots_arrays = _batch_columns(batch)
+        first_mask = np.asarray(firsts, bool)
+        stored: List[np.ndarray] = []
+        for group, slots_a in zip(self.groups, slots_arrays):
+            idx = np.flatnonzero(first_mask & (slots_a < group.group_size))
+            stored.append(np.stack((slots_a[idx], cu_a[idx], cv_a[idx])))
         return stored
 
     # -- pane-delta protocol --------------------------------------------------
 
     def take_pane_deltas(
-        self, new_stored: Sequence[Sequence[Tuple[int, int, int]]]
-    ) -> List[List[ProcessorCounters]]:
-        """Detach every group's pane counters (see ProcessorGroup.take_pane_deltas)."""
+        self, new_stored: Sequence[np.ndarray]
+    ) -> List[Sequence[ProcessorCounters]]:
+        """Detach every group's pane counters (see ProcessorGroup.take_pane_deltas).
+
+        ``new_stored`` holds one group's ``(slot, iu, iv)`` columns per group.
+        """
         return [
             group.take_pane_deltas(records)
             for group, records in zip(self.groups, new_stored)

@@ -24,8 +24,12 @@ shared mergeable-state abstraction of :mod:`repro.core.state`:
   exactly the seeded-at-a-chunk-boundary state the merge contract expects —
   and folded into an **accumulator** state set with the exact η cross-chunk
   correction (:meth:`~repro.core.state.ProcessorCounters.merge`);
-* a bounded **ring** of externalized pane-delta snapshots is retained for
-  per-pane attribution and diagnostics.
+* the window's **ring** of pane deltas is retained for per-pane
+  attribution and diagnostics, and a closed window's result keeps it.
+  On the C kernel each pane delta is a handful of int64 column blocks per
+  group (:class:`~repro.core.adjacency.ColumnarDelta`), detached and folded
+  by compiled calls, so a ring holds a fixed number of Python objects
+  whatever its panes held; snapshots are externalized only when read.
 
 Because every chain of one monitor shares the configuration's hash seeds
 and one interning table, each arriving batch is canonicalised, interned
@@ -58,6 +62,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.base import StreamingTriangleEstimator, TriangleEstimate
+from repro.core.adjacency import ColumnarDelta
 from repro.core.config import ReptConfig
 from repro.exceptions import ConfigurationError
 from repro.core.state import (
@@ -80,7 +85,11 @@ EstimatorFactory = Callable[[int], StreamingTriangleEstimator]
 class PaneDelta:
     """One retained pane of one window: counters detached at the boundary.
 
-    :attr:`snapshots` holds one externalized
+    The pane's counters are kept as its groups' deltas: on the C kernel one
+    :class:`~repro.core.adjacency.ColumnarDelta` of int64 columns per
+    group, on the dict reference (and in older checkpoints) per-slot
+    :class:`~repro.core.state.ProcessorCounters` — both read as sequences
+    of per-slot counters.  :attr:`snapshots` holds one externalized
     :data:`~repro.core.state.GroupSnapshot` per processor group whose
     adjacency covers only the pane-new stored edges — a genuine mergeable
     snapshot of O(pane) size, foldable anywhere via
@@ -124,7 +133,10 @@ class PaneDelta:
     def tau_delta(self) -> int:
         """Summed semi-triangle increments of this pane (diagnostics)."""
         return sum(
-            counters.tau for group_deltas in self._deltas for counters in group_deltas
+            int(group_deltas.rows[0].sum())
+            if isinstance(group_deltas, ColumnarDelta)
+            else sum(counters.tau for counters in group_deltas)
+            for group_deltas in self._deltas
         )
 
 
@@ -197,7 +209,7 @@ class _MergeableReptChain:
             self.acc: Optional[GroupStateSet] = GroupStateSet(
                 config, interner=interner, hash_functions=hash_functions
             )
-            self._pane_stored: Optional[List[List[Tuple[int, int, int]]]] = [
+            self._pane_stored: Optional[List[List[np.ndarray]]] = [
                 [] for _ in self.live.groups
             ]
             self.ring: List[PaneDelta] = []
@@ -228,9 +240,9 @@ class _MergeableReptChain:
             stored = self.live.ingest_encoded(
                 batch, collect_stored=True, firsts=firsts
             )
-            if stored is not None:
-                for bucket, new in zip(self._pane_stored, stored):
-                    bucket.extend(new)
+            for bucket, new in zip(self._pane_stored, stored):
+                if new.shape[1]:
+                    bucket.append(new)
         self.records += batch.n_records
         self.pane_records += batch.n_records
         if self.replay is not None:
@@ -243,7 +255,12 @@ class _MergeableReptChain:
     def _roll(self) -> None:
         """Advance one pane boundary: detach the live counters as an O(pane)
         delta, keep it in the ring and fold it into the accumulator."""
-        deltas = self.live.take_pane_deltas(self._pane_stored)
+        deltas = self.live.take_pane_deltas(
+            [
+                np.concatenate(bucket, axis=1) if bucket else np.empty((3, 0), np.int64)
+                for bucket in self._pane_stored
+            ]
+        )
         if self.pane_records:
             self.ring.append(
                 PaneDelta(
@@ -258,6 +275,19 @@ class _MergeableReptChain:
         self._pane_stored = [[] for _ in self.live.groups]
         self.pane_records = 0
         self.current_pane += 1
+
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        for name, value in slots.items():
+            setattr(self, name, value)
+        # Older checkpoints collected stored edges as (slot, iu, iv) tuples.
+        if self._pane_stored is not None:
+            self._pane_stored = [
+                [np.array(bucket, np.int64).reshape(-1, 3).T.copy()]
+                if bucket and isinstance(bucket[0], tuple)
+                else bucket
+                for bucket in self._pane_stored
+            ]
 
     def finalize(self) -> Tuple[int, TriangleEstimate]:
         if self.acc is not None:

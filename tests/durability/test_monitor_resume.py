@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.config import ReptConfig
@@ -129,3 +131,80 @@ class TestMonitorDurable:
     def test_checkpoint_every_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_every"):
             run_monitor_durable(_make_monitor, RECORDS, tmp_path, checkpoint_every=0)
+
+
+def _age_to_older_format(monitor):
+    """Rewrite a monitor's pane state in the layout older checkpoints hold.
+
+    Older monitors collected each chain's stored edges as ``(slot, iu, iv)``
+    tuples, kept rings of per-slot ``ProcessorCounters`` lists and gave
+    every array-backed group a ``(slot, u, v) -> eid`` dict with its sync
+    mark.
+    """
+    for chain in monitor._chains.values():
+        chain._pane_stored = [
+            [
+                record
+                for columns in bucket
+                for record in zip(*(column.tolist() for column in columns))
+            ]
+            for bucket in chain._pane_stored
+        ]
+        for delta in chain.ring:
+            delta._deltas = [list(group_deltas) for group_deltas in delta._deltas]
+        for state in (chain.live, chain.acc):
+            for group in state.groups:
+                arrays = getattr(group, "_arrays", None)
+                if arrays is not None:
+                    n = arrays.n_edges
+                    arrays._pair_eids = {
+                        (int(arrays.edge_slot[e]), int(arrays.edge_u[e]), int(arrays.edge_v[e])): e
+                        for e in range(n)
+                    }
+                    arrays._pair_sync = n
+
+
+def _ring_rows(results):
+    return [
+        [
+            (
+                delta.pane,
+                delta.records,
+                delta.tau_delta,
+                [
+                    {
+                        **snapshot,
+                        "processors": [
+                            {**p, "adjacency": {k: set(v) for k, v in p["adjacency"].items()}}
+                            for p in snapshot["processors"]
+                        ],
+                    }
+                    for snapshot in delta.snapshots
+                ],
+            )
+            for delta in result.pane_deltas or ()
+        ]
+        for result in results
+    ]
+
+
+class TestOlderCheckpoints:
+    @pytest.mark.parametrize("cut", [700, 1300])
+    def test_older_pane_state_resumes_exactly(self, cut):
+        reference = _make_monitor()
+        expected = reference.ingest(RECORDS)
+        expected.extend(reference.flush())
+
+        monitor = _make_monitor()
+        results = monitor.ingest(RECORDS[:cut])
+        assert any(chain.pane_records for chain in monitor._chains.values())
+        _age_to_older_format(monitor)
+        resumed = pickle.loads(pickle.dumps(monitor, protocol=pickle.HIGHEST_PROTOCOL))
+        for chain in resumed._chains.values():
+            for state in (chain.live, chain.acc):
+                for group in state.groups:
+                    assert not hasattr(getattr(group, "_arrays", None), "_pair_eids")
+        results.extend(resumed.ingest(RECORDS[cut:]))
+        results.extend(resumed.flush())
+        assert _rows(results) == _rows(expected)
+        assert _ring_rows(results) == _ring_rows(expected)

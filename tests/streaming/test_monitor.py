@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
 from repro.baselines.exact import ExactStreamingCounter
 from repro.baselines.triest import TriestImprEstimator
 from repro.core import GroupStateSet, ReptConfig, ReptEstimator
+from repro.generators.traffic import packet_flow_records
 from repro.streaming.monitor import WindowedTriangleMonitor
 from repro.streaming.windows import TimeWindowedStream, TimestampedRecord
 from repro.utils.rng import as_random_source, derive_seed
@@ -274,6 +278,35 @@ class TestSealingAndLateness:
             assert all(isinstance(shape, tuple) for shape in delta._shapes)
             # Snapshots still externalize correctly after the chain is gone.
             assert delta.snapshots[0]["m"] == CONFIG.m
+
+    def test_closed_ring_holds_bounded_gc_objects(self):
+        # A closed result keeps its ring, so the ring's GC-tracked objects
+        # must not grow with the records its panes held: ten times the
+        # records over the same windows leaves the count unchanged.
+        def tracked_in_ring(n_records):
+            monitor = WindowedTriangleMonitor(
+                120.0, pane_seconds=60.0, config=ReptConfig(m=4, c=6, seed=11)
+            )
+            if monitor._template.kernel == "python":
+                pytest.skip("the dict reference keeps per-slot counter rings")
+            records = packet_flow_records(n_records, duration_seconds=600.0, seed=3)
+            results = _drain(monitor, records, chunk=500)
+            result = next(r for r in results if r.complete and len(r.pane_deltas) == 2)
+            shared = monitor._template.interner.nodes
+            gc.collect()
+            seen, stack, tracked = set(), [result.pane_deltas], 0
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen or obj is shared:
+                    continue
+                seen.add(id(obj))
+                if isinstance(obj, (type, types.ModuleType)):
+                    continue
+                tracked += gc.is_tracked(obj)
+                stack.extend(gc.get_referents(obj))
+            return tracked
+
+        assert tracked_in_ring(2_000) == tracked_in_ring(20_000)
 
     def test_empty_windows_keep_series_aligned(self):
         records = [(0, 1, 1.0), (1, 2, 35.0)]
