@@ -13,9 +13,9 @@ semi-triangle counts.  This subpackage contains:
   :class:`StreamingTriangleEstimator` interface;
 * :mod:`repro.core.combine` — estimate assembly, including the
   Graybill–Deal combination used when ``c > m`` and ``c mod m != 0``;
-* :mod:`repro.core.parallel` — serial, pooled and stream-sharded
-  (``chunked-*``) drivers that advance the same processor states and
-  produce bit-identical estimates.
+* :mod:`repro.core.parallel` — the ``serial`` and ``chunked-elastic``
+  drivers, which advance the same processor states and produce
+  bit-identical estimates.
 """
 
 from repro.core.config import ReptConfig

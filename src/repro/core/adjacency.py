@@ -31,11 +31,11 @@ without touching a Python object:
 
 ``NativeProcessorGroup``
     A drop-in :class:`~repro.core.state.ProcessorGroup` subclass backed by
-    ``GroupArrays``.  Public semantics — snapshot/restore/merge,
-    ``seed_adjacency``, the pane-delta protocol, aggregates and stored-edge
-    introspection — are preserved exactly (bit-identical counters, asserted
-    by the kernel-parity and pane-delta property suites), so the chunked,
-    elastic, durable and monitor paths are untouched at their boundaries.
+    ``GroupArrays``.  Public semantics — snapshot/restore/merge, the
+    pane-delta protocol, aggregates and stored-edge introspection — are
+    preserved exactly (bit-identical counters, asserted by the kernel-parity
+    and pane-delta property suites), so the elastic, durable and monitor
+    paths are untouched at their boundaries.
     ``restore``, ``merge_snapshot`` and ``merge_deltas`` share one fold
     (:meth:`NativeProcessorGroup._fold_group`): new edges are appended in
     one compiled call, the per-edge counters fold with the exact η
@@ -585,7 +585,7 @@ class NativeProcessorGroup(ProcessorGroup):
         n = arrays.n_edges
         return set(pack_pairs(arrays.edge_u[:n], arrays.edge_v[:n]).tolist())
 
-    # -- chunked execution support ---------------------------------------------
+    # -- snapshot / merge ------------------------------------------------------
 
     def snapshot(self) -> GroupSnapshot:
         nodes = self.interner.nodes
@@ -634,33 +634,6 @@ class NativeProcessorGroup(ProcessorGroup):
                 [_internalize_processor(entry, intern) for entry in snapshot["processors"]]
             )
         )
-
-    def seed_adjacency(self, stored_edges: Sequence[Tuple[int, NodeId, NodeId]]) -> None:
-        group_size = self.group_size
-        for slot, u, v in stored_edges:
-            if not 0 <= slot < group_size:
-                raise ValueError(f"stored edge ({u!r}, {v!r}) names invalid slot {slot}")
-        intern = self.interner.intern
-        # New (slot, lo, hi) keys in record order: the eids a record-by-
-        # record insert would assign.
-        fresh: Dict[Tuple[int, int, int], None] = {}
-        for slot, u, v in stored_edges:
-            iu = intern(u)
-            iv = intern(v)
-            fresh[(slot, iu, iv) if iu < iv else (slot, iv, iu)] = None
-        if not fresh:
-            return
-        ss, us, vs = _columns(list(fresh), 3)
-        arrays = self._arrays
-        arrays.ensure_nodes(int(vs.max()) + 1)
-        new = kernel_mod.find_edges(ss, us, vs, arrays) < 0
-        if not new.any():
-            return
-        us = us[new]
-        vs = vs[new]
-        arrays.append_edges(us, vs, ss[new])
-        if self._pairs_cache is not None:
-            self._pairs_cache.update(pack_pairs(us, vs).tolist())
 
     def merge_snapshot(self, snapshot: GroupSnapshot) -> None:
         if snapshot["group_size"] != self.group_size or snapshot["m"] != self.m:
@@ -815,21 +788,6 @@ class NativeProcessorGroup(ProcessorGroup):
             cu, cv = canonical_edge(nodes[int(edge_u[e])], nodes[int(edge_v[e])])
             records.append((int(edge_slot[e]), cu, cv))
         return records
-
-    def stored_neighbors(self, slot: int, node: NodeId) -> Set[NodeId]:
-        dense = self.interner.id_of(node)
-        if dense is None:
-            return set()
-        arrays = self._arrays
-        if dense >= arrays.node_cap:
-            return set()
-        nodes = self.interner.nodes
-        out: Set[NodeId] = set()
-        h = int(arrays.heads[slot, dense])
-        while h != -1:
-            out.add(nodes[int(arrays.pool_nbr[h])])
-            h = int(arrays.pool_nxt[h])
-        return out
 
 
 def make_processor_group(

@@ -77,7 +77,7 @@ class ReptConfig:
                 f"kernel must be one of {KERNEL_CHOICES}, got {self.kernel!r}"
             )
         if self.seed is None:
-            # Resolve the seed once so every driver backend (serial, chunked,
+            # Resolve the seed once so every driver backend (serial or
             # elastic) derives identical hash functions for this config.
             self.seed = int(np.random.SeedSequence().entropy % (2**63))
         if self.track_eta is None:
@@ -131,7 +131,7 @@ class ReptConfig:
         """Return one deterministic integer hash seed per processor group.
 
         Derived from the (resolved) master seed so that every driver —
-        in-process estimator, chunk workers, elastic shards — constructs
+        in-process estimator, durable runner, elastic shards — constructs
         identical hash functions and therefore identical estimates.
         """
         return [

@@ -30,40 +30,42 @@ Two further exact optimisations serve the batched ingestion pipeline:
   state updates.  It is the group's only ingestion loop: a per-edge call is
   a one-record batch, so the two paths cannot drift apart.
 
-Mergeable chunk state
----------------------
-The counters are *mergeable* across disjoint chunks of the stream, which is
-what the chunked execution backends in :mod:`repro.core.parallel` exploit.
-The key observation is that the **storing** process (which edges end up in
-which processor's sampled edge set) depends only on the hash function and
-the set of distinct edges seen — never on the counters.  A worker that is
-handed (a) the stored-edge index as it stood at its chunk boundary (via
-:meth:`ProcessorGroup.seed_adjacency`) and (b) its chunk of arrivals
-therefore computes *exact* per-event closure counts, so ``τ`` and the
-``τ_v`` merge by pure summation.
+Mergeable state
+---------------
+The counters are *mergeable* across consecutive stretches of the stream,
+which is what the sliding-window monitor's pane deltas exploit (see
+below).  The key observation is that the **storing** process (which edges
+end up in which processor's sampled edge set) depends only on the hash
+function and the set of distinct edges seen — never on the counters.  A
+group that keeps the stored-edge index as it stood at a boundary but
+starts the next stretch with every counter zeroed therefore computes
+*exact* per-event closure counts, so ``τ`` and the ``τ_v`` merge by pure
+summation.
 
 The pair counters are only slightly harder: every η increment reads the
 per-edge counters ``τ_(u,w)(i)`` and ``τ_(v,w)(i)``, which accumulate across
-chunks, but the increment is *linear* in those counters.  A worker that
-starts its ``edge_triangles`` map at zero therefore under-counts each usage
-of a stored edge as a wedge by exactly the edge's accumulated count from
-earlier chunks, and :meth:`ProcessorCounters.merge` repairs this with the
-closed-form correction ``Σ_key Δ_later[key] · τ_key(prefix)`` (the same
-correction applies to ``η_v`` on the key's two endpoints).  The merge is
-exact — every backend produces bit-identical counters — because all the
-quantities involved are integers and the correction is an identity, not an
-approximation.
+stretches, but the increment is *linear* in those counters.  A group that
+restarts its ``edge_triangles`` map at zero therefore under-counts each
+usage of a stored edge as a wedge by exactly the edge's accumulated count
+from earlier stretches, and :meth:`ProcessorCounters.merge` repairs this
+with the closed-form correction ``Σ_key Δ_later[key] · τ_key(prefix)`` (the
+same correction applies to ``η_v`` on the key's two endpoints).  The merge
+is exact — merged counters are bit-identical to an uninterrupted run's —
+because all the quantities involved are integers and the correction is an
+identity, not an approximation.
 
-Shared mergeable-state abstraction
-----------------------------------
-Three consumers exploit that mergeability: the chunked execution backends
-(:mod:`repro.core.parallel`), the estimator itself
-(:class:`~repro.core.rept.ReptEstimator`), and the sliding-window monitor
-(:mod:`repro.streaming.monitor`).  :class:`GroupStateSet` is the shared
-abstraction they all build on: the complete counter state of one
-:class:`~repro.core.config.ReptConfig` — every processor group, the shared
-interning table and the stream-global first-occurrence set — with batch
-ingestion, snapshot/merge and summarisation in one place.
+Shared state abstraction
+------------------------
+:class:`GroupStateSet` is the abstraction every REPT path builds on: the
+complete counter state of one :class:`~repro.core.config.ReptConfig` —
+every processor group, the shared interning table and the stream-global
+first-occurrence set — with batch ingestion, snapshot/merge and
+summarisation in one place.  The estimator
+(:class:`~repro.core.rept.ReptEstimator`), the serial driver
+(:mod:`repro.core.parallel`), the durable runner and the service sessions
+each advance one through :meth:`GroupStateSet.process_edges`; the
+sliding-window monitor (:mod:`repro.streaming.monitor`) feeds shared
+encoded batches to one live and one accumulator state set per window.
 
 Pane deltas
 -----------
@@ -71,8 +73,9 @@ The monitor additionally uses the *pane delta* protocol
 (:meth:`ProcessorGroup.take_pane_deltas` / :meth:`ProcessorGroup.merge_deltas`):
 a live group keeps its stored-edge index while its counters are detached
 and re-zeroed at every pane boundary, which leaves the group in exactly the
-seeded-at-a-chunk-boundary state the merge contract expects — so a window
-advances by folding one O(pane) delta instead of re-ingesting the window.
+zeroed-counters-at-a-boundary state the merge contract expects — so a
+window advances by folding one O(pane) delta instead of re-ingesting the
+window.
 
 The delta's adjacency holds only the pane-new stored edges.  The caller
 names them: :meth:`GroupStateSet.ingest_encoded` with
@@ -158,7 +161,7 @@ class ProcessorCounters:
             self.edge_triangles[canonical_edge(u, v)] = closing_triangles
         self.edges_stored += 1
 
-    # -- chunked execution support -------------------------------------------
+    # -- snapshot / merge ----------------------------------------------------
 
     def snapshot(self) -> ProcessorSnapshot:
         """Return a picklable copy of the full processor state."""
@@ -186,21 +189,22 @@ class ProcessorCounters:
         )
 
     def merge(self, later: "ProcessorCounters", track_local: bool = True) -> None:
-        """Fold in the state of the same processor advanced over the *next* chunk.
+        """Fold in the state of the same processor advanced over the *next* stretch.
 
         Contract: ``later`` must have been advanced, with all counters zeroed,
-        over the stream chunk immediately following the one(s) this processor
-        has seen, starting from this processor's stored-edge index (seeded via
-        :meth:`ProcessorGroup.seed_adjacency`).  Under that contract the merge
-        reproduces the counters of an uninterrupted run exactly:
+        over the stream stretch immediately following the one(s) this
+        processor has seen, starting from this processor's stored-edge index
+        (the state :meth:`ProcessorGroup.take_pane_deltas` leaves behind).
+        Under that contract the merge reproduces the counters of an
+        uninterrupted run exactly:
 
         * ``τ``/``τ_v`` increments were computed against the true adjacency,
           so they sum directly;
         * each η increment in ``later`` read per-edge counters that were
           missing this prefix's contribution.  ``later.edge_triangles[key]``
           equals the number of times ``key`` served as a wedge edge during the
-          chunk (its initialisation term only exists for edges first stored in
-          the chunk, whose prefix count is zero), so the missing mass is
+          stretch (its initialisation term only exists for edges first stored
+          in the stretch, whose prefix count is zero), so the missing mass is
           ``Δ_later[key] · τ_key(prefix)`` — added to ``η`` and to ``η_v`` of
           both endpoints of ``key``.
         """
@@ -406,9 +410,9 @@ class ProcessorGroup:
 
         ``seen`` carries first-occurrence state across calls (the packed
         keys of the interned pairs already consumed); when omitted it is
-        derived from the stored adjacency, which is exact even after
-        :meth:`seed_adjacency` (an edge is stored iff it was seen and its
-        slot is real, and unstoreable edges never consult the flag).
+        derived from the stored adjacency, which is exact even on a group
+        restored with zeroed counters (an edge is stored iff it was seen and
+        its slot is real, and unstoreable edges never consult the flag).
         """
         if seen is None:
             seen = self._stored_pairs()
@@ -426,7 +430,7 @@ class ProcessorGroup:
 
         The cache is derived once (O(stored edges)) and maintained
         incrementally: every store adds its packed pair key, and the cold
-        mutators (restore/merge/seed) invalidate it.  Because callers use
+        mutators (restore/merge) invalidate it.  Because callers use
         the returned set as a live first-occurrence ``seen`` set, it may
         also accumulate *unstoreable* seen pairs — harmless, since an
         edge's slot is fixed by the hash, so unstoreable edges never
@@ -486,7 +490,7 @@ class ProcessorGroup:
                 edge_triangles[key_vw] = count_vw + 1
         return closed
 
-    # -- chunked execution support -------------------------------------------
+    # -- snapshot / merge ----------------------------------------------------
 
     def snapshot(self) -> GroupSnapshot:
         """Return a picklable copy of the group's full state.
@@ -521,57 +525,19 @@ class ProcessorGroup:
         self._reindex_node_bits()
         self._pairs_cache = None
 
-    def seed_adjacency(self, stored_edges: Sequence[Tuple[int, NodeId, NodeId]]) -> None:
-        """Pre-load the stored-edge index as it stood at a chunk boundary.
-
-        ``stored_edges`` is a sequence of ``(slot, u, v)`` records: the edges
-        stored by earlier chunks and the processor slots holding them.  Only
-        the adjacency (and the node-slot index) is populated — counters,
-        per-edge triangle counts and ``edges_stored`` stay zero, so a group
-        advanced from this state accumulates exactly one chunk's worth of
-        counter deltas (the shape :meth:`merge` expects), while closure
-        checks, the ``already_stored`` test and ``closing_at_store`` all see
-        the true cross-chunk adjacency.
-        """
-        intern = self.interner.intern
-        node_bits = self._node_bits
-        group_size = self.group_size
-        pairs_cache = self._pairs_cache
-        for slot, u, v in stored_edges:
-            if not 0 <= slot < group_size:
-                raise ValueError(f"stored edge ({u!r}, {v!r}) names invalid slot {slot}")
-            iu = intern(u)
-            iv = intern(v)
-            adjacency = self.processors[slot].adjacency
-            neighbors = adjacency.get(iu)
-            if neighbors is None:
-                adjacency[iu] = {iv}
-            else:
-                neighbors.add(iv)
-            neighbors = adjacency.get(iv)
-            if neighbors is None:
-                adjacency[iv] = {iu}
-            else:
-                neighbors.add(iu)
-            bit = 1 << slot
-            node_bits[iu] = node_bits.get(iu, 0) | bit
-            node_bits[iv] = node_bits.get(iv, 0) | bit
-            if pairs_cache is not None:
-                pairs_cache.add(pack_pair(iu, iv))
-
     def merge(self, later: "ProcessorGroup") -> None:
-        """Fold in a group advanced over the next chunk (see ProcessorCounters.merge).
+        """Fold in a group advanced over the next stretch (see ProcessorCounters.merge).
 
         ``later`` must share this group's shape and hash function and must
-        have been advanced from this group's adjacency (seeded, counters
-        zero) over the stream chunk immediately following this group's.
+        have been advanced from this group's adjacency (counters zero) over
+        the stream stretch immediately following this group's.
         ``later`` may use a different interning table — the snapshot
         externalizes its state.
         """
         self.merge_snapshot(later.snapshot())
 
     def merge_snapshot(self, snapshot: GroupSnapshot) -> None:
-        """Fold in a chunk-state snapshot without materialising the other group."""
+        """Fold in a later stretch's snapshot without materialising its group."""
         if snapshot["group_size"] != self.group_size or snapshot["m"] != self.m:
             raise ValueError(
                 "cannot merge groups of different shape: expected "
@@ -585,9 +551,8 @@ class ProcessorGroup:
         ):
             later = _internalize_processor(entry, intern)
             processor.merge(later, track_local=self.track_local)
-            # Incremental index update: only the incoming chunk's nodes can
-            # gain this slot (a full rebuild per merge would dominate the
-            # driver's merge phase on many-chunk runs).
+            # Incremental index update: only the incoming stretch's nodes
+            # can gain this slot (a full rebuild per merge is O(state)).
             bit = 1 << slot
             for node in later.adjacency:
                 node_bits[node] = node_bits.get(node, 0) | bit
@@ -610,10 +575,9 @@ class ProcessorGroup:
         :class:`~repro.core.adjacency.ColumnarDelta`.)
 
         After the call this group keeps its full stored-edge index (and node
-        bitmasks) but has all counters zeroed — exactly the state
-        :meth:`seed_adjacency` would produce at this boundary, so the next
-        pane accumulates one pane's worth of deltas, the shape
-        :meth:`ProcessorCounters.merge` expects.
+        bitmasks) but has all counters zeroed, so the next pane accumulates
+        one pane's worth of deltas, the shape :meth:`ProcessorCounters.merge`
+        expects.
         """
         per_slot_adjacency: List[Dict[int, Set[int]]] = [
             {} for _ in self.processors
@@ -658,7 +622,7 @@ class ProcessorGroup:
         :meth:`take_pane_deltas` on a live group that shares this group's
         interning table: keys are dense ids already, so no
         externalize/internalize round trip is paid.  Applies the same exact
-        η cross-chunk correction through :meth:`ProcessorCounters.merge`.
+        η correction through :meth:`ProcessorCounters.merge`.
         """
         if len(deltas) != len(self.processors):
             raise ValueError(
@@ -768,17 +732,6 @@ class ProcessorGroup:
                         records.append((slot, cu, cv))
         return records
 
-    def stored_neighbors(self, slot: int, node: NodeId) -> Set[NodeId]:
-        """Return the raw stored neighbor set of ``node`` on processor ``slot``."""
-        dense = self.interner.id_of(node)
-        if dense is None:
-            return set()
-        neighbors = self.processors[slot].adjacency.get(dense)
-        if not neighbors:
-            return set()
-        nodes = self.interner.nodes
-        return {nodes[iv] for iv in neighbors}
-
 
 # -- snapshot translation ------------------------------------------------------
 
@@ -850,26 +803,6 @@ def first_flags(
     return flags
 
 
-def ingest_edge_batches(
-    group: ProcessorGroup,
-    edges: Sequence[EdgeTuple],
-    seen: Optional[Set[int]] = None,
-    batch_edges: int = 65536,
-) -> None:
-    """Drive one group over ``edges`` through the batched pipeline.
-
-    Splits the sequence into bounded chunks so the transient encode arrays
-    stay small without giving up the batch amortisation; ``seen`` carries
-    first-occurrence state across chunks (derived from the stored adjacency
-    when omitted — exact even after :meth:`ProcessorGroup.seed_adjacency`).
-    Shared by the parallel workers and any standalone group consumer.
-    """
-    if seen is None:
-        seen = group._stored_pairs()
-    for start in range(0, len(edges), batch_edges):
-        group.process_edges(edges[start : start + batch_edges], seen=seen)
-
-
 @dataclass
 class EncodedBatch:
     """One batch of records encoded once for every group of a config.
@@ -915,10 +848,10 @@ class GroupStateSet:
     Owns the processor groups described by a
     :class:`~repro.core.config.ReptConfig`, the interning table shared by
     all of them and the stream-global first-occurrence set.  This is the
-    abstraction shared by :class:`~repro.core.rept.ReptEstimator` (one
-    state set advanced in process), the chunked execution backends (state
-    sets folded from per-chunk snapshots) and the windowed monitor (one
-    live + one accumulator state set per open window).
+    abstraction shared by :class:`~repro.core.rept.ReptEstimator` and the
+    serial driver (one state set advanced in process), the durable runner
+    (one state set checkpointed between segments) and the windowed monitor
+    (one live + one accumulator state set per open window).
 
     Parameters
     ----------
@@ -1161,7 +1094,7 @@ class GroupStateSet:
         return [group.snapshot() for group in self.groups]
 
     def merge_snapshots(self, snapshots: Sequence[GroupSnapshot]) -> None:
-        """Fold one per-group snapshot list (e.g. one chunk's states)."""
+        """Fold one per-group snapshot list (one later stretch's states)."""
         if len(snapshots) != len(self.groups):
             raise ValueError(
                 f"expected {len(self.groups)} group snapshots, got {len(snapshots)}"

@@ -6,8 +6,8 @@ This package makes long-running runs survivable:
   numbered, atomically-renamed checkpoint files with a manifest, a
   retention policy and a recovery path that skips torn or corrupt files;
 * :mod:`repro.durability.retry` — the shared exponential-backoff-with-
-  jitter policy used by the parallel drivers' worker supervision and the
-  campaign engine's retry-on-task-failure;
+  jitter policy used by the elastic coordinator's routing and migration
+  retries and the campaign engine's retry-on-task-failure;
 * :mod:`repro.durability.runner` — checkpointed drivers (``run_rept_durable``,
   ``run_estimator_durable``, ``run_monitor_durable``) whose resumed runs are
   bit-identical to uninterrupted ones;

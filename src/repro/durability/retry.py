@@ -1,9 +1,11 @@
 """Exponential backoff with deterministic jitter.
 
-One policy object serves every retry loop in the package — the chunked
-drivers' worker supervision (:mod:`repro.core.parallel`) and the campaign
-engine's retry-on-task-failure (:mod:`repro.experiments.campaign.engine`) —
-so their behaviour under repeated failure is tuned in exactly one place.
+One policy object serves every retry loop in the package — the elastic
+coordinator's batch routing and shard migration
+(:mod:`repro.cluster.coordinator`, configured through
+:class:`~repro.core.parallel.SupervisionPolicy`) and the campaign engine's
+retry-on-task-failure (:mod:`repro.experiments.campaign.engine`) — so their
+behaviour under repeated failure is tuned in exactly one place.
 
 Jitter is *deterministic*: each policy derives a private
 :class:`random.Random` from its ``seed``, so a test that injects a fault on
@@ -76,17 +78,6 @@ class RetryPolicy:
             delay *= self.backoff
         return delays
 
-    def reseeded(self, seed: int) -> "RetryPolicy":
-        """The same policy with a different jitter seed (per call site)."""
-        return RetryPolicy(
-            max_attempts=self.max_attempts,
-            base_delay=self.base_delay,
-            backoff=self.backoff,
-            max_delay=self.max_delay,
-            jitter=self.jitter,
-            seed=seed,
-        )
-
 
 def call_with_retry(
     fn: Callable[[], T],
@@ -100,7 +91,7 @@ def call_with_retry(
     Exceptions matching ``retry_on`` consume an attempt and trigger the
     next backoff delay; anything else propagates immediately.  ``on_retry``
     (if given) observes ``(attempt_number, exception)`` before each sleep —
-    the supervision layer uses it to count retries in run metadata.  The
+    the elastic coordinator uses it to count retries in run metadata.  The
     final failure re-raises the last exception unchanged so callers keep
     the original type and traceback.
     """

@@ -9,10 +9,10 @@ directory produces exactly the estimates of the uninterrupted run —
 
 * :func:`run_rept_durable` checkpoints the
   :class:`~repro.core.state.GroupStateSet` through its portable (raw-node-
-  keyed) snapshot and advances segments through
-  :func:`~repro.core.parallel.advance_state_chunked`, whose shard-then-merge
-  schedule is exact, so neither segment boundaries nor chunk boundaries nor
-  the crash point show up in the counters;
+  keyed) snapshot and advances each segment with
+  :meth:`~repro.core.state.GroupStateSet.ingest_stream`, the serial
+  driver's ingest call, so neither segment boundaries nor the crash point
+  show up in the counters;
 * :func:`run_estimator_durable` checkpoints any picklable
   :class:`~repro.baselines.base.StreamingTriangleEstimator` whole — the
   pickle captures its RNG state (TRIÈST's reservoir coin-flips resume
@@ -34,7 +34,7 @@ different ``(m, c)`` would silently corrupt counters otherwise.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List
 
 from repro.core.config import ReptConfig
 from repro.core.state import GroupStateSet
@@ -85,10 +85,6 @@ def run_rept_durable(
     config: ReptConfig,
     checkpoint_dir,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    use_processes: bool = False,
-    max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    supervision=None,
     keep: int = 3,
     resume: bool = True,
 ):
@@ -104,12 +100,8 @@ def run_rept_durable(
 
     ``edges`` must be re-iterable from the start on resume (a list, or a
     reader that restarts); generators consumed by the crashed process
-    cannot be replayed.  ``use_processes`` routes each segment through the
-    supervised chunked-process schedule; the serial schedule is used
-    otherwise (both are exact, so this never changes the estimate).
+    cannot be replayed.
     """
-    from repro.core.parallel import advance_state_chunked
-
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     manager = CheckpointManager(checkpoint_dir, keep=keep)
@@ -122,18 +114,17 @@ def run_rept_durable(
         checkpoint = _check_meta(report, expected_meta)
         if checkpoint is not None:
             state.restore_portable(checkpoint.payload)
+            # Checkpoints of the former shard-then-merge segment driver
+            # carry an empty ``seen``.  Adding every stored edge back is
+            # exact: a storeable edge is stored on its first arrival, and
+            # an edge no group can store never reads its flag.
+            for group in state.groups:
+                state.seen |= group._derive_stored_pairs()
             offset = checkpoint.stream_offset
 
     for position, segment in _segments(edges, offset, checkpoint_every):
         maybe_fail("rept-segment", offset=offset)
-        advance_state_chunked(
-            state,
-            segment,
-            use_processes=use_processes,
-            max_workers=max_workers,
-            chunk_size=chunk_size,
-            supervision=supervision,
-        )
+        state.ingest_stream(segment)
         manager.save(state.portable_state(), position, meta=expected_meta)
         offset = position
 

@@ -57,12 +57,12 @@ class CheckpointError(ReproError):
 
 
 class WorkerFailedError(ReproError):
-    """A pool worker died (or hung) beyond the supervision policy's budget.
+    """Every elastic worker died (or hung) and inline fallback is disabled.
 
-    The chunked execution drivers retry failed chunk tasks with exponential
-    backoff and restart broken pools; this error surfaces only once those
-    budgets are exhausted *and* graceful degradation to the inline serial
-    path is disabled (``allow_inline_fallback=False``) or itself failed.
+    The ``chunked-elastic`` driver migrates a failed worker's shards to the
+    survivors and, once none is left, finishes the stream with the shards
+    hosted inline; this error surfaces only when that graceful degradation
+    is disabled (``allow_inline_fallback=False``).
     """
 
 

@@ -3,9 +3,9 @@
 Not a figure of the paper, but the experiment that backs its deployment
 story: the same :class:`~repro.core.config.ReptConfig` run through every
 execution backend of :func:`repro.core.parallel.run_rept` must produce
-bit-identical estimates, while wall-clock and per-task payload vary with
-the scheduling strategy.  The comparison reports both, and is exposed on
-the CLI as ``rept-experiment backends``.
+bit-identical estimates, while wall-clock varies with where the processor
+groups run.  The comparison reports both, and is exposed on the CLI as
+``rept-experiment backends``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.utils.tables import format_table
 from repro.utils.timer import Timer
 
 #: Backends compared by default, reference first.
-DEFAULT_BACKENDS = ("serial", "chunked-serial", "chunked-process", "chunked-elastic")
+DEFAULT_BACKENDS = ("serial", "chunked-elastic")
 
 
 def backend_comparison(
@@ -41,11 +41,11 @@ def backend_comparison(
     Returns a table of wall-clock seconds, the estimate, and whether each
     backend's estimate is bit-identical to the first (reference) backend —
     which it must be; a mismatch raises :class:`ExperimentError` because it
-    indicates a broken merge, not a tuning problem.  ``elastic=True`` adds
-    the ``chunked-elastic`` shard-coordinator backend to an explicit
-    ``backends`` list that lacks it (the CLI's ``--elastic``, typically with
-    ``--workers N`` and a ``--chaos`` plan targeting the cluster fault
-    sites).
+    indicates a broken shard or recovery path, not a tuning problem.
+    ``elastic=True`` adds the ``chunked-elastic`` shard-coordinator backend
+    to an explicit ``backends`` list that lacks it (the CLI's ``--elastic``,
+    typically with ``--workers N`` and a ``--chaos`` plan targeting the
+    cluster fault sites).
     """
     if not backends:
         raise ExperimentError("at least one backend is required")
@@ -58,8 +58,8 @@ def backend_comparison(
     config = ReptConfig(m=m, c=c, seed=seed, track_local=False, kernel=kernel)
 
     headers = [
-        "backend", "seconds", "global estimate", "edges stored", "chunks",
-        "faults", "identical",
+        "backend", "seconds", "global estimate", "edges stored", "faults",
+        "identical",
     ]
     rows: List[List] = []
     reference = None
@@ -86,25 +86,20 @@ def backend_comparison(
                 f"{estimate.global_count!r} != {reference.global_count!r}"
             )
         timings[backend] = timer.elapsed
-        # Supervision counters (nonzero only under injected/real worker
-        # failures, e.g. a --chaos run): the estimate must stay identical
-        # anyway — that is the point of the recovery paths.
-        retries = int(estimate.metadata.get("worker_retries", 0))
-        restarts = int(estimate.metadata.get("pool_restarts", 0))
+        # Recovery counters of the elastic backend (nonzero only under
+        # injected/real worker failures, e.g. a --chaos run): the estimate
+        # must stay identical anyway — that is the point of the recovery
+        # paths.
         degraded = estimate.metadata.get("degraded", 0.0) > 0
         deaths = int(estimate.metadata.get("worker_deaths", 0))
         migrations = int(estimate.metadata.get("shard_migrations", 0))
         supervision_events[backend] = {
-            "worker_retries": retries,
-            "pool_restarts": restarts,
             "degraded": degraded,
             "worker_deaths": deaths,
             "shard_migrations": migrations,
         }
-        if deaths or migrations:
+        if deaths or migrations or degraded:
             faults = f"{deaths}d/{migrations}m" + ("/degraded" if degraded else "")
-        elif retries or restarts or degraded:
-            faults = f"{retries}r/{restarts}p" + ("/degraded" if degraded else "")
         else:
             faults = "-"
         rows.append(
@@ -113,7 +108,6 @@ def backend_comparison(
                 round(timer.elapsed, 3),
                 estimate.global_count,
                 estimate.edges_stored,
-                int(estimate.metadata.get("num_chunks", 1)),
                 faults,
                 "yes",
             ]

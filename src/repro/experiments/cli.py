@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--chunk-size",
         type=int,
         default=None,
-        help="edges per chunk for the chunked backends (default: auto-tuned)",
+        help="edges per batch for chunked-elastic (default: auto-tuned)",
     )
     parser.add_argument(
         "--elastic",
@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes: campaign task fan-out (default: the spec's "
-        "setting) or the 'backends' artefact's pool size",
+        "setting) or the 'backends' artefact's elastic worker count",
     )
     campaign.add_argument(
         "--resume",

@@ -104,7 +104,7 @@ def accuracy_cell(
     The returned mapping preserves method order (the order of
     ``default_method_specs``), which downstream rendering relies on.
     ``rept_backend`` routes the REPT trials through one of the
-    :mod:`repro.core.parallel` drivers (e.g. ``chunked-process``);
+    :mod:`repro.core.parallel` drivers (``serial`` or ``chunked-elastic``);
     estimates are bit-identical across backends, so the choice affects
     wall-clock only, never the cached numbers.
     """

@@ -11,35 +11,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
-import numpy as np
-
 from repro.exceptions import StreamFormatError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.types import EdgeTuple, NodeId, canonical_edge
-
-
-def edge_columns(edges: Sequence[EdgeTuple]):
-    """Split an edge list into parallel endpoint columns ``(us, vs)``.
-
-    All-``int`` streams (the common case) come back as ``int64`` NumPy
-    arrays — a compact binary-buffer representation that pickles to worker
-    processes far cheaper than a list of tuples.  Anything else (strings,
-    mixed types, ints beyond 64 bits) falls back to plain lists.
-    ``zip(us, vs)`` replays the stream in order either way; the int64
-    round-trip via ``ndarray.tolist()`` returns equal Python ints, so
-    hashing and interning see identical node identifiers.
-    """
-    us: List[NodeId] = []
-    vs: List[NodeId] = []
-    for u, v in edges:
-        us.append(u)
-        vs.append(v)
-    if all(type(u) is int for u in us) and all(type(v) is int for v in vs):
-        try:
-            return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
-        except OverflowError:
-            pass
-    return us, vs
 
 
 class EdgeStream:
@@ -133,16 +107,6 @@ class EdgeStream:
         edges = self._edges
         for start in range(0, len(edges), batch_size):
             yield edges[start : start + batch_size]
-
-    def as_columns(self):
-        """Return the stream as two parallel endpoint columns ``(us, vs)``.
-
-        When every endpoint is a plain ``int`` fitting 64 bits the columns
-        are ``int64`` NumPy arrays (compact, cheap to pickle to worker
-        processes); otherwise they are plain lists.  Either way
-        ``zip(us, vs)`` replays the stream in order.
-        """
-        return edge_columns(self._edges)
 
     def distinct_edges(self) -> List[EdgeTuple]:
         """Return the distinct canonical edges in first-arrival order."""

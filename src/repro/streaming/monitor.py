@@ -20,10 +20,10 @@ shared mergeable-state abstraction of :mod:`repro.core.state`:
   records as they arrive;
 * at every pane boundary the live counters are detached as an O(pane)
   *pane delta* (:meth:`~repro.core.state.ProcessorGroup.take_pane_deltas`)
-  — the live groups keep their stored-edge index, so they remain in
-  exactly the seeded-at-a-chunk-boundary state the merge contract expects —
-  and folded into an **accumulator** state set with the exact η cross-chunk
-  correction (:meth:`~repro.core.state.ProcessorCounters.merge`);
+  — the live groups keep their stored-edge index with zeroed counters,
+  exactly the boundary state the merge contract expects — and folded into
+  an **accumulator** state set with the exact η correction
+  (:meth:`~repro.core.state.ProcessorCounters.merge`);
 * the window's **ring** of pane deltas is retained for per-pane
   attribution and diagnostics, and a closed window's result keeps it.
   On the C kernel each pane delta is a handful of int64 column blocks per
@@ -167,7 +167,7 @@ class _MergeableReptChain:
     The **live** state set ingests the window's records as they arrive.
     With the pane ring enabled, every pane boundary detaches the live
     counters as an O(pane) delta (the live groups keep their stored-edge
-    index — exactly the seeded chunk-boundary state of the merge contract)
+    index with zeroed counters — the boundary state of the merge contract)
     and folds it into the **accumulator** with the exact η correction; the
     final estimate then comes from the accumulator.  With the ring
     disabled the live counters are simply left cumulative and serve the

@@ -2,9 +2,10 @@
 
 The harness answers one question reproducibly: *what happens when this
 exact operation fails?*  Production code embeds :func:`maybe_fail` hooks at
-its failure-prone sites (worker task entry, checkpoint write, campaign task
-execution).  When no plan is armed the hook is a single dictionary probe —
-the zero-overhead-when-off guarantee the CI bench gate asserts.  When a
+its failure-prone sites (shard-worker batch apply, checkpoint write,
+campaign task execution).  When no plan is armed the hook is a single
+dictionary probe — the zero-overhead-when-off guarantee the CI bench gate
+asserts.  When a
 test (or the ``--chaos`` CLI flag) arms a :class:`FaultPlan`, matching
 sites perform the planned action:
 
@@ -15,24 +16,22 @@ sites perform the planned action:
 * ``"hang"`` — sleep ``delay_seconds`` (exercises worker timeouts).
 
 Plans are armed through an environment variable naming a plan directory,
-so they survive ``fork``/``spawn`` into pool workers and subprocesses.
+so they survive ``fork``/``spawn`` into worker processes and subprocesses.
 Single-firing across *processes* is enforced with atomically-created token
 files in the plan directory: the first process to claim a token fires, all
 others pass — which is what makes "crash the worker once, then let the
-retry succeed" deterministic under a process pool.
+retry succeed" deterministic across worker processes.
 
 Faults select their call two ways, combinable:
 
 * ``match`` — exact keys the call site must present (e.g.
-  ``{"site-kind": "counting", "chunk": 2}``): deterministic regardless of
-  scheduling order, the right tool under parallelism;
+  ``{"worker": 1, "seq": 2}``): deterministic regardless of scheduling
+  order, the right tool under parallelism;
 * ``skip`` — fire on the (skip+1)-th *matching* call, counted across all
   processes via claimed ordinal tokens: the right tool in serial code.
 
 Instrumented sites (the ``site`` a spec targets):
 
-* ``storing-worker`` / ``counting-worker`` — pooled chunk tasks in the
-  chunked-process drivers (keys: ``group``, ``chunk``);
 * ``rept-segment`` / ``estimator-segment`` / ``monitor-segment`` —
   durable-driver segment boundaries (key: ``offset``);
 * ``checkpoint-write`` — :meth:`CheckpointManager.save` staging (key:
@@ -177,9 +176,10 @@ def arm(
 
     Writes the plan (and its firing tokens) under ``directory`` — a fresh
     temporary directory when omitted — and exports :data:`PLAN_ENV` so the
-    plan reaches pool workers and subprocesses.  Yields the plan directory;
-    on exit the previous environment is restored (tokens are left behind
-    for post-mortem inspection when an explicit directory was given).
+    plan reaches worker processes and subprocesses.  Yields the plan
+    directory; on exit the previous environment is restored (tokens are
+    left behind for post-mortem inspection when an explicit directory was
+    given).
     """
     created: Optional[tempfile.TemporaryDirectory] = None
     if directory is None:

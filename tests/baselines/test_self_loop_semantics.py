@@ -32,7 +32,7 @@ FACTORIES = [
     pytest.param(lambda: GpsInStreamEstimator(4, seed=4), id="gps"),
     pytest.param(lambda: ReptEstimator(ReptConfig(m=2, c=3, seed=4)), id="rept"),
     pytest.param(
-        lambda: DriverBackedRept(ReptConfig(m=2, c=3, seed=4), backend="chunked-serial"),
+        lambda: DriverBackedRept(ReptConfig(m=2, c=3, seed=4), backend="serial"),
         id="rept-driver",
     ),
     pytest.param(

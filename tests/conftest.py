@@ -52,3 +52,20 @@ def medium_stream() -> EdgeStream:
 def medium_stats(medium_stream):
     """Exact statistics of :func:`medium_stream` (computed once per session)."""
     return compute_statistics(medium_stream.edges(), name="medium")
+
+
+def zeroed_snapshot(group):
+    """``group.snapshot()`` with every counter zeroed.
+
+    Only the stored-edge index survives — the state
+    :meth:`~repro.core.state.ProcessorGroup.take_pane_deltas` leaves
+    behind.  A group restored from it counts the next stretch of the
+    stream as a delta that :meth:`~repro.core.state.ProcessorGroup.merge`
+    folds exactly.
+    """
+    snapshot = group.snapshot()
+    for entry in snapshot["processors"]:
+        entry.update(
+            tau=0, tau_local={}, edge_triangles={}, eta=0, eta_local={}, edges_stored=0
+        )
+    return snapshot

@@ -17,6 +17,7 @@ from repro.generators.planted import planted_triangles_stream
 from repro.generators.random_graphs import barabasi_albert_stream
 from repro.hashing import make_hash_function
 from repro.types import canonical_edge
+from tests.conftest import zeroed_snapshot
 
 
 def noisy_stream():
@@ -202,8 +203,8 @@ class TestProcessorGroupBatch:
         assert batched.local_eta_sums() == reference.local_eta_sums()
         assert batched.total_edges_stored() == reference.total_edges_stored()
 
-    def test_batch_after_seed_adjacency_matches(self):
-        """First-occurrence flags derived from seeded adjacency are exact."""
+    def test_batch_after_zeroed_restore_matches(self):
+        """First-occurrence flags derived from a restored adjacency are exact."""
         edges = [(u, v) for u, v in noisy_stream() if u != v]
         split = len(edges) // 2
         reference = self.make_group(track_eta=True)
@@ -214,7 +215,7 @@ class TestProcessorGroupBatch:
         for u, v in edges[:split]:
             prefix.process_edge(u, v)
         worker = self.make_group(track_eta=True)
-        worker.seed_adjacency(prefix.stored_edges())
+        worker.restore(zeroed_snapshot(prefix))
         worker.process_edges(edges[split:])  # duplicates of stored edges inside
 
         merged = self.make_group(track_eta=True)

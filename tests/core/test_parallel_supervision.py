@@ -1,24 +1,23 @@
-"""Tests for worker supervision in the chunked-process driver.
+"""Tests for the worker-supervision policies.
 
-Faults are injected deterministically at the two pooled task sites
-(``storing-worker``, ``counting-worker``); every scenario asserts the
-estimate stays bit-identical to the serial reference — supervision changes
-scheduling, never results.
+:class:`SupervisionPolicy` configures the ``chunked-elastic`` driver's
+retries, hang detection and inline fallback; :class:`RetryPolicy` is the
+backoff shared by the elastic coordinator and the campaign engine.
+:class:`TestSupervisedExecution` injects faults at the cluster sites and
+checks that :func:`~repro.core.parallel.run_rept` hands each policy field
+to the coordinator, with the estimate bit-identical to the serial
+reference.  The coordinator's own recovery paths are exercised in
+``tests/cluster``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import random
+
 import pytest
 
 from repro.core.config import ReptConfig
-import repro.core.parallel as parallel
-from repro.core.parallel import (
-    DEFAULT_SUPERVISION,
-    SupervisionPolicy,
-    run_rept,
-    task_retry_delays,
-)
+from repro.core.parallel import DEFAULT_SUPERVISION, SupervisionPolicy, run_rept
 from repro.durability.retry import RetryPolicy, call_with_retry
 from repro.exceptions import ConfigurationError, WorkerFailedError
 from repro.testing.faults import FaultPlan, FaultSpec, arm
@@ -26,10 +25,9 @@ from repro.testing.faults import FaultPlan, FaultSpec, arm
 CONFIG = ReptConfig(m=2, c=4, seed=23, track_local=True)
 
 
-def _edges(n=400, nodes=30, seed=6):
-    rng = np.random.default_rng(seed)
-    cols = rng.integers(0, nodes, size=(n, 2))
-    return [(int(u), int(v)) for u, v in cols]
+def _edges(n=600, nodes=40, seed=6):
+    rng = random.Random(seed)
+    return [(rng.randrange(nodes), rng.randrange(nodes)) for _ in range(n)]
 
 
 EDGES = _edges()
@@ -37,36 +35,38 @@ EDGES = _edges()
 #: Fast retries so fault scenarios don't sleep through real backoff.
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
+#: Kills both workers of a two-worker pool, one after the other.
+KILL_EVERY_WORKER = FaultPlan(
+    faults=(
+        FaultSpec(site="cluster-worker-batch", action="exit", match={"worker": 0, "seq": 2}),
+        FaultSpec(site="cluster-worker-batch", action="exit", match={"worker": 1, "seq": 4}),
+    )
+)
 
-def _reference():
-    return run_rept(EDGES, CONFIG, backend="serial")
 
-
-def _chunked(supervision):
+def _elastic(policy):
     return run_rept(
-        EDGES,
-        CONFIG,
-        backend="chunked-process",
-        max_workers=2,
-        chunk_size=64,
-        supervision=supervision,
+        EDGES, CONFIG, backend="chunked-elastic",
+        max_workers=2, chunk_size=100, supervision=policy,
     )
 
 
-def _assert_same(candidate, reference):
-    assert candidate.global_count == reference.global_count
-    assert candidate.local_counts == reference.local_counts
-    assert candidate.edges_stored == reference.edges_stored
+def _assert_same(estimate, reference):
+    assert estimate.global_count == reference.global_count
+    assert estimate.local_counts == reference.local_counts
+    assert estimate.edges_stored == reference.edges_stored
+    assert estimate.edges_processed == reference.edges_processed
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return run_rept(EDGES, CONFIG, backend="serial")
 
 
 class TestPolicyValidation:
     def test_defaults_are_sane(self):
         assert DEFAULT_SUPERVISION.allow_inline_fallback
         assert DEFAULT_SUPERVISION.worker_timeout is None
-
-    def test_negative_restart_budget_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_pool_restarts"):
-            SupervisionPolicy(max_pool_restarts=-1)
 
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ConfigurationError, match="worker_timeout"):
@@ -83,12 +83,6 @@ class TestRetryPolicy:
             max_attempts=6, base_delay=1.0, backoff=4.0, max_delay=5.0, jitter=0.0
         )
         assert policy.delays() == [1.0, 4.0, 5.0, 5.0, 5.0]
-
-    def test_reseeded_changes_jitter_only(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=0.1, seed=1)
-        other = policy.reseeded(2)
-        assert other.max_attempts == policy.max_attempts
-        assert other.delays() != policy.delays()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -146,214 +140,78 @@ class TestRetryPolicy:
 
 
 class TestSupervisedExecution:
-    def test_clean_run_reports_zero_events(self):
-        reference = _reference()
-        estimate = _chunked(SupervisionPolicy(retry=FAST_RETRY))
+    def test_clean_run_reports_zero_events(self, reference):
+        estimate = _elastic(SupervisionPolicy(retry=FAST_RETRY))
         _assert_same(estimate, reference)
-        assert estimate.metadata["worker_retries"] == 0.0
-        assert estimate.metadata["pool_restarts"] == 0.0
+        assert estimate.metadata["worker_deaths"] == 0.0
+        assert estimate.metadata["shard_migrations"] == 0.0
+        assert estimate.metadata["routing_retries"] == 0.0
         assert estimate.metadata["degraded"] == 0.0
 
-    def test_raising_worker_is_retried(self):
-        reference = _reference()
-        plan = FaultPlan(
-            faults=(FaultSpec(site="counting-worker", match={"chunk": 1}),)
-        )
-        with arm(plan):
-            estimate = _chunked(SupervisionPolicy(retry=FAST_RETRY))
-        _assert_same(estimate, reference)
-        assert estimate.metadata["worker_retries"] >= 1.0
-        assert estimate.metadata["degraded"] == 0.0
-
-    def test_storing_worker_faults_are_supervised_too(self):
-        reference = _reference()
-        plan = FaultPlan(
-            faults=(FaultSpec(site="storing-worker", match={"chunk": 0}),)
-        )
-        with arm(plan):
-            estimate = _chunked(SupervisionPolicy(retry=FAST_RETRY))
-        _assert_same(estimate, reference)
-        assert estimate.metadata["worker_retries"] >= 1.0
-
-    def test_dying_worker_restarts_the_pool(self):
-        reference = _reference()
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(site="counting-worker", match={"chunk": 2}, action="exit"),
-            )
-        )
-        with arm(plan):
-            estimate = _chunked(SupervisionPolicy(retry=FAST_RETRY))
-        _assert_same(estimate, reference)
-        assert estimate.metadata["pool_restarts"] >= 1.0
-
-    def test_persistent_failure_degrades_to_inline(self):
-        """All 3 pooled attempts of one task fail; its inline fallback runs.
-
-        ``times`` equals the pooled attempt budget exactly, so the fault
-        window closes right before the in-process fallback call — which
-        would otherwise fire the same armed fault.
-        """
-        reference = _reference()
+    def test_dying_worker_migrates_its_shards(self, reference):
         plan = FaultPlan(
             faults=(
                 FaultSpec(
-                    site="counting-worker",
-                    match={"group": 0, "chunk": 1},
-                    times=FAST_RETRY.max_attempts,
+                    site="cluster-worker-batch", action="exit",
+                    match={"worker": 1, "seq": 3},
                 ),
             )
         )
         with arm(plan):
-            estimate = _chunked(SupervisionPolicy(retry=FAST_RETRY))
+            estimate = _elastic(SupervisionPolicy(retry=FAST_RETRY))
         _assert_same(estimate, reference)
-        assert estimate.metadata["worker_retries"] == 2.0
+        assert estimate.metadata["worker_deaths"] == 1.0
+        assert estimate.metadata["shard_migrations"] > 0
+        assert estimate.metadata["degraded"] == 0.0
+
+    def test_hung_worker_times_out_under_the_policy(self, reference):
+        # The coordinator's default timeout is 30 s; only the policy's
+        # 0.4 s turns this 20 s hang into a death.
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(
+                    site="cluster-worker-batch", action="hang",
+                    match={"worker": 0, "seq": 2}, delay_seconds=20.0,
+                ),
+            )
+        )
+        with arm(plan):
+            estimate = _elastic(
+                SupervisionPolicy(retry=FAST_RETRY, worker_timeout=0.4)
+            )
+        _assert_same(estimate, reference)
+        assert estimate.metadata["worker_deaths"] == 1.0
+
+    def test_policy_retry_reaches_the_router(self, reference):
+        plan = FaultPlan(
+            faults=(FaultSpec(site="cluster-route", action="io-error", times=2),)
+        )
+        with arm(plan):
+            estimate = _elastic(SupervisionPolicy(retry=FAST_RETRY))
+        _assert_same(estimate, reference)
+        assert estimate.metadata["routing_retries"] == 2.0
+        assert estimate.metadata["worker_deaths"] == 0.0
+
+    def test_policy_without_retries_surfaces_the_route_failure(self):
+        # The coordinator's default policy would retry this send; a policy
+        # of one attempt must reach the router and let the failure out.
+        plan = FaultPlan(
+            faults=(FaultSpec(site="cluster-route", action="io-error", times=1),)
+        )
+        with arm(plan):
+            with pytest.raises(OSError, match="cluster-route"):
+                _elastic(SupervisionPolicy(retry=RetryPolicy(max_attempts=1)))
+
+    def test_persistent_failure_degrades_to_inline(self, reference):
+        with arm(KILL_EVERY_WORKER):
+            estimate = _elastic(SupervisionPolicy(retry=FAST_RETRY))
+        _assert_same(estimate, reference)
+        assert estimate.metadata["worker_deaths"] == 2.0
         assert estimate.metadata["degraded"] == 1.0
 
     def test_fallback_disabled_raises_worker_failed(self):
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(site="counting-worker", match={"chunk": 1}, times=1000),
-            )
-        )
-        with arm(plan):
-            with pytest.raises(WorkerFailedError):
-                _chunked(
+        with arm(KILL_EVERY_WORKER):
+            with pytest.raises(WorkerFailedError, match="inline fallback"):
+                _elastic(
                     SupervisionPolicy(retry=FAST_RETRY, allow_inline_fallback=False)
                 )
-
-    def test_hung_worker_times_out_and_restarts(self):
-        reference = _reference()
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(
-                    site="counting-worker",
-                    match={"chunk": 0},
-                    action="hang",
-                    delay_seconds=5.0,
-                ),
-            )
-        )
-        with arm(plan):
-            estimate = _chunked(
-                SupervisionPolicy(retry=FAST_RETRY, worker_timeout=1.0)
-            )
-        _assert_same(estimate, reference)
-        assert estimate.metadata["pool_restarts"] >= 1.0
-
-
-class TestRetryJitterDeterminism:
-    """The backoff a retried task sleeps is a pure function of its key.
-
-    Pins both retry paths — a retry within one pool, and a retry after a
-    worker death forced a pool rebuild — against the published
-    :func:`task_retry_delays` schedule.  ``time.sleep`` is recorded (not
-    skipped: these delays are sub-millisecond only through the policy),
-    so the assertion is on the exact jittered values.
-    """
-
-    #: Distinctive, jittered schedule: wrong derivations can't collide.
-    PINNED_RETRY = RetryPolicy(
-        max_attempts=3, base_delay=0.001, backoff=3.0, jitter=0.25, seed=17
-    )
-
-    def _record_sleeps(self, monkeypatch):
-        slept = []
-        real_sleep = parallel.time.sleep
-
-        def recording_sleep(seconds):
-            slept.append(seconds)
-            real_sleep(0)  # yield, don't actually wait
-
-        monkeypatch.setattr(parallel.time, "sleep", recording_sleep)
-        return slept
-
-    def test_schedule_is_pure_and_per_key(self):
-        policy = SupervisionPolicy(retry=self.PINNED_RETRY)
-        assert task_retry_delays(policy, (0, 1)) == task_retry_delays(
-            policy, (0, 1)
-        )
-        assert task_retry_delays(policy, (0, 1)) != task_retry_delays(
-            policy, (1, 0)
-        )
-        assert len(task_retry_delays(policy, (0, 1))) == 2
-
-    def test_same_pool_retry_sleeps_the_pinned_delays(self, monkeypatch):
-        slept = self._record_sleeps(monkeypatch)
-        reference = _reference()
-        policy = SupervisionPolicy(retry=self.PINNED_RETRY)
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(
-                    site="counting-worker", match={"group": 0, "chunk": 1},
-                    times=2,
-                ),
-            )
-        )
-        with arm(plan):
-            estimate = _chunked(policy)
-        _assert_same(estimate, reference)
-        expected = task_retry_delays(policy, (0, 1))
-        assert slept == expected
-
-    def test_post_rebuild_retry_resumes_the_same_schedule(self, monkeypatch):
-        """raise → sleep d0 → worker death (rebuild) → raise → sleep d1.
-
-        The rebuild itself must not sleep and must not restart the
-        schedule: the second retry sleeps d1 of the original per-key
-        derivation, exactly as if the pool had survived.
-        """
-        slept = self._record_sleeps(monkeypatch)
-        reference = _reference()
-        policy = SupervisionPolicy(retry=self.PINNED_RETRY)
-        # A firing spec short-circuits the later ones, so each spec only
-        # observes the calls its predecessors let through: the specs fire
-        # strictly in order, one per matching call.
-        match = {"group": 0, "chunk": 1}
-        plan = FaultPlan(
-            faults=(
-                # 1st call: ordinary failure -> retry after d0
-                FaultSpec(site="counting-worker", match=match, action="raise"),
-                # 2nd call (the same-pool retry): kill the worker -> pool
-                # rebuild resubmits the task, consuming no attempt
-                FaultSpec(site="counting-worker", match=match, action="exit"),
-                # 3rd call (post-rebuild): fail again -> the retry must
-                # sleep d1 of the original schedule
-                FaultSpec(site="counting-worker", match=match, action="raise"),
-            )
-        )
-        with arm(plan):
-            estimate = _chunked(policy)
-        _assert_same(estimate, reference)
-        assert estimate.metadata["pool_restarts"] >= 1.0
-        expected = task_retry_delays(policy, (0, 1))
-        assert slept == expected
-
-
-class TestDegradedBitIdentity:
-    def test_exhausted_restart_budget_completes_inline(self):
-        """One task kills its worker on every pooled round; once the
-        restart budget runs out the whole remainder completes inline.
-
-        ``times=2`` covers exactly the two pooled rounds (initial + one
-        restart), so the in-process inline execution is past the fault
-        window — an unbounded ``exit`` fault would kill the test runner.
-        """
-        reference = _reference()
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(
-                    site="counting-worker",
-                    match={"group": 0, "chunk": 2},
-                    action="exit",
-                    times=2,
-                ),
-            )
-        )
-        with arm(plan):
-            estimate = _chunked(
-                SupervisionPolicy(retry=FAST_RETRY, max_pool_restarts=1)
-            )
-        _assert_same(estimate, reference)
-        assert estimate.metadata["degraded"] == 1.0
-        assert estimate.metadata["pool_restarts"] == 2.0

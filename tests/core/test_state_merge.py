@@ -1,18 +1,19 @@
 """Tests for the mergeable chunk state of ProcessorCounters / ProcessorGroup.
 
 The merge contract (see :mod:`repro.core.state`): a group advanced over a
-later chunk, seeded with the earlier chunks' stored-edge index and zeroed
-counters, folds into the earlier state *exactly* — every counter, including
-the η pair counters, matches an uninterrupted run bit for bit.
+later chunk, starting from the earlier chunks' stored-edge index with
+zeroed counters, folds into the earlier state *exactly* — every counter,
+including the η pair counters, matches an uninterrupted run bit for bit.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.state import ProcessorCounters, ProcessorGroup
 from repro.generators.planted import planted_triangles_stream
 from repro.generators.random_graphs import barabasi_albert_stream
 from repro.hashing import make_hash_function
-from repro.types import canonical_edge
+from tests.conftest import zeroed_snapshot
 
 
 def make_group(m=3, group_size=2, seed=42, track_local=True, track_eta=True):
@@ -30,24 +31,6 @@ def advance(group, edges):
         if u != v:
             group.process_edge(u, v)
     return group
-
-
-def stored_records(edges, m, group_size, seed, seen):
-    """Reference storing pass: distinct stored (slot, u, v) of one chunk."""
-    hash_function = make_hash_function("splitmix", buckets=m, seed=seed)
-    out = []
-    for u, v in edges:
-        if u == v:
-            continue
-        slot = hash_function.bucket(u, v)
-        if slot >= group_size:
-            continue
-        key = canonical_edge(u, v)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((slot, key[0], key[1]))
-    return out
 
 
 def positive_entries(mapping):
@@ -79,20 +62,15 @@ def assert_same_state(reference, merged):
 
 
 def run_chunked(edges, boundaries, **group_kwargs):
-    """Advance a group over ``edges`` in chunks via seed_adjacency + merge."""
+    """Advance a group over ``edges`` in chunks: each chunk runs on a group
+    restored from the merged prefix with zeroed counters, then merges."""
     bounds = [0] + list(boundaries) + [len(edges)]
-    chunks = [edges[a:b] for a, b in zip(bounds, bounds[1:])]
     merged = make_group(**group_kwargs)
-    seen = set()
-    prefix = []
-    for chunk in chunks:
+    for start, stop in zip(bounds, bounds[1:]):
         worker = make_group(**group_kwargs)
-        worker.seed_adjacency(prefix)
-        advance(worker, chunk)
+        worker.restore(zeroed_snapshot(merged))
+        advance(worker, edges[start:stop])
         merged.merge(worker)
-        prefix = prefix + stored_records(
-            chunk, merged.m, merged.group_size, 42, seen
-        )
     return merged
 
 
@@ -163,15 +141,20 @@ class TestChunkMerge:
         with pytest.raises(ValueError):
             make_group(group_size=2).merge(make_group(group_size=1))
 
-    def test_seed_adjacency_rejects_invalid_slot(self):
-        with pytest.raises(ValueError):
-            make_group(group_size=1).seed_adjacency([(1, 0, 1)])
-
-    def test_seed_adjacency_leaves_counters_zero(self):
+    def test_zeroed_restore_keeps_only_the_index(self):
+        prefix = advance(make_group(), [(1, 2), (2, 3), (1, 3), (3, 4)])
         group = make_group()
-        group.seed_adjacency([(0, 1, 2), (1, 2, 3)])
+        group.restore(zeroed_snapshot(prefix))
         assert group.tau_values() == [0, 0]
+        assert group.eta_values() == [0, 0]
         assert group.total_edges_stored() == 0
-        assert group.stored_neighbors(0, 1) == {2}
-        assert group.stored_neighbors(1, 2) == {3}
-        assert group.stored_neighbors(0, 99) == set()
+        assert sorted(group.stored_edges()) == sorted(prefix.stored_edges())
+
+    def test_zeroed_snapshot_is_what_pane_deltas_leave(self):
+        # The merge tests stand in for the windowed monitor's pane
+        # boundary; take_pane_deltas must leave exactly that state.
+        edges = barabasi_albert_stream(60, 3, triad_closure=0.5, seed=4).edges()
+        group = advance(make_group(), edges)
+        expected = zeroed_snapshot(group)
+        group.take_pane_deltas(np.empty((3, 0), dtype=np.int64))
+        assert group.snapshot() == expected

@@ -23,6 +23,7 @@ from repro.baselines.exact import ExactStreamingCounter
 from repro.baselines.triest import TriestImprEstimator
 from repro.core.config import ReptConfig
 from repro.core.parallel import run_rept
+from repro.core.state import GroupStateSet
 from repro.durability import run_estimator_durable, run_rept_durable
 from repro.durability.checkpoint import CheckpointManager
 from repro.exceptions import RecoveryError
@@ -56,6 +57,27 @@ def _assert_same_estimate(candidate, reference):
     assert candidate.edges_stored == reference.edges_stored
 
 
+def _canonical_payload(payload):
+    """A portable state with adjacency lists and ``seen`` put in sorted order."""
+    snapshots = [
+        dict(
+            snapshot,
+            processors=[
+                dict(
+                    entry,
+                    adjacency={
+                        node: sorted(neighbors)
+                        for node, neighbors in entry["adjacency"].items()
+                    },
+                )
+                for entry in snapshot["processors"]
+            ],
+        )
+        for snapshot in payload["snapshots"]
+    ]
+    return {"snapshots": snapshots, "seen": sorted(payload["seen"])}
+
+
 def _kill_plan(site, kill_segment, action="raise"):
     return FaultPlan(faults=(FaultSpec(site=site, skip=kill_segment, action=action),))
 
@@ -86,34 +108,74 @@ class TestReptDurable:
         assert report.checkpoint.stream_offset == 200
         _assert_same_estimate(estimate, reference)
 
-    def test_chunked_process_durable_matches_serial(self, tmp_path):
-        config = ReptConfig(m=2, c=4, seed=17, track_local=True)
+    @pytest.mark.parametrize("m,c", [(2, 4), (4, 6)])
+    def test_checkpoint_with_empty_seen_resumes_exactly(self, tmp_path, m, c):
+        """Checkpoints of the former shard-then-merge segment driver carry
+        ``seen: []``; resume rebuilds the flags from the stored edges."""
+        config = ReptConfig(m=m, c=c, seed=17, track_local=True)
         reference = run_rept(EDGES, config, backend="serial")
-        estimate, _ = run_rept_durable(
-            EDGES,
-            config,
-            tmp_path,
-            checkpoint_every=200,
-            use_processes=True,
-            max_workers=2,
-            chunk_size=64,
+        run_rept_durable(EDGES[:300], config, tmp_path, checkpoint_every=300)
+        manager = CheckpointManager(tmp_path)
+        written = manager.recover().checkpoint
+        assert written.payload["seen"]
+        manager.save(
+            dict(written.payload, seen=[]), written.stream_offset, meta=written.meta
         )
+        estimate, report = run_rept_durable(
+            EDGES, config, tmp_path, checkpoint_every=300
+        )
+        assert report.checkpoint.generation == written.generation + 1
+        assert report.checkpoint.payload["seen"] == []
+        _assert_same_estimate(estimate, reference)
+        assert estimate.metadata.get("eta_hat") == reference.metadata.get("eta_hat")
+
+    @pytest.mark.parametrize("m,c", [(2, 4), (4, 6)])
+    def test_checkpoint_is_the_serial_state(self, tmp_path, m, c):
+        """Segments advance through the serial ingest path, so the last
+        checkpoint holds exactly the serial state set's portable state —
+        first-occurrence flags included."""
+        config = ReptConfig(m=m, c=c, seed=17, track_local=True)
+        serial = GroupStateSet(config)
+        serial.ingest_stream(EDGES)
+        run_rept_durable(EDGES, config, tmp_path, checkpoint_every=250)
+        written = CheckpointManager(tmp_path).recover().checkpoint
+        assert written.stream_offset == len(EDGES)
+        assert _canonical_payload(written.payload) == _canonical_payload(
+            serial.portable_state()
+        )
+
+    def test_resume_with_another_segment_size_matches_serial(self, tmp_path):
+        config = ReptConfig(m=4, c=6, seed=17, track_local=True)
+        reference = run_rept(EDGES, config, backend="serial")
+        with arm(_kill_plan("rept-segment", kill_segment=2)):
+            with pytest.raises(InjectedFault):
+                run_rept_durable(EDGES, config, tmp_path, checkpoint_every=100)
+        estimate, report = run_rept_durable(
+            EDGES, config, tmp_path, checkpoint_every=250
+        )
+        assert report.checkpoint.stream_offset == 200
         _assert_same_estimate(estimate, reference)
 
-    def test_chunked_process_killed_then_resumed_matches_serial(self, tmp_path):
-        """Kill mid-stream under the pooled backend, resume under it too."""
-        config = ReptConfig(m=2, c=4, seed=17, track_local=True)
-        reference = run_rept(EDGES, config, backend="serial")
-        kwargs = dict(
-            checkpoint_every=150, use_processes=True, max_workers=2, chunk_size=64
+    def test_flags_rebuilt_on_resume_carry_into_later_checkpoints(self, tmp_path):
+        """A run resumed from an empty-``seen`` checkpoint writes checkpoints
+        that a second resume continues from bit-identically."""
+        config = ReptConfig(m=4, c=6, seed=17, track_local=True)
+        longer = EDGES + _edges(n=300, seed=4)
+        reference = run_rept(longer, config, backend="serial")
+        run_rept_durable(longer[:300], config, tmp_path, checkpoint_every=300)
+        manager = CheckpointManager(tmp_path)
+        written = manager.recover().checkpoint
+        manager.save(
+            dict(written.payload, seen=[]), written.stream_offset, meta=written.meta
         )
-        with arm(_kill_plan("rept-segment", kill_segment=1)):
-            with pytest.raises(InjectedFault):
-                run_rept_durable(EDGES, config, tmp_path, **kwargs)
-        estimate, report = run_rept_durable(EDGES, config, tmp_path, **kwargs)
-        assert report.checkpoint is not None
-        assert report.checkpoint.stream_offset == 150
+        run_rept_durable(longer[:600], config, tmp_path, checkpoint_every=300)
+        estimate, report = run_rept_durable(
+            longer, config, tmp_path, checkpoint_every=300
+        )
+        assert report.checkpoint.stream_offset == 600
+        assert report.checkpoint.payload["seen"]
         _assert_same_estimate(estimate, reference)
+        assert estimate.metadata.get("eta_hat") == reference.metadata.get("eta_hat")
 
     def test_torn_checkpoint_recovers_from_previous_generation(self, tmp_path):
         config = ReptConfig(m=2, c=4, seed=17, track_local=True)

@@ -15,6 +15,8 @@ import json
 
 import pytest
 
+from repro.core.config import ReptConfig
+from repro.core.parallel import DriverBackedRept
 from repro.exceptions import ExperimentError
 from repro.experiments.campaign import (
     CODE_TAG,
@@ -80,6 +82,19 @@ class TestSpecValidation:
             spec = load_campaign_spec(path)
             graph = plan_campaign(spec)
             assert len(graph.tasks) > 3
+
+    def test_shipped_specs_name_live_rept_backends(self):
+        backends = set()
+        for path in ("campaigns/smoke.toml", "campaigns/paper_full.toml"):
+            graph = plan_campaign(load_campaign_spec(path))
+            backends |= {
+                task.config["rept_backend"]
+                for task in graph.tasks.values()
+                if task.config.get("rept_backend") is not None
+            }
+        assert backends  # figure3 routes its trials through a driver
+        for backend in backends:
+            DriverBackedRept(ReptConfig(m=2, c=2, seed=1), backend=backend)
 
     def test_duplicate_stage_rejected(self):
         with pytest.raises(ExperimentError):

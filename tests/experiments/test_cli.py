@@ -38,14 +38,15 @@ class TestCli:
                 "backends",
                 "--datasets", "youtube-sim",
                 "--max-edges", "600",
-                "--backends", "serial", "chunked-serial",
+                "--backends", "serial", "chunked-elastic",
                 "--chunk-size", "200",
+                "--workers", "2",
                 "--seed", "3",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
-        assert "chunked-serial" in captured.out
+        assert "chunked-elastic" in captured.out
         assert "yes" in captured.out
 
     def test_ablation_entry_point(self, capsys):

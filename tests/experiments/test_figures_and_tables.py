@@ -7,8 +7,11 @@ minutes-long defaults.  The benchmark harness runs larger configurations.
 
 import pytest
 
+from repro.exceptions import ExperimentError
+from repro.experiments.backends import DEFAULT_BACKENDS, backend_comparison
 from repro.experiments.figures import figure1, figure3, figure4, figure5, figure7, figure8
 from repro.experiments.tables import table2
+from repro.testing.faults import FaultPlan, FaultSpec, arm
 
 QUICK = {"datasets": ["youtube-sim"], "max_edges": 1500}
 
@@ -80,3 +83,56 @@ class TestTable2:
         row = result.rows[0]
         assert row[5] == "YouTube"
         assert row[6] == 1_138_499
+
+
+class TestBackendComparison:
+    QUICK_BACKENDS = {
+        "dataset": "youtube-sim", "max_edges": 600, "m": 4, "c": 8,
+        "max_workers": 2, "chunk_size": 100,
+    }
+
+    def test_default_rows_are_serial_then_elastic(self):
+        result = backend_comparison(**self.QUICK_BACKENDS)
+        assert DEFAULT_BACKENDS == ("serial", "chunked-elastic")
+        assert [row[0] for row in result.rows] == list(DEFAULT_BACKENDS)
+        assert result.headers == [
+            "backend", "seconds", "global estimate", "edges stored", "faults",
+            "identical",
+        ]
+        assert all(row[4] == "-" and row[5] == "yes" for row in result.rows)
+        for events in result.metadata["supervision"].values():
+            assert events == {
+                "degraded": False, "worker_deaths": 0, "shard_migrations": 0,
+            }
+
+    def test_elastic_flag_appends_the_elastic_row(self):
+        result = backend_comparison(
+            backends=("serial",), elastic=True, **self.QUICK_BACKENDS
+        )
+        assert [row[0] for row in result.rows] == ["serial", "chunked-elastic"]
+
+    def test_fault_column_reports_recovery(self):
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(
+                    site="cluster-worker-batch", action="exit",
+                    match={"worker": 0, "seq": 2},
+                ),
+                FaultSpec(
+                    site="cluster-worker-batch", action="exit",
+                    match={"worker": 1, "seq": 4},
+                ),
+            )
+        )
+        with arm(plan):
+            result = backend_comparison(**self.QUICK_BACKENDS)
+        serial_row, elastic_row = result.rows
+        assert serial_row[4] == "-"
+        assert elastic_row[4].startswith("2d/")
+        assert elastic_row[4].endswith("/degraded")
+        assert elastic_row[5] == "yes"
+        assert result.metadata["supervision"]["chunked-elastic"]["degraded"]
+
+    def test_empty_backend_list_rejected(self):
+        with pytest.raises(ExperimentError, match="at least one backend"):
+            backend_comparison(backends=(), **self.QUICK_BACKENDS)

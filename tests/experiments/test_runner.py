@@ -31,7 +31,7 @@ class TestDefaultMethodSpecs:
         edges = clique_stream.edges()
         in_process = default_method_specs(0.5, 2, len(edges), methods=("rept",))[0]
         driven = default_method_specs(
-            0.5, 2, len(edges), methods=("rept",), rept_backend="chunked-serial"
+            0.5, 2, len(edges), methods=("rept",), rept_backend="serial"
         )[0]
         a = [e.global_count for e in run_trials(in_process, edges, 3, seed=9)]
         b = [e.global_count for e in run_trials(driven, edges, 3, seed=9)]

@@ -112,12 +112,23 @@ class TestTrafficMonitoringScenario:
 
 
 class TestDriverConsistencyOnDataset:
+    def test_serial_matches_estimator(self):
+        stream = load_dataset("web-google-sim").prefix(2000)
+        config = ReptConfig(m=3, c=7, seed=42, track_local=False)
+        serial = run_rept(stream.edges(), config, backend="serial")
+        direct = ReptEstimator(config).run(stream)
+        assert serial.global_count == direct.global_count
+
     def test_serial_matches_chunked(self):
         stream = load_dataset("web-google-sim").prefix(2000)
         config = ReptConfig(m=3, c=7, seed=42, track_local=False)
         serial = run_rept(stream.edges(), config, backend="serial")
-        chunked = run_rept(stream.edges(), config, backend="chunked-serial", chunk_size=300)
+        chunked = run_rept(
+            stream.edges(), config,
+            backend="chunked-elastic", chunk_size=300, max_workers=2,
+        )
         assert serial.global_count == chunked.global_count
+        assert serial.edges_stored == chunked.edges_stored
 
     def test_stream_order_changes_estimate_but_not_truth(self):
         stream = load_dataset("youtube-sim").prefix(1500)

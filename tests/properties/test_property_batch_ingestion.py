@@ -56,7 +56,7 @@ def _factories():
             ReptConfig(m=4, c=8, seed=SEED, track_local=False)
         ),
         "rept-driver": lambda: DriverBackedRept(
-            ReptConfig(m=3, c=5, seed=SEED), backend="chunked-serial", chunk_size=17
+            ReptConfig(m=3, c=5, seed=SEED), backend="serial"
         ),
     }
 

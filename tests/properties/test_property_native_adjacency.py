@@ -26,6 +26,7 @@ from repro.core.config import ReptConfig
 from repro.core.kernel import native_available
 from repro.core.state import GroupStateSet, ProcessorGroup
 from repro.hashing import make_hash_function
+from tests.conftest import zeroed_snapshot
 
 pytestmark = pytest.mark.skipif(not native_available(), reason="no C compiler available")
 
@@ -171,7 +172,7 @@ class TestSnapshotAndMerge:
         python, native = _pair(m, group_size)
         python.process_edges(edges[:cut], seen=None)
         native.process_edges(edges[:cut], seen=None)
-        # The later chunk, counted against the seeded cross-chunk adjacency.
+        # The later chunk, counted against the prefix's stored edges.
         later = ProcessorGroup(
             hash_function=make_hash_function("splitmix", m, seed=SEED),
             group_size=group_size,
@@ -179,7 +180,7 @@ class TestSnapshotAndMerge:
             track_local=True,
             track_eta=True,
         )
-        later.seed_adjacency(python.stored_edges())
+        later.restore(zeroed_snapshot(python))
         later.process_edges(edges[cut:], seen=None)
         snapshot = later.snapshot()
         python.merge_snapshot(snapshot)
@@ -188,25 +189,24 @@ class TestSnapshotAndMerge:
 
     @given(edges=edges_strategy, shape=shapes, cut=st.integers(0, 150))
     @settings(max_examples=30, deadline=None)
-    def test_seed_adjacency_interop(self, edges, shape, cut):
-        """Groups seeded from the other implementation's stored edges
-        continue identically — the chunked counting phase is kernel-free."""
+    def test_zeroed_restore_interop(self, edges, shape, cut):
+        """Groups restored from the other implementation's zeroed snapshot
+        hold its stored-edge index with zero counters, and continue
+        identically."""
         m, group_size = shape
         cut = min(cut, len(edges))
         source = _pair(m, group_size)[1]
         source.process_edges(edges[:cut], seen=None)
-        stored = source.stored_edges()
+        zeroed = zeroed_snapshot(source)
         python, native = _pair(m, group_size)
-        python.seed_adjacency(stored)
-        native.seed_adjacency(stored)
-        assert sorted(python.stored_edges()) == sorted(native.stored_edges())
-        # Seeding populates the adjacency only — counters stay zero.
+        python.restore(zeroed)
+        native.restore(zeroed)
+        assert sorted(python.stored_edges()) == sorted(source.stored_edges())
+        assert sorted(native.stored_edges()) == sorted(source.stored_edges())
         assert python.total_edges_stored() == native.total_edges_stored() == 0
         python.process_edges(edges[cut:], seen=None)
         native.process_edges(edges[cut:], seen=None)
-        assert python.tau_values() == native.tau_values()
-        assert python.eta_values() == native.eta_values()
-        assert python.summarise(True) == native.summarise(True)
+        _assert_groups_equal(python, native)
 
 
 class TestGroupArraysModel:

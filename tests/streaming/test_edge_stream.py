@@ -72,21 +72,6 @@ class TestViews:
         with pytest.raises(ValueError):
             list(EdgeStream([(1, 2)]).iter_batches(0))
 
-    def test_as_columns_int_stream_is_numpy(self):
-        import numpy as np
-
-        us, vs = EdgeStream([(1, 2), (3, 4)]).as_columns()
-        assert isinstance(us, np.ndarray) and us.dtype == np.int64
-        assert list(zip(us.tolist(), vs.tolist())) == [(1, 2), (3, 4)]
-        assert all(type(u) is int for u in us.tolist())
-
-    def test_as_columns_falls_back_for_non_int_nodes(self):
-        us, vs = EdgeStream([("a", "b"), ("c", "d")]).as_columns()
-        assert us == ["a", "c"] and vs == ["b", "d"]
-        # huge ints exceed int64 -> list fallback, identity preserved
-        us, vs = EdgeStream([(2**70, 1)]).as_columns()
-        assert us == [2**70]
-
 
 class TestValidationPropagation:
     def test_constructor_sets_validated(self):
