@@ -56,15 +56,13 @@ def test_bench_window_advance():
 
     # Merge-based monitor: arrival work per pane, then the timed advance —
     # an explicit watermark tick across the pane boundary that closes the
-    # due window by folding the pending pane delta (keep_pane_deltas=True
-    # is the merge-based accumulator path).
+    # due window by folding the pending pane delta into its accumulator.
     monitor = WindowedTriangleMonitor(
         WINDOW_SECONDS,
         slide_seconds=PANE_SECONDS,
         pane_seconds=PANE_SECONDS,
         config=CONFIG,
         origin=0.0,
-        keep_pane_deltas=True,
         record_replay=True,
     )
     advance_seconds = []

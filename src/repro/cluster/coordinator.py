@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.shard_map import ShardMap
 from repro.cluster.worker import ShardState, _encode_batch, worker_main
+from repro.core import portable
 from repro.core.combine import combine_group_estimates
 from repro.core.config import ReptConfig
 from repro.core.interning import NodeInterner
@@ -373,8 +374,8 @@ class ElasticCoordinator:
             except _WorkerDown as down:
                 self._handle_worker_failure(down.worker_id, down.reason)
                 continue
-            for shard_id, portable in portables.items():
-                self._adopt_restore_point(shard_id, portable)
+            for shard_id, point in portables.items():
+                self._adopt_restore_point(shard_id, point)
         for shard_id, shard in self._inline.items():
             self._adopt_restore_point(shard_id, shard.portable())
         if len(self._restore_points) == self.num_shards:
@@ -384,20 +385,20 @@ class ElasticCoordinator:
         self.counters["snapshot_rounds"] += 1
 
     def _adopt_restore_point(
-        self, shard_id: int, portable: Dict[str, object]
+        self, shard_id: int, point: Dict[str, object]
     ) -> None:
-        applied_seq = int(portable["applied_seq"])
+        applied_seq = int(point["applied_seq"])
         known = self._restore_points.get(shard_id)
         if known is not None and known[0] > applied_seq:
             return
-        self._restore_points[shard_id] = (applied_seq, portable)
+        self._restore_points[shard_id] = (applied_seq, point)
         if self.checkpoint_base is not None:
             try:
                 manager = CheckpointManager(
                     shard_checkpoint_dir(self.checkpoint_base, shard_id), keep=2
                 )
                 manager.save(
-                    portable,
+                    point,
                     stream_offset=applied_seq,
                     meta={
                         "shard_id": shard_id,
@@ -499,10 +500,10 @@ class ElasticCoordinator:
         self._drain(handle)
 
     def _restore_inline(self, shard_id: int) -> None:
-        seq, portable = self._restore_point(shard_id)
+        seq, point = self._restore_point(shard_id)
         shard = ShardState(self.config, shard_id, self._inline_interner)
-        if portable is not None:
-            shard.restore(portable)
+        if point is not None:
+            shard.restore(point)
         try:
             entries = self.wal.entries_after(seq)
         except LookupError as exc:
@@ -549,8 +550,8 @@ class ElasticCoordinator:
             except _WorkerDown as down:
                 self._handle_worker_failure(down.worker_id, down.reason)
                 continue
-            for shard_id, portable in portables.items():
-                self._adopt_restore_point(shard_id, portable)
+            for shard_id, point in portables.items():
+                self._adopt_restore_point(shard_id, point)
         # Recompute from the map: donor failures above may have re-homed
         # some shards already.
         placement = {
@@ -601,8 +602,8 @@ class ElasticCoordinator:
             except _WorkerDown as down:
                 self._handle_worker_failure(down.worker_id, down.reason)
                 return
-            for shard_id, portable in portables.items():
-                self._adopt_restore_point(shard_id, portable)
+            for shard_id, point in portables.items():
+                self._adopt_restore_point(shard_id, point)
         if handle is not None:
             try:
                 self._command(handle, ("stop",))
@@ -706,40 +707,39 @@ class ElasticCoordinator:
                 f"shards disagree on applied offsets {sorted(offsets)}; "
                 "snapshot rounds kept tearing"
             )
-        portables = [self._restore_points[s][1] for s in range(self.num_shards)]
-        return {
-            "snapshots": [portable["snapshot"] for portable in portables],
-            "seen": list(portables[0]["seen"]),
-        }
+        points = [self._restore_points[s][1] for s in range(self.num_shards)]
+        return portable.portable_state(
+            [point["snapshot"] for point in points], points[0]["seen"]
+        )
 
     def restore_portable(
         self, state: Dict[str, object], edges_processed: Optional[int] = None
     ) -> None:
-        """Adopt a portable state (from this cluster or a serial state set)."""
-        snapshots = state["snapshots"]
-        if len(snapshots) != self.num_shards:
-            raise ValueError(
-                f"expected {self.num_shards} group snapshots, got {len(snapshots)}"
-            )
+        """Adopt a portable state (from this cluster or a serial state set).
+
+        The state is checked before any shard changes.
+        """
+        snapshots, seen = portable.read_state(
+            state, [(size, self.config.m) for size in self.config.group_sizes()]
+        )
         self.flush()
-        seen = list(state["seen"])
         for shard_id in range(self.num_shards):
-            portable = {
+            point = {
                 "shard_id": shard_id,
                 "applied_seq": self._seq,
                 "snapshot": snapshots[shard_id],
                 "seen": seen,
             }
-            self._restore_points[shard_id] = (self._seq, portable)
+            self._restore_points[shard_id] = (self._seq, point)
             owner = self.shard_map.owner(shard_id)
             if owner is None:
                 shard = ShardState(self.config, shard_id, self._inline_interner)
-                shard.restore(portable)
+                shard.restore(point)
                 self._inline[shard_id] = shard
             else:
                 handle = self._workers[owner]
                 try:
-                    self._command(handle, ("assign", shard_id, portable))
+                    self._command(handle, ("assign", shard_id, point))
                 except _WorkerDown as down:
                     self._handle_worker_failure(down.worker_id, down.reason)
         self.wal.truncate_through(self.wal.last_seq)

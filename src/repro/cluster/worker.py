@@ -40,8 +40,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Set
 
+from repro.core import portable
 from repro.core.config import ReptConfig
-from repro.core.interning import NodeInterner, pack_pair, unpack_pair
+from repro.core.interning import NodeInterner
 from repro.core.state import first_flags
 from repro.testing.faults import maybe_fail
 
@@ -132,25 +133,38 @@ class ShardState:
     # -- migration ------------------------------------------------------------
 
     def portable(self) -> Dict[str, object]:
-        """Raw-keyed, picklable state: everything a migration must carry."""
-        nodes = self.interner.nodes
+        """Picklable state: everything a migration must carry.
+
+        ``snapshot`` and ``seen`` are portable parts (see
+        :mod:`repro.core.portable`), which the coordinator assembles as
+        they are.
+        """
         return {
             "shard_id": self.shard_id,
             "applied_seq": self.applied_seq,
             "snapshot": self.group.snapshot(),
-            "seen": [(nodes[lo], nodes[hi]) for lo, hi in map(unpack_pair, self.seen)],
+            "seen": portable.seen_part(self.interner.nodes, self.seen),
         }
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Adopt a :meth:`portable` payload produced on any worker."""
+        """Adopt a :meth:`portable` payload produced on any worker.
+
+        The parts are checked before anything changes; payloads in the
+        dict form of earlier versions (older per-shard checkpoints) are
+        read too.
+        """
         if state["shard_id"] != self.shard_id:
             raise ValueError(
                 f"portable state is for shard {state['shard_id']}, "
                 f"this is shard {self.shard_id}"
             )
-        self.group.restore(state["snapshot"])
-        intern = self.interner.intern
-        self.seen = {pack_pair(intern(u), intern(v)) for u, v in state["seen"]}
+        parts, seen = portable.read_parts(
+            [state["snapshot"]], state["seen"], [(self.group.group_size, self.group.m)]
+        )
+        (delta,), seen = portable.intern_parts(parts, seen, self.interner)
+        self.group.reset()
+        self.group.merge_deltas(delta)
+        self.seen = seen
         self.applied_seq = int(state["applied_seq"])
 
     # -- aggregates -----------------------------------------------------------

@@ -21,34 +21,27 @@ without touching a Python object:
     compiled lookup, which walks both endpoints' neighbour chains on the
     edge's slot in lockstep.
 
-``ColumnarDelta``
-    One group's pane delta (or snapshot, once internalised) as int64
-    columns: pane-new stored edges, detached per-edge counters, the
-    touched ``τ_v``/``η_v`` cells and the per-slot counter rows.  It reads
-    as a sequence of per-slot :class:`~repro.core.state.ProcessorCounters`,
-    built only when indexed, so every consumer of the dict protocol still
-    works; the monitor's hot path never indexes it.
-
 ``NativeProcessorGroup``
     A drop-in :class:`~repro.core.state.ProcessorGroup` subclass backed by
-    ``GroupArrays``.  Public semantics — snapshot/restore/merge, the
-    pane-delta protocol, aggregates and stored-edge introspection — are
-    preserved exactly (bit-identical counters, asserted by the kernel-parity
-    and pane-delta property suites), so the elastic, durable and monitor
-    paths are untouched at their boundaries.
-    ``restore``, ``merge_snapshot`` and ``merge_deltas`` share one fold
-    (:meth:`NativeProcessorGroup._fold_group`): new edges are appended in
-    one compiled call, the per-edge counters fold with the exact η
-    correction in another, and node cells and slot rows are numpy adds.
+    ``GroupArrays``.  It supplies the three primitives every state
+    boundary is built on (see :mod:`repro.core.portable`): ``columns``
+    reads the state as a :class:`~repro.core.portable.ColumnarDelta` with
+    one scan per counter block, ``merge_deltas`` folds one — new edges are
+    appended in one compiled call, the per-edge counters fold with the
+    exact η correction in another, and node cells and slot rows are numpy
+    adds — and ``reset`` drops the state.  Snapshots, restores, merges,
+    pane deltas, aggregates and stored-edge introspection are
+    bit-identical to the dict reference (asserted by the kernel-parity,
+    pane-delta and state-format property suites), so no per-edge Python
+    object is built at any boundary.
 
 Dict-equivalence notes (the subtle bits the parity suites pin down):
 
 * ``tau_local`` entries in the dict implementation are created only with
   strictly positive increments, so non-zero array cells recover the dict
-  exactly; explicit zero-valued entries can only arrive via merges of
-  pathological snapshots and are preserved in ``tau_zero`` side sets.
-  Counts are non-negative: a merged negative ``τ_v`` that later cancels
-  to zero leaves the dict a zero entry the arrays do not record.
+  exactly.  Explicit zero or negative entries could only arrive through a
+  merged snapshot, and the portable reader rejects any part with a
+  negative counter or a zero ``τ_v`` cell.
 * ``eta_local`` *does* receive zero increments in normal operation
   (``count_uw`` may be 0 when the wedge edge was stored this instant), and
   the dict keeps those explicit zero entries — ``eta_mark`` records
@@ -67,21 +60,15 @@ Dict-equivalence notes (the subtle bits the parity suites pin down):
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core import kernel as kernel_mod
 from repro.core.interning import NodeInterner, pack_pairs
-from repro.core.state import (
-    GroupSnapshot,
-    ProcessorCounters,
-    ProcessorGroup,
-    _internalize_processor,
-)
+from repro.core.portable import ColumnarDelta, columns
+from repro.core.state import ProcessorGroup, _check_group_size, _id_ordered
 from repro.hashing.base import EdgeHashFunction
-from repro.types import NodeId, canonical_edge
 
 _INIT_NODES = 64
 _INIT_EDGES = 64
@@ -92,117 +79,6 @@ def _grown(array: np.ndarray, cap: int) -> np.ndarray:
     out = np.zeros(cap, dtype=array.dtype)
     out[: array.shape[0]] = array
     return out
-
-
-def _columns(records, width: int) -> np.ndarray:
-    """``(width, n)`` C-contiguous int64 columns of ``n`` int records."""
-    return np.array(records, np.int64).reshape(-1, width).T.copy()
-
-
-def _cell_dict(cells: np.ndarray, slot: int) -> Dict[int, int]:
-    sel = cells[0] == slot
-    return dict(zip(cells[1, sel].tolist(), cells[2, sel].tolist()))
-
-
-class ColumnarDelta(SequenceABC):
-    """One native group's counters as int64 columns (see module docstring).
-
-    Every column block is a C-contiguous int64 array with one column per
-    entry:
-
-    * ``edges`` ``(3, n)`` — slot, lo, hi of the stored edges the delta
-      adds (the pane-new ones for a pane delta), id-ordered;
-    * ``tri`` ``(4, n)`` — slot, lo, hi, value of the per-edge counters
-      ``τ_(u,v)``;
-    * ``tau_cells`` ``(3, n)`` — slot, node, value of the ``τ_v`` entries
-      (explicit zero entries are cells with value 0);
-    * ``eta_cells`` ``(3, n)`` — slot, node, value of the ``η_v`` entries;
-    * ``rows`` ``(3, group_size)`` — ``τ``, ``η`` and ``edges_stored`` per
-      slot.
-
-    ``loose`` is ``None`` or the per-slot dicts of per-edge counters whose
-    edge the group does not store (rare; they ride along as they are).
-
-    Read-only :class:`~collections.abc.Sequence` of ``group_size``
-    :class:`~repro.core.state.ProcessorCounters`, each built when indexed,
-    so code written against per-slot counters (snapshot externalisation,
-    the dict group's merge) reads it unchanged.
-    """
-
-    __slots__ = ("edges", "tri", "tau_cells", "eta_cells", "rows", "loose")
-
-    def __init__(
-        self,
-        edges: np.ndarray,
-        tri: np.ndarray,
-        tau_cells: np.ndarray,
-        eta_cells: np.ndarray,
-        rows: np.ndarray,
-        loose: Optional[List[Dict[Tuple[int, int], int]]] = None,
-    ) -> None:
-        self.edges = edges
-        self.tri = tri
-        self.tau_cells = tau_cells
-        self.eta_cells = eta_cells
-        self.rows = rows
-        self.loose = loose
-
-    def __len__(self) -> int:
-        return self.rows.shape[1]
-
-    def __getitem__(self, slot: int) -> ProcessorCounters:
-        size = len(self)
-        if slot < 0:
-            slot += size
-        if not 0 <= slot < size:
-            raise IndexError("slot index out of range")
-        adjacency: Dict[int, Set[int]] = {}
-        edges = self.edges
-        for a, b in zip(*edges[1:, edges[0] == slot].tolist()):
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
-        tri = self.tri
-        sel = tri[0] == slot
-        edge_triangles = dict(zip(zip(*tri[1:3, sel].tolist()), tri[3, sel].tolist()))
-        if self.loose is not None:
-            edge_triangles.update(self.loose[slot])
-        rows = self.rows
-        return ProcessorCounters(
-            adjacency=adjacency,
-            tau=int(rows[0, slot]),
-            tau_local=_cell_dict(self.tau_cells, slot),
-            edge_triangles=edge_triangles,
-            eta=int(rows[1, slot]),
-            eta_local=_cell_dict(self.eta_cells, slot),
-            edges_stored=int(rows[2, slot]),
-        )
-
-
-def _counter_columns(laters: Sequence[ProcessorCounters]) -> ColumnarDelta:
-    """The :class:`ColumnarDelta` of per-slot (interned) counters.
-
-    ``edge_triangles`` keys must be id-ordered, as interned counters'
-    keys are.
-    """
-    edges = []
-    tri = []
-    tau_cells = []
-    eta_cells = []
-    rows = np.zeros((3, len(laters)), np.int64)
-    for slot, later in enumerate(laters):
-        for a, neighbors in later.adjacency.items():
-            edges.extend((slot, a, b) for b in neighbors if a < b)
-        tri.extend((slot, a, b, value) for (a, b), value in later.edge_triangles.items())
-        tau_cells.extend((slot, node, value) for node, value in later.tau_local.items())
-        eta_cells.extend((slot, node, value) for node, value in later.eta_local.items())
-        rows[:, slot] = (later.tau, later.eta, later.edges_stored)
-    return ColumnarDelta(
-        _columns(edges, 3),
-        _columns(tri, 4),
-        _columns(tau_cells, 3),
-        _columns(eta_cells, 3),
-        rows,
-    )
 
 
 class GroupArrays:
@@ -264,7 +140,6 @@ class GroupArrays:
         self.loose_tri: List[Dict[Tuple[int, int], int]] = [
             {} for _ in range(group_size)
         ]
-        self.tau_zero: List[Set[int]] = [set() for _ in range(group_size)]
         # Per-call-site cache of kernel argument tuples (raw ctypes
         # pointers + scalar input buffers).  Pointers die whenever a column
         # reallocates, so every growth clears this dict, and pickling drops
@@ -277,10 +152,12 @@ class GroupArrays:
         return state
 
     def __setstate__(self, state) -> None:
-        # Older pickles carry a (slot, u, v) -> eid dict and its sync mark;
-        # the compiled lookup replaced them.
+        # Older pickles carry a (slot, u, v) -> eid dict and its sync mark,
+        # which the compiled lookup replaced, and explicit zero τ_v cells,
+        # which no kernel writes.
         state.pop("_pair_eids", None)
         state.pop("_pair_sync", None)
+        state.pop("tau_zero", None)
         self.__dict__.update(state)
         self._call_cache = {}
 
@@ -384,7 +261,7 @@ class GroupArrays:
             if not loose:
                 continue
             keys = list(loose)
-            a, b = _columns(keys, 2)
+            a, b = columns(keys, 2)
             eids = kernel_mod.find_edges(np.full(len(keys), slot), a, b, self)
             for key, eid in zip(keys, eids.tolist()):
                 if eid >= 0:
@@ -393,109 +270,65 @@ class GroupArrays:
                         self.edge_tri[eid] = value
                         self.edge_seen[eid] = 1
 
-    # -- extraction ------------------------------------------------------------
+    # -- extraction and detachment ---------------------------------------------
 
-    def adjacency_dict(self, slot: int) -> Dict[int, List[int]]:
-        """Interned ``node -> [neighbors]`` of one slot, in eid order."""
+    def columns(self) -> ColumnarDelta:
+        """Every stored edge and counter as a :class:`ColumnarDelta`; changes nothing."""
         n = int(self.meta[1])
-        sel = np.flatnonzero(self.edge_slot[:n] == slot)
-        adjacency: Dict[int, List[int]] = {}
-        edge_u = self.edge_u
-        edge_v = self.edge_v
-        for e in sel:
-            a = int(edge_u[e])
-            b = int(edge_v[e])
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        return adjacency
-
-    def tau_local_dict(self, slot: int) -> Dict[int, int]:
-        if not self.track_local:
-            return {}
-        row = self.tau_local[slot]
-        out = {int(i): int(row[i]) for i in np.flatnonzero(row)}
-        for node in self.tau_zero[slot]:
-            out.setdefault(node, 0)
-        return out
-
-    def eta_local_dict(self, slot: int) -> Dict[int, int]:
-        if not self.has_eta_local:
-            return {}
-        row = self.eta_local[slot]
-        return {int(i): int(row[i]) for i in np.flatnonzero(self.eta_mark[slot])}
-
-    def edge_triangles_dict(self, slot: int) -> Dict[Tuple[int, int], int]:
-        n = int(self.meta[1])
-        sel = np.flatnonzero((self.edge_slot[:n] == slot) & (self.edge_seen[:n] != 0))
-        edge_u = self.edge_u
-        edge_v = self.edge_v
-        edge_tri = self.edge_tri
-        out = {
-            (int(edge_u[e]), int(edge_v[e])): int(edge_tri[e]) for e in sel
-        }
-        out.update(self.loose_tri[slot])
-        return out
-
-    # -- detachment (pane-delta protocol) --------------------------------------
+        edges = np.stack((self.edge_slot[:n], self.edge_u[:n], self.edge_v[:n]))
+        tri, _ = self._tri()
+        tau_cells, _ = self._cells(self.tau_local, self.tau_local)
+        eta_cells, _ = self._cells(self.eta_local, self.eta_mark)
+        return ColumnarDelta(edges, tri, tau_cells, eta_cells, self._rows())
 
     def detach(self, new_stored: np.ndarray) -> ColumnarDelta:
         """Detach every counter as a :class:`ColumnarDelta` and zero it.
 
         ``new_stored`` holds the ``(slot, u, v)`` columns of the edges
-        stored since the last detach; the adjacency stays.
+        stored since the last detach; the adjacency stays.  Each counter
+        block is scanned once, for both the columns and the zeroing.
         """
-        slots, u, v = new_stored
-        edges = np.stack((slots, np.minimum(u, v), np.maximum(u, v)))
+        tri, sel = self._tri()
+        self.edge_tri[sel] = 0
+        self.edge_seen[sel] = 0
+        self.loose_tri = [{} for _ in range(self.group_size)]
+        tau_cells, idx = self._cells(self.tau_local, self.tau_local)
+        self.tau_local.reshape(-1)[idx] = 0
+        eta_cells, idx = self._cells(self.eta_local, self.eta_mark)
+        self.eta_local.reshape(-1)[idx] = 0
+        self.eta_mark.reshape(-1)[idx] = 0
+        rows = self._rows()
+        self.tau[:] = 0
+        self.eta[:] = 0
+        self.edges_stored[:] = 0
+        return ColumnarDelta(_id_ordered(new_stored), tri, tau_cells, eta_cells, rows)
+
+    def _rows(self) -> np.ndarray:
+        return np.stack((self.tau, self.eta, self.edges_stored))
+
+    def _tri(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The per-edge counter columns, loose ones last, and the eids of the stored ones."""
         n = int(self.meta[1])
         sel = np.flatnonzero(self.edge_seen[:n])
         tri = np.stack(
             (self.edge_slot[sel], self.edge_u[sel], self.edge_v[sel], self.edge_tri[sel])
         )
-        self.edge_tri[sel] = 0
-        self.edge_seen[sel] = 0
-        loose = None
-        if any(self.loose_tri):
-            loose = self.loose_tri
-            self.loose_tri = [{} for _ in range(self.group_size)]
-        rows = np.stack((self.tau, self.eta, self.edges_stored))
-        self.tau[:] = 0
-        self.eta[:] = 0
-        self.edges_stored[:] = 0
-        return ColumnarDelta(
-            edges, tri, self._take_tau_cells(), self._take_eta_cells(), rows, loose
-        )
+        loose = [
+            (slot, a, b, value)
+            for slot, counters in enumerate(self.loose_tri)
+            for (a, b), value in counters.items()
+        ]
+        if loose:
+            tri = np.concatenate((tri, columns(loose, 4)), axis=1)
+        return tri, sel
 
-    def _take_tau_cells(self) -> np.ndarray:
-        if not self.track_local:
-            return _columns((), 3)
-        flat = self.tau_local.reshape(-1)
-        idx = np.flatnonzero(flat)
+    def _cells(self, values: np.ndarray, marks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The marked ``(slot, node, value)`` cells of a per-(slot, node) block
+        and their flat indices.  An untracked block is a ``(1, 1)`` zero
+        placeholder nothing writes, so it yields no cells."""
+        idx = np.flatnonzero(marks.reshape(-1))
         slots, nodes = np.divmod(idx, self.node_cap)
-        cells = np.stack((slots, nodes, flat[idx]))
-        if any(self.tau_zero):
-            zeros = [
-                (slot, node, 0)
-                for slot, members in enumerate(self.tau_zero)
-                for node in members
-                if self.tau_local[slot, node] == 0
-            ]
-            cells = np.concatenate((cells, _columns(zeros, 3)), axis=1)
-            for members in self.tau_zero:
-                members.clear()
-        flat[idx] = 0
-        return cells
-
-    def _take_eta_cells(self) -> np.ndarray:
-        if not self.has_eta_local:
-            return _columns((), 3)
-        marks = self.eta_mark.reshape(-1)
-        idx = np.flatnonzero(marks)
-        flat = self.eta_local.reshape(-1)
-        slots, nodes = np.divmod(idx, self.node_cap)
-        cells = np.stack((slots, nodes, flat[idx]))
-        flat[idx] = 0
-        marks[idx] = 0
-        return cells
+        return np.stack((slots, nodes, values.reshape(-1)[idx])), idx
 
 
 class NativeProcessorGroup(ProcessorGroup):
@@ -573,85 +406,17 @@ class NativeProcessorGroup(ProcessorGroup):
             if any(arrays.loose_tri):
                 arrays.settle_loose()
 
-    def _stored_pairs(self) -> Set[int]:
-        cache = self._pairs_cache
-        if cache is None:
-            cache = self._derive_stored_pairs()
-            self._pairs_cache = cache
-        return cache
+    # -- the kernel primitives: columns, fold and reset -------------------------
 
-    def _derive_stored_pairs(self) -> Set[int]:
-        arrays = self._arrays
-        n = arrays.n_edges
-        return set(pack_pairs(arrays.edge_u[:n], arrays.edge_v[:n]).tolist())
+    def columns(self) -> ColumnarDelta:
+        return self._arrays.columns()
 
-    # -- snapshot / merge ------------------------------------------------------
-
-    def snapshot(self) -> GroupSnapshot:
-        nodes = self.interner.nodes
-        arrays = self._arrays
-        processors = []
-        for slot in range(self.group_size):
-            processors.append(
-                {
-                    "adjacency": {
-                        nodes[iu]: [nodes[iv] for iv in neighbors]
-                        for iu, neighbors in arrays.adjacency_dict(slot).items()
-                    },
-                    "tau": int(arrays.tau[slot]),
-                    "tau_local": {
-                        nodes[node]: value
-                        for node, value in arrays.tau_local_dict(slot).items()
-                    },
-                    "edge_triangles": {
-                        canonical_edge(nodes[a], nodes[b]): value
-                        for (a, b), value in arrays.edge_triangles_dict(slot).items()
-                    },
-                    "eta": int(arrays.eta[slot]),
-                    "eta_local": {
-                        nodes[node]: value
-                        for node, value in arrays.eta_local_dict(slot).items()
-                    },
-                    "edges_stored": int(arrays.edges_stored[slot]),
-                }
-            )
-        return {"group_size": self.group_size, "m": self.m, "processors": processors}
-
-    def restore(self, snapshot: GroupSnapshot) -> None:
-        if snapshot["group_size"] != self.group_size or snapshot["m"] != self.m:
-            raise ValueError(
-                "snapshot shape mismatch: expected "
-                f"(group_size={self.group_size}, m={self.m}), got "
-                f"(group_size={snapshot['group_size']}, m={snapshot['m']})"
-            )
-        # Folding into fresh arrays *is* a restore: every prior is zero, so
-        # no correction fires and the counters are copied verbatim.
+    def reset(self) -> None:
         self._arrays = GroupArrays(self.group_size, self.track_local, self.track_eta)
         self._pairs_cache = None
-        intern = self.interner.intern
-        self._fold_group(
-            _counter_columns(
-                [_internalize_processor(entry, intern) for entry in snapshot["processors"]]
-            )
-        )
 
-    def merge_snapshot(self, snapshot: GroupSnapshot) -> None:
-        if snapshot["group_size"] != self.group_size or snapshot["m"] != self.m:
-            raise ValueError(
-                "cannot merge groups of different shape: expected "
-                f"(group_size={self.group_size}, m={self.m}), got "
-                f"(group_size={snapshot['group_size']}, m={snapshot['m']})"
-            )
-        intern = self.interner.intern
-        self._fold_group(
-            _counter_columns(
-                [_internalize_processor(entry, intern) for entry in snapshot["processors"]]
-            )
-        )
-        self._pairs_cache = None
-
-    def _fold_group(self, delta: ColumnarDelta) -> None:
-        """Fold a whole group's counters, slot by slot exactly like
+    def merge_deltas(self, delta: ColumnarDelta) -> None:
+        """Fold a whole group's columns, slot by slot exactly like
         :meth:`ProcessorCounters.merge`.
 
         1. The stored edges new to each slot are sorted slot-major and by
@@ -667,17 +432,10 @@ class NativeProcessorGroup(ProcessorGroup):
         Node columns grow to the ids the delta references, not to the
         shared interner.
         """
+        _check_group_size(delta, self.group_size)
         arrays = self._arrays
         edges = delta.edges
         tri = delta.tri
-        if delta.loose is not None:
-            extra = [
-                (slot, a, b, value)
-                for slot, loose in enumerate(delta.loose)
-                for (a, b), value in loose.items()
-            ]
-            if extra:
-                tri = np.concatenate((tri, _columns(extra, 4)), axis=1)
         top = -1
         for ids in (edges[1:], tri[1:3], delta.tau_cells[1], delta.eta_cells[1]):
             if ids.size:
@@ -712,9 +470,6 @@ class NativeProcessorGroup(ProcessorGroup):
             if cells.shape[1]:
                 slots, nodes, values = cells
                 np.add.at(arrays.tau_local, (slots, nodes), values)
-                zero = arrays.tau_local[slots, nodes] == 0
-                for slot, node in zip(slots[zero].tolist(), nodes[zero].tolist()):
-                    arrays.tau_zero[slot].add(node)
             cells = delta.eta_cells
             if arrays.has_eta_local and cells.shape[1]:
                 slots, nodes, values = cells
@@ -724,21 +479,10 @@ class NativeProcessorGroup(ProcessorGroup):
         arrays.tau += rows[0]
         arrays.eta += rows[1]
         arrays.edges_stored += rows[2]
-
-    # -- pane-delta protocol ---------------------------------------------------
+        self._pairs_cache = None
 
     def take_pane_deltas(self, new_stored: np.ndarray) -> ColumnarDelta:
         return self._arrays.detach(new_stored)
-
-    def merge_deltas(self, deltas: Sequence[ProcessorCounters]) -> None:
-        if len(deltas) != self.group_size:
-            raise ValueError(
-                f"expected {self.group_size} per-slot deltas, got {len(deltas)}"
-            )
-        if not isinstance(deltas, ColumnarDelta):
-            deltas = _counter_columns(deltas)
-        self._fold_group(deltas)
-        self._pairs_cache = None
 
     # -- aggregates ------------------------------------------------------------
 
@@ -758,14 +502,10 @@ class NativeProcessorGroup(ProcessorGroup):
             if not self.track_local:
                 return {}
             sums = arrays.tau_local.sum(axis=0)
-            out = {}
-            for i in np.flatnonzero(sums):
-                out[nodes[int(i)]] = float(sums[i]) if as_float else int(sums[i])
-            zero = 0.0 if as_float else 0
-            for zeros in arrays.tau_zero:
-                for node in zeros:
-                    out.setdefault(nodes[node], zero)
-            return out
+            return {
+                nodes[int(i)]: (float(sums[i]) if as_float else int(sums[i]))
+                for i in np.flatnonzero(sums)
+            }
         if not arrays.has_eta_local:
             return {}
         sums = arrays.eta_local.sum(axis=0)
@@ -774,20 +514,6 @@ class NativeProcessorGroup(ProcessorGroup):
             nodes[int(i)]: (float(sums[i]) if as_float else int(sums[i]))
             for i in np.flatnonzero(touched)
         }
-
-    # -- raw-keyed introspection -----------------------------------------------
-
-    def stored_edges(self) -> List[Tuple[int, NodeId, NodeId]]:
-        nodes = self.interner.nodes
-        arrays = self._arrays
-        records: List[Tuple[int, NodeId, NodeId]] = []
-        edge_u = arrays.edge_u
-        edge_v = arrays.edge_v
-        edge_slot = arrays.edge_slot
-        for e in range(arrays.n_edges):
-            cu, cv = canonical_edge(nodes[int(edge_u[e])], nodes[int(edge_v[e])])
-            records.append((int(edge_slot[e]), cu, cv))
-        return records
 
 
 def make_processor_group(

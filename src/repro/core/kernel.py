@@ -23,8 +23,8 @@ an all-int batch's interleaved endpoints and their dense ids that skips
 self-loops, canonicalises by raw value and writes the ids and the packed
 ``lo << 32 | hi`` pair keys with in-batch first flags.  It also carries the
 cold-path calls of the group fold
-(:meth:`~repro.core.adjacency.NativeProcessorGroup._fold_group`), which
-merges a whole group's pane delta, snapshot or seeded adjacency:
+(:meth:`~repro.core.adjacency.NativeProcessorGroup.merge_deltas`), which
+folds a whole group's pane delta, snapshot or restored state:
 
 * the bulk edge append (the ingest loop's store step and the bulk append
   share one edge insert);

@@ -67,26 +67,25 @@ each advance one through :meth:`GroupStateSet.process_edges`; the
 sliding-window monitor (:mod:`repro.streaming.monitor`) feeds shared
 encoded batches to one live and one accumulator state set per window.
 
-Pane deltas
------------
-The monitor additionally uses the *pane delta* protocol
-(:meth:`ProcessorGroup.take_pane_deltas` / :meth:`ProcessorGroup.merge_deltas`):
-a live group keeps its stored-edge index while its counters are detached
-and re-zeroed at every pane boundary, which leaves the group in exactly the
-zeroed-counters-at-a-boundary state the merge contract expects — so a
-window advances by folding one O(pane) delta instead of re-ingesting the
-window.
+State format and pane deltas
+----------------------------
+Every boundary moves a group's state as one
+:class:`~repro.core.portable.ColumnarDelta` of int64 columns.  Each kernel
+supplies three primitives — :meth:`ProcessorGroup.columns`, the fold
+:meth:`ProcessorGroup.merge_deltas` (with the exact η correction above)
+and :meth:`ProcessorGroup.reset` — and snapshot, restore and merge are
+built on them once here; :mod:`repro.core.portable` writes and reads the
+portable form.
 
-The delta's adjacency holds only the pane-new stored edges.  The caller
-names them: :meth:`GroupStateSet.ingest_encoded` with
-``collect_stored=True`` returns each group's stored edges of a batch as
-``(slot, iu, iv)`` int64 columns on either kernel, and the caller
-concatenates a pane's columns and hands them to the take.  A dict group's
-delta is ``group_size`` :class:`ProcessorCounters` — the reference.  An
-array-backed group's delta is one
-:class:`~repro.core.adjacency.ColumnarDelta` of int64 columns that reads
-as the same sequence of counters, and its fold is compiled, so no
-per-edge Python object is built, kept or walked on that path.
+The monitor's *pane delta* protocol (:meth:`ProcessorGroup.take_pane_deltas`)
+detaches a live group's counters at every pane boundary while the group
+keeps its stored-edge index — exactly the zeroed-counters-at-a-boundary
+state the merge contract expects — so a window advances by folding one
+O(pane) delta instead of re-ingesting the window.  The delta's stored
+edges are only the pane-new ones: :meth:`GroupStateSet.ingest_encoded`
+with ``collect_stored=True`` returns each group's stored edges of a batch
+as ``(slot, iu, iv)`` int64 columns, which the caller concatenates per
+pane and hands to the take.
 """
 
 from __future__ import annotations
@@ -96,16 +95,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.core import portable
 from repro.core.combine import GroupSummary, combine_group_estimates
 from repro.core.config import ReptConfig
-from repro.core.interning import NodeInterner, pack_pair, unpack_pair
+from repro.core.interning import NodeInterner, pack_pair, pack_pairs
+from repro.core.portable import ColumnarDelta, columns
 from repro.hashing.base import EdgeHashFunction
 from repro.types import EdgeTuple, NodeId, canonical_edge
 
-#: Picklable snapshot of one processor's state (see ProcessorCounters.snapshot).
-ProcessorSnapshot = Dict[str, object]
-
-#: Picklable snapshot of a whole group's state (see ProcessorGroup.snapshot).
+#: Picklable portable snapshot of a whole group (see :mod:`repro.core.portable`).
 GroupSnapshot = Dict[str, object]
 
 
@@ -161,32 +159,7 @@ class ProcessorCounters:
             self.edge_triangles[canonical_edge(u, v)] = closing_triangles
         self.edges_stored += 1
 
-    # -- snapshot / merge ----------------------------------------------------
-
-    def snapshot(self) -> ProcessorSnapshot:
-        """Return a picklable copy of the full processor state."""
-        return {
-            "adjacency": {node: list(neigh) for node, neigh in self.adjacency.items()},
-            "tau": self.tau,
-            "tau_local": dict(self.tau_local),
-            "edge_triangles": dict(self.edge_triangles),
-            "eta": self.eta,
-            "eta_local": dict(self.eta_local),
-            "edges_stored": self.edges_stored,
-        }
-
-    @classmethod
-    def restore(cls, snapshot: ProcessorSnapshot) -> "ProcessorCounters":
-        """Rebuild a processor from :meth:`snapshot` output."""
-        return cls(
-            adjacency={node: set(neigh) for node, neigh in snapshot["adjacency"].items()},
-            tau=snapshot["tau"],
-            tau_local=dict(snapshot["tau_local"]),
-            edge_triangles=dict(snapshot["edge_triangles"]),
-            eta=snapshot["eta"],
-            eta_local=dict(snapshot["eta_local"]),
-            edges_stored=snapshot["edges_stored"],
-        )
+    # -- merge ---------------------------------------------------------------
 
     def merge(self, later: "ProcessorCounters", track_local: bool = True) -> None:
         """Fold in the state of the same processor advanced over the *next* stretch.
@@ -445,13 +418,8 @@ class ProcessorGroup:
 
     def _derive_stored_pairs(self) -> Set[int]:
         """Rebuild the packed pair keys of every stored edge."""
-        return {
-            pack_pair(iu, iv)
-            for processor in self.processors
-            for iu, neighbors in processor.adjacency.items()
-            for iv in neighbors
-            if iu < iv
-        }
+        edges = self.columns().edges
+        return set(pack_pairs(edges[1], edges[2]).tolist())
 
     def _apply_closure(
         self, processor: ProcessorCounters, u: int, v: int, common: Set[int]
@@ -490,174 +458,108 @@ class ProcessorGroup:
                 edge_triangles[key_vw] = count_vw + 1
         return closed
 
-    # -- snapshot / merge ----------------------------------------------------
+    # -- the kernel primitives: columns, fold and reset ----------------------
+
+    def columns(self) -> ColumnarDelta:
+        """The group's whole state as interned columns; changes nothing."""
+        return counter_columns(self.processors)
+
+    def merge_deltas(self, delta: ColumnarDelta) -> None:
+        """Fold a later stretch's columns, interned by this group's interner.
+
+        The fold of every boundary — pane deltas, snapshots and restores —
+        with the exact η correction of :meth:`ProcessorCounters.merge`.
+        """
+        _check_group_size(delta, self.group_size)
+        node_bits = self._node_bits
+        track_local = self.track_local
+        for slot, (processor, later) in enumerate(
+            zip(self.processors, slot_counters(delta))
+        ):
+            processor.merge(later, track_local=track_local)
+            # Only the incoming stretch's nodes can gain this slot.
+            bit = 1 << slot
+            for node in later.adjacency:
+                node_bits[node] = node_bits.get(node, 0) | bit
+        self._pairs_cache = None
+
+    def reset(self) -> None:
+        """Drop every stored edge and counter."""
+        self.processors = [ProcessorCounters() for _ in range(self.group_size)]
+        self._node_bits = {}
+        self._pairs_cache = None
+
+    # -- snapshot / merge, built on the primitives ----------------------------
 
     def snapshot(self) -> GroupSnapshot:
-        """Return a picklable copy of the group's full state.
+        """The group's state as a portable part (see :mod:`repro.core.portable`).
 
-        Snapshots are *externalized*: all keys are raw node identifiers and
-        pair keys are canonical edges, so a snapshot taken in one process
-        (with its own interning order) restores or merges exactly in any
-        other.  The per-node slot index is not serialised — :meth:`restore`
-        rebuilds it from the adjacencies.
+        Raw node ids travel in the part's own node table, so a snapshot
+        taken in one process (with its own interning order) restores or
+        merges exactly in any other, on either kernel.
         """
-        nodes = self.interner.nodes
-        return {
-            "group_size": self.group_size,
-            "m": self.m,
-            "processors": [
-                _externalize_processor(processor, nodes) for processor in self.processors
-            ],
-        }
+        return self.externalize_deltas(self.columns())
 
     def restore(self, snapshot: GroupSnapshot) -> None:
         """Replace this group's state with :meth:`snapshot` output."""
-        if snapshot["group_size"] != self.group_size or snapshot["m"] != self.m:
-            raise ValueError(
-                "snapshot shape mismatch: expected "
-                f"(group_size={self.group_size}, m={self.m}), got "
-                f"(group_size={snapshot['group_size']}, m={snapshot['m']})"
-            )
-        intern = self.interner.intern
-        self.processors = [
-            _internalize_processor(entry, intern) for entry in snapshot["processors"]
-        ]
-        self._reindex_node_bits()
-        self._pairs_cache = None
+        delta = self._read(snapshot)
+        self.reset()
+        self.merge_deltas(delta)
 
     def merge(self, later: "ProcessorGroup") -> None:
         """Fold in a group advanced over the next stretch (see ProcessorCounters.merge).
 
         ``later`` must share this group's shape and hash function and must
         have been advanced from this group's adjacency (counters zero) over
-        the stream stretch immediately following this group's.
-        ``later`` may use a different interning table — the snapshot
-        externalizes its state.
+        the stream stretch immediately following this group's.  It may use
+        a different interning table — the snapshot carries raw node ids.
         """
         self.merge_snapshot(later.snapshot())
 
     def merge_snapshot(self, snapshot: GroupSnapshot) -> None:
         """Fold in a later stretch's snapshot without materialising its group."""
-        if snapshot["group_size"] != self.group_size or snapshot["m"] != self.m:
-            raise ValueError(
-                "cannot merge groups of different shape: expected "
-                f"(group_size={self.group_size}, m={self.m}), got "
-                f"(group_size={snapshot['group_size']}, m={snapshot['m']})"
-            )
-        intern = self.interner.intern
-        node_bits = self._node_bits
-        for slot, (processor, entry) in enumerate(
-            zip(self.processors, snapshot["processors"])
-        ):
-            later = _internalize_processor(entry, intern)
-            processor.merge(later, track_local=self.track_local)
-            # Incremental index update: only the incoming stretch's nodes
-            # can gain this slot (a full rebuild per merge is O(state)).
-            bit = 1 << slot
-            for node in later.adjacency:
-                node_bits[node] = node_bits.get(node, 0) | bit
-        self._pairs_cache = None
+        self.merge_deltas(self._read(snapshot))
+
+    def _read(self, snapshot: GroupSnapshot) -> ColumnarDelta:
+        """The columns of a snapshot, checked before anything is interned."""
+        (part,) = portable.read_groups([snapshot], [(self.group_size, self.m)])
+        return portable.intern_group(part, self.interner)
+
+    def externalize_deltas(self, delta: ColumnarDelta) -> GroupSnapshot:
+        """Write columns interned by this group's interner as a portable part.
+
+        For a pane delta the part is O(pane): its stored edges are only the
+        pane-new ones.  It merges anywhere via :meth:`merge_snapshot`.
+        """
+        return portable.group_part(self.group_size, self.m, self.interner.nodes, delta)
 
     # -- pane-delta protocol (windowed monitoring) ----------------------------
 
-    def take_pane_deltas(self, new_stored: np.ndarray) -> List[ProcessorCounters]:
-        """Detach the counters accumulated since the last call as per-slot deltas.
+    def take_pane_deltas(self, new_stored: np.ndarray) -> ColumnarDelta:
+        """Detach the counters accumulated since the last call as columns.
 
         ``new_stored`` holds the ``(slot, iu, iv)`` int64 columns (a
-        ``(3, n)`` array of interned ids, id-ordered or canonical — only set
-        membership matters) of the edges stored since the previous
-        boundary: the caller concatenates what
-        :meth:`GroupStateSet.ingest_encoded` returns with
-        ``collect_stored=True``.  The returned :class:`ProcessorCounters`
-        carry the pane's counter deltas plus an adjacency holding *only*
-        the pane-new stored edges.  (The array-backed group returns the
-        same counters as columns, see
-        :class:`~repro.core.adjacency.ColumnarDelta`.)
+        ``(3, n)`` array of interned ids, id-ordered or canonical) of the
+        edges stored since the previous boundary: the caller concatenates
+        what :meth:`GroupStateSet.ingest_encoded` returns with
+        ``collect_stored=True``.  The returned
+        :class:`~repro.core.portable.ColumnarDelta` carries the pane's
+        counter deltas and, as its stored edges, *only* the pane-new ones.
 
         After the call this group keeps its full stored-edge index (and node
         bitmasks) but has all counters zeroed, so the next pane accumulates
         one pane's worth of deltas, the shape :meth:`ProcessorCounters.merge`
         expects.
         """
-        per_slot_adjacency: List[Dict[int, Set[int]]] = [
-            {} for _ in self.processors
-        ]
-        for slot, iu, iv in zip(*new_stored.tolist()):
-            adjacency = per_slot_adjacency[slot]
-            neighbors = adjacency.get(iu)
-            if neighbors is None:
-                adjacency[iu] = {iv}
-            else:
-                neighbors.add(iv)
-            neighbors = adjacency.get(iv)
-            if neighbors is None:
-                adjacency[iv] = {iu}
-            else:
-                neighbors.add(iu)
-        deltas: List[ProcessorCounters] = []
-        for slot, processor in enumerate(self.processors):
-            deltas.append(
-                ProcessorCounters(
-                    adjacency=per_slot_adjacency[slot],
-                    tau=processor.tau,
-                    tau_local=processor.tau_local,
-                    edge_triangles=processor.edge_triangles,
-                    eta=processor.eta,
-                    eta_local=processor.eta_local,
-                    edges_stored=processor.edges_stored,
-                )
-            )
+        delta = counter_columns(self.processors, _id_ordered(new_stored))
+        for processor in self.processors:
             processor.tau = 0
             processor.tau_local = {}
             processor.edge_triangles = {}
             processor.eta = 0
             processor.eta_local = {}
             processor.edges_stored = 0
-        return deltas
-
-    def merge_deltas(self, deltas: Sequence[ProcessorCounters]) -> None:
-        """Fold per-slot pane deltas from a group sharing this group's interner.
-
-        The counterpart of :meth:`merge_snapshot` for deltas produced by
-        :meth:`take_pane_deltas` on a live group that shares this group's
-        interning table: keys are dense ids already, so no
-        externalize/internalize round trip is paid.  Applies the same exact
-        η correction through :meth:`ProcessorCounters.merge`.
-        """
-        if len(deltas) != len(self.processors):
-            raise ValueError(
-                f"expected {len(self.processors)} per-slot deltas, got {len(deltas)}"
-            )
-        node_bits = self._node_bits
-        track_local = self.track_local
-        for slot, (processor, delta) in enumerate(zip(self.processors, deltas)):
-            processor.merge(delta, track_local=track_local)
-            bit = 1 << slot
-            for node in delta.adjacency:
-                node_bits[node] = node_bits.get(node, 0) | bit
-        self._pairs_cache = None
-
-    def externalize_deltas(
-        self, deltas: Sequence[ProcessorCounters]
-    ) -> GroupSnapshot:
-        """Turn pane deltas into a raw-keyed :data:`GroupSnapshot`.
-
-        The result is a genuine snapshot — mergeable anywhere via
-        :meth:`merge_snapshot` — whose adjacency covers only the pane-new
-        stored edges, so its size is O(pane), not O(stream prefix).
-        """
-        return externalize_delta_snapshot(
-            self.group_size, self.m, self.interner.nodes, deltas
-        )
-
-    def _reindex_node_bits(self) -> None:
-        """Rebuild the node -> slot-bitmask index from the processor adjacencies."""
-        index: Dict[int, int] = {}
-        for slot, processor in enumerate(self.processors):
-            bit = 1 << slot
-            for node in processor.adjacency:
-                index[node] = index.get(node, 0) | bit
-        self._node_bits = index
+        return delta
 
     # -- aggregates ----------------------------------------------------------
 
@@ -723,59 +625,81 @@ class ProcessorGroup:
         Endpoints are in canonical order; record order is unspecified.
         """
         nodes = self.interner.nodes
-        records: List[Tuple[int, NodeId, NodeId]] = []
-        for slot, processor in enumerate(self.processors):
-            for iu, neighbors in processor.adjacency.items():
-                for iv in neighbors:
-                    if iu < iv:
-                        cu, cv = canonical_edge(nodes[iu], nodes[iv])
-                        records.append((slot, cu, cv))
-        return records
+        return [
+            (slot, *canonical_edge(nodes[a], nodes[b]))
+            for slot, a, b in zip(*self.columns().edges.tolist())
+        ]
 
 
-# -- snapshot translation ------------------------------------------------------
+# -- the dict reference's columns ---------------------------------------------
 
 
-def _externalize_processor(
-    processor: ProcessorCounters, nodes: List[NodeId]
-) -> ProcessorSnapshot:
-    """Translate an interned processor state into a raw-keyed snapshot."""
-    return {
-        "adjacency": {
-            nodes[iu]: [nodes[iv] for iv in neighbors]
-            for iu, neighbors in processor.adjacency.items()
-        },
-        "tau": processor.tau,
-        "tau_local": {nodes[iu]: value for iu, value in processor.tau_local.items()},
-        "edge_triangles": {
-            canonical_edge(nodes[a], nodes[b]): value
-            for (a, b), value in processor.edge_triangles.items()
-        },
-        "eta": processor.eta,
-        "eta_local": {nodes[iu]: value for iu, value in processor.eta_local.items()},
-        "edges_stored": processor.edges_stored,
-    }
+def _check_group_size(delta: ColumnarDelta, group_size: int) -> None:
+    if delta.group_size != group_size:
+        raise ValueError(
+            f"expected {group_size} per-slot deltas, got {delta.group_size}"
+        )
 
 
-def externalize_delta_snapshot(
-    group_size: int,
-    m: int,
-    nodes: List[NodeId],
-    deltas: Sequence[ProcessorCounters],
-) -> GroupSnapshot:
-    """Raw-keyed :data:`GroupSnapshot` from per-slot (interned) pane deltas.
+def _id_ordered(stored: np.ndarray) -> np.ndarray:
+    """``(slot, lo, hi)`` columns of ``(slot, iu, iv)`` stored-edge columns."""
+    slots, u, v = stored
+    return np.stack((slots, np.minimum(u, v), np.maximum(u, v)))
 
-    Standalone so delta holders (the monitor's pane ring) can externalize
-    without keeping a reference to the originating
-    :class:`ProcessorGroup` — only the group shape and the interner's
-    append-only id→node table are needed, and the table is shared
-    monitor-wide rather than per-window state.
+
+def counter_columns(
+    processors: Sequence[ProcessorCounters], edges: Optional[np.ndarray] = None
+) -> ColumnarDelta:
+    """The columns of per-slot (interned) counters.
+
+    ``edges`` replaces the stored edges the processors' adjacencies hold
+    (a pane delta carries only the pane-new ones).  ``edge_triangles``
+    keys are id-ordered, as interned counters' keys are.
     """
-    return {
-        "group_size": group_size,
-        "m": m,
-        "processors": [_externalize_processor(delta, nodes) for delta in deltas],
-    }
+    edge_records = []
+    tri = []
+    tau_cells = []
+    eta_cells = []
+    rows = np.zeros((3, len(processors)), np.int64)
+    for slot, processor in enumerate(processors):
+        if edges is None:
+            for a, neighbors in processor.adjacency.items():
+                edge_records.extend((slot, a, b) for b in neighbors if a < b)
+        tri.extend(
+            (slot, a, b, value) for (a, b), value in processor.edge_triangles.items()
+        )
+        tau_cells.extend((slot, node, value) for node, value in processor.tau_local.items())
+        eta_cells.extend((slot, node, value) for node, value in processor.eta_local.items())
+        rows[:, slot] = (processor.tau, processor.eta, processor.edges_stored)
+    return ColumnarDelta(
+        columns(edge_records, 3) if edges is None else edges,
+        columns(tri, 4),
+        columns(tau_cells, 3),
+        columns(eta_cells, 3),
+        rows,
+    )
+
+
+def slot_counters(delta: ColumnarDelta) -> List[ProcessorCounters]:
+    """The per-slot counters a group's columns hold (the dict reference's view)."""
+    laters = [ProcessorCounters() for _ in range(delta.group_size)]
+    for slot, a, b in zip(*delta.edges.tolist()):
+        adjacency = laters[slot].adjacency
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    for slot, a, b, value in zip(*delta.tri.tolist()):
+        laters[slot].edge_triangles[(a, b)] = value
+    for slot, node, value in zip(*delta.tau_cells.tolist()):
+        local = laters[slot].tau_local
+        local[node] = local.get(node, 0) + value
+    for slot, node, value in zip(*delta.eta_cells.tolist()):
+        local = laters[slot].eta_local
+        local[node] = local.get(node, 0) + value
+    for later, (tau, eta, stored) in zip(laters, delta.rows.T.tolist()):
+        later.tau = tau
+        later.eta = eta
+        later.edges_stored = stored
+    return laters
 
 
 def first_flags(
@@ -1068,9 +992,7 @@ class GroupStateSet:
 
     # -- pane-delta protocol --------------------------------------------------
 
-    def take_pane_deltas(
-        self, new_stored: Sequence[np.ndarray]
-    ) -> List[Sequence[ProcessorCounters]]:
+    def take_pane_deltas(self, new_stored: Sequence[np.ndarray]) -> List[ColumnarDelta]:
         """Detach every group's pane counters (see ProcessorGroup.take_pane_deltas).
 
         ``new_stored`` holds one group's ``(slot, iu, iv)`` columns per group.
@@ -1080,65 +1002,63 @@ class GroupStateSet:
             for group, records in zip(self.groups, new_stored)
         ]
 
-    def merge_pane_deltas(
-        self, deltas: Sequence[Sequence[ProcessorCounters]]
-    ) -> None:
+    def merge_pane_deltas(self, deltas: Sequence[ColumnarDelta]) -> None:
         """Fold per-group pane deltas from a state set sharing this interner."""
-        for group, group_deltas in zip(self.groups, deltas):
-            group.merge_deltas(group_deltas)
+        for group, delta in zip(self.groups, deltas):
+            group.merge_deltas(delta)
 
     # -- snapshot / merge -----------------------------------------------------
 
+    def _shapes(self) -> List[Tuple[int, int]]:
+        return [(group.group_size, group.m) for group in self.groups]
+
     def snapshot(self) -> List[GroupSnapshot]:
-        """Externalized snapshots of every group (picklable, raw-keyed)."""
+        """Portable snapshots of every group (see ProcessorGroup.snapshot)."""
         return [group.snapshot() for group in self.groups]
 
     def merge_snapshots(self, snapshots: Sequence[GroupSnapshot]) -> None:
-        """Fold one per-group snapshot list (one later stretch's states)."""
-        if len(snapshots) != len(self.groups):
-            raise ValueError(
-                f"expected {len(self.groups)} group snapshots, got {len(snapshots)}"
-            )
-        for group, snapshot in zip(self.groups, snapshots):
-            group.merge_snapshot(snapshot)
+        """Fold one per-group snapshot list (one later stretch's states).
+
+        Every snapshot is checked before any group changes.
+        """
+        parts = portable.read_groups(snapshots, self._shapes())
+        deltas = [portable.intern_group(part, self.interner) for part in parts]
+        for group, delta in zip(self.groups, deltas):
+            group.merge_deltas(delta)
 
     # -- durable state --------------------------------------------------------
 
     def portable_state(self) -> Dict[str, object]:
-        """The complete state in raw-keyed (interner-independent) form.
+        """The complete state in portable (interner-independent) form.
 
-        Extends :meth:`snapshot` with the stream-global first-occurrence
-        set, externalized to raw node pairs — everything a fresh process
-        needs to continue the stream bit-identically.  (The ``seen`` set is
-        in principle reconstructible from the snapshots' adjacencies, but
-        only via a subtle storability argument; serialising it explicitly
-        keeps recovery auditable.)  The result is picklable and checkpoint-
-        friendly; restore with :meth:`restore_portable`.
+        Extends :meth:`snapshot` with a part for the stream-global
+        first-occurrence set — everything a fresh process needs to continue
+        the stream bit-identically.  (The ``seen`` set is in principle
+        reconstructible from the stored edges, but only via a subtle
+        storability argument; serialising it keeps recovery auditable.)
+        The result is picklable and checkpoint-friendly; restore with
+        :meth:`restore_portable`.
         """
-        nodes = self.interner.nodes
-        return {
-            "snapshots": self.snapshot(),
-            "seen": [(nodes[lo], nodes[hi]) for lo, hi in map(unpack_pair, self.seen)],
-        }
+        return portable.portable_state(
+            self.snapshot(), portable.seen_part(self.interner.nodes, self.seen)
+        )
 
     def restore_portable(self, state: Dict[str, object]) -> None:
         """Replace this state set's contents with :meth:`portable_state` output.
 
-        The receiving state set must be freshly built from the same config
-        (group shapes are validated by :meth:`ProcessorGroup.restore`).
-        Interning order may differ from the originating process — slot
-        assignment keys on raw node identity, so the restored run is
-        bit-identical regardless.
+        The receiving state set must be built from the same config.  The
+        whole state is checked first (see :mod:`repro.core.portable`), so a
+        rejected one raises ``ValueError`` and changes nothing; the dict
+        form earlier versions wrote is read too.  Interning order may differ
+        from the originating process — slot assignment keys on raw node
+        identity, so the restored run is bit-identical regardless.
         """
-        snapshots = state["snapshots"]
-        if len(snapshots) != len(self.groups):
-            raise ValueError(
-                f"expected {len(self.groups)} group snapshots, got {len(snapshots)}"
-            )
-        for group, snapshot in zip(self.groups, snapshots):
-            group.restore(snapshot)
-        intern = self.interner.intern
-        self.seen = {pack_pair(intern(u), intern(v)) for u, v in state["seen"]}
+        parts, seen = portable.read_state(state, self._shapes())
+        deltas, seen = portable.intern_parts(parts, seen, self.interner)
+        for group, delta in zip(self.groups, deltas):
+            group.reset()
+            group.merge_deltas(delta)
+        self.seen = seen
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
@@ -1177,23 +1097,3 @@ class GroupStateSet:
         """Total edges currently stored across all groups."""
         return sum(group.total_edges_stored() for group in self.groups)
 
-
-def _internalize_processor(entry: ProcessorSnapshot, intern) -> ProcessorCounters:
-    """Rebuild an interned processor from a raw-keyed snapshot."""
-    edge_triangles: Dict[EdgeTuple, int] = {}
-    for (a, b), value in entry["edge_triangles"].items():
-        ia = intern(a)
-        ib = intern(b)
-        edge_triangles[(ia, ib) if ia < ib else (ib, ia)] = value
-    return ProcessorCounters(
-        adjacency={
-            intern(node): {intern(other) for other in neighbors}
-            for node, neighbors in entry["adjacency"].items()
-        },
-        tau=entry["tau"],
-        tau_local={intern(node): value for node, value in entry["tau_local"].items()},
-        edge_triangles=edge_triangles,
-        eta=entry["eta"],
-        eta_local={intern(node): value for node, value in entry["eta_local"].items()},
-        edges_stored=entry["edges_stored"],
-    )

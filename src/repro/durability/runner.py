@@ -8,8 +8,9 @@ resumable**: a run killed at any point and resumed from its checkpoint
 directory produces exactly the estimates of the uninterrupted run —
 
 * :func:`run_rept_durable` checkpoints the
-  :class:`~repro.core.state.GroupStateSet` through its portable (raw-node-
-  keyed) snapshot and advances each segment with
+  :class:`~repro.core.state.GroupStateSet` through its portable state
+  (:mod:`repro.core.portable`; checkpoints in the dict form of earlier
+  versions still resume) and advances each segment with
   :meth:`~repro.core.state.GroupStateSet.ingest_stream`, the serial
   driver's ingest call, so neither segment boundaries nor the crash point
   show up in the counters;
@@ -114,12 +115,6 @@ def run_rept_durable(
         checkpoint = _check_meta(report, expected_meta)
         if checkpoint is not None:
             state.restore_portable(checkpoint.payload)
-            # Checkpoints of the former shard-then-merge segment driver
-            # carry an empty ``seen``.  Adding every stored edge back is
-            # exact: a storeable edge is stored on its first arrival, and
-            # an edge no group can store never reads its flag.
-            for group in state.groups:
-                state.seen |= group._derive_stored_pairs()
             offset = checkpoint.stream_offset
 
     for position, segment in _segments(edges, offset, checkpoint_every):

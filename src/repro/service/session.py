@@ -418,11 +418,13 @@ class MonitorEngine(SessionEngine):
 
     def ingest_frame(self, frame: Sequence) -> int:
         records = _frame_timestamped(frame)
+        # The monitor rejects non-finite timestamps; the watermark timer
+        # ticks with _max_time, so it may only see times the monitor took.
+        self.monitor.ingest(records)
         if records:
             newest = max(record[2] for record in records)
             if self._max_time is None or newest > self._max_time:
                 self._max_time = newest
-        self.monitor.ingest(records)
         self.delivered += len(records)
         return len(records)
 

@@ -26,10 +26,11 @@ shared mergeable-state abstraction of :mod:`repro.core.state`:
   (:meth:`~repro.core.state.ProcessorCounters.merge`);
 * the window's **ring** of pane deltas is retained for per-pane
   attribution and diagnostics, and a closed window's result keeps it.
-  On the C kernel each pane delta is a handful of int64 column blocks per
-  group (:class:`~repro.core.adjacency.ColumnarDelta`), detached and folded
-  by compiled calls, so a ring holds a fixed number of Python objects
-  whatever its panes held; snapshots are externalized only when read.
+  Each pane delta is a handful of int64 column blocks per group
+  (:class:`~repro.core.portable.ColumnarDelta`), on the C kernel detached
+  and folded by compiled calls, so a ring holds a fixed number of Python
+  objects whatever its panes held; a pane's portable snapshots are
+  written only when read.
 
 Because every chain of one monitor shares the configuration's hash seeds
 and one interning table, each arriving batch is canonicalised, interned
@@ -62,14 +63,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.base import StreamingTriangleEstimator, TriangleEstimate
-from repro.core.adjacency import ColumnarDelta
+from repro.core import portable
 from repro.core.config import ReptConfig
+from repro.core.portable import ColumnarDelta
 from repro.exceptions import ConfigurationError
 from repro.core.state import (
     EncodedBatch,
     GroupSnapshot,
     GroupStateSet,
-    externalize_delta_snapshot,
+    counter_columns,
 )
 from repro.streaming.windows import TimestampedRecord
 from repro.types import EdgeTuple, NodeId
@@ -85,22 +87,19 @@ EstimatorFactory = Callable[[int], StreamingTriangleEstimator]
 class PaneDelta:
     """One retained pane of one window: counters detached at the boundary.
 
-    The pane's counters are kept as its groups' deltas: on the C kernel one
-    :class:`~repro.core.adjacency.ColumnarDelta` of int64 columns per
-    group, on the dict reference (and in older checkpoints) per-slot
-    :class:`~repro.core.state.ProcessorCounters` — both read as sequences
-    of per-slot counters.  :attr:`snapshots` holds one externalized
-    :data:`~repro.core.state.GroupSnapshot` per processor group whose
-    adjacency covers only the pane-new stored edges — a genuine mergeable
-    snapshot of O(pane) size, foldable anywhere via
-    :meth:`~repro.core.state.ProcessorGroup.merge_snapshot`.
-    Externalization (interned ids → raw node identifiers) is deferred to
-    first access so the monitor's hot path never pays for snapshots nobody
-    reads; the shared interning table is append-only, which is what makes
-    late translation safe.  A delta holds only the group *shapes*, the
-    monitor-wide id→node table and its own O(pane) counters — never the
-    window's live groups — so retaining closed-window results does not pin
-    per-window adjacency state.
+    The pane's counters are kept as one
+    :class:`~repro.core.portable.ColumnarDelta` of int64 columns per
+    processor group, on either kernel.  :attr:`snapshots` writes them as
+    portable group parts (see :mod:`repro.core.portable`) whose stored
+    edges are only the pane-new ones — genuine mergeable snapshots of
+    O(pane) size, foldable anywhere via
+    :meth:`~repro.core.state.ProcessorGroup.merge_snapshot`.  They are
+    written on first access, so the monitor's hot path never pays for
+    snapshots nobody reads; the shared interning table is append-only,
+    which is what makes late translation safe.  A delta holds only the
+    group *shapes*, the monitor-wide id→node table and its own O(pane)
+    counters — never the window's live groups — so retaining closed-window
+    results does not pin per-window adjacency state.
 
     Attribution note: records admitted late (within ``allowed_lateness``)
     are booked into the pane a window is assembling when they *arrive*;
@@ -119,25 +118,32 @@ class PaneDelta:
         self._deltas = deltas
         self._snapshots: Optional[Tuple[GroupSnapshot, ...]] = None
 
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        for name, value in slots.items():
+            setattr(self, name, value)
+        # Earlier versions kept per-slot ProcessorCounters lists on the dict
+        # reference and cached snapshots in the dict form.
+        self._deltas = [
+            delta if isinstance(delta, ColumnarDelta) else counter_columns(delta)
+            for delta in self._deltas
+        ]
+        self._snapshots = None
+
     @property
     def snapshots(self) -> Tuple[GroupSnapshot, ...]:
-        """Externalized per-group snapshots of this pane's deltas (cached)."""
+        """Portable per-group snapshots of this pane's deltas (cached)."""
         if self._snapshots is None:
             self._snapshots = tuple(
-                externalize_delta_snapshot(group_size, m, self._nodes, group_deltas)
-                for (group_size, m), group_deltas in zip(self._shapes, self._deltas)
+                portable.group_part(group_size, m, self._nodes, delta)
+                for (group_size, m), delta in zip(self._shapes, self._deltas)
             )
         return self._snapshots
 
     @property
     def tau_delta(self) -> int:
         """Summed semi-triangle increments of this pane (diagnostics)."""
-        return sum(
-            int(group_deltas.rows[0].sum())
-            if isinstance(group_deltas, ColumnarDelta)
-            else sum(counters.tau for counters in group_deltas)
-            for group_deltas in self._deltas
-        )
+        return sum(int(delta.rows[0].sum()) for delta in self._deltas)
 
 
 @dataclass(frozen=True)
@@ -165,14 +171,12 @@ class _MergeableReptChain:
     """One in-flight window of the REPT engine.
 
     The **live** state set ingests the window's records as they arrive.
-    With the pane ring enabled, every pane boundary detaches the live
-    counters as an O(pane) delta (the live groups keep their stored-edge
-    index with zeroed counters — the boundary state of the merge contract)
-    and folds it into the **accumulator** with the exact η correction; the
-    final estimate then comes from the accumulator.  With the ring
-    disabled the live counters are simply left cumulative and serve the
-    estimate directly — same counters, one fewer bookkeeping pass per
-    record.  Both paths are bit-identical to from-scratch re-ingestion.
+    Every pane boundary detaches the live counters as an O(pane) delta
+    (the live groups keep their stored-edge index with zeroed counters —
+    the boundary state of the merge contract), keeps it in the window's
+    ring and folds it into the **accumulator** with the exact η
+    correction; the final estimate comes from the accumulator,
+    bit-identical to from-scratch re-ingestion.
     """
 
     __slots__ = (
@@ -196,27 +200,17 @@ class _MergeableReptChain:
         start_pane: int,
         end_pane: int,
         record_replay: bool,
-        maintain_ring: bool,
     ) -> None:
         self.live = GroupStateSet(config, interner=interner, hash_functions=hash_functions)
+        self.acc = GroupStateSet(config, interner=interner, hash_functions=hash_functions)
         self.start_pane = start_pane
         self.end_pane = end_pane
         self.current_pane = start_pane
         self.records = 0
         self.pane_records = 0
         self.replay: Optional[List[EdgeTuple]] = [] if record_replay else None
-        if maintain_ring:
-            self.acc: Optional[GroupStateSet] = GroupStateSet(
-                config, interner=interner, hash_functions=hash_functions
-            )
-            self._pane_stored: Optional[List[List[np.ndarray]]] = [
-                [] for _ in self.live.groups
-            ]
-            self.ring: List[PaneDelta] = []
-        else:
-            self.acc = None
-            self._pane_stored = None
-            self.ring = []
+        self._pane_stored: List[List[np.ndarray]] = [[] for _ in self.live.groups]
+        self.ring: List[PaneDelta] = []
 
     def ingest(
         self,
@@ -233,16 +227,11 @@ class _MergeableReptChain:
         ``live.seen`` set then stays empty.  ``None`` falls back to the
         chain-local dedup scope (bit-identical, one set pass per chain).
         """
-        if self._pane_stored is None:
-            self.live.ingest_encoded(batch, firsts=firsts)
-        else:
-            self._roll_to(pane)
-            stored = self.live.ingest_encoded(
-                batch, collect_stored=True, firsts=firsts
-            )
-            for bucket, new in zip(self._pane_stored, stored):
-                if new.shape[1]:
-                    bucket.append(new)
+        self._roll_to(pane)
+        stored = self.live.ingest_encoded(batch, collect_stored=True, firsts=firsts)
+        for bucket, new in zip(self._pane_stored, stored):
+            if new.shape[1]:
+                bucket.append(new)
         self.records += batch.n_records
         self.pane_records += batch.n_records
         if self.replay is not None:
@@ -281,23 +270,18 @@ class _MergeableReptChain:
         for name, value in slots.items():
             setattr(self, name, value)
         # Older checkpoints collected stored edges as (slot, iu, iv) tuples.
-        if self._pane_stored is not None:
-            self._pane_stored = [
-                [np.array(bucket, np.int64).reshape(-1, 3).T.copy()]
-                if bucket and isinstance(bucket[0], tuple)
-                else bucket
-                for bucket in self._pane_stored
-            ]
+        self._pane_stored = [
+            [np.array(bucket, np.int64).reshape(-1, 3).T.copy()]
+            if bucket and isinstance(bucket[0], tuple)
+            else bucket
+            for bucket in self._pane_stored
+        ]
 
     def finalize(self) -> Tuple[int, TriangleEstimate]:
-        if self.acc is not None:
-            if self.pane_records:
-                self._roll()
-            state = self.acc
-        else:
-            state = self.live
-        estimate = state.estimate(self.records)
-        estimate.metadata["algorithm"] = 2.0 if state.config.uses_groups else 1.0
+        if self.pane_records:
+            self._roll()
+        estimate = self.acc.estimate(self.records)
+        estimate.metadata["algorithm"] = 2.0 if self.acc.config.uses_groups else 1.0
         return self.records, estimate
 
 
@@ -357,13 +341,6 @@ class WindowedTriangleMonitor:
     late_policy:
         ``"drop"`` (default) discards records for sealed panes and counts
         them in :attr:`late_records`; ``"raise"`` fails loudly.
-    keep_pane_deltas:
-        Maintain the ring of per-pane delta snapshots on each REPT chain
-        (surfaced in :attr:`MonitorWindowResult.pane_deltas` and
-        :meth:`open_pane_deltas`), assembling window estimates by merging
-        pane deltas into an accumulator.  ``False`` skips the per-pane roll
-        machinery entirely and serves estimates from the live counters —
-        identical values, leaner hot path.
     record_replay:
         Audit mode: every result carries the window's records in exact
         ingestion order (memory O(window) — testing and debugging).
@@ -383,7 +360,6 @@ class WindowedTriangleMonitor:
         origin: Optional[float] = None,
         allowed_lateness: float = 0.0,
         late_policy: str = "drop",
-        keep_pane_deltas: bool = True,
         record_replay: bool = False,
     ) -> None:
         if window_seconds <= 0:
@@ -424,7 +400,6 @@ class WindowedTriangleMonitor:
         self.seed = seed
         self.allowed_lateness = float(allowed_lateness)
         self.late_policy = late_policy
-        self.keep_pane_deltas = keep_pane_deltas
         self.record_replay = record_replay
 
         #: Results of every closed window, in window order.
@@ -624,7 +599,6 @@ class WindowedTriangleMonitor:
                 start_pane,
                 start_pane + self._window_panes,
                 self.record_replay,
-                self.keep_pane_deltas,
             )
             self._chains[window] = chain
         return chain
@@ -722,7 +696,7 @@ class WindowedTriangleMonitor:
             records, estimate = chain.finalize()
             if chain.replay is not None:
                 replay = chain.replay
-            if isinstance(chain, _MergeableReptChain) and self.keep_pane_deltas:
+            if isinstance(chain, _MergeableReptChain):
                 pane_deltas = tuple(chain.ring)
         result = MonitorWindowResult(
             index=window,

@@ -7,12 +7,15 @@ session-cached medium stream for statistical tests.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.portable import ColumnarDelta
 from repro.generators.planted import planted_clique_stream, planted_triangles_stream
 from repro.generators.random_graphs import barabasi_albert_stream
 from repro.graph.statistics import compute_statistics
 from repro.streaming.edge_stream import EdgeStream
+from repro.types import canonical_edge
 
 
 @pytest.fixture
@@ -63,9 +66,66 @@ def zeroed_snapshot(group):
     stream as a delta that :meth:`~repro.core.state.ProcessorGroup.merge`
     folds exactly.
     """
-    snapshot = group.snapshot()
-    for entry in snapshot["processors"]:
-        entry.update(
-            tau=0, tau_local={}, edge_triangles={}, eta=0, eta_local={}, edges_stored=0
+    columns = group.columns()
+    empty = np.empty((3, 0), np.int64)
+    return group.externalize_deltas(
+        ColumnarDelta(
+            columns.edges, np.empty((4, 0), np.int64), empty, empty, np.zeros_like(columns.rows)
         )
-    return snapshot
+    )
+
+
+def raw_snapshot(part):
+    """A portable group part as raw-keyed per-slot dicts, comparable with ``==``.
+
+    Each processor entry holds ``edges`` (a set of canonical raw edges),
+    ``tau``, ``tau_local``, ``edge_triangles`` (keyed by canonical raw
+    edge), ``eta``, ``eta_local`` and ``edges_stored``, so two parts
+    written under different interning orders compare equal.
+    """
+    nodes = part["nodes"]
+
+    def edge(a, b):
+        return canonical_edge(nodes[a], nodes[b])
+
+    processors = [
+        {"edges": set(), "tau_local": {}, "edge_triangles": {}, "eta_local": {}}
+        for _ in range(part["group_size"])
+    ]
+    for slot, a, b in zip(*part["edges"].tolist()):
+        processors[slot]["edges"].add(edge(a, b))
+    for slot, a, b, value in zip(*part["tri"].tolist()):
+        processors[slot]["edge_triangles"][edge(a, b)] = value
+    for slot, node, value in zip(*part["tau_cells"].tolist()):
+        processors[slot]["tau_local"][nodes[node]] = value
+    for slot, node, value in zip(*part["eta_cells"].tolist()):
+        processors[slot]["eta_local"][nodes[node]] = value
+    for entry, (tau, eta, stored) in zip(processors, part["rows"].T.tolist()):
+        entry.update(tau=tau, eta=eta, edges_stored=stored)
+    return {"group_size": part["group_size"], "m": part["m"], "processors": processors}
+
+
+def raw_seen(part):
+    """A portable ``seen`` part as a set of canonical raw edges."""
+    nodes = part["nodes"]
+    return {canonical_edge(nodes[a], nodes[b]) for a, b in zip(*part["pairs"].tolist())}
+
+
+def dict_snapshot(part):
+    """A portable group part rewritten in the raw-keyed dict form of earlier versions."""
+    raw = raw_snapshot(part)
+    for entry in raw["processors"]:
+        adjacency = {}
+        for u, v in entry.pop("edges"):
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
+        entry["adjacency"] = adjacency
+    return raw
+
+
+def dict_form(state):
+    """A portable state rewritten in the raw-keyed dict form of earlier versions."""
+    return {
+        "snapshots": [dict_snapshot(part) for part in state["snapshots"]],
+        "seen": list(raw_seen(state["seen"])),
+    }

@@ -248,5 +248,6 @@ class TestGroupStateSet:
     def test_merge_deltas_shape_validated(self):
         config = ReptConfig(m=4, c=4, seed=1)
         state = GroupStateSet(config)
+        narrow = GroupStateSet(ReptConfig(m=4, c=2, seed=1)).groups[0].columns()
         with pytest.raises(ValueError, match="per-slot deltas"):
-            state.groups[0].merge_deltas([ProcessorCounters()])
+            state.groups[0].merge_deltas(narrow)

@@ -36,6 +36,7 @@ from repro.testing.faults import (
     arm,
     truncate_file,
 )
+from tests.conftest import dict_form, raw_seen, raw_snapshot
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -58,24 +59,11 @@ def _assert_same_estimate(candidate, reference):
 
 
 def _canonical_payload(payload):
-    """A portable state with adjacency lists and ``seen`` put in sorted order."""
-    snapshots = [
-        dict(
-            snapshot,
-            processors=[
-                dict(
-                    entry,
-                    adjacency={
-                        node: sorted(neighbors)
-                        for node, neighbors in entry["adjacency"].items()
-                    },
-                )
-                for entry in snapshot["processors"]
-            ],
-        )
-        for snapshot in payload["snapshots"]
-    ]
-    return {"snapshots": snapshots, "seen": sorted(payload["seen"])}
+    """A portable state read with raw node ids, so interning order drops out."""
+    return (
+        [raw_snapshot(part) for part in payload["snapshots"]],
+        raw_seen(payload["seen"]),
+    )
 
 
 def _kill_plan(site, kill_segment, action="raise"):
@@ -110,16 +98,19 @@ class TestReptDurable:
 
     @pytest.mark.parametrize("m,c", [(2, 4), (4, 6)])
     def test_checkpoint_with_empty_seen_resumes_exactly(self, tmp_path, m, c):
-        """Checkpoints of the former shard-then-merge segment driver carry
-        ``seen: []``; resume rebuilds the flags from the stored edges."""
+        """Dict-form checkpoints of the former shard-then-merge segment
+        driver carry ``seen: []``; resume rebuilds the flags from the
+        stored edges."""
         config = ReptConfig(m=m, c=c, seed=17, track_local=True)
         reference = run_rept(EDGES, config, backend="serial")
         run_rept_durable(EDGES[:300], config, tmp_path, checkpoint_every=300)
         manager = CheckpointManager(tmp_path)
         written = manager.recover().checkpoint
-        assert written.payload["seen"]
+        assert raw_seen(written.payload["seen"])
         manager.save(
-            dict(written.payload, seen=[]), written.stream_offset, meta=written.meta
+            dict(dict_form(written.payload), seen=[]),
+            written.stream_offset,
+            meta=written.meta,
         )
         estimate, report = run_rept_durable(
             EDGES, config, tmp_path, checkpoint_every=300
@@ -166,14 +157,16 @@ class TestReptDurable:
         manager = CheckpointManager(tmp_path)
         written = manager.recover().checkpoint
         manager.save(
-            dict(written.payload, seen=[]), written.stream_offset, meta=written.meta
+            dict(dict_form(written.payload), seen=[]),
+            written.stream_offset,
+            meta=written.meta,
         )
         run_rept_durable(longer[:600], config, tmp_path, checkpoint_every=300)
         estimate, report = run_rept_durable(
             longer, config, tmp_path, checkpoint_every=300
         )
         assert report.checkpoint.stream_offset == 600
-        assert report.checkpoint.payload["seen"]
+        assert raw_seen(report.checkpoint.payload["seen"])
         _assert_same_estimate(estimate, reference)
         assert estimate.metadata.get("eta_hat") == reference.metadata.get("eta_hat")
 

@@ -7,11 +7,13 @@ import pickle
 import pytest
 
 from repro.core.config import ReptConfig
+from repro.core.state import slot_counters
 from repro.durability import run_monitor_durable
 from repro.exceptions import RecoveryError
 from repro.streaming.monitor import WindowedTriangleMonitor
 from repro.testing.faults import FaultPlan, FaultSpec, InjectedFault, arm
 from repro.utils.rng import as_random_source
+from tests.conftest import dict_snapshot, raw_snapshot
 
 CONFIG = ReptConfig(m=4, c=6, seed=11, track_local=True)
 
@@ -137,9 +139,9 @@ def _age_to_older_format(monitor):
     """Rewrite a monitor's pane state in the layout older checkpoints hold.
 
     Older monitors collected each chain's stored edges as ``(slot, iu, iv)``
-    tuples, kept rings of per-slot ``ProcessorCounters`` lists and gave
-    every array-backed group a ``(slot, u, v) -> eid`` dict with its sync
-    mark.
+    tuples, kept rings of per-slot ``ProcessorCounters`` lists with the
+    snapshots they had written cached in the dict form, and gave every
+    array-backed group a ``(slot, u, v) -> eid`` dict with its sync mark.
     """
     for chain in monitor._chains.values():
         chain._pane_stored = [
@@ -151,7 +153,8 @@ def _age_to_older_format(monitor):
             for bucket in chain._pane_stored
         ]
         for delta in chain.ring:
-            delta._deltas = [list(group_deltas) for group_deltas in delta._deltas]
+            delta._snapshots = tuple(dict_snapshot(part) for part in delta.snapshots)
+            delta._deltas = [slot_counters(group_delta) for group_delta in delta._deltas]
         for state in (chain.live, chain.acc):
             for group in state.groups:
                 arrays = getattr(group, "_arrays", None)
@@ -171,16 +174,7 @@ def _ring_rows(results):
                 delta.pane,
                 delta.records,
                 delta.tau_delta,
-                [
-                    {
-                        **snapshot,
-                        "processors": [
-                            {**p, "adjacency": {k: set(v) for k, v in p["adjacency"].items()}}
-                            for p in snapshot["processors"]
-                        ],
-                    }
-                    for snapshot in delta.snapshots
-                ],
+                [raw_snapshot(snapshot) for snapshot in delta.snapshots],
             )
             for delta in result.pane_deltas or ()
         ]

@@ -70,11 +70,10 @@ def _run(monitor, records):
     return closed
 
 
-@pytest.mark.parametrize("keep_ring", [True, False], ids=["pane-ring", "live-only"])
 @pytest.mark.parametrize("config_name", sorted(REPT_CONFIGS))
 @given(raw=raw_records, shape=window_shapes)
 @settings(max_examples=25, deadline=None)
-def test_rept_windows_bit_identical_to_reingestion(config_name, keep_ring, raw, shape):
+def test_rept_windows_bit_identical_to_reingestion(config_name, raw, shape):
     config = REPT_CONFIGS[config_name]
     window, slide, pane = shape
     monitor = WindowedTriangleMonitor(
@@ -83,7 +82,6 @@ def test_rept_windows_bit_identical_to_reingestion(config_name, keep_ring, raw, 
         pane_seconds=pane,
         config=config,
         allowed_lateness=3.0,
-        keep_pane_deltas=keep_ring,
         record_replay=True,
     )
     results = _run(monitor, _deliveries(raw))

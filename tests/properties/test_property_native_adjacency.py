@@ -243,12 +243,11 @@ class TestGroupArraysModel:
             model[slot].setdefault(u, set()).add(v)
             model[slot].setdefault(v, set()).add(u)
         assert arrays.n_edges == len(stored)
-        for slot in range(4):
-            got = {
-                node: set(neigh)
-                for node, neigh in arrays.adjacency_dict(slot).items()
-            }
-            assert got == model[slot]
+        got = {slot: {} for slot in range(4)}
+        for slot, a, b in zip(*arrays.columns().edges.tolist()):
+            got[slot].setdefault(a, set()).add(b)
+            got[slot].setdefault(b, set()).add(a)
+        assert got == model
 
     @given(
         edges=edges_strategy,

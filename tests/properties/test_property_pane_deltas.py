@@ -1,28 +1,26 @@
 """Property-based tests: native pane deltas ≡ the dict reference's.
 
-The array-backed groups detach each pane as int64 columns
-(:class:`~repro.core.adjacency.ColumnarDelta`) and fold them with compiled
-calls; the dict groups keep per-slot
+Both kernels detach each pane as int64 columns
+(:class:`~repro.core.portable.ColumnarDelta`); the array-backed groups
+read and fold them with compiled calls, the dict groups through per-slot
 :class:`~repro.core.state.ProcessorCounters`, the oracle.  Hypothesis
 drives a ``kernel="auto"`` state set and a ``kernel="python"`` one through
 the same panes and checks, after every take, that
 
-* the per-slot counters the native delta builds equal the dict delta's —
-  adjacency, ``τ``, ``τ_v`` (explicit zeros included), ``τ_(u,v)``,
-  ``η``, ``η_v`` and ``edges_stored``;
-* so do the raw-keyed ``externalize_deltas`` snapshots;
+* the deltas written as portable parts and read with raw ids agree —
+  stored edges, ``τ``, ``τ_v``, ``τ_(u,v)``, ``η``, ``η_v`` (explicit
+  zeros included) and ``edges_stored``;
 * the live counters are zero, and each accumulator's ``snapshot()``
   agrees after every fold.
 
-Between panes the runs may merge malformed-but-well-typed snapshots that
-carry loose per-edge keys (edges the group does not store) and
-zero-valued ``τ_v`` entries, into the live sets or the accumulators, so
-the loose side dicts, their settling once an edge gets stored, and the
-``tau_zero`` cells are covered too.  A second property pickles a whole
-monitor mid-pane, resumes it and compares every window, pane-delta
-snapshot and ``tau_delta`` with an uninterrupted dict-reference monitor.
-Under ``REPRO_KERNEL=python`` both sides run the dict groups, which keeps
-the monitor and pane paths in the pure-Python lane.
+Between panes the runs may merge odd but valid snapshots that carry loose
+per-edge keys (edges the group does not store) into the live sets or the
+accumulators, so the loose side dicts and their settling once an edge gets
+stored are covered too.  A second property pickles a whole monitor
+mid-pane, resumes it and compares every window, pane-delta snapshot and
+``tau_delta`` with an uninterrupted dict-reference monitor.  Under
+``REPRO_KERNEL=python`` both sides run the dict groups, which keeps the
+monitor and pane paths in the pure-Python lane.
 """
 
 from __future__ import annotations
@@ -35,13 +33,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adjacency import ColumnarDelta, NativeProcessorGroup
+from repro.core import portable
+from repro.core.adjacency import NativeProcessorGroup
 from repro.core.config import ReptConfig
 from repro.core.kernel import native_available
+from repro.core.portable import ColumnarDelta, columns
 from repro.core.state import GroupStateSet, ProcessorGroup
 from repro.hashing import make_hash_function
 from repro.streaming.monitor import WindowedTriangleMonitor
 from repro.types import canonical_edge
+from tests.conftest import raw_snapshot
 
 SEED = 20261017
 NODES = 12
@@ -63,103 +64,62 @@ def _config(name, track_local, kernel):
     return ReptConfig(seed=SEED, track_local=track_local, kernel=kernel, **CONFIGS[name])
 
 
-def _raw_counters(counters, nodes):
-    """A per-slot ProcessorCounters keyed by raw node ids."""
-    return {
-        "adjacency": {
-            nodes[a]: {nodes[b] for b in neighbors}
-            for a, neighbors in counters.adjacency.items()
-        },
-        "tau": counters.tau,
-        "tau_local": {nodes[n]: v for n, v in counters.tau_local.items()},
-        "edge_triangles": {
-            canonical_edge(nodes[a], nodes[b]): v
-            for (a, b), v in counters.edge_triangles.items()
-        },
-        "eta": counters.eta,
-        "eta_local": {nodes[n]: v for n, v in counters.eta_local.items()},
-        "edges_stored": counters.edges_stored,
-    }
-
-
-def _comparable(snapshot):
-    """A group snapshot with adjacency lists as sets (their order is free)."""
-    return {
-        **snapshot,
-        "processors": [
-            {
-                **entry,
-                "adjacency": {
-                    node: set(neighbors) for node, neighbors in entry["adjacency"].items()
-                },
-            }
-            for entry in snapshot["processors"]
-        ],
-    }
+def _part(group_size, m, edges, tri, tau_cells=(), eta_cells=(), rows=None):
+    """A portable group part over raw node ids ``0..NODES-1``."""
+    delta = ColumnarDelta(
+        columns(edges, 3),
+        columns(tri, 4),
+        columns(tau_cells, 3),
+        columns(eta_cells, 3),
+        np.zeros((3, group_size), np.int64) if rows is None else columns(rows, 3),
+    )
+    return portable.group_part(group_size, m, list(range(NODES)), delta)
 
 
 def _odd_snapshot(group, rng, with_adjacency, upcoming):
-    """A well-typed snapshot with loose keys and zero-valued ``τ_v`` cells.
+    """A valid snapshot whose per-edge keys are often loose.
 
     Per-edge keys come from the stream's upcoming edges (often not stored
     yet, stored later), a small pool of repeated pairs and the whole node
-    universe; ``τ_v`` values include 0, which a node without a prior count
-    keeps as an explicit zero entry.  Values stay non-negative, as counts
-    are (see the notes in :mod:`repro.core.adjacency`).  Counter kinds the
-    group does not track stay empty, as in any snapshot it could take.
+    universe.  Counts are non-negative and ``τ_v`` cells positive, as the
+    portable reader requires.  Counter kinds the group does not track stay
+    empty, as in any snapshot it could take.
     """
     candidates = [(u, v) for u, v in upcoming[:40] if u != v] + LOOSE_POOL
-    processors = []
-    for _ in range(group.group_size):
-        adjacency = {}
+    edges, tri, tau_cells, eta_cells, rows = [], [], [], [], []
+    for slot in range(group.group_size):
+        stored = 0
         if with_adjacency:
             for _ in range(rng.randint(0, 3)):
-                u, v = rng.sample(range(NODES), 2)
-                adjacency.setdefault(u, []).append(v)
-                adjacency.setdefault(v, []).append(u)
-        edge_triangles = {}
+                edges.append((slot, *sorted(rng.sample(range(NODES), 2))))
+            stored = rng.randint(0, 2)
         if group.track_eta:
+            keys = {}
             for _ in range(rng.randint(0, 4)):
                 u, v = rng.choice(candidates) if rng.random() < 0.8 else rng.sample(range(NODES), 2)
-                edge_triangles[canonical_edge(u, v)] = rng.randint(0, 3)
-        tau_local = {}
-        eta_local = {}
+                keys[canonical_edge(u, v)] = rng.randint(0, 3)
+            tri.extend((slot, a, b, value) for (a, b), value in keys.items())
         if group.track_local:
-            tau_local = {rng.randrange(NODES): rng.randint(0, 2) for _ in range(rng.randint(0, 3))}
+            cells = {rng.randrange(NODES): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
+            tau_cells.extend((slot, node, value) for node, value in cells.items())
             if group.track_eta:
-                eta_local = {rng.randrange(NODES): rng.randint(0, 2) for _ in range(rng.randint(0, 2))}
-        processors.append(
-            {
-                "adjacency": adjacency,
-                "tau": rng.randint(0, 3),
-                "tau_local": tau_local,
-                "edge_triangles": edge_triangles,
-                "eta": rng.randint(0, 3) if group.track_eta else 0,
-                "eta_local": eta_local,
-                "edges_stored": rng.randint(0, 2) if with_adjacency else 0,
-            }
-        )
-    return {"group_size": group.group_size, "m": group.m, "processors": processors}
+                cells = {rng.randrange(NODES): rng.randint(0, 2) for _ in range(rng.randint(0, 2))}
+                eta_cells.extend((slot, node, value) for node, value in cells.items())
+        rows.append((rng.randint(0, 3), rng.randint(0, 3) if group.track_eta else 0, stored))
+    return _part(group.group_size, group.m, edges, tri, tau_cells, eta_cells, rows)
 
 
 def _assert_takes_agree(native, python, native_deltas, python_deltas):
     for n_group, p_group, n_delta, p_delta in zip(
         native.groups, python.groups, native_deltas, python_deltas
     ):
-        if native.kernel != "python":
-            assert isinstance(n_delta, ColumnarDelta)
-        assert len(n_delta) == len(p_delta) == n_group.group_size
-        n_nodes = native.interner.nodes
-        p_nodes = python.interner.nodes
-        for slot in range(n_group.group_size):
-            counters = _raw_counters(n_delta[slot], n_nodes)
-            assert counters == _raw_counters(p_delta[slot], p_nodes)
-            # The adjacency holds exactly the edges stored this pane.
-            degrees = sum(len(neighbors) for neighbors in counters["adjacency"].values())
-            assert degrees == 2 * counters["edges_stored"]
-        assert _comparable(n_group.externalize_deltas(n_delta)) == _comparable(
-            p_group.externalize_deltas(p_delta)
-        )
+        assert isinstance(n_delta, ColumnarDelta) and isinstance(p_delta, ColumnarDelta)
+        assert n_delta.group_size == p_delta.group_size == n_group.group_size
+        raw = raw_snapshot(n_group.externalize_deltas(n_delta))
+        assert raw == raw_snapshot(p_group.externalize_deltas(p_delta))
+        # The stored edges are exactly the ones stored this pane.
+        for entry in raw["processors"]:
+            assert len(entry["edges"]) == entry["edges_stored"]
 
 
 def _assert_live_zero(state):
@@ -167,15 +127,15 @@ def _assert_live_zero(state):
         assert group.tau_values() == [0] * group.group_size
         assert group.eta_values() == [0] * group.group_size
         assert group.total_edges_stored() == 0
-        for entry in group.snapshot()["processors"]:
+        for entry in raw_snapshot(group.snapshot())["processors"]:
             assert entry["tau_local"] == {}
             assert entry["edge_triangles"] == {}
             assert entry["eta_local"] == {}
 
 
 def _assert_snapshots_agree(native, python):
-    assert [_comparable(s) for s in native.snapshot()] == [
-        _comparable(s) for s in python.snapshot()
+    assert [raw_snapshot(s) for s in native.snapshot()] == [
+        raw_snapshot(s) for s in python.snapshot()
     ]
 
 
@@ -269,22 +229,13 @@ class TestLooseCounterRegression:
     """A loose per-edge counter becomes the prior once its edge is stored."""
 
     @staticmethod
-    def _snapshot(adjacency, edge_triangles):
-        return {
-            "group_size": 1,
-            "m": 1,
-            "processors": [
-                {
-                    "adjacency": adjacency,
-                    "tau": 0,
-                    "tau_local": {},
-                    "edge_triangles": edge_triangles,
-                    "eta": 0,
-                    "eta_local": {},
-                    "edges_stored": 0,
-                }
-            ],
-        }
+    def _snapshot(edges, edge_triangles):
+        return _part(
+            1,
+            1,
+            [(0, a, b) for a, b in edges],
+            [(0, a, b, value) for (a, b), value in edge_triangles.items()],
+        )
 
     @pytest.mark.parametrize("kind", ["python", "native"])
     def test_fold_uses_loose_value_as_prior(self, kind):
@@ -298,9 +249,9 @@ class TestLooseCounterRegression:
             track_local=True,
             track_eta=True,
         )
-        group.merge_snapshot(self._snapshot({3: [4], 4: [3]}, {(1, 2): 5, (3, 4): 1}))
-        group.merge_snapshot(self._snapshot({1: [2], 2: [1]}, {(1, 2): 2}))
-        (entry,) = group.snapshot()["processors"]
+        group.merge_snapshot(self._snapshot([(3, 4)], {(1, 2): 5, (3, 4): 1}))
+        group.merge_snapshot(self._snapshot([(1, 2)], {(1, 2): 2}))
+        (entry,) = raw_snapshot(group.snapshot())["processors"]
         assert entry["eta"] == 10
         assert entry["edge_triangles"] == {(1, 2): 7, (3, 4): 1}
         assert entry["eta_local"] == {1: 10, 2: 10}
@@ -312,14 +263,14 @@ class TestLooseCounterRegression:
         snapshots = []
         for kernel in ("auto", "python"):
             state = GroupStateSet(ReptConfig(m=1, c=1, seed=1, track_eta=True), kernel=kernel)
-            state.merge_snapshots([self._snapshot({}, {(1, 2): 5})])
+            state.merge_snapshots([self._snapshot([], {(1, 2): 5})])
             edges = [(1, 2), (2, 3), (1, 3)]
             if per_edge:
                 for u, v in edges:
                     state.process_edge(u, v)
             else:
                 state.process_edges(edges)
-            snapshots.append([_comparable(s) for s in state.snapshot()])
+            snapshots.append([raw_snapshot(s) for s in state.snapshot()])
         assert snapshots[0] == snapshots[1]
         (entry,) = snapshots[1][0]["processors"]
         assert entry["edge_triangles"][(1, 2)] == 1
@@ -352,7 +303,7 @@ def _window_rows(results):
                         delta.pane,
                         delta.records,
                         delta.tau_delta,
-                        [_comparable(s) for s in delta.snapshots],
+                        [raw_snapshot(s) for s in delta.snapshots],
                     )
                     for delta in result.pane_deltas or ()
                 ],

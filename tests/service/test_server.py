@@ -235,6 +235,32 @@ class TestTimers:
         assert [w["index"] for w in windows] == [0, 1]
         assert windows[0]["records"] == 2
 
+    def test_non_finite_timestamp_leaves_watermark_timer_running(self):
+        # The wire decoder reads 1e999 and Infinity as inf.  The monitor
+        # rejects the frame, so it must not reach the timer's watermark.
+        async def scenario():
+            service = EstimationService(watermark_interval_seconds=0.02)
+            client = InProcessClient(service)
+            await client.open("m", engine=MONITOR)
+            await client.ingest("m", [[1, 2, 1.0]], timestamped=True)
+            session = service.sessions["m"]
+            await session.queue.join()
+            before = session.engine.max_event_time
+            service.start_timers()
+            await client.ingest("m", [[1, 2, float("inf")]], timestamped=True)
+            await session.queue.join()
+            await asyncio.sleep(0.1)
+            (timer,) = service._timers
+            running = not timer.done()
+            after = session.engine.max_event_time
+            response = await client.shutdown()
+            return before, after, running, response
+
+        before, after, running, response = asyncio.run(scenario())
+        assert running
+        assert after == before == 1.0
+        assert response["drained"] == ["m"]
+
     def test_checkpoint_timer_writes_generations(self, tmp_path):
         async def scenario():
             service = EstimationService(
