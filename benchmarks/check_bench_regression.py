@@ -8,7 +8,9 @@ file, or forced with ``--kind``):
 
 * **ingest** — ``BENCH_ingest.json`` (written to ``benchmarks/out/`` by
   ``benchmarks/test_bench_ingest_throughput.py``): every cell's **batch
-  throughput** is gated, calibrated by the per-edge reference path;
+  throughput** is gated, and so is every non-python cell's **per-edge
+  throughput** (the compiled per-edge call), both calibrated by the
+  python cells' per-edge reference path;
 * **service** — ``BENCH_service.json`` (written to ``benchmarks/out/`` by
   ``benchmarks/test_bench_service.py``): the multi-tenant
   **aggregate delivered eps** of the estimation service is gated,
@@ -40,7 +42,9 @@ improvement (or vice versa).  The calibration factor is computed from
 python-kernel cells only — their per-edge path is the un-optimised
 reference loop, while a native cell's per-edge path goes through the
 compiled kernel and would fold kernel regressions into the hardware
-factor.
+factor.  That is also why a native cell's ``per_edge_eps`` is gated like
+its batch figure: the same tolerance, against the baseline rescaled by
+the same factor, under either metric.
 
 Environment overrides (also available as flags):
 
@@ -149,7 +153,7 @@ def check_regression(
         return 2
 
     factor = 1.0
-    if calibrate and metric == "batch_eps":
+    if calibrate:
         # Python-kernel cells only: their per-edge path is the un-optimised
         # reference loop.  A native cell's per-edge path runs the compiled
         # kernel, so including it would launder kernel regressions into the
@@ -182,29 +186,38 @@ def check_regression(
         file=out,
     )
     failures: List[str] = []
-    for key in matched:
-        m, c, hash_kind, kernel, fraction = key
-        base_cell = baseline[key]
-        fresh_cell = fresh[key]
-        if metric == "speedup":
-            expected = float(base_cell["speedup"])
-            observed = float(fresh_cell["speedup"])
-        else:
-            expected = float(base_cell["batch_eps"]) * factor
-            observed = float(fresh_cell["batch_eps"])
+
+    def gate(cell: str, name: str, expected: float, observed: float) -> None:
         floor = expected * (1.0 - tolerance)
         status = "ok" if observed >= floor else "REGRESSED"
         print(
-            f"  m={m} c={c} hash={hash_kind} kernel={kernel} frac={fraction}: "
-            f"{metric} {observed:,.2f} vs expected {expected:,.2f} "
+            f"  {cell}: {name} {observed:,.2f} vs expected {expected:,.2f} "
             f"(floor {floor:,.2f}) {status}",
             file=out,
         )
         if observed < floor:
             failures.append(
-                f"m={m} c={c} hash={hash_kind} kernel={kernel} frac={fraction}: "
-                f"{observed:,.2f} < {floor:,.2f} "
+                f"{cell}: {name} {observed:,.2f} < {floor:,.2f} "
                 f"({1.0 - observed / expected:.1%} below baseline)"
+            )
+
+    for key in matched:
+        m, c, hash_kind, kernel, fraction = key
+        base_cell = baseline[key]
+        fresh_cell = fresh[key]
+        cell = f"m={m} c={c} hash={hash_kind} kernel={kernel} frac={fraction}"
+        if metric == "speedup":
+            expected = float(base_cell["speedup"])
+        else:
+            expected = float(base_cell["batch_eps"]) * factor
+        gate(cell, metric, expected, float(fresh_cell[metric]))
+        if kernel != "python" and base_cell.get("per_edge_eps"):
+            # The compiled per-edge call, gated like the batch figure.
+            gate(
+                cell,
+                "per_edge_eps",
+                float(base_cell["per_edge_eps"]) * factor,
+                float(fresh_cell["per_edge_eps"]),
             )
     if failures:
         print(

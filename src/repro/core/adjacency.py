@@ -5,9 +5,10 @@ dicts and sets — the reference every other path is checked against, but
 every probe and store in its
 :meth:`~repro.core.state.ProcessorGroup.process_encoded` loop pays
 interpreter and hashing overhead.  This module re-hosts one group's state
-on flat int64 columns so the C closure+store loop (:mod:`repro.core.kernel`)
-advances a whole encoded batch — or one edge of the per-edge path —
-without touching a Python object:
+on flat int64 columns so the C closure+store step (:mod:`repro.core.kernel`)
+advances a whole encoded batch — or, in one call for every group of a
+state set, one record of the per-edge path — without touching a Python
+object:
 
 ``GroupArrays``
     The storage: a half-edge pool of singly-linked neighbour chains
@@ -15,8 +16,13 @@ without touching a Python object:
     heads), dense per-node slot bitmasks keyed by interned id, flat edge
     records (``edge_u``/``edge_v``/``edge_slot``/``edge_tri``) and per-slot
     counter rows.  Growth is amortised doubling with contiguous
-    reallocation; the wrappers *pre-ensure* every capacity before a kernel
-    call, so the compiled loop never allocates.  There is no separate edge
+    reallocation, and the compiled calls never allocate: a batch's
+    capacities are ensured before its call, and the per-edge call reports
+    a group short of room instead of writing, so the caller grows it and
+    calls again.  The group's state record
+    (:class:`~repro.core.kernel.GroupRecord`) holds the columns' addresses
+    and capacities; every growth rewrites it, a reset hands it on to the
+    new columns, and it is never pickled.  There is no separate edge
     index: an edge's row in the flat columns (its *eid*) is found by the
     compiled lookup, which walks both endpoints' neighbour chains on the
     edge's slot in lockstep.
@@ -88,10 +94,19 @@ class GroupArrays:
     why native groups are limited to
     :data:`~repro.core.kernel.MAX_NATIVE_GROUP_SIZE` slots — and the
     boolean markers are uint8.  ``meta`` carries the mutable scalars the
-    kernel advances in place: ``[n_half, n_edges, epoch]``.
+    kernel advances in place: ``[n_half, n_edges, epoch]``.  ``record`` is
+    the :class:`~repro.core.kernel.GroupRecord` the compiled calls read;
+    every growth rewrites it, and a group that resets passes its record
+    on, so its address stays the group's for life.
     """
 
-    def __init__(self, group_size: int, track_local: bool, track_eta: bool) -> None:
+    def __init__(
+        self,
+        group_size: int,
+        track_local: bool,
+        track_eta: bool,
+        record: Optional[kernel_mod.GroupRecord] = None,
+    ) -> None:
         if not 1 <= group_size <= kernel_mod.MAX_NATIVE_GROUP_SIZE:
             raise ValueError(
                 "array-backed groups support 1..{} slots, got {}".format(
@@ -140,15 +155,14 @@ class GroupArrays:
         self.loose_tri: List[Dict[Tuple[int, int], int]] = [
             {} for _ in range(group_size)
         ]
-        # Per-call-site cache of kernel argument tuples (raw ctypes
-        # pointers + scalar input buffers).  Pointers die whenever a column
-        # reallocates, so every growth clears this dict, and pickling drops
-        # it (see __getstate__) — a restored state rebuilds on first call.
-        self._call_cache: Dict = {}
+        self.record = record if record is not None else kernel_mod.GroupRecord()
+        kernel_mod.sync_record(self.record, self)
 
     def __getstate__(self):
+        # Raw addresses are never pickled: an unpickled state writes a new
+        # record (and its group binds the hash into it).
         state = self.__dict__.copy()
-        state.pop("_call_cache", None)
+        del state["record"]
         return state
 
     def __setstate__(self, state) -> None:
@@ -159,7 +173,8 @@ class GroupArrays:
         state.pop("_pair_sync", None)
         state.pop("tau_zero", None)
         self.__dict__.update(state)
-        self._call_cache = {}
+        self.record = kernel_mod.GroupRecord()
+        kernel_mod.sync_record(self.record, self)
 
     @property
     def n_edges(self) -> int:
@@ -196,10 +211,11 @@ class GroupArrays:
                 eta_mark[:, : self.node_cap] = self.eta_mark
                 self.eta_mark = eta_mark
         self.node_cap = cap
-        self._call_cache.clear()
+        kernel_mod.sync_record(self.record, self)
 
     def ensure_edges(self, extra: int) -> None:
         """Guarantee room for ``extra`` more stored edges (and half-edges)."""
+        grown = False
         need = int(self.meta[1]) + extra
         if need > self.edge_cap:
             cap = self.edge_cap
@@ -211,7 +227,7 @@ class GroupArrays:
             self.edge_tri = _grown(self.edge_tri, cap)
             self.edge_seen = _grown(self.edge_seen, cap)
             self.edge_cap = cap
-            self._call_cache.clear()
+            grown = True
         need = int(self.meta[0]) + 2 * extra
         if need > self.pool_cap:
             cap = self.pool_cap
@@ -221,7 +237,9 @@ class GroupArrays:
             self.pool_eid = _grown(self.pool_eid, cap)
             self.pool_nxt = _grown(self.pool_nxt, cap)
             self.pool_cap = cap
-            self._call_cache.clear()
+            grown = True
+        if grown:
+            kernel_mod.sync_record(self.record, self)
 
     # -- edge lookup and insertion ---------------------------------------------
 
@@ -335,7 +353,10 @@ class NativeProcessorGroup(ProcessorGroup):
     """:class:`ProcessorGroup` backed by :class:`GroupArrays` + the C kernel.
 
     Only plain arrays are held, so instances pickle freely — the compiled
-    handle is loaded in the receiving process on first use.  All public
+    handle is loaded in the receiving process on first use, and the group
+    binds its hash into a new record there.  The hash must be one of the
+    two families the compiled per-edge hash ports
+    (:func:`~repro.core.kernel.bind_hash`).  All public
     :class:`ProcessorGroup` semantics are preserved bit-identically; the
     inherited ``processors`` list is deliberately set to ``None`` so any
     unported internal access fails loudly instead of reading empty state.
@@ -354,25 +375,21 @@ class NativeProcessorGroup(ProcessorGroup):
         self.processors = None  # type: ignore[assignment]
         self._node_bits = None  # type: ignore[assignment]
         self._arrays = GroupArrays(group_size, track_local, track_eta)
+        kernel_mod.bind_hash(self._arrays.record, hash_function)
         self._pairs_cache: Optional[Set[int]] = None
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        kernel_mod.bind_hash(self._arrays.record, self.hash_function)
 
     # -- ingestion -------------------------------------------------------------
 
-    def _ingest(self, iu: int, iv: int, slot: int, first: bool) -> None:
-        # One record through the compiled kernel as an n=1 batch (cached
-        # argument tuple, see kernel.run_scalar), so the closure walks run
-        # at C speed.
-        arrays = self._arrays
-        arrays.ensure_nodes((iu if iu > iv else iv) + 1)
-        store = first and slot < self.group_size
-        if store:
-            arrays.ensure_edges(1)
-        kernel_mod.run_scalar(iu, iv, slot, 1 if store else 0, arrays)
-        if store:
-            if self._pairs_cache is not None:
-                self._pairs_cache.add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
-            if any(arrays.loose_tri):
-                arrays.settle_loose()
+    def _after_store(self, pair: int) -> None:
+        """Bookkeeping once the per-edge call stored the packed ``pair`` here."""
+        if self._pairs_cache is not None:
+            self._pairs_cache.add(pair)
+        if any(self._arrays.loose_tri):
+            self._arrays.settle_loose()
 
     def process_encoded(
         self,
@@ -397,7 +414,7 @@ class NativeProcessorGroup(ProcessorGroup):
         n_stores = int(np.count_nonzero(store_mask))
         if n_stores:
             arrays.ensure_edges(n_stores)
-        kernel_mod.run_batch(n, cu_a, cv_a, slots_a, firsts_a, arrays)
+        kernel_mod.run_batch(n, cu_a, cv_a, slots_a, firsts_a, arrays.record)
         if n_stores:
             if self._pairs_cache is not None:
                 self._pairs_cache.update(
@@ -412,7 +429,9 @@ class NativeProcessorGroup(ProcessorGroup):
         return self._arrays.columns()
 
     def reset(self) -> None:
-        self._arrays = GroupArrays(self.group_size, self.track_local, self.track_eta)
+        self._arrays = GroupArrays(
+            self.group_size, self.track_local, self.track_eta, record=self._arrays.record
+        )
         self._pairs_cache = None
 
     def merge_deltas(self, delta: ColumnarDelta) -> None:

@@ -117,8 +117,8 @@ class NodeInterner:
         "_ids",
         "nodes",
         "_keys",
+        "_key_buffer",
         "_key_array",
-        "_key_array_len",
         "_cache_val",
         "_cache_id",
         "_cache_used",
@@ -128,14 +128,14 @@ class NodeInterner:
         self._ids: Dict[NodeId, int] = {}
         #: Dense id -> original node identifier.
         self.nodes: List[NodeId] = []
-        # Python-int keys (append-only); the uint64 array view is rebuilt
-        # lazily when the table has grown since the last batch.
+        # Python-int keys (append-only).  key_array() copies the keys added
+        # since its last call into a doubling uint64 buffer.
         self._keys: List[int] = []
         self._reset_derived()
 
     def _reset_derived(self) -> None:
-        self._key_array: np.ndarray = np.empty(0, dtype=np.uint64)
-        self._key_array_len = 0
+        self._key_buffer = np.empty(0, dtype=np.uint64)
+        self._key_array: np.ndarray = self._key_buffer
         # The int64 value -> dense id cache of _encode_columns: open
         # addressing, id -1 marks an empty cell.  Each entry is what
         # ``_ids.get(value)`` returned when it was cached, and ids never
@@ -167,10 +167,12 @@ class NodeInterner:
         ids = self._ids
         dense = ids.get(node)
         if dense is None:
+            # The key first: a node whose key raises is not interned.
+            key = _stable_node_key(node)
             dense = len(self.nodes)
             ids[node] = dense
             self.nodes.append(node)
-            self._keys.append(_stable_node_key(node))
+            self._keys.append(key)
         return dense
 
     def node_of(self, dense: int) -> NodeId:
@@ -182,10 +184,22 @@ class NodeInterner:
         return self._ids.get(node)
 
     def key_array(self) -> np.ndarray:
-        """Stable 64-bit hash keys indexed by dense id (``uint64``)."""
-        if self._key_array_len != len(self._keys):
-            self._key_array = np.array(self._keys, dtype=np.uint64)
-            self._key_array_len = len(self._keys)
+        """Stable 64-bit hash keys indexed by dense id (``uint64``).
+
+        A view of an append-only buffer that grows by doubling, so only
+        keys added since the last call are converted, and arrays handed
+        out earlier keep their contents.
+        """
+        have = len(self._key_array)
+        n = len(self._keys)
+        if have != n:
+            buffer = self._key_buffer
+            if n > len(buffer):
+                buffer = np.empty(max(n, 2 * len(buffer)), dtype=np.uint64)
+                buffer[:have] = self._key_array
+                self._key_buffer = buffer
+            buffer[have:n] = self._keys[have:n]
+            self._key_array = buffer[:n]
         return self._key_array
 
     # -- batch encoding ------------------------------------------------------
@@ -236,16 +250,18 @@ class NodeInterner:
                     continue
                 iu = ids.get(u)
                 if iu is None:
+                    key = _stable_node_key(u)
                     iu = len(nodes)
                     ids[u] = iu
                     nodes.append(u)
-                    keys.append(_stable_node_key(u))
+                    keys.append(key)
                 iv = ids.get(v)
                 if iv is None:
+                    key = _stable_node_key(v)
                     iv = len(nodes)
                     ids[v] = iv
                     nodes.append(v)
-                    keys.append(_stable_node_key(v))
+                    keys.append(key)
                 # Canonical orientation mirrors repro.types.canonical_edge.
                 try:
                     flip = not (u <= v)

@@ -1,13 +1,29 @@
 """The compiled ingestion kernel for the array-backed adjacency state.
 
 :mod:`repro.core.adjacency` refactors a processor group's hot state onto
-flat int64 columns; this module supplies the fused closure+store loop that
-advances those columns over one encoded batch.  The loop is a small C
-source string, compiled once per machine with the system C compiler into a
-cached shared object and called through :mod:`ctypes` — no third-party
+flat int64 columns; this module supplies the fused closure+store step that
+advances those columns by one encoded record.  The step is part of a small
+C source string, compiled once per machine with the system C compiler into
+a cached shared object and called through :mod:`ctypes` — no third-party
 dependency, available wherever a C compiler is.  Its one reference is the
 dict/set :class:`~repro.core.state.ProcessorGroup`, which it matches bit for
 bit (the kernel-parity suites assert exact equality).
+
+Each group has one state record (:class:`GroupRecord`): its hash family
+and parameters, ``m``, its shape, and the capacities and addresses of its
+columns.  Two entries read it and share the record step:
+
+* ``rept_ingest_batch`` advances one group over one encoded batch whose
+  slots the vectorised hash computed (:func:`run_batch`);
+* ``rept_ingest_edge`` is the per-edge path (:class:`EdgeEntry`, called by
+  :meth:`~repro.core.state.GroupStateSet.process_edge`): one call per
+  record whatever the number of groups.  It takes the edge's canonical
+  key, which no seed enters, turns it into every group's slot with C ports
+  of both hash families — splitmix64 of ``key ^ seed``, and simple
+  tabulation over the 8×256 rows — equal to
+  :meth:`~repro.hashing.base.EdgeHashFunction.bucket` bit for bit, and
+  advances every group.  It checks every group's room first and, if any
+  is short, changes nothing and asks the caller to grow.
 
 Selection is requested as ``kernel="auto"|"python"|"native"`` on
 :class:`~repro.core.config.ReptConfig` and resolved once per state set by
@@ -24,9 +40,10 @@ self-loops, canonicalises by raw value and writes the ids and the packed
 ``lo << 32 | hi`` pair keys with in-batch first flags.  It also carries the
 cold-path calls of the group fold
 (:meth:`~repro.core.adjacency.NativeProcessorGroup.merge_deltas`), which
-folds a whole group's pane delta, snapshot or restored state:
+folds a whole group's pane delta, snapshot or restored state, and take
+their arguments explicitly:
 
-* the bulk edge append (the ingest loop's store step and the bulk append
+* the bulk edge append (the record step's store and the bulk append
   share one edge insert);
 * the edge lookup, which finds an edge's eid by walking both endpoints'
   neighbour chains on its slot in lockstep — the groups keep no other
@@ -37,8 +54,9 @@ folds a whole group's pane delta, snapshot or restored state:
 
 No compiled function allocates: every capacity (node columns, half-edge
 pool, edge arrays, the encode pass's scratch set) is ensured by the Python
-wrapper before the call, from vectorised counts of the batch's storable
-first occurrences.
+wrapper before the call — from vectorised counts of a batch's storable
+first occurrences, or, on the per-edge path, after the call reported
+which groups lack room.
 """
 
 from __future__ import annotations
@@ -74,6 +92,42 @@ _C_SOURCE = r"""
 typedef int64_t i64;
 typedef uint8_t u8;
 
+/* One processor group's state record (GroupRecord in Python): its hash,
+ * its shape, and the capacities and addresses of its columns (layout in
+ * repro/core/adjacency.py).  GroupArrays rewrites the column fields on
+ * every growth; the ingest entries read nothing else. */
+typedef struct {
+    i64 hash_kind;          /* 0 splitmix, 1 tabulation */
+    uint64_t seed;          /* splitmix: xor-ed into the key */
+    const uint64_t *table;  /* tabulation: 8 rows of 256 entries */
+    i64 m;
+    i64 group_size;
+    i64 track_local;
+    i64 track_eta;
+    i64 node_cap;
+    i64 edge_cap;
+    i64 pool_cap;
+    i64 *node_bits;
+    i64 *heads;
+    i64 *pool_nbr;
+    i64 *pool_eid;
+    i64 *pool_nxt;
+    i64 *edge_u;
+    i64 *edge_v;
+    i64 *edge_slot;
+    i64 *edge_tri;
+    u8 *edge_seen;
+    i64 *tau;
+    i64 *eta;
+    i64 *edges_stored;
+    i64 *tau_local;
+    i64 *eta_local;
+    u8 *eta_mark;
+    i64 *mark;
+    i64 *mark_eid;
+    i64 *meta;              /* [n_half, n_edges, epoch] */
+} rept_group;
+
 /* Stores edge e = {x, y} on slot: the id-ordered edge columns with
  * per-edge counter tri and flag seen, x's half-edge then y's at the heads
  * of their slot lists from pool index n_half, and the slot bit of both
@@ -103,115 +157,197 @@ static inline void rept_link_edge(
     node_bits[y] |= bit;
 }
 
-/* The fused closure+store loop over one group's flat columns (layout in
- * repro/core/adjacency.py); the same update rules as the dict/set loop of
- * ProcessorGroup.process_encoded, which the kernel-parity suites hold it
- * to bit for bit.  meta carries the mutable scalars [n_half, n_edges,
- * epoch].  The neighbourhood intersection stamps N_u with a fresh epoch,
- * so each membership test during the N_v walk is one comparison and no
- * clearing pass runs between edges. */
+/* One record through one group: the fused closure+store step of the
+ * dict/set loop of ProcessorGroup.process_encoded, which the kernel-parity
+ * suites hold it to bit for bit.  meta's scalars ride in *n_half,
+ * *n_edges and *epoch.  The neighbourhood intersection stamps N_u with a
+ * fresh epoch, so each membership test during the N_v walk is one
+ * comparison and no clearing pass runs between edges.  Returns 1 when
+ * the record was stored. */
+static inline i64 rept_record_step(
+    const rept_group *g, i64 iu, i64 iv, i64 slot, i64 first,
+    i64 *n_half, i64 *n_edges, i64 *epoch)
+{
+    i64 node_cap = g->node_cap;
+    i64 track_local = g->track_local;
+    i64 track_eta = g->track_eta;
+    i64 *heads = g->heads;
+    i64 *pool_nbr = g->pool_nbr;
+    i64 *pool_eid = g->pool_eid;
+    i64 *pool_nxt = g->pool_nxt;
+    i64 *edge_tri = g->edge_tri;
+    u8 *edge_seen = g->edge_seen;
+    i64 *mark = g->mark;
+    i64 *mark_eid = g->mark_eid;
+    i64 bits_u = g->node_bits[iu];
+    i64 bits_v = g->node_bits[iv];
+    i64 candidates = bits_u & bits_v;
+    i64 closing_at_store = 0;
+    i64 storeable = slot < g->group_size;
+    while (candidates != 0) {
+        i64 low = candidates & (-candidates);
+        candidates -= low;
+        i64 s = 0;
+        i64 low_bits = low;
+        while (low_bits > 1) {
+            low_bits >>= 1;
+            s += 1;
+        }
+        i64 *hrow = heads + s * node_cap;
+        i64 stamp = ++*epoch;
+        i64 h = hrow[iu];
+        while (h != -1) {
+            i64 w = pool_nbr[h];
+            mark[w] = stamp;
+            mark_eid[w] = pool_eid[h];
+            h = pool_nxt[h];
+        }
+        i64 closed = 0;
+        h = hrow[iv];
+        while (h != -1) {
+            i64 w = pool_nbr[h];
+            if (mark[w] == stamp) {
+                closed += 1;
+                if (track_local)
+                    g->tau_local[s * node_cap + w] += 1;
+                if (track_eta) {
+                    i64 e_uw = mark_eid[w];
+                    i64 e_vw = pool_eid[h];
+                    i64 count_uw = edge_tri[e_uw];
+                    i64 count_vw = edge_tri[e_vw];
+                    g->eta[s] += count_uw + count_vw;
+                    if (track_local) {
+                        i64 *el = g->eta_local + s * node_cap;
+                        u8 *em = g->eta_mark + s * node_cap;
+                        el[w] += count_uw + count_vw;
+                        el[iu] += count_uw;
+                        el[iv] += count_vw;
+                        em[w] = 1;
+                        em[iu] = 1;
+                        em[iv] = 1;
+                    }
+                    edge_tri[e_uw] = count_uw + 1;
+                    edge_tri[e_vw] = count_vw + 1;
+                    edge_seen[e_uw] = 1;
+                    edge_seen[e_vw] = 1;
+                }
+            }
+            h = pool_nxt[h];
+        }
+        if (closed != 0) {
+            g->tau[s] += closed;
+            if (track_local) {
+                i64 *tl = g->tau_local + s * node_cap;
+                tl[iu] += closed;
+                tl[iv] += closed;
+            }
+            if (storeable && s == slot)
+                closing_at_store = closed;
+        }
+    }
+    if (first == 0 || !storeable)
+        return 0;
+    rept_link_edge(
+        *n_edges, iu, iv, slot,
+        track_eta ? closing_at_store : 0, track_eta ? 1 : 0, *n_half,
+        node_cap, g->node_bits, heads, pool_nbr, pool_eid, pool_nxt,
+        g->edge_u, g->edge_v, g->edge_slot, edge_tri, edge_seen);
+    *n_edges += 1;
+    *n_half += 2;
+    g->edges_stored[slot] += 1;
+    return 1;
+}
+
+/* The closure+store loop of one group over one encoded batch; every
+ * capacity is ensured by the caller. */
 int64_t rept_ingest_batch(
     i64 n,
     const i64 *cu, const i64 *cv, const i64 *slots, const u8 *firsts,
-    i64 group_size, i64 node_cap,
-    i64 track_local, i64 track_eta,
-    i64 *node_bits,
-    i64 *heads,
-    i64 *pool_nbr, i64 *pool_eid, i64 *pool_nxt,
-    i64 *edge_u, i64 *edge_v, i64 *edge_slot, i64 *edge_tri, u8 *edge_seen,
-    i64 *tau, i64 *eta, i64 *edges_stored,
-    i64 *tau_local, i64 *eta_local, u8 *eta_mark,
-    i64 *mark, i64 *mark_eid,
-    i64 *meta)
+    const rept_group *group)
 {
-    i64 n_half = meta[0];
-    i64 n_edges = meta[1];
-    i64 epoch = meta[2];
-    for (i64 k = 0; k < n; k++) {
-        i64 iu = cu[k];
-        i64 iv = cv[k];
-        i64 slot = slots[k];
-        i64 bits_u = node_bits[iu];
-        i64 bits_v = node_bits[iv];
-        i64 candidates = bits_u & bits_v;
-        i64 closing_at_store = 0;
-        i64 storeable = slot < group_size;
-        while (candidates != 0) {
-            i64 low = candidates & (-candidates);
-            candidates -= low;
-            i64 s = 0;
-            i64 low_bits = low;
-            while (low_bits > 1) {
-                low_bits >>= 1;
-                s += 1;
-            }
-            i64 *hrow = heads + s * node_cap;
-            epoch += 1;
-            i64 h = hrow[iu];
-            while (h != -1) {
-                i64 w = pool_nbr[h];
-                mark[w] = epoch;
-                mark_eid[w] = pool_eid[h];
-                h = pool_nxt[h];
-            }
-            i64 closed = 0;
-            h = hrow[iv];
-            while (h != -1) {
-                i64 w = pool_nbr[h];
-                if (mark[w] == epoch) {
-                    closed += 1;
-                    if (track_local)
-                        tau_local[s * node_cap + w] += 1;
-                    if (track_eta) {
-                        i64 e_uw = mark_eid[w];
-                        i64 e_vw = pool_eid[h];
-                        i64 count_uw = edge_tri[e_uw];
-                        i64 count_vw = edge_tri[e_vw];
-                        eta[s] += count_uw + count_vw;
-                        if (track_local) {
-                            i64 *el = eta_local + s * node_cap;
-                            u8 *em = eta_mark + s * node_cap;
-                            el[w] += count_uw + count_vw;
-                            el[iu] += count_uw;
-                            el[iv] += count_vw;
-                            em[w] = 1;
-                            em[iu] = 1;
-                            em[iv] = 1;
-                        }
-                        edge_tri[e_uw] = count_uw + 1;
-                        edge_tri[e_vw] = count_vw + 1;
-                        edge_seen[e_uw] = 1;
-                        edge_seen[e_vw] = 1;
-                    }
-                }
-                h = pool_nxt[h];
-            }
-            if (closed != 0) {
-                tau[s] += closed;
-                if (track_local) {
-                    i64 *tl = tau_local + s * node_cap;
-                    tl[iu] += closed;
-                    tl[iv] += closed;
-                }
-                if (storeable && s == slot)
-                    closing_at_store = closed;
-            }
-        }
-        if (firsts[k] != 0 && storeable) {
-            rept_link_edge(
-                n_edges, iu, iv, slot,
-                track_eta ? closing_at_store : 0, track_eta ? 1 : 0, n_half,
-                node_cap, node_bits, heads, pool_nbr, pool_eid, pool_nxt,
-                edge_u, edge_v, edge_slot, edge_tri, edge_seen);
-            n_edges += 1;
-            n_half += 2;
-            edges_stored[slot] += 1;
-        }
-    }
-    meta[0] = n_half;
-    meta[1] = n_edges;
-    meta[2] = epoch;
+    const rept_group g = *group;
+    i64 n_half = g.meta[0];
+    i64 n_edges = g.meta[1];
+    i64 epoch = g.meta[2];
+    for (i64 k = 0; k < n; k++)
+        rept_record_step(&g, cu[k], cv[k], slots[k], firsts[k], &n_half, &n_edges, &epoch);
+    g.meta[0] = n_half;
+    g.meta[1] = n_edges;
+    g.meta[2] = epoch;
     return 0;
+}
+
+static inline uint64_t rept_splitmix64(uint64_t x)
+{
+    uint64_t z = x + 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* The group's bucket of a canonical edge key: EdgeHashFunction.bucket
+ * bit for bit, for SplitMixEdgeHash (splitmix64 of key ^ seed) and
+ * TabulationEdgeHash (byte i of the unseeded splitmix64 indexes row i). */
+static inline i64 rept_slot(const rept_group *g, uint64_t key)
+{
+    uint64_t h;
+    if (g->hash_kind == 0) {
+        h = rept_splitmix64(key ^ g->seed);
+    } else {
+        uint64_t mixed = rept_splitmix64(key);
+        h = 0;
+        for (int i = 0; i < 8; i++)
+            h ^= g->table[i * 256 + ((mixed >> (8 * i)) & 0xFF)];
+    }
+    return (i64)(h % (uint64_t)g->m);
+}
+
+/* The groups of one state set and a flag per group (EdgeEntry in Python). */
+typedef struct {
+    i64 n_groups;
+    rept_group *const *groups;
+    u8 *stored_flags;
+} rept_edge_entry;
+
+/* The per-edge path: one interned record {iu, iv} with canonical edge key
+ * key through every group of a state set, first being its stream-global
+ * first-occurrence flag.  All or nothing: unless every group has room
+ * (node columns above both ids and, where it stores, one more edge and
+ * two half-edges), it changes no state, sets stored[k] to whether group
+ * k would store, and returns -1 so the caller grows those columns and
+ * calls again.  Otherwise stored[k] is whether group k stored, and the
+ * return value is their number. */
+int64_t rept_ingest_edge(
+    const rept_edge_entry *entry, uint64_t key, i64 iu, i64 iv, i64 first)
+{
+    i64 n_groups = entry->n_groups;
+    rept_group *const *groups = entry->groups;
+    u8 *stored = entry->stored_flags;
+    i64 top = iu > iv ? iu : iv;
+    i64 short_of_room = 0;
+    for (i64 k = 0; k < n_groups; k++) {
+        const rept_group *g = groups[k];
+        i64 store = first != 0 && rept_slot(g, key) < g->group_size;
+        stored[k] = (u8)store;
+        if (top >= g->node_cap
+            || (store && (g->meta[1] >= g->edge_cap || g->meta[0] + 2 > g->pool_cap)))
+            short_of_room = 1;
+    }
+    if (short_of_room)
+        return -1;
+    i64 count = 0;
+    for (i64 k = 0; k < n_groups; k++) {
+        const rept_group g = *groups[k];
+        i64 n_half = g.meta[0];
+        i64 n_edges = g.meta[1];
+        i64 epoch = g.meta[2];
+        count += rept_record_step(
+            &g, iu, iv, rept_slot(&g, key), first, &n_half, &n_edges, &epoch);
+        g.meta[0] = n_half;
+        g.meta[1] = n_edges;
+        g.meta[2] = epoch;
+    }
+    return count;
 }
 
 /* Cold-path bulk insert of n id-ordered edges (us[k] < vs[k]) on slots
@@ -446,13 +582,11 @@ def _build():
     signatures = {
         "rept_ingest_batch": [
             i64, ptr, ptr, ptr, ptr,      # n, cu, cv, slots, firsts
-            i64, i64, i64, i64,           # group_size, node_cap, track_local, track_eta
-            ptr, ptr,                     # node_bits, heads
-            ptr, ptr, ptr,                # pool_nbr, pool_eid, pool_nxt
-            ptr, ptr, ptr, ptr, ptr,      # edge_u, edge_v, edge_slot, edge_tri, edge_seen
-            ptr, ptr, ptr,                # tau, eta, edges_stored
-            ptr, ptr, ptr,                # tau_local, eta_local, eta_mark
-            ptr, ptr, ptr,                # mark, mark_eid, meta
+            ptr,                          # group record
+        ],
+        "rept_ingest_edge": [
+            ptr, ctypes.c_uint64,         # entry, key
+            i64, i64, i64,                # iu, iv, first
         ],
         "rept_append_edges": [
             i64, ptr, ptr, ptr,           # n, us, vs, ss
@@ -567,52 +701,94 @@ def resolve_kernel(requested: str, max_group_size: Optional[int] = None) -> str:
     return NATIVE_LABEL
 
 
-def _state_block(arrays):
-    """The call arguments from ``group_size`` onward, as a cached tuple.
+#: The :class:`~repro.core.adjacency.GroupArrays` columns whose addresses
+#: a :class:`GroupRecord` holds, in the order of the C ``rept_group``.
+RECORD_COLUMNS = (
+    "node_bits", "heads", "pool_nbr", "pool_eid", "pool_nxt",
+    "edge_u", "edge_v", "edge_slot", "edge_tri", "edge_seen",
+    "tau", "eta", "edges_stored", "tau_local", "eta_local", "eta_mark",
+    "mark", "mark_eid", "meta",
+)
 
-    Raw ``.ctypes.data`` pointers are only valid until a column is
-    reallocated; :class:`~repro.core.adjacency.GroupArrays` clears its
-    ``_call_cache`` on every growth (and drops it on pickle), so a cached
-    block can never outlive the arrays it points into.  Rebuilding 24
-    pointers costs ~25µs — caching is what makes scalar (n=1) kernel calls
-    viable.
+
+class GroupRecord(ctypes.Structure):
+    """One group's state record, the C ``rept_group``.
+
+    It holds the group's hash (:func:`bind_hash`), its shape, and the
+    capacities and addresses of its
+    :class:`~repro.core.adjacency.GroupArrays` columns
+    (:func:`sync_record`).  Addresses die when a column is reallocated, so
+    ``GroupArrays`` rewrites them on every growth; a record is never
+    pickled, and an unpickled group builds a new one.
     """
-    block = arrays._call_cache.get("state")
-    if block is None:
-        block = (
-            arrays.group_size,
-            arrays.node_cap,
-            1 if arrays.track_local else 0,
-            1 if arrays.track_eta else 0,
-            arrays.node_bits.ctypes.data,
-            arrays.heads.ctypes.data,
-            arrays.pool_nbr.ctypes.data,
-            arrays.pool_eid.ctypes.data,
-            arrays.pool_nxt.ctypes.data,
-            arrays.edge_u.ctypes.data,
-            arrays.edge_v.ctypes.data,
-            arrays.edge_slot.ctypes.data,
-            arrays.edge_tri.ctypes.data,
-            arrays.edge_seen.ctypes.data,
-            arrays.tau.ctypes.data,
-            arrays.eta.ctypes.data,
-            arrays.edges_stored.ctypes.data,
-            arrays.tau_local.ctypes.data,
-            arrays.eta_local.ctypes.data,
-            arrays.eta_mark.ctypes.data,
-            arrays.mark.ctypes.data,
-            arrays.mark_eid.ctypes.data,
-            arrays.meta.ctypes.data,
+
+    _fields_ = [
+        ("hash_kind", ctypes.c_int64),
+        ("seed", ctypes.c_uint64),
+        ("table", ctypes.c_void_p),
+        ("m", ctypes.c_int64),
+        ("group_size", ctypes.c_int64),
+        ("track_local", ctypes.c_int64),
+        ("track_eta", ctypes.c_int64),
+        ("node_cap", ctypes.c_int64),
+        ("edge_cap", ctypes.c_int64),
+        ("pool_cap", ctypes.c_int64),
+    ] + [(name, ctypes.c_void_p) for name in RECORD_COLUMNS]
+
+
+def sync_record(record: GroupRecord, arrays) -> None:
+    """Write the shape, capacities and column addresses of ``arrays``."""
+    record.group_size = arrays.group_size
+    record.track_local = 1 if arrays.track_local else 0
+    record.track_eta = 1 if arrays.track_eta else 0
+    record.node_cap = arrays.node_cap
+    record.edge_cap = arrays.edge_cap
+    record.pool_cap = arrays.pool_cap
+    for name in RECORD_COLUMNS:
+        # The address through a zero-copy view of the writable buffer:
+        # ``ndarray.ctypes.data`` builds a helper object and costs three
+        # times as much, and a monitor pass syncs records about a thousand
+        # times.
+        view = ctypes.c_char.from_buffer(getattr(arrays, name))
+        setattr(record, name, ctypes.addressof(view))
+
+
+def bind_hash(record: GroupRecord, hash_function) -> None:
+    """Write the parameters of a group's hash into its record.
+
+    The compiled per-edge hash ports the two families
+    ``ReptConfig.hash_kind`` admits; any other
+    :class:`~repro.hashing.base.EdgeHashFunction` raises
+    :class:`~repro.exceptions.ConfigurationError`.  The record holds the
+    tabulation rows' address, so the group must keep its hash function.
+    """
+    from repro.hashing import SplitMixEdgeHash, TabulationEdgeHash
+
+    family = type(hash_function)
+    if family is SplitMixEdgeHash:
+        record.hash_kind = 0
+        record.seed = hash_function.seed
+        record.table = None
+    elif family is TabulationEdgeHash:
+        tables = hash_function.tables
+        if tables.shape != (8, 256) or tables.dtype != np.uint64 or not tables.flags.c_contiguous:
+            raise ConfigurationError("tabulation rows must be one C-ordered (8, 256) uint64 array")
+        record.hash_kind = 1
+        record.seed = 0
+        record.table = tables.ctypes.data
+    else:
+        raise ConfigurationError(
+            f"the C kernel hashes SplitMixEdgeHash and TabulationEdgeHash "
+            f"only, not {family.__name__}"
         )
-        arrays._call_cache["state"] = block
-    return block
+    record.m = hash_function.buckets
 
 
-def run_batch(n, cu, cv, slots, firsts, arrays) -> None:
+def run_batch(n, cu, cv, slots, firsts, record: GroupRecord) -> None:
     """Run the kernel over one encoded batch of ``n`` records.
 
-    ``arrays`` is a :class:`repro.core.adjacency.GroupArrays`; every
-    capacity must already be ensured (the kernel never grows storage).
+    ``record`` is the group's :class:`GroupRecord`; every capacity must
+    already be ensured (the kernel never grows storage).
     """
     _handle().rept_ingest_batch(
         n,
@@ -620,42 +796,38 @@ def run_batch(n, cu, cv, slots, firsts, arrays) -> None:
         cv.ctypes.data,
         slots.ctypes.data,
         firsts.ctypes.data,
-        *_state_block(arrays),
+        ctypes.byref(record),
     )
 
 
-def run_scalar(iu: int, iv: int, slot: int, first: int, arrays) -> None:
-    """Run the kernel over one interned edge (the per-edge path).
+class EdgeEntry(ctypes.Structure):
+    """The C ``rept_edge_entry`` of one state set: its group records.
 
-    Semantically ``run_batch`` with ``n = 1``, but the four input columns
-    are preallocated single-element buffers owned by ``arrays`` and the
-    whole argument tuple is cached alongside the state-pointer block, so a
-    call costs one write per operand plus the FFI dispatch (~3µs) instead
-    of rebuilding ~28 arguments.  ``first`` must already encode the store
-    decision (0/1): the caller derives first-occurrence before the call,
-    exactly like the batch path's precomputed flags.
+    ``ingest(address, key, iu, iv, first)`` is the compiled per-edge call
+    (``rept_ingest_edge``), :attr:`stored` the flag per group it writes.
+    The entry keeps the records alive, so the addresses it holds stay
+    valid as long as it does; it is never pickled.
     """
-    entry = arrays._call_cache.get("scalar")
-    if entry is None:
-        cu = np.zeros(1, np.int64)
-        cv = np.zeros(1, np.int64)
-        slots = np.zeros(1, np.int64)
-        firsts = np.zeros(1, np.uint8)
-        args = (
-            1,
-            cu.ctypes.data,
-            cv.ctypes.data,
-            slots.ctypes.data,
-            firsts.ctypes.data,
-        ) + _state_block(arrays)
-        entry = (cu, cv, slots, firsts, args, _handle().rept_ingest_batch)
-        arrays._call_cache["scalar"] = entry
-    cu, cv, slots, firsts, args, handle = entry
-    cu[0] = iu
-    cv[0] = iv
-    slots[0] = slot
-    firsts[0] = first
-    handle(*args)
+
+    _fields_ = [
+        ("n_groups", ctypes.c_int64),
+        ("groups", ctypes.c_void_p),
+        ("stored_flags", ctypes.c_void_p),
+    ]
+
+    def __init__(self, records) -> None:
+        super().__init__()
+        n = len(records)
+        pointers = (ctypes.c_void_p * n)(*map(ctypes.addressof, records))
+        #: Whether each group stored the last record (would store, after -1).
+        self.stored = bytearray(n)
+        view = (ctypes.c_uint8 * n).from_buffer(self.stored)
+        self._keep = (list(records), pointers, view)
+        self.n_groups = n
+        self.groups = ctypes.addressof(pointers)
+        self.stored_flags = ctypes.addressof(view)
+        self.address = ctypes.addressof(self)
+        self.ingest = _handle().rept_ingest_edge
 
 
 def append_edges(us: np.ndarray, vs: np.ndarray, ss: np.ndarray, arrays) -> None:

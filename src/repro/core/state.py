@@ -27,8 +27,11 @@ Two further exact optimisations serve the batched ingestion pipeline:
 * :meth:`ProcessorGroup.process_encoded` consumes whole batches whose
   canonicalisation, hashing and first-occurrence flags were precomputed as
   array operations, dropping into per-edge Python only for the residual
-  state updates.  It is the group's only ingestion loop: a per-edge call is
-  a one-record batch, so the two paths cannot drift apart.
+  state updates.  It is the dict group's only ingestion loop: a per-edge
+  call is a one-record batch, so the two paths cannot drift apart.  The
+  compiled kernel keeps the same guarantee by sharing one record step
+  between its batch entry and the per-edge entry of
+  :meth:`GroupStateSet.process_edge`.
 
 Mergeable state
 ---------------
@@ -845,6 +848,7 @@ class GroupStateSet:
                 )
                 for index, size in enumerate(sizes)
             ]
+            self._bind_edge_entry()
         else:
             self.groups = [
                 ProcessorGroup(
@@ -860,13 +864,26 @@ class GroupStateSet:
 
     # -- ingestion -----------------------------------------------------------
 
+    def _bind_edge_entry(self) -> None:
+        from repro.core.kernel import EdgeEntry
+
+        self._edge_entry = EdgeEntry([group._arrays.record for group in self.groups])
+
     def process_edge(self, u: NodeId, v: NodeId) -> None:
         """Advance every group with one raw edge (the per-edge path).
 
         Interns once and takes the first-occurrence flag from ``seen``
-        exactly like :meth:`process_edges`, then hands each group the
-        encoded record.  Every slot is hashed before ``seen`` changes, so a
-        node the hash rejects leaves ``seen`` and the counters untouched.
+        exactly like :meth:`process_edges`.  On a native state set one
+        compiled call then hashes the edge's key
+        (:meth:`~repro.hashing.base.EdgeHashFunction._edge_key`, which no
+        seed enters) for every group and advances every group; ``seen``
+        changes only once it has returned, so a record that raises leaves
+        ``seen`` and every counter as they were.  When a group lacks room
+        the call changes nothing and says which groups would store; their
+        columns grow and the call runs again.  On the dict kernel each
+        group hashes the edge with
+        :meth:`~repro.hashing.base.EdgeHashFunction.bucket` before ``seen``
+        changes and advances over the encoded record.
         """
         if u == v:
             return
@@ -874,6 +891,28 @@ class GroupStateSet:
         iu = intern(u)
         iv = intern(v)
         groups = self.groups
+        if self._native:
+            pair = (iu << 32 | iv) if iu < iv else (iv << 32 | iu)
+            first = pair not in self.seen
+            key = groups[0].hash_function._edge_key(u, v)
+            entry = self._edge_entry
+            stored = entry.ingest(entry.address, key, iu, iv, first)
+            if stored < 0:
+                top = (iu if iu > iv else iv) + 1
+                for group, store in zip(groups, entry.stored):
+                    group._arrays.ensure_nodes(top)
+                    if store:
+                        group._arrays.ensure_edges(1)
+                stored = entry.ingest(entry.address, key, iu, iv, first)
+                if stored < 0:
+                    raise RuntimeError("the per-edge kernel call found no room after growth")
+            if first:
+                self.seen.add(pair)
+                if stored:
+                    for group, store in zip(groups, entry.stored):
+                        if store:
+                            group._after_store(pair)
+            return
         slots = [group.hash_function.bucket(u, v) for group in groups]
         seen = self.seen
         size = len(seen)
@@ -1060,6 +1099,11 @@ class GroupStateSet:
             group.merge_deltas(delta)
         self.seen = seen
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_edge_entry", None)
+        return state
+
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         # Durable estimator checkpoints pickle whole state sets; one written
@@ -1067,6 +1111,8 @@ class GroupStateSet:
         seen = self.seen
         if seen and type(next(iter(seen))) is tuple:
             self.seen = {pack_pair(a, b) for a, b in seen}
+        if self._native:
+            self._bind_edge_entry()
 
     # -- aggregates -----------------------------------------------------------
 

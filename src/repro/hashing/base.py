@@ -14,6 +14,14 @@ ingestion pipeline:
 Both are exact: for every pair they return the same bucket as the scalar
 path, bit for bit, which the hashing tests assert over int, string and
 mixed node identifiers.
+
+A third implementation lives in the compiled kernel
+(:mod:`repro.core.kernel`): the per-edge path of a native state set hands
+:meth:`EdgeHashFunction._edge_key` to C ports of both families, which
+turn it into every group's slot.  It reads each family's parameters
+(``SplitMixEdgeHash.seed``, ``TabulationEdgeHash.tables``), and
+``tests/properties/test_property_per_edge.py`` holds it to :meth:`bucket`
+bit for bit.
 """
 
 from __future__ import annotations
@@ -173,7 +181,9 @@ def _stable_node_key(node: NodeId) -> int:
         as_float = float(node)
         if as_float.is_integer():
             return int(as_float) & _MASK64
-    data = str(node).encode("utf-8")
+    # surrogatepass: a str holding a lone surrogate (valid JSON, e.g.
+    # "\ud800") still has a key; no other str's bytes change.
+    data = str(node).encode("utf-8", "surrogatepass")
     acc = 0xCBF29CE484222325  # FNV-1a 64-bit offset basis
     for byte in data:
         acc ^= byte

@@ -51,6 +51,11 @@ class SplitMixEdgeHash(EdgeHashFunction):
         super().__init__(buckets)
         self._seed = as_random_source(seed).random_uint64()
 
+    @property
+    def seed(self) -> int:
+        """The 64-bit value xor-ed into every key (the compiled hash's parameter)."""
+        return self._seed
+
     def _hash_key(self, key: int) -> int:
         return splitmix64(key ^ self._seed)
 

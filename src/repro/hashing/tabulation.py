@@ -32,6 +32,12 @@ class TabulationEdgeHash(EdgeHashFunction):
             0, 2**64, size=(self._NUM_TABLES, self._TABLE_SIZE), dtype=np.uint64
         )
 
+    @property
+    def tables(self) -> np.ndarray:
+        """The ``(8, 256)`` ``uint64`` rows, row ``i`` indexed by byte ``i``
+        of the mixed key (the compiled hash's parameter)."""
+        return self._tables
+
     def _hash_key(self, key: int) -> int:
         mixed = splitmix64(key)
         acc = 0

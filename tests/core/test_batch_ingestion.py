@@ -86,6 +86,78 @@ class TestNodeInterner:
             assert (interner.node_of(a), interner.node_of(b)) == canonical_edge(u, v)
 
 
+class Unkeyable:
+    """A hashable node id whose stable key cannot be computed."""
+
+    def __str__(self):
+        raise RuntimeError("no key")
+
+
+def assert_interner_in_sync(interner):
+    from repro.hashing import stable_node_key
+
+    assert len(interner._ids) == len(interner.nodes) == len(interner._keys)
+    for dense, node in enumerate(interner.nodes):
+        assert interner._ids[node] == dense
+        assert interner._keys[dense] == stable_node_key(node)
+    assert interner.key_array().tolist() == interner._keys
+
+
+class TestInternerKeys:
+    """A node id is interned only once its stable key is computed, so a
+    failing id cannot leave the key list one entry short."""
+
+    @pytest.mark.parametrize("kernel", ["python", "native"])
+    def test_lone_surrogate_id_keeps_later_batches_in_sync(self, kernel, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        if kernel == "native" and not native_available():
+            pytest.skip("the C kernel is not buildable here")
+        from repro.generators.traffic import packet_flow_stream
+
+        edges = packet_flow_stream(20000, seed=4).edges()[10000:]
+        config = ReptConfig(m=4, c=8, seed=3, track_eta=True, kernel=kernel)
+        estimator = ReptEstimator(config)
+        estimator.process_edge("\ud800", "x")
+        estimator.process_edges(edges)
+        assert_interner_in_sync(estimator.interner)
+        reference = ReptEstimator(ReptConfig(m=4, c=8, seed=3, track_eta=True, kernel="python"))
+        for u, v in [("\ud800", "x")] + edges:
+            reference.process_edge(u, v)
+        got, expected = estimator.estimate(), reference.estimate()
+        got.metadata.pop("kernel")
+        expected.metadata.pop("kernel")
+        assert_identical(expected, got)
+
+    def test_key_of_a_failing_id_is_not_shifted_onto_the_next(self):
+        from repro.hashing import stable_node_key
+
+        interner = NodeInterner()
+        interner.intern(100)
+        with pytest.raises(RuntimeError, match="no key"):
+            interner.intern(Unkeyable())
+        for node in (200, 300, 400):
+            interner.intern(node)
+        assert int(interner.key_array()[1]) == stable_node_key(200)
+        with pytest.raises(RuntimeError, match="no key"):
+            interner.encode_pairs([(500, 600), (700, Unkeyable())], set())
+        assert_interner_in_sync(interner)
+        interner.intern("\ud800")
+        assert_interner_in_sync(interner)
+
+    def test_surrogatepass_keeps_every_encodable_key(self):
+        from repro.hashing import stable_node_key
+
+        def fnv(data):
+            acc = 0xCBF29CE484222325
+            for byte in data:
+                acc = ((acc ^ byte) * 0x100000001B3) % 2**64
+            return acc
+
+        for node in ["", "a", "node-17", "ü", "日本", "\U0001F600", 2.5]:
+            assert stable_node_key(node) == fnv(str(node).encode("utf-8"))
+        assert stable_node_key("\ud800") == fnv(b"\xed\xa0\x80")
+
+
 class TestReptBatchEquivalence:
     @pytest.mark.parametrize(
         "m,c,track_local",

@@ -142,12 +142,29 @@ def test_elastic_shard_checkpoints_resume(tmp_path):
 
 @needs_cc
 def test_pickled_native_estimator_resumes():
+    # The pickle carries no group records: unpickling builds them, and the
+    # per-edge path's one compiled call reads them from the first record.
+    reference = ReptEstimator(_config())
+    reference.process_edges(EDGES)
     estimator = pickle.loads((FIXTURES / "estimator.pkl").read_bytes())
     assert all(isinstance(group, NativeProcessorGroup) for group in estimator.groups)
     estimator.process_edges(EDGES[CUT:])
-    reference = ReptEstimator(_config())
-    reference.process_edges(EDGES)
     assert _key(estimator.estimate()) == _key(reference.estimate())
+    estimator = pickle.loads((FIXTURES / "estimator.pkl").read_bytes())
+    for u, v in EDGES[CUT:]:
+        estimator.process_edge(u, v)
+    assert _key(estimator.estimate()) == _key(reference.estimate())
+
+
+@pytest.mark.parametrize("kernel", [pytest.param("auto", marks=needs_cc), "python"])
+@pytest.mark.parametrize("name", ["service/t", "durable"])
+def test_dict_form_state_resumes_per_edge(name, kernel):
+    payload = CheckpointManager(FIXTURES / name).recover().checkpoint.payload
+    state = GroupStateSet(_config(kernel))
+    state.restore_portable(payload.get("portable", payload))
+    for u, v in EDGES[CUT:]:
+        state.process_edge(u, v)
+    assert _key(state.estimate(len(EDGES))) == _key(_uninterrupted())
 
 
 def _window_rows(results):

@@ -364,3 +364,72 @@ class TestSharedInterner:
         assert type(nodes[shared.id_of(2)]) is float
         _assert_estimates_equal(a, a_reference, 5)
         _assert_estimates_equal(b, b_reference, 123)
+
+
+class _Unkeyable:
+    """A hashable id whose stable key cannot be computed."""
+
+    def __str__(self):
+        raise RuntimeError("no key")
+
+
+#: Ids ``intern`` and ``encode_pairs`` accept, and ids that make them raise:
+#: an unhashable list, and an id whose stable key raises.
+good_ids = st.integers(min_value=-50, max_value=50) | st.sampled_from(
+    ["a", "b", "\ud800", "x\udfff", 2.0, True, INT64_MAX, 2**64 + 1]
+)
+bad_ids = st.sampled_from(["list", "unkeyable"])
+interner_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("intern"), good_ids | bad_ids),
+        st.tuples(
+            st.sampled_from(["encode_pairs", "columns"]),
+            st.lists(st.tuples(good_ids | bad_ids, good_ids), max_size=8),
+        ),
+        st.tuples(st.just("pickle"), st.none()),
+    ),
+    max_size=30,
+)
+
+
+def _materialise(node):
+    if node == "list":
+        return [1]
+    if node == "unkeyable":
+        return _Unkeyable()
+    return node
+
+
+class TestInternerKeys:
+    """The key list stays in step with the node table, and ``key_array``
+    with the key list, through any mix of calls that succeed and raise."""
+
+    @given(ops=interner_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_keys_stay_in_sync(self, ops):
+        from repro.hashing import stable_node_key
+
+        interner = NodeInterner()
+        handed_out = []
+        for op, payload in ops:
+            try:
+                if op == "intern":
+                    interner.intern(_materialise(payload))
+                elif op == "encode_pairs":
+                    interner.encode_pairs([(_materialise(u), v) for u, v in payload], set())
+                elif op == "columns":
+                    interner._encode_columns([(_materialise(u), v) for u, v in payload], set())
+                else:
+                    interner = pickle.loads(pickle.dumps(interner))
+            except (TypeError, RuntimeError):
+                pass
+            assert len(interner._ids) == len(interner.nodes) == len(interner._keys)
+            for dense, node in enumerate(interner.nodes):
+                assert interner._keys[dense] == stable_node_key(node)
+            keys = interner.key_array()
+            assert keys.dtype == np.uint64
+            assert np.array_equal(keys, np.array(interner._keys, np.uint64))
+            handed_out.append((keys, keys.copy()))
+        # Keys are append-only: arrays handed out earlier keep their contents.
+        for keys, copy in handed_out:
+            assert np.array_equal(keys, copy)

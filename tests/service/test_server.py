@@ -71,6 +71,42 @@ class TestDispatch:
         asyncio.run(scenario())
 
 
+class TestSharedInterner:
+    def test_a_lone_surrogate_id_cannot_break_another_tenant(self):
+        # Tenants share one interner.  A lone surrogate arrives as valid
+        # JSON; its node key must not desync the table every tenant hashes
+        # with, or the other tenants' frames fail and are dropped.
+        from repro.generators.traffic import packet_flow_stream
+
+        spec = {"kind": "rept", "m": 4, "c": 4, "seed": 5}
+        edges = packet_flow_stream(20000, seed=4).edges()
+        frames = [[list(e) for e in edges[k : k + 2000]] for k in range(0, 20000, 2000)]
+
+        async def scenario():
+            service = EstimationService()
+            client = InProcessClient(service)
+            await client.open("a", engine=spec)
+            await client.open("b", engine=spec)
+            answer = await client.ingest("a", [["\ud800", "x"]])
+            assert answer["accepted"] is True
+            for frame in frames:
+                await client.ingest("b", frame)
+            session = service.sessions["b"]
+            await session.queue.join()
+            stats = (await client.stats("b"))["stats"]
+            assert stats["state"] == "running"
+            assert stats["delivered"] == 20000
+            assert stats["ingest_errors"] == stats["dropped_frames"] == 0
+            return session.engine.state.estimate(session.engine.delivered)
+
+        estimate = asyncio.run(scenario())
+        reference = GroupStateSet(ReptConfig(m=4, c=4, seed=5))
+        n = sum(reference.process_edges([tuple(e) for e in frame]) for frame in frames)
+        expected = reference.estimate(n)
+        assert estimate.global_count == expected.global_count
+        assert estimate.local_counts == expected.local_counts
+
+
 class TestTenancy:
     def test_open_reopen_and_engine_mismatch(self):
         async def scenario():

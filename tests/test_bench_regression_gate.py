@@ -4,8 +4,8 @@ The gate script (``benchmarks/check_bench_regression.py``) is standalone
 (no package imports) so CI can run it without ``PYTHONPATH``; these tests
 load it by path and drive simulated baseline/fresh payloads through it —
 the acceptance criterion is that a ≥20% simulated batch-throughput
-regression fails the gate while parity (and pure hardware drift, thanks to
-per-edge calibration) passes.
+regression — or native per-edge one — fails the gate while parity (and
+pure hardware drift, thanks to per-edge calibration) passes.
 """
 
 from __future__ import annotations
@@ -224,6 +224,53 @@ class TestKernelKeyedCells:
             tolerance=0.20,
         )
         assert code == 1
+
+
+class TestNativePerEdgeGate:
+    """A native cell's per-edge figure is the compiled per-edge call, so it
+    is gated like the batch figure, calibrated by the python cells."""
+
+    def test_25pct_native_per_edge_drop_fails(self):
+        fresh = _scale(KERNEL_BASELINE, per_edge=0.75, kernel="cc")
+        code, text = _run(KERNEL_BASELINE, fresh, tolerance=0.20)
+        assert code == 1
+        assert "calibration=1.000" in text
+        regressed = [line for line in text.splitlines() if "REGRESSED" in line]
+        assert len(regressed) == 2
+        assert all("kernel=cc" in line and "per_edge_eps" in line for line in regressed)
+
+    def test_25pct_native_per_edge_drop_fails_under_speedup_metric(self):
+        fresh = _scale(KERNEL_BASELINE, per_edge=0.75, kernel="cc")
+        code, text = _run(KERNEL_BASELINE, fresh, tolerance=0.20, metric="speedup")
+        assert code == 1
+        assert "per_edge_eps" in text
+
+    def test_uniform_slowdown_passes(self):
+        fresh = _scale(KERNEL_BASELINE, per_edge=0.6, batch=0.6)
+        code, text = _run(KERNEL_BASELINE, fresh, tolerance=0.20)
+        assert code == 0
+        assert "calibration=0.600" in text
+        assert text.count("per_edge_eps") == 2
+
+    def test_python_cells_alone_set_the_calibration(self):
+        # The native per-edge path doubled: the factor stays 1.0, since
+        # only python cells calibrate, and nothing regressed.
+        fresh = _scale(KERNEL_BASELINE, per_edge=2.0, kernel="cc")
+        code, text = _run(KERNEL_BASELINE, fresh, tolerance=0.20)
+        assert code == 0
+        assert "calibration=1.000" in text
+        # A python per-edge slowdown moves the factor and every floor with it.
+        fresh = _scale(KERNEL_BASELINE, per_edge=0.5, kernel="python")
+        code, text = _run(KERNEL_BASELINE, fresh, tolerance=0.20)
+        assert "calibration=0.500" in text
+        assert code == 0
+
+    def test_python_per_edge_is_not_gated(self):
+        fresh = _scale(KERNEL_BASELINE, per_edge=0.5)
+        fresh = _scale(fresh, per_edge=2.0, batch=2.0, kernel="cc")
+        code, text = _run(KERNEL_BASELINE, fresh, tolerance=0.20, calibrate=False)
+        assert code == 0
+        assert "kernel=python frac=1.0: per_edge_eps" not in text
 
 
 class TestCommandLine:
