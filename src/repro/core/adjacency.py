@@ -12,46 +12,70 @@ object:
 
 ``GroupArrays``
     The storage: a half-edge pool of singly-linked neighbour chains
-    (``pool_nbr``/``pool_eid``/``pool_nxt`` with per-``(slot, node)`` chain
-    heads), dense per-node slot bitmasks keyed by interned id, flat edge
-    records (``edge_u``/``edge_v``/``edge_slot``/``edge_tri``) and per-slot
-    counter rows.  Growth is amortised doubling with contiguous
-    reallocation, and the compiled calls never allocate: a batch's
-    capacities are ensured before its call, and the per-edge call reports
-    a group short of room instead of writing, so the caller grows it and
+    (``pool_nbr``/``pool_eid``/``pool_nxt``), flat edge records
+    (``edge_u``/``edge_v``/``edge_slot``/``edge_tri``), per-slot counter
+    rows and a pool of *cells*, one per ``(slot, node)`` where the node
+    holds the slot — the bitmap-indexed node of Bagwell's hash array mapped
+    trie ("Ideal Hash Trees", 2001).  ``node_bits[x]`` is node ``x``'s slot
+    mask and ``node_base[x]`` the start of its block of cells, one per set
+    bit in slot order, so slot ``s``'s cell sits at ``node_base[x] +
+    popcount(node_bits[x] & ((1 << s) - 1))``.  A cell holds the head of
+    the node's neighbour chain on that slot (``cell_head``, -1 for an empty
+    chain) and, when the group tracks them, ``τ_v``, ``η_v`` and the η mark
+    (``cell_tau``/``cell_eta``/``cell_mark``).  A node gains a slot when it
+    stores its first edge there, or when a fold gives it a ``τ_v`` or
+    ``η_v`` on a slot where it stores no edge; that cell's chain stays
+    empty.  So a group's memory follows its sample, not the largest
+    interned id.
+
+    Growth is amortised doubling with contiguous reallocation, and the
+    compiled calls never allocate.  Node and edge capacities are ensured
+    before a batch.  A node that gains a slot moves its block to the end
+    of the cell pool, or grows it in place if it ends the pool; the cells
+    it leaves are zeroed and counted dead.  A compiled entry that would run
+    out of cells stops before the record (or edge, or counter) that does
+    not fit and returns its index; the pool then doubles, or is compacted
+    in one pass when its dead cells outnumber the live ones, and the entry
+    resumes there (:meth:`GroupArrays.fill`).  The per-edge call reports a
+    group short of room instead of writing, so the caller grows it and
     calls again.  The group's state record
     (:class:`~repro.core.kernel.GroupRecord`) holds the columns' addresses
-    and capacities; every growth rewrites it, a reset hands it on to the
-    new columns, and it is never pickled.  There is no separate edge
-    index: an edge's row in the flat columns (its *eid*) is found by the
-    compiled lookup, which walks both endpoints' neighbour chains on the
-    edge's slot in lockstep.
+    and capacities; every growth and compaction rewrites it, a reset hands
+    it on to the new columns, and it is never pickled.  There is no
+    separate edge index: an edge's row in the flat columns (its *eid*) is
+    found by the compiled lookup, which walks both endpoints' neighbour
+    chains on the edge's slot in lockstep.
 
 ``NativeProcessorGroup``
     A drop-in :class:`~repro.core.state.ProcessorGroup` subclass backed by
     ``GroupArrays``.  It supplies the three primitives every state
     boundary is built on (see :mod:`repro.core.portable`): ``columns``
-    reads the state as a :class:`~repro.core.portable.ColumnarDelta` with
-    one scan per counter block, ``merge_deltas`` folds one — new edges are
-    appended in one compiled call, the per-edge counters fold with the
-    exact η correction in another, and node cells and slot rows are numpy
-    adds — and ``reset`` drops the state.  Snapshots, restores, merges,
-    pane deltas, aggregates and stored-edge introspection are
-    bit-identical to the dict reference (asserted by the kernel-parity,
-    pane-delta and state-format property suites), so no per-edge Python
-    object is built at any boundary.
+    reads the state as a :class:`~repro.core.portable.ColumnarDelta`, its
+    ``τ_v``/``η_v`` entries in one compiled pass over the occupied cells,
+    ``merge_deltas`` folds one — new edges are appended in one compiled
+    call, the per-edge counters fold with the exact η correction in
+    another, ``τ_v``/``η_v`` entries add onto cells in a third, and slot
+    rows are numpy adds — and ``reset`` drops the state.  Snapshots,
+    restores, merges, pane deltas, aggregates and stored-edge
+    introspection are bit-identical to the dict reference (asserted by the
+    kernel-parity, pane-delta, cell-layout and state-format property
+    suites), so no per-edge Python object is built at any boundary.
 
 Dict-equivalence notes (the subtle bits the parity suites pin down):
 
 * ``tau_local`` entries in the dict implementation are created only with
-  strictly positive increments, so non-zero array cells recover the dict
-  exactly.  Explicit zero or negative entries could only arrive through a
-  merged snapshot, and the portable reader rejects any part with a
-  negative counter or a zero ``τ_v`` cell.
+  strictly positive increments, so the non-zero ``cell_tau`` values
+  recover the dict exactly.  Explicit zero or negative entries could only
+  arrive through a merged snapshot, and the portable reader rejects any
+  part with a negative counter or a zero ``τ_v`` cell.
 * ``eta_local`` *does* receive zero increments in normal operation
   (``count_uw`` may be 0 when the wedge edge was stored this instant), and
-  the dict keeps those explicit zero entries — ``eta_mark`` records
+  the dict keeps those explicit zero entries — ``cell_mark`` records
   touched cells so extraction reproduces them.
+* A dict entry for a node on a slot where it stores no edge (from a
+  restored part, or from the η correction of a loose per-edge counter)
+  is a cell with an empty chain: the closure walks it as nothing, so the
+  counters stay exact.
 * ``edge_triangles`` is keyed by stored edges but a merged snapshot may
   contain keys whose edge is not in the adjacency; those live in the
   ``loose_tri`` side dicts and fold with the same η correction.  Once such
@@ -59,9 +83,9 @@ Dict-equivalence notes (the subtle bits the parity suites pin down):
   (:meth:`GroupArrays.settle_loose`), unless the ingest loop already set
   the edge's counter — the dict reference overwrites the key there.
 * ``edge_tri``/``edge_seen`` carry the *detachable* per-edge counters: the
-  pane-delta protocol zeroes them while the adjacency (pool, heads,
-  bitmasks) stays — exactly the seeded-at-a-boundary state the merge
-  contract expects.
+  pane-delta protocol zeroes them and the cells' counters while the
+  adjacency (pool, cells, bitmasks) stays — exactly the
+  seeded-at-a-boundary state the merge contract expects.
 """
 
 from __future__ import annotations
@@ -78,6 +102,7 @@ from repro.hashing.base import EdgeHashFunction
 
 _INIT_NODES = 64
 _INIT_EDGES = 64
+_INIT_CELLS = 64
 
 
 def _grown(array: np.ndarray, cap: int) -> np.ndarray:
@@ -94,10 +119,12 @@ class GroupArrays:
     why native groups are limited to
     :data:`~repro.core.kernel.MAX_NATIVE_GROUP_SIZE` slots — and the
     boolean markers are uint8.  ``meta`` carries the mutable scalars the
-    kernel advances in place: ``[n_half, n_edges, epoch]``.  ``record`` is
-    the :class:`~repro.core.kernel.GroupRecord` the compiled calls read;
-    every growth rewrites it, and a group that resets passes its record
-    on, so its address stays the group's for life.
+    kernel advances in place: ``[n_half, n_edges, epoch, n_cells,
+    n_dead]``, the last two being the cells in use at the pool's front and
+    the abandoned (zeroed) ones among them.  ``record`` is the
+    :class:`~repro.core.kernel.GroupRecord` the compiled calls read; every
+    growth and compaction rewrites it, and a group that resets passes its
+    record on, so its address stays the group's for life.
     """
 
     def __init__(
@@ -119,11 +146,20 @@ class GroupArrays:
         self.node_cap = _INIT_NODES
         self.edge_cap = _INIT_EDGES
         self.pool_cap = 2 * _INIT_EDGES
-        # Per-node columns (indexed by interned id).
+        self.cell_cap = _INIT_CELLS
+        # Per-node columns (indexed by interned id): the slots the node
+        # holds and where its block of cells starts, and the closure walk's
+        # scratch.
         self.node_bits = np.zeros(self.node_cap, np.int64)
-        self.heads = np.full((group_size, self.node_cap), -1, np.int64)
+        self.node_base = np.zeros(self.node_cap, np.int64)
         self.mark = np.zeros(self.node_cap, np.int64)
         self.mark_eid = np.zeros(self.node_cap, np.int64)
+        # The cell pool: one cell per (slot, node) the node holds, with the
+        # head of its neighbour chain and, when tracked, τ_v, η_v and the
+        # η mark.
+        self.cell_head, self.cell_tau, self.cell_eta, self.cell_mark = self._cell_columns(
+            self.cell_cap
+        )
         # Half-edge pool: two entries per stored edge, chained via pool_nxt.
         self.pool_nbr = np.zeros(self.pool_cap, np.int64)
         self.pool_eid = np.zeros(self.pool_cap, np.int64)
@@ -140,23 +176,26 @@ class GroupArrays:
         self.tau = np.zeros(group_size, np.int64)
         self.eta = np.zeros(group_size, np.int64)
         self.edges_stored = np.zeros(group_size, np.int64)
-        if track_local:
-            self.tau_local = np.zeros((group_size, self.node_cap), np.int64)
-        else:
-            self.tau_local = np.zeros((1, 1), np.int64)
-        if track_local and track_eta:
-            self.eta_local = np.zeros((group_size, self.node_cap), np.int64)
-            self.eta_mark = np.zeros((group_size, self.node_cap), np.uint8)
-        else:
-            self.eta_local = np.zeros((1, 1), np.int64)
-            self.eta_mark = np.zeros((1, 1), np.uint8)
-        self.meta = np.zeros(3, np.int64)
+        self.meta = np.zeros(5, np.int64)
         # Side state the flat columns cannot express (see module docstring).
         self.loose_tri: List[Dict[Tuple[int, int], int]] = [
             {} for _ in range(group_size)
         ]
         self.record = record if record is not None else kernel_mod.GroupRecord()
         kernel_mod.sync_record(self.record, self)
+
+    def _cell_columns(self, cap: int) -> Tuple[np.ndarray, ...]:
+        """Zeroed ``cell_head``, ``cell_tau``, ``cell_eta`` and ``cell_mark``
+        columns of ``cap`` cells; an untracked one is a one-entry
+        placeholder nothing writes."""
+        tau_cap = cap if self.track_local else 1
+        eta_cap = cap if self.has_eta_local else 1
+        return (
+            np.zeros(cap, np.int64),
+            np.zeros(tau_cap, np.int64),
+            np.zeros(eta_cap, np.int64),
+            np.zeros(eta_cap, np.uint8),
+        )
 
     def __getstate__(self):
         # Raw addresses are never pickled: an unpickled state writes a new
@@ -173,8 +212,42 @@ class GroupArrays:
         state.pop("_pair_sync", None)
         state.pop("tau_zero", None)
         self.__dict__.update(state)
+        if "heads" in state:
+            self._cells_from_dense()
         self.record = kernel_mod.GroupRecord()
         kernel_mod.sync_record(self.record, self)
+
+    def _cells_from_dense(self) -> None:
+        """Convert the dense ``group_size × node_cap`` blocks of an older
+        pickle: every chain head, non-zero ``τ_v`` and marked ``η_v`` becomes
+        a cell, node by node."""
+        heads = self.__dict__.pop("heads")
+        tau_local = self.__dict__.pop("tau_local")
+        eta_local = self.__dict__.pop("eta_local")
+        eta_mark = self.__dict__.pop("eta_mark")
+        held = heads != -1
+        if self.track_local:
+            held |= tau_local != 0
+        if self.has_eta_local:
+            held |= eta_mark != 0
+        nodes, slots = np.nonzero(held.T)
+        n = len(nodes)
+        cap = _INIT_CELLS
+        while cap < n:
+            cap *= 2
+        self.cell_cap = cap
+        self.cell_head, self.cell_tau, self.cell_eta, self.cell_mark = self._cell_columns(cap)
+        self.cell_head[:n] = heads[slots, nodes]
+        if self.track_local:
+            self.cell_tau[:n] = tau_local[slots, nodes]
+        if self.has_eta_local:
+            self.cell_eta[:n] = eta_local[slots, nodes]
+            self.cell_mark[:n] = eta_mark[slots, nodes]
+        self.node_bits = np.zeros(self.node_cap, np.int64)
+        np.add.at(self.node_bits, nodes, np.left_shift(1, slots))
+        counts = np.bincount(nodes, minlength=self.node_cap)
+        self.node_base = np.cumsum(counts) - counts
+        self.meta = np.concatenate((self.meta[:3], [n, 0]))
 
     @property
     def n_edges(self) -> int:
@@ -194,22 +267,9 @@ class GroupArrays:
         while cap < n:
             cap *= 2
         self.node_bits = _grown(self.node_bits, cap)
-        heads = np.full((self.group_size, cap), -1, np.int64)
-        heads[:, : self.node_cap] = self.heads
-        self.heads = heads
+        self.node_base = _grown(self.node_base, cap)
         self.mark = _grown(self.mark, cap)
         self.mark_eid = _grown(self.mark_eid, cap)
-        if self.track_local:
-            tau_local = np.zeros((self.group_size, cap), np.int64)
-            tau_local[:, : self.node_cap] = self.tau_local
-            self.tau_local = tau_local
-            if self.track_eta:
-                eta_local = np.zeros((self.group_size, cap), np.int64)
-                eta_local[:, : self.node_cap] = self.eta_local
-                self.eta_local = eta_local
-                eta_mark = np.zeros((self.group_size, cap), np.uint8)
-                eta_mark[:, : self.node_cap] = self.eta_mark
-                self.eta_mark = eta_mark
         self.node_cap = cap
         kernel_mod.sync_record(self.record, self)
 
@@ -241,13 +301,61 @@ class GroupArrays:
         if grown:
             kernel_mod.sync_record(self.record, self)
 
+    def ensure_cells(self, extra: int) -> None:
+        """Guarantee room for ``extra`` more cells at the pool's end.
+
+        Short of room, a pool whose abandoned cells outnumber its live ones
+        is compacted in one compiled pass into new columns of at least
+        twice the live cells plus ``extra`` (so it keeps its size unless
+        ``extra`` is large); any other pool doubles, its cells copied as
+        they lie.
+        """
+        top, dead = int(self.meta[3]), int(self.meta[4])
+        cap = self.cell_cap
+        if top + extra <= cap:
+            return
+        live = top - dead
+        compact = dead > live
+        need = 2 * (live + extra) if compact else top + extra
+        while cap < need:
+            cap *= 2
+        columns = self._cell_columns(cap)
+        if compact:
+            # The record points at the old columns until the pass has read them.
+            self.meta[3] = kernel_mod.compact_cells(self.record, *columns)
+            self.meta[4] = 0
+        else:
+            old = (self.cell_head, self.cell_tau, self.cell_eta, self.cell_mark)
+            for new_column, old_column in zip(columns, old):
+                if len(new_column) == cap:
+                    new_column[:top] = old_column[:top]
+        self.cell_head, self.cell_tau, self.cell_eta, self.cell_mark = columns
+        self.cell_cap = cap
+        kernel_mod.sync_record(self.record, self)
+
+    def fill(self, step, n: int) -> None:
+        """Run a compiled entry over ``n`` items until all are done.
+
+        ``step(start)`` advances items ``start..n-1``, stops before the
+        first one whose cells do not fit, and returns its index; each stop
+        makes room for the most cells one item may need (two nodes gaining
+        a slot each) and resumes there.
+        """
+        done = step(0)
+        while done < n:
+            self.ensure_cells(2 * self.group_size)
+            resumed = step(done)
+            if resumed == done:
+                raise RuntimeError("a compiled call found no room after growth")
+            done = resumed
+
     # -- edge lookup and insertion ---------------------------------------------
 
     def find_edge(self, slot: int, a: int, b: int) -> Optional[int]:
         """Return the eid of the pair ``{a, b}`` on ``slot``, if stored."""
         if a >= self.node_cap or b >= self.node_cap:
             return None
-        eid = int(kernel_mod.find_edges(np.array([slot]), np.array([a]), np.array([b]), self)[0])
+        eid = int(kernel_mod.find_edges([slot], [a], [b], self.record)[0])
         return None if eid < 0 else eid
 
     def append_edge(self, iu: int, iv: int, slot: int) -> None:
@@ -259,13 +367,20 @@ class GroupArrays:
         """Insert id-ordered pairs ``us[k] < vs[k]`` on slots ``ss[k]`` in
         one compiled call (restore/seed/merge; per-edge counters zero,
         apart from loose counters the new edges settle)."""
-        us = np.asarray(us, np.int64)
-        vs = np.asarray(vs, np.int64)
-        ss = np.asarray(ss, np.int64)
+        us = np.ascontiguousarray(us, np.int64)
+        vs = np.ascontiguousarray(vs, np.int64)
+        ss = np.ascontiguousarray(ss, np.int64)
         self.ensure_nodes(int(vs.max()) + 1)
         self.ensure_edges(len(us))
-        kernel_mod.append_edges(us, vs, ss, self)
+        self.fill(lambda start: kernel_mod.append_edges(start, us, vs, ss, self.record), len(us))
         self.settle_loose()
+
+    def add_cells(self, ss: np.ndarray, xs: np.ndarray, vs: np.ndarray, eta: bool) -> None:
+        """Add ``vs[k]`` to node ``xs[k]``'s ``τ_v`` (or ``η_v``, marked) cell
+        on slot ``ss[k]``; a node without a stored edge there gains the cell."""
+        ss, xs, vs = (np.ascontiguousarray(c, np.int64) for c in (ss, xs, vs))
+        self.ensure_nodes(int(xs.max()) + 1)
+        self.fill(lambda start: kernel_mod.add_cells(start, ss, xs, vs, eta, self.record), len(ss))
 
     def settle_loose(self) -> None:
         """Move each loose per-edge counter whose edge is now stored onto it.
@@ -280,7 +395,7 @@ class GroupArrays:
                 continue
             keys = list(loose)
             a, b = columns(keys, 2)
-            eids = kernel_mod.find_edges(np.full(len(keys), slot), a, b, self)
+            eids = kernel_mod.find_edges(np.full(len(keys), slot), a, b, self.record)
             for key, eid in zip(keys, eids.tolist()):
                 if eid >= 0:
                     value = loose.pop(key)
@@ -295,31 +410,37 @@ class GroupArrays:
         n = int(self.meta[1])
         edges = np.stack((self.edge_slot[:n], self.edge_u[:n], self.edge_v[:n]))
         tri, _ = self._tri()
-        tau_cells, _ = self._cells(self.tau_local, self.tau_local)
-        eta_cells, _ = self._cells(self.eta_local, self.eta_mark)
+        tau_cells, eta_cells = self.cells(take=False)
         return ColumnarDelta(edges, tri, tau_cells, eta_cells, self._rows())
 
     def detach(self, new_stored: np.ndarray) -> ColumnarDelta:
         """Detach every counter as a :class:`ColumnarDelta` and zero it.
 
         ``new_stored`` holds the ``(slot, u, v)`` columns of the edges
-        stored since the last detach; the adjacency stays.  Each counter
-        block is scanned once, for both the columns and the zeroing.
+        stored since the last detach; the adjacency and the cells stay.
+        One compiled pass over the cells reads and zeroes them.
         """
         tri, sel = self._tri()
         self.edge_tri[sel] = 0
         self.edge_seen[sel] = 0
         self.loose_tri = [{} for _ in range(self.group_size)]
-        tau_cells, idx = self._cells(self.tau_local, self.tau_local)
-        self.tau_local.reshape(-1)[idx] = 0
-        eta_cells, idx = self._cells(self.eta_local, self.eta_mark)
-        self.eta_local.reshape(-1)[idx] = 0
-        self.eta_mark.reshape(-1)[idx] = 0
+        tau_cells, eta_cells = self.cells(take=True)
         rows = self._rows()
         self.tau[:] = 0
         self.eta[:] = 0
         self.edges_stored[:] = 0
         return ColumnarDelta(_id_ordered(new_stored), tri, tau_cells, eta_cells, rows)
+
+    def cells(self, take: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """The non-zero ``τ_v`` and the marked ``η_v`` cells as ``(slot, node,
+        value)`` columns, node by node; ``take`` zeroes them.  Untracked
+        counters yield no cells."""
+        live = int(self.meta[3] - self.meta[4])
+        tau = np.empty((3, live if self.track_local else 0), np.int64)
+        eta = np.empty((3, live if self.has_eta_local else 0), np.int64)
+        n_tau, n_eta = kernel_mod.read_cells(self.record, take, tau, eta).tolist()
+        # Copies: a view would keep the whole buffer alive.
+        return tau[:, :n_tau].copy(), eta[:, :n_eta].copy()
 
     def _rows(self) -> np.ndarray:
         return np.stack((self.tau, self.eta, self.edges_stored))
@@ -339,14 +460,6 @@ class GroupArrays:
         if loose:
             tri = np.concatenate((tri, columns(loose, 4)), axis=1)
         return tri, sel
-
-    def _cells(self, values: np.ndarray, marks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The marked ``(slot, node, value)`` cells of a per-(slot, node) block
-        and their flat indices.  An untracked block is a ``(1, 1)`` zero
-        placeholder nothing writes, so it yields no cells."""
-        idx = np.flatnonzero(marks.reshape(-1))
-        slots, nodes = np.divmod(idx, self.node_cap)
-        return np.stack((slots, nodes, values.reshape(-1)[idx])), idx
 
 
 class NativeProcessorGroup(ProcessorGroup):
@@ -406,15 +519,19 @@ class NativeProcessorGroup(ProcessorGroup):
         cv_a = np.asarray(cv, np.int64)
         slots_a = np.asarray(slots, np.int64)
         firsts_a = np.asarray(firsts, np.uint8)
-        # Pre-ensure every capacity: the kernel never grows storage.  Node
-        # columns cover the ids this batch references (not the whole shared
-        # interner); the store count is exactly the storable first flags.
+        # The kernel never grows storage.  Node columns cover the ids this
+        # batch references (not the whole shared interner) and the edge
+        # columns its storable first flags; the cell pool grows where the
+        # kernel stops short of it.
         arrays.ensure_nodes(max(int(cu_a.max()), int(cv_a.max())) + 1)
         store_mask = (firsts_a != 0) & (slots_a < self.group_size)
         n_stores = int(np.count_nonzero(store_mask))
         if n_stores:
             arrays.ensure_edges(n_stores)
-        kernel_mod.run_batch(n, cu_a, cv_a, slots_a, firsts_a, arrays.record)
+        record = arrays.record
+        arrays.fill(
+            lambda start: kernel_mod.run_batch(start, n, cu_a, cv_a, slots_a, firsts_a, record), n
+        )
         if n_stores:
             if self._pairs_cache is not None:
                 self._pairs_cache.update(
@@ -446,7 +563,9 @@ class NativeProcessorGroup(ProcessorGroup):
            eid by a chain walk and applies the closed-form η correction
            against the prior value; counters whose edge is not stored fold
            into the loose side dicts the same way.
-        3. ``τ_v``/``η_v`` cells and the slot rows are numpy adds.
+        3. ``τ_v``/``η_v`` cells add in one compiled call per block (a node
+           gains a cell on a slot where it stores no edge), and the slot
+           rows are numpy adds.
 
         Node columns grow to the ids the delta references, not to the
         shared interner.
@@ -465,12 +584,13 @@ class NativeProcessorGroup(ProcessorGroup):
             ss, us, vs = edges[:, np.lexsort((edges[2], edges[1], edges[0]))]
             new = np.ones(len(ss), bool)
             new[1:] = (ss[1:] != ss[:-1]) | (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
-            new &= kernel_mod.find_edges(ss, us, vs, arrays) < 0
+            new &= kernel_mod.find_edges(ss, us, vs, arrays.record) < 0
             if new.any():
                 arrays.append_edges(us[new], vs[new], ss[new])
 
         if tri.shape[1]:
-            misses = kernel_mod.fold_edge_counters(tri[0], tri[1], tri[2], tri[3], arrays)
+            misses = kernel_mod.fold_edge_counters(tri[0], tri[1], tri[2], tri[3], arrays.record)
+            corrections = []
             for slot, a, b, value in zip(*tri[:, misses].tolist()):
                 loose = arrays.loose_tri[slot]
                 prior = loose.get((a, b), 0)
@@ -478,22 +598,18 @@ class NativeProcessorGroup(ProcessorGroup):
                 if prior:
                     correction = value * prior
                     arrays.eta[slot] += correction
-                    if arrays.has_eta_local:
-                        arrays.eta_local[slot, a] += correction
-                        arrays.eta_local[slot, b] += correction
-                        arrays.eta_mark[slot, a] = 1
-                        arrays.eta_mark[slot, b] = 1
+                    corrections.append((slot, a, correction))
+                    corrections.append((slot, b, correction))
+            if corrections and arrays.has_eta_local:
+                arrays.add_cells(*columns(corrections, 3), eta=True)
 
         if self.track_local:
             cells = delta.tau_cells
             if cells.shape[1]:
-                slots, nodes, values = cells
-                np.add.at(arrays.tau_local, (slots, nodes), values)
+                arrays.add_cells(*cells, eta=False)
             cells = delta.eta_cells
             if arrays.has_eta_local and cells.shape[1]:
-                slots, nodes, values = cells
-                np.add.at(arrays.eta_local, (slots, nodes), values)
-                arrays.eta_mark[slots, nodes] = 1
+                arrays.add_cells(*cells, eta=True)
         rows = delta.rows
         arrays.tau += rows[0]
         arrays.eta += rows[1]
@@ -515,23 +631,18 @@ class NativeProcessorGroup(ProcessorGroup):
         return int(self._arrays.edges_stored.sum())
 
     def _local_sums(self, attribute: str, as_float: bool):
-        arrays = self._arrays
-        nodes = self.interner.nodes
-        if attribute == "tau_local":
-            if not self.track_local:
-                return {}
-            sums = arrays.tau_local.sum(axis=0)
-            return {
-                nodes[int(i)]: (float(sums[i]) if as_float else int(sums[i]))
-                for i in np.flatnonzero(sums)
-            }
-        if not arrays.has_eta_local:
+        tau_cells, eta_cells = self._arrays.cells(take=False)
+        _, ids, values = tau_cells if attribute == "tau_local" else eta_cells
+        if not ids.size:
             return {}
-        sums = arrays.eta_local.sum(axis=0)
-        touched = arrays.eta_mark.any(axis=0)
+        # Cells come node by node: sum each node's run.
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        sums = np.add.reduceat(values, starts)
+        nodes = self.interner.nodes
+        convert = float if as_float else int
         return {
-            nodes[int(i)]: (float(sums[i]) if as_float else int(sums[i]))
-            for i in np.flatnonzero(touched)
+            nodes[node]: convert(total)
+            for node, total in zip(ids[starts].tolist(), sums.tolist())
         }
 
 

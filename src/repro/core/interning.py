@@ -214,8 +214,8 @@ class NodeInterner:
         Returns ``(cu, cv, firsts, n_records)`` where ``cu``/``cv`` are
         parallel lists of dense ids in *canonical* orientation (matching
         :func:`repro.types.canonical_edge` on the raw identifiers — the
-        orientation the edge hash is defined over), self-loops are dropped,
-        and ``n_records`` counts every input record including the dropped
+        orientation the edge hash is defined over), self-loops — records
+        whose endpoints are one interner key — are dropped, and ``n_records`` counts every input record including the dropped
         loops (the ``edges_processed`` contract).
 
         When ``seen`` is given it is used (and updated in place) to flag
@@ -246,7 +246,8 @@ class NodeInterner:
         try:
             for u, v in pairs:
                 n_records += 1
-                if u == v:
+                # The dict's own key test: one NaN object is one node.
+                if u is v or u == v:
                     continue
                 iu = ids.get(u)
                 if iu is None:

@@ -10,11 +10,21 @@ dict/set :class:`~repro.core.state.ProcessorGroup`, which it matches bit for
 bit (the kernel-parity suites assert exact equality).
 
 Each group has one state record (:class:`GroupRecord`): its hash family
-and parameters, ``m``, its shape, and the capacities and addresses of its
-columns.  Two entries read it and share the record step:
+and parameters, ``m``, its shape (``group_size``, ``track_local``,
+``track_eta``), the capacities of its node columns, edge columns,
+half-edge pool and cell pool (``node_cap``, ``edge_cap``, ``pool_cap``,
+``cell_cap``) and the addresses of its columns (:data:`RECORD_COLUMNS`),
+among them ``meta``, the scalars the calls advance: ``[n_half, n_edges,
+epoch, n_cells, n_dead]``.  Two entries read it and share the record step:
 
-* ``rept_ingest_batch`` advances one group over one encoded batch whose
-  slots the vectorised hash computed (:func:`run_batch`);
+* ``rept_ingest_batch`` advances one group over records ``start..n-1`` of
+  an encoded batch whose slots the vectorised hash computed
+  (:func:`run_batch`).  Before each record that stores, it checks the
+  room the store needs — one edge, two half-edges, and for each endpoint
+  that gains the slot its whole block of cells plus one — and stops
+  before the first record that does not fit, returning its index (``n``
+  when every record ran).  The caller grows or compacts the cell pool and
+  calls again from that index, so every record runs exactly once;
 * ``rept_ingest_edge`` is the per-edge path (:class:`EdgeEntry`, called by
   :meth:`~repro.core.state.GroupStateSet.process_edge`): one call per
   record whatever the number of groups.  It takes the edge's canonical
@@ -22,8 +32,9 @@ columns.  Two entries read it and share the record step:
   of both hash families — splitmix64 of ``key ^ seed``, and simple
   tabulation over the 8×256 rows — equal to
   :meth:`~repro.hashing.base.EdgeHashFunction.bucket` bit for bit, and
-  advances every group.  It checks every group's room first and, if any
-  is short, changes nothing and asks the caller to grow.
+  advances every group.  It checks every group's room first, the cells
+  both endpoints may need included, and, if any is short, changes
+  nothing and asks the caller to grow.
 
 Selection is requested as ``kernel="auto"|"python"|"native"`` on
 :class:`~repro.core.config.ReptConfig` and resolved once per state set by
@@ -40,23 +51,31 @@ self-loops, canonicalises by raw value and writes the ids and the packed
 ``lo << 32 | hi`` pair keys with in-batch first flags.  It also carries the
 cold-path calls of the group fold
 (:meth:`~repro.core.adjacency.NativeProcessorGroup.merge_deltas`), which
-folds a whole group's pane delta, snapshot or restored state, and take
-their arguments explicitly:
+folds a whole group's pane delta, snapshot or restored state, and of the
+cell scans, all of which read the group's record:
 
 * the bulk edge append (the record step's store and the bulk append
-  share one edge insert);
+  share one edge insert), which stops where the cells run out like the
+  batch entry;
+* the cell fold, which adds ``τ_v`` or ``η_v`` entries onto cells — a
+  node gains a cell with an empty chain on a slot where it stores no edge
+  — and stops where the cells run out;
 * the edge lookup, which finds an edge's eid by walking both endpoints'
   neighbour chains on its slot in lockstep — the groups keep no other
   edge index;
 * the per-edge counter fold, which adds detached ``τ_(u,v)`` counters onto
   the stored edges with the exact η correction against each prior value
-  and returns the counters whose edge is not stored.
+  and returns the counters whose edge is not stored;
+* the cell read, one pass over the nodes and their occupied cells that
+  writes the ``τ_v``/``η_v`` entries as columns (and zeroes them for a
+  pane take), and the compaction, which packs every node's block into
+  fresh columns and leaves the dead cells behind.
 
-No compiled function allocates: every capacity (node columns, half-edge
-pool, edge arrays, the encode pass's scratch set) is ensured by the Python
-wrapper before the call — from vectorised counts of a batch's storable
-first occurrences, or, on the per-edge path, after the call reported
-which groups lack room.
+No compiled function allocates: node columns, edge arrays, the half-edge
+pool and the encode pass's scratch set are ensured by the Python wrapper
+before the call — from vectorised counts of a batch's storable first
+occurrences, or, on the per-edge path, after the call reported which
+groups lack room — and the cell pool grows wherever a call stopped short.
 """
 
 from __future__ import annotations
@@ -95,7 +114,7 @@ typedef uint8_t u8;
 /* One processor group's state record (GroupRecord in Python): its hash,
  * its shape, and the capacities and addresses of its columns (layout in
  * repro/core/adjacency.py).  GroupArrays rewrites the column fields on
- * every growth; the ingest entries read nothing else. */
+ * every growth and compaction; the compiled calls read nothing else. */
 typedef struct {
     i64 hash_kind;          /* 0 splitmix, 1 tabulation */
     uint64_t seed;          /* splitmix: xor-ed into the key */
@@ -107,8 +126,13 @@ typedef struct {
     i64 node_cap;
     i64 edge_cap;
     i64 pool_cap;
+    i64 cell_cap;
     i64 *node_bits;
-    i64 *heads;
+    i64 *node_base;
+    i64 *cell_head;
+    i64 *cell_tau;
+    i64 *cell_eta;
+    u8 *cell_mark;
     i64 *pool_nbr;
     i64 *pool_eid;
     i64 *pool_nxt;
@@ -120,67 +144,174 @@ typedef struct {
     i64 *tau;
     i64 *eta;
     i64 *edges_stored;
-    i64 *tau_local;
-    i64 *eta_local;
-    u8 *eta_mark;
     i64 *mark;
     i64 *mark_eid;
-    i64 *meta;              /* [n_half, n_edges, epoch] */
+    i64 *meta;
 } rept_group;
 
-/* Stores edge e = {x, y} on slot: the id-ordered edge columns with
- * per-edge counter tri and flag seen, x's half-edge then y's at the heads
- * of their slot lists from pool index n_half, and the slot bit of both
- * nodes.  The one edge insert of the ingest loop and the bulk append. */
-static inline void rept_link_edge(
-    i64 e, i64 x, i64 y, i64 slot, i64 tri, u8 seen, i64 n_half,
-    i64 node_cap, i64 *node_bits, i64 *heads,
-    i64 *pool_nbr, i64 *pool_eid, i64 *pool_nxt,
-    i64 *edge_u, i64 *edge_v, i64 *edge_slot, i64 *edge_tri, u8 *edge_seen)
+/* The scalars of meta, which the entries advance in a local copy. */
+enum { N_HALF, N_EDGES, EPOCH, N_CELLS, N_DEAD, N_META };
+
+static inline i64 rept_popcount(uint64_t x)
 {
-    edge_u[e] = x < y ? x : y;
-    edge_v[e] = x < y ? y : x;
-    edge_slot[e] = slot;
-    edge_tri[e] = tri;
-    edge_seen[e] = seen;
-    i64 *hrow = heads + slot * node_cap;
-    pool_nbr[n_half] = y;
-    pool_eid[n_half] = e;
-    pool_nxt[n_half] = hrow[x];
-    hrow[x] = n_half;
-    pool_nbr[n_half + 1] = x;
-    pool_eid[n_half + 1] = e;
-    pool_nxt[n_half + 1] = hrow[y];
-    hrow[y] = n_half + 1;
-    i64 bit = (i64)1 << slot;
-    node_bits[x] |= bit;
-    node_bits[y] |= bit;
+    x = x - ((x >> 1) & 0x5555555555555555ULL);
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return (i64)((x * 0x0101010101010101ULL) >> 56);
+}
+
+static inline i64 rept_has_eta_local(const rept_group *g)
+{
+    return g->track_local && g->track_eta;
+}
+
+/* The cell of node x on slot s, which x holds: its block starts at
+ * node_base[x] and keeps one cell per set bit of node_bits[x], in slot
+ * order. */
+static inline i64 rept_cell_of(const rept_group *g, i64 x, i64 s)
+{
+    uint64_t below = ((uint64_t)1 << s) - 1;
+    return g->node_base[x] + rept_popcount((uint64_t)g->node_bits[x] & below);
+}
+
+/* The pool cells node x needs to gain slot s: none if it holds s, else
+ * its whole block moves with one more cell. */
+static inline i64 rept_cells_needed(const rept_group *g, i64 x, i64 s)
+{
+    i64 bits = g->node_bits[x];
+    return (bits >> s) & 1 ? 0 : rept_popcount((uint64_t)bits) + 1;
+}
+
+/* Whether g has room to store edge {x, y} on slot: one edge, two
+ * half-edges and the cells both endpoints may need. */
+static inline i64 rept_store_room(const rept_group *g, i64 x, i64 y, i64 slot, const i64 *st)
+{
+    return st[N_EDGES] < g->edge_cap
+        && st[N_HALF] + 2 <= g->pool_cap
+        && st[N_CELLS] + rept_cells_needed(g, x, slot) + rept_cells_needed(g, y, slot)
+            <= g->cell_cap;
+}
+
+/* Moves cell from to cell to and zeroes cell from. */
+static inline void rept_move_cell(const rept_group *g, i64 from, i64 to)
+{
+    g->cell_head[to] = g->cell_head[from];
+    g->cell_head[from] = 0;
+    if (g->track_local) {
+        g->cell_tau[to] = g->cell_tau[from];
+        g->cell_tau[from] = 0;
+    }
+    if (rept_has_eta_local(g)) {
+        g->cell_eta[to] = g->cell_eta[from];
+        g->cell_eta[from] = 0;
+        g->cell_mark[to] = g->cell_mark[from];
+        g->cell_mark[from] = 0;
+    }
+}
+
+/* Gives node x, which does not hold slot s, a cell on s with an empty
+ * chain and zero counters, and returns it.  A block that ends the pool
+ * grows in place; any other moves to the pool's end, and the cells it
+ * leaves are zeroed and counted dead.  The caller has checked room for
+ * rept_cells_needed(g, x, s) cells. */
+static i64 rept_gain_cell(const rept_group *g, i64 x, i64 s, i64 *st)
+{
+    i64 bits = g->node_bits[x];
+    i64 k = rept_popcount((uint64_t)bits);
+    i64 rank = rept_popcount((uint64_t)bits & (((uint64_t)1 << s) - 1));
+    i64 old = g->node_base[x];
+    i64 top = st[N_CELLS];
+    i64 base;
+    if (k != 0 && old + k == top) {
+        base = old;
+        for (i64 c = old + k; c > old + rank; c--)
+            rept_move_cell(g, c - 1, c);
+        st[N_CELLS] = top + 1;
+    } else {
+        base = top;
+        for (i64 j = 0; j < k; j++)
+            rept_move_cell(g, old + j, top + j + (j >= rank));
+        st[N_CELLS] = top + k + 1;
+        st[N_DEAD] += k;
+    }
+    i64 c = base + rank;
+    g->cell_head[c] = -1;
+    if (g->track_local)
+        g->cell_tau[c] = 0;
+    if (rept_has_eta_local(g)) {
+        g->cell_eta[c] = 0;
+        g->cell_mark[c] = 0;
+    }
+    g->node_base[x] = base;
+    g->node_bits[x] = bits | ((i64)1 << s);
+    return c;
+}
+
+/* The cell of node x on slot s, gained if x does not hold s. */
+static inline i64 rept_hold_cell(const rept_group *g, i64 x, i64 s, i64 *st)
+{
+    if ((g->node_bits[x] >> s) & 1)
+        return rept_cell_of(g, x, s);
+    return rept_gain_cell(g, x, s, st);
+}
+
+/* Stores edge {x, y} on slot: the id-ordered edge columns with per-edge
+ * counter tri and flag seen, and x's half-edge then y's at the heads of
+ * their cells' chains.  The one edge insert of the ingest loop and the
+ * bulk append; the caller has checked rept_store_room. */
+static inline void rept_link_edge(
+    const rept_group *g, i64 x, i64 y, i64 slot, i64 tri, u8 seen, i64 *st)
+{
+    i64 e = st[N_EDGES];
+    i64 h = st[N_HALF];
+    g->edge_u[e] = x < y ? x : y;
+    g->edge_v[e] = x < y ? y : x;
+    g->edge_slot[e] = slot;
+    g->edge_tri[e] = tri;
+    g->edge_seen[e] = seen;
+    i64 cx = rept_hold_cell(g, x, slot, st);
+    i64 cy = rept_hold_cell(g, y, slot, st);
+    g->pool_nbr[h] = y;
+    g->pool_eid[h] = e;
+    g->pool_nxt[h] = g->cell_head[cx];
+    g->cell_head[cx] = h;
+    g->pool_nbr[h + 1] = x;
+    g->pool_eid[h + 1] = e;
+    g->pool_nxt[h + 1] = g->cell_head[cy];
+    g->cell_head[cy] = h + 1;
+    st[N_EDGES] = e + 1;
+    st[N_HALF] = h + 2;
 }
 
 /* One record through one group: the fused closure+store step of the
  * dict/set loop of ProcessorGroup.process_encoded, which the kernel-parity
- * suites hold it to bit for bit.  meta's scalars ride in *n_half,
- * *n_edges and *epoch.  The neighbourhood intersection stamps N_u with a
- * fresh epoch, so each membership test during the N_v walk is one
- * comparison and no clearing pass runs between edges.  Returns 1 when
- * the record was stored. */
+ * suites hold it to bit for bit.  st is the local copy of meta.  The
+ * neighbourhood intersection stamps N_u with a fresh epoch, so each
+ * membership test during the N_v walk is one comparison and no clearing
+ * pass runs between edges.  A slot both endpoints hold may have an empty
+ * chain (a cell a fold gave a counter); the walk finds nothing there.
+ * Returns 1 when the record was stored; the caller has checked room. */
 static inline i64 rept_record_step(
-    const rept_group *g, i64 iu, i64 iv, i64 slot, i64 first,
-    i64 *n_half, i64 *n_edges, i64 *epoch)
+    const rept_group *g, i64 iu, i64 iv, i64 slot, i64 first, i64 *st)
 {
-    i64 node_cap = g->node_cap;
     i64 track_local = g->track_local;
     i64 track_eta = g->track_eta;
-    i64 *heads = g->heads;
-    i64 *pool_nbr = g->pool_nbr;
-    i64 *pool_eid = g->pool_eid;
-    i64 *pool_nxt = g->pool_nxt;
+    i64 eta_local = track_local && track_eta;
+    const i64 *node_bits = g->node_bits;
+    const i64 *node_base = g->node_base;
+    const i64 *cell_head = g->cell_head;
+    i64 *cell_tau = g->cell_tau;
+    i64 *cell_eta = g->cell_eta;
+    u8 *cell_mark = g->cell_mark;
+    const i64 *pool_nbr = g->pool_nbr;
+    const i64 *pool_eid = g->pool_eid;
+    const i64 *pool_nxt = g->pool_nxt;
     i64 *edge_tri = g->edge_tri;
     u8 *edge_seen = g->edge_seen;
     i64 *mark = g->mark;
     i64 *mark_eid = g->mark_eid;
-    i64 bits_u = g->node_bits[iu];
-    i64 bits_v = g->node_bits[iv];
+    i64 bits_u = node_bits[iu];
+    i64 bits_v = node_bits[iv];
     i64 candidates = bits_u & bits_v;
     i64 closing_at_store = 0;
     i64 storeable = slot < g->group_size;
@@ -193,9 +324,11 @@ static inline i64 rept_record_step(
             low_bits >>= 1;
             s += 1;
         }
-        i64 *hrow = heads + s * node_cap;
-        i64 stamp = ++*epoch;
-        i64 h = hrow[iu];
+        uint64_t below = (uint64_t)low - 1;
+        i64 cu = node_base[iu] + rept_popcount((uint64_t)bits_u & below);
+        i64 cv = node_base[iv] + rept_popcount((uint64_t)bits_v & below);
+        i64 stamp = ++st[EPOCH];
+        i64 h = cell_head[cu];
         while (h != -1) {
             i64 w = pool_nbr[h];
             mark[w] = stamp;
@@ -203,28 +336,29 @@ static inline i64 rept_record_step(
             h = pool_nxt[h];
         }
         i64 closed = 0;
-        h = hrow[iv];
+        h = cell_head[cv];
         while (h != -1) {
             i64 w = pool_nbr[h];
             if (mark[w] == stamp) {
                 closed += 1;
+                i64 cw = track_local
+                    ? node_base[w] + rept_popcount((uint64_t)node_bits[w] & below)
+                    : 0;
                 if (track_local)
-                    g->tau_local[s * node_cap + w] += 1;
+                    cell_tau[cw] += 1;
                 if (track_eta) {
                     i64 e_uw = mark_eid[w];
                     i64 e_vw = pool_eid[h];
                     i64 count_uw = edge_tri[e_uw];
                     i64 count_vw = edge_tri[e_vw];
                     g->eta[s] += count_uw + count_vw;
-                    if (track_local) {
-                        i64 *el = g->eta_local + s * node_cap;
-                        u8 *em = g->eta_mark + s * node_cap;
-                        el[w] += count_uw + count_vw;
-                        el[iu] += count_uw;
-                        el[iv] += count_vw;
-                        em[w] = 1;
-                        em[iu] = 1;
-                        em[iv] = 1;
+                    if (eta_local) {
+                        cell_eta[cw] += count_uw + count_vw;
+                        cell_eta[cu] += count_uw;
+                        cell_eta[cv] += count_vw;
+                        cell_mark[cw] = 1;
+                        cell_mark[cu] = 1;
+                        cell_mark[cv] = 1;
                     }
                     edge_tri[e_uw] = count_uw + 1;
                     edge_tri[e_vw] = count_vw + 1;
@@ -237,9 +371,8 @@ static inline i64 rept_record_step(
         if (closed != 0) {
             g->tau[s] += closed;
             if (track_local) {
-                i64 *tl = g->tau_local + s * node_cap;
-                tl[iu] += closed;
-                tl[iv] += closed;
+                cell_tau[cu] += closed;
+                cell_tau[cv] += closed;
             }
             if (storeable && s == slot)
                 closing_at_store = closed;
@@ -247,34 +380,45 @@ static inline i64 rept_record_step(
     }
     if (first == 0 || !storeable)
         return 0;
-    rept_link_edge(
-        *n_edges, iu, iv, slot,
-        track_eta ? closing_at_store : 0, track_eta ? 1 : 0, *n_half,
-        node_cap, g->node_bits, heads, pool_nbr, pool_eid, pool_nxt,
-        g->edge_u, g->edge_v, g->edge_slot, edge_tri, edge_seen);
-    *n_edges += 1;
-    *n_half += 2;
+    rept_link_edge(g, iu, iv, slot, track_eta ? closing_at_store : 0, track_eta ? 1 : 0, st);
     g->edges_stored[slot] += 1;
     return 1;
 }
 
-/* The closure+store loop of one group over one encoded batch; every
- * capacity is ensured by the caller. */
+static inline void rept_load(const rept_group *g, i64 *st)
+{
+    for (int i = 0; i < N_META; i++)
+        st[i] = g->meta[i];
+}
+
+static inline void rept_save(const rept_group *g, const i64 *st)
+{
+    for (int i = 0; i < N_META; i++)
+        g->meta[i] = st[i];
+}
+
+/* The closure+store loop of one group over records start..n-1 of an
+ * encoded batch.  Node columns must cover every id; a record that stores
+ * is checked for room first, and the loop stops before the first one that
+ * does not fit.  Returns the index of that record, or n: the caller grows
+ * the group and calls again from there. */
 int64_t rept_ingest_batch(
-    i64 n,
+    i64 start, i64 n,
     const i64 *cu, const i64 *cv, const i64 *slots, const u8 *firsts,
     const rept_group *group)
 {
     const rept_group g = *group;
-    i64 n_half = g.meta[0];
-    i64 n_edges = g.meta[1];
-    i64 epoch = g.meta[2];
-    for (i64 k = 0; k < n; k++)
-        rept_record_step(&g, cu[k], cv[k], slots[k], firsts[k], &n_half, &n_edges, &epoch);
-    g.meta[0] = n_half;
-    g.meta[1] = n_edges;
-    g.meta[2] = epoch;
-    return 0;
+    i64 st[N_META];
+    rept_load(&g, st);
+    i64 k;
+    for (k = start; k < n; k++) {
+        if (firsts[k] && slots[k] < g.group_size
+            && !rept_store_room(&g, cu[k], cv[k], slots[k], st))
+            break;
+        rept_record_step(&g, cu[k], cv[k], slots[k], firsts[k], st);
+    }
+    rept_save(&g, st);
+    return k;
 }
 
 static inline uint64_t rept_splitmix64(uint64_t x)
@@ -312,11 +456,11 @@ typedef struct {
 /* The per-edge path: one interned record {iu, iv} with canonical edge key
  * key through every group of a state set, first being its stream-global
  * first-occurrence flag.  All or nothing: unless every group has room
- * (node columns above both ids and, where it stores, one more edge and
- * two half-edges), it changes no state, sets stored[k] to whether group
- * k would store, and returns -1 so the caller grows those columns and
- * calls again.  Otherwise stored[k] is whether group k stored, and the
- * return value is their number. */
+ * (node columns above both ids and, where it stores, one more edge, two
+ * half-edges and the cells both endpoints may need), it changes no
+ * state, sets stored[k] to whether group k would store, and returns -1 so
+ * the caller grows those groups and calls again.  Otherwise stored[k] is
+ * whether group k stored, and the return value is their number. */
 int64_t rept_ingest_edge(
     const rept_edge_entry *entry, uint64_t key, i64 iu, i64 iv, i64 first)
 {
@@ -327,10 +471,10 @@ int64_t rept_ingest_edge(
     i64 short_of_room = 0;
     for (i64 k = 0; k < n_groups; k++) {
         const rept_group *g = groups[k];
-        i64 store = first != 0 && rept_slot(g, key) < g->group_size;
+        i64 slot = rept_slot(g, key);
+        i64 store = first != 0 && slot < g->group_size;
         stored[k] = (u8)store;
-        if (top >= g->node_cap
-            || (store && (g->meta[1] >= g->edge_cap || g->meta[0] + 2 > g->pool_cap)))
+        if (top >= g->node_cap || (store && !rept_store_room(g, iu, iv, slot, g->meta)))
             short_of_room = 1;
     }
     if (short_of_room)
@@ -338,60 +482,81 @@ int64_t rept_ingest_edge(
     i64 count = 0;
     for (i64 k = 0; k < n_groups; k++) {
         const rept_group g = *groups[k];
-        i64 n_half = g.meta[0];
-        i64 n_edges = g.meta[1];
-        i64 epoch = g.meta[2];
-        count += rept_record_step(
-            &g, iu, iv, rept_slot(&g, key), first, &n_half, &n_edges, &epoch);
-        g.meta[0] = n_half;
-        g.meta[1] = n_edges;
-        g.meta[2] = epoch;
+        i64 st[N_META];
+        rept_load(&g, st);
+        count += rept_record_step(&g, iu, iv, rept_slot(&g, key), first, st);
+        rept_save(&g, st);
     }
     return count;
 }
 
-/* Cold-path bulk insert of n id-ordered edges (us[k] < vs[k]) on slots
- * ss[k] with zeroed per-edge counters (GroupArrays.append_edges).
- * Capacities are ensured by the caller. */
+/* Cold-path bulk insert of id-ordered edges start..n-1 (us[k] < vs[k]) on
+ * slots ss[k] with zeroed per-edge counters (GroupArrays.append_edges).
+ * Node columns must cover every id; stops before the first edge that does
+ * not fit and returns its index, or n. */
 int64_t rept_append_edges(
-    i64 n, const i64 *us, const i64 *vs, const i64 *ss,
-    i64 node_cap, i64 *node_bits, i64 *heads,
-    i64 *pool_nbr, i64 *pool_eid, i64 *pool_nxt,
-    i64 *edge_u, i64 *edge_v, i64 *edge_slot, i64 *edge_tri, u8 *edge_seen,
-    i64 *meta)
+    i64 start, i64 n, const i64 *us, const i64 *vs, const i64 *ss,
+    const rept_group *group)
 {
-    i64 n_half = meta[0];
-    i64 n_edges = meta[1];
-    for (i64 k = 0; k < n; k++) {
-        rept_link_edge(
-            n_edges, us[k], vs[k], ss[k], 0, 0, n_half,
-            node_cap, node_bits, heads, pool_nbr, pool_eid, pool_nxt,
-            edge_u, edge_v, edge_slot, edge_tri, edge_seen);
-        n_edges += 1;
-        n_half += 2;
+    const rept_group g = *group;
+    i64 st[N_META];
+    rept_load(&g, st);
+    i64 k;
+    for (k = start; k < n; k++) {
+        if (!rept_store_room(&g, us[k], vs[k], ss[k], st))
+            break;
+        rept_link_edge(&g, us[k], vs[k], ss[k], 0, 0, st);
     }
-    meta[0] = n_half;
-    meta[1] = n_edges;
-    return 0;
+    rept_save(&g, st);
+    return k;
+}
+
+/* Adds values vs[k] to the tau_v cells (eta == 0) or to the eta_v cells,
+ * marking them (eta == 1), of nodes xs[k] on slots ss[k] for k in
+ * start..n-1.  A node that does not hold the slot gains a cell with an
+ * empty chain.  Node columns must cover every id; stops before the first
+ * entry whose cell does not fit and returns its index, or n. */
+int64_t rept_add_cells(
+    i64 start, i64 n, const i64 *ss, const i64 *xs, const i64 *vs, i64 eta,
+    const rept_group *group)
+{
+    const rept_group g = *group;
+    i64 st[N_META];
+    rept_load(&g, st);
+    i64 k;
+    for (k = start; k < n; k++) {
+        i64 s = ss[k];
+        i64 x = xs[k];
+        if (st[N_CELLS] + rept_cells_needed(&g, x, s) > g.cell_cap)
+            break;
+        i64 c = rept_hold_cell(&g, x, s, st);
+        if (eta) {
+            g.cell_eta[c] += vs[k];
+            g.cell_mark[c] = 1;
+        } else {
+            g.cell_tau[c] += vs[k];
+        }
+    }
+    rept_save(&g, st);
+    return k;
 }
 
 /* The eid of edge {a, b} on slot, or -1.  Walks a's and b's neighbour
  * chains on that slot in lockstep: a stored edge sits in both, so the walk
  * stops after at most twice the smaller of the two degrees. */
-static inline i64 rept_find_edge(
-    i64 slot, i64 a, i64 b, i64 node_cap, const i64 *heads,
-    const i64 *pool_nbr, const i64 *pool_eid, const i64 *pool_nxt)
+static inline i64 rept_find_edge(const rept_group *g, i64 slot, i64 a, i64 b)
 {
-    const i64 *hrow = heads + slot * node_cap;
-    i64 ha = hrow[a];
-    i64 hb = hrow[b];
+    if (!((g->node_bits[a] & g->node_bits[b]) >> slot & 1))
+        return -1;
+    i64 ha = g->cell_head[rept_cell_of(g, a, slot)];
+    i64 hb = g->cell_head[rept_cell_of(g, b, slot)];
     while (ha != -1 && hb != -1) {
-        if (pool_nbr[ha] == b)
-            return pool_eid[ha];
-        if (pool_nbr[hb] == a)
-            return pool_eid[hb];
-        ha = pool_nxt[ha];
-        hb = pool_nxt[hb];
+        if (g->pool_nbr[ha] == b)
+            return g->pool_eid[ha];
+        if (g->pool_nbr[hb] == a)
+            return g->pool_eid[hb];
+        ha = g->pool_nxt[ha];
+        hb = g->pool_nxt[hb];
     }
     return -1;
 }
@@ -399,56 +564,124 @@ static inline i64 rept_find_edge(
 /* out[k] = the eid of edge {us[k], vs[k]} on slot ss[k], or -1. */
 int64_t rept_find_edges(
     i64 n, const i64 *ss, const i64 *us, const i64 *vs,
-    i64 node_cap, const i64 *heads,
-    const i64 *pool_nbr, const i64 *pool_eid, const i64 *pool_nxt,
-    i64 *out)
+    const rept_group *g, i64 *out)
 {
     for (i64 k = 0; k < n; k++)
-        out[k] = rept_find_edge(
-            ss[k], us[k], vs[k], node_cap, heads, pool_nbr, pool_eid, pool_nxt);
+        out[k] = rept_find_edge(g, ss[k], us[k], vs[k]);
     return 0;
 }
 
 /* Folds n detached per-edge counters ds[k] of edges {us[k], vs[k]} on
  * slots ss[k] into the stored edges' counters, with the eta correction of
- * ProcessorCounters.merge against each prior value (eta_local too when
- * has_eta_local).  Writes the indices k whose edge is not stored to misses
+ * ProcessorCounters.merge against each prior value (on both endpoints'
+ * eta_v cells too when the group tracks them; a stored edge's endpoints
+ * hold its slot).  Writes the indices k whose edge is not stored to misses
  * and returns their number; the caller folds those into its loose side
  * dicts. */
 int64_t rept_fold_edge_counters(
     i64 n, const i64 *ss, const i64 *us, const i64 *vs, const i64 *ds,
-    i64 node_cap, i64 has_eta_local, const i64 *heads,
-    const i64 *pool_nbr, const i64 *pool_eid, const i64 *pool_nxt,
-    i64 *edge_tri, u8 *edge_seen,
-    i64 *eta, i64 *eta_local, u8 *eta_mark,
-    i64 *misses)
+    const rept_group *g, i64 *misses)
 {
     i64 n_miss = 0;
+    i64 eta_local = rept_has_eta_local(g);
     for (i64 k = 0; k < n; k++) {
         i64 s = ss[k];
         i64 a = us[k];
         i64 b = vs[k];
-        i64 e = rept_find_edge(s, a, b, node_cap, heads, pool_nbr, pool_eid, pool_nxt);
+        i64 e = rept_find_edge(g, s, a, b);
         if (e < 0) {
             misses[n_miss++] = k;
             continue;
         }
-        i64 prior = edge_seen[e] ? edge_tri[e] : 0;
-        edge_tri[e] = prior + ds[k];
-        edge_seen[e] = 1;
+        i64 prior = g->edge_seen[e] ? g->edge_tri[e] : 0;
+        g->edge_tri[e] = prior + ds[k];
+        g->edge_seen[e] = 1;
         if (prior != 0) {
             i64 correction = ds[k] * prior;
-            eta[s] += correction;
-            if (has_eta_local) {
-                i64 row = s * node_cap;
-                eta_local[row + a] += correction;
-                eta_local[row + b] += correction;
-                eta_mark[row + a] = 1;
-                eta_mark[row + b] = 1;
+            g->eta[s] += correction;
+            if (eta_local) {
+                i64 ca = rept_cell_of(g, a, s);
+                i64 cb = rept_cell_of(g, b, s);
+                g->cell_eta[ca] += correction;
+                g->cell_eta[cb] += correction;
+                g->cell_mark[ca] = 1;
+                g->cell_mark[cb] = 1;
             }
         }
     }
     return n_miss;
+}
+
+/* Writes the non-zero tau_v cells as (slot, node, value) columns of tau_out
+ * (row stride tau_stride) and the marked eta_v cells likewise to eta_out,
+ * node by node and by slot within a node; with take != 0 it zeroes them
+ * (the pane take).  counts receives the two numbers of cells written. */
+int64_t rept_read_cells(
+    const rept_group *g, i64 take,
+    i64 *tau_out, i64 tau_stride, i64 *eta_out, i64 eta_stride, i64 *counts)
+{
+    i64 track_local = g->track_local;
+    i64 eta_local = rept_has_eta_local(g);
+    i64 n_tau = 0;
+    i64 n_eta = 0;
+    for (i64 x = 0; x < g->node_cap; x++) {
+        i64 bits = g->node_bits[x];
+        i64 c = g->node_base[x];
+        for (; bits != 0; bits &= bits - 1, c++) {
+            i64 s = rept_popcount((uint64_t)((bits & -bits) - 1));
+            if (track_local && g->cell_tau[c] != 0) {
+                tau_out[n_tau] = s;
+                tau_out[tau_stride + n_tau] = x;
+                tau_out[2 * tau_stride + n_tau] = g->cell_tau[c];
+                n_tau++;
+                if (take)
+                    g->cell_tau[c] = 0;
+            }
+            if (eta_local && g->cell_mark[c]) {
+                eta_out[n_eta] = s;
+                eta_out[eta_stride + n_eta] = x;
+                eta_out[2 * eta_stride + n_eta] = g->cell_eta[c];
+                n_eta++;
+                if (take) {
+                    g->cell_eta[c] = 0;
+                    g->cell_mark[c] = 0;
+                }
+            }
+        }
+    }
+    counts[0] = n_tau;
+    counts[1] = n_eta;
+    return 0;
+}
+
+/* Packs every node's block, node by node, into the zeroed columns head,
+ * tau, eta and mark (the tracked ones), rewriting node_base, and returns
+ * the number of cells: the abandoned cells are left behind. */
+int64_t rept_compact_cells(
+    const rept_group *g, i64 *head, i64 *tau, i64 *eta, u8 *mark)
+{
+    i64 track_local = g->track_local;
+    i64 eta_local = rept_has_eta_local(g);
+    i64 top = 0;
+    for (i64 x = 0; x < g->node_cap; x++) {
+        i64 bits = g->node_bits[x];
+        if (bits == 0)
+            continue;
+        i64 k = rept_popcount((uint64_t)bits);
+        i64 old = g->node_base[x];
+        for (i64 j = 0; j < k; j++) {
+            head[top + j] = g->cell_head[old + j];
+            if (track_local)
+                tau[top + j] = g->cell_tau[old + j];
+            if (eta_local) {
+                eta[top + j] = g->cell_eta[old + j];
+                mark[top + j] = g->cell_mark[old + j];
+            }
+        }
+        g->node_base[x] = top;
+        top += k;
+    }
+    return top;
 }
 
 /* -- the encode pass --------------------------------------------------------
@@ -581,7 +814,8 @@ def _build():
     i64 = ctypes.c_int64
     signatures = {
         "rept_ingest_batch": [
-            i64, ptr, ptr, ptr, ptr,      # n, cu, cv, slots, firsts
+            i64, i64,                     # start, n
+            ptr, ptr, ptr, ptr,           # cu, cv, slots, firsts
             ptr,                          # group record
         ],
         "rept_ingest_edge": [
@@ -589,25 +823,28 @@ def _build():
             i64, i64, i64,                # iu, iv, first
         ],
         "rept_append_edges": [
-            i64, ptr, ptr, ptr,           # n, us, vs, ss
-            i64, ptr, ptr,                # node_cap, node_bits, heads
-            ptr, ptr, ptr,                # pool_nbr, pool_eid, pool_nxt
-            ptr, ptr, ptr, ptr, ptr,      # edge_u, edge_v, edge_slot, edge_tri, edge_seen
-            ptr,                          # meta
+            i64, i64, ptr, ptr, ptr,      # start, n, us, vs, ss
+            ptr,                          # group record
+        ],
+        "rept_add_cells": [
+            i64, i64, ptr, ptr, ptr, i64, # start, n, ss, xs, vs, eta
+            ptr,                          # group record
         ],
         "rept_find_edges": [
             i64, ptr, ptr, ptr,           # n, ss, us, vs
-            i64, ptr,                     # node_cap, heads
-            ptr, ptr, ptr,                # pool_nbr, pool_eid, pool_nxt
-            ptr,                          # out
+            ptr, ptr,                     # group record, out
         ],
         "rept_fold_edge_counters": [
             i64, ptr, ptr, ptr, ptr,      # n, ss, us, vs, ds
-            i64, i64, ptr,                # node_cap, has_eta_local, heads
-            ptr, ptr, ptr,                # pool_nbr, pool_eid, pool_nxt
-            ptr, ptr,                     # edge_tri, edge_seen
-            ptr, ptr, ptr,                # eta, eta_local, eta_mark
-            ptr,                          # misses
+            ptr, ptr,                     # group record, misses
+        ],
+        "rept_read_cells": [
+            ptr, i64,                     # group record, take
+            ptr, i64, ptr, i64,           # tau_out, its stride, eta_out, its stride
+            ptr,                          # counts
+        ],
+        "rept_compact_cells": [
+            ptr, ptr, ptr, ptr, ptr,      # group record, head, tau, eta, mark
         ],
         "rept_table_lookup": [
             i64, ptr, ptr, ptr, i64,      # n, values, tab_val, tab_id, mask
@@ -704,10 +941,10 @@ def resolve_kernel(requested: str, max_group_size: Optional[int] = None) -> str:
 #: The :class:`~repro.core.adjacency.GroupArrays` columns whose addresses
 #: a :class:`GroupRecord` holds, in the order of the C ``rept_group``.
 RECORD_COLUMNS = (
-    "node_bits", "heads", "pool_nbr", "pool_eid", "pool_nxt",
+    "node_bits", "node_base", "cell_head", "cell_tau", "cell_eta", "cell_mark",
+    "pool_nbr", "pool_eid", "pool_nxt",
     "edge_u", "edge_v", "edge_slot", "edge_tri", "edge_seen",
-    "tau", "eta", "edges_stored", "tau_local", "eta_local", "eta_mark",
-    "mark", "mark_eid", "meta",
+    "tau", "eta", "edges_stored", "mark", "mark_eid", "meta",
 )
 
 
@@ -718,8 +955,8 @@ class GroupRecord(ctypes.Structure):
     capacities and addresses of its
     :class:`~repro.core.adjacency.GroupArrays` columns
     (:func:`sync_record`).  Addresses die when a column is reallocated, so
-    ``GroupArrays`` rewrites them on every growth; a record is never
-    pickled, and an unpickled group builds a new one.
+    ``GroupArrays`` rewrites them on every growth and compaction; a record
+    is never pickled, and an unpickled group builds a new one.
     """
 
     _fields_ = [
@@ -733,6 +970,7 @@ class GroupRecord(ctypes.Structure):
         ("node_cap", ctypes.c_int64),
         ("edge_cap", ctypes.c_int64),
         ("pool_cap", ctypes.c_int64),
+        ("cell_cap", ctypes.c_int64),
     ] + [(name, ctypes.c_void_p) for name in RECORD_COLUMNS]
 
 
@@ -744,6 +982,7 @@ def sync_record(record: GroupRecord, arrays) -> None:
     record.node_cap = arrays.node_cap
     record.edge_cap = arrays.edge_cap
     record.pool_cap = arrays.pool_cap
+    record.cell_cap = arrays.cell_cap
     for name in RECORD_COLUMNS:
         # The address through a zero-copy view of the writable buffer:
         # ``ndarray.ctypes.data`` builds a helper object and costs three
@@ -784,13 +1023,15 @@ def bind_hash(record: GroupRecord, hash_function) -> None:
     record.m = hash_function.buckets
 
 
-def run_batch(n, cu, cv, slots, firsts, record: GroupRecord) -> None:
-    """Run the kernel over one encoded batch of ``n`` records.
+def run_batch(start, n, cu, cv, slots, firsts, record: GroupRecord) -> int:
+    """Run the kernel over records ``start..n-1`` of one encoded batch.
 
-    ``record`` is the group's :class:`GroupRecord`; every capacity must
-    already be ensured (the kernel never grows storage).
+    ``record`` is the group's :class:`GroupRecord`; node columns must cover
+    every id.  Returns the index of the first record whose store does not
+    fit, or ``n`` (see :meth:`~repro.core.adjacency.GroupArrays.fill`).
     """
-    _handle().rept_ingest_batch(
+    return _handle().rept_ingest_batch(
+        start,
         n,
         cu.ctypes.data,
         cv.ctypes.data,
@@ -830,36 +1071,41 @@ class EdgeEntry(ctypes.Structure):
         self.ingest = _handle().rept_ingest_edge
 
 
-def append_edges(us: np.ndarray, vs: np.ndarray, ss: np.ndarray, arrays) -> None:
-    """Append id-ordered edges ``us[k] < vs[k]`` on slots ``ss[k]`` in one call.
+def append_edges(start: int, us: np.ndarray, vs: np.ndarray, ss: np.ndarray, record) -> int:
+    """Append id-ordered edges ``us[k] < vs[k]`` on slots ``ss[k]`` from
+    ``start`` on, with per-edge counters zero.
 
-    Per-edge counters start at zero; node and edge capacities must already
-    be ensured (:meth:`~repro.core.adjacency.GroupArrays.append_edges`).
+    Node columns must cover every id.  Returns the index of the first edge
+    that does not fit, or the number of edges.
     """
-    _handle().rept_append_edges(
-        len(us),
-        us.ctypes.data,
-        vs.ctypes.data,
-        ss.ctypes.data,
-        arrays.node_cap,
-        arrays.node_bits.ctypes.data,
-        arrays.heads.ctypes.data,
-        arrays.pool_nbr.ctypes.data,
-        arrays.pool_eid.ctypes.data,
-        arrays.pool_nxt.ctypes.data,
-        arrays.edge_u.ctypes.data,
-        arrays.edge_v.ctypes.data,
-        arrays.edge_slot.ctypes.data,
-        arrays.edge_tri.ctypes.data,
-        arrays.edge_seen.ctypes.data,
-        arrays.meta.ctypes.data,
+    return _handle().rept_append_edges(
+        start, len(us), us.ctypes.data, vs.ctypes.data, ss.ctypes.data, ctypes.byref(record)
     )
 
 
-def find_edges(ss: np.ndarray, us: np.ndarray, vs: np.ndarray, arrays) -> np.ndarray:
+def add_cells(start: int, ss: np.ndarray, xs: np.ndarray, vs: np.ndarray, eta: bool, record) -> int:
+    """Add ``vs[k]`` to the ``τ_v`` cells, or to the ``η_v`` cells (marking
+    them), of nodes ``xs[k]`` on slots ``ss[k]`` from ``start`` on.
+
+    A node that does not hold the slot gains a cell with an empty chain.
+    Node columns must cover every id.  Returns the index of the first
+    entry whose cell does not fit, or the number of entries.
+    """
+    return _handle().rept_add_cells(
+        start,
+        len(ss),
+        ss.ctypes.data,
+        xs.ctypes.data,
+        vs.ctypes.data,
+        1 if eta else 0,
+        ctypes.byref(record),
+    )
+
+
+def find_edges(ss: np.ndarray, us: np.ndarray, vs: np.ndarray, record) -> np.ndarray:
     """The eid of each edge ``{us[k], vs[k]}`` on slot ``ss[k]``, or -1.
 
-    Every id must be below ``arrays.node_cap``.
+    Every id must be below the group's ``node_cap``.
     """
     ss, us, vs = (np.ascontiguousarray(c, np.int64) for c in (ss, us, vs))
     out = np.empty(len(ss), np.int64)
@@ -868,26 +1114,22 @@ def find_edges(ss: np.ndarray, us: np.ndarray, vs: np.ndarray, arrays) -> np.nda
         ss.ctypes.data,
         us.ctypes.data,
         vs.ctypes.data,
-        arrays.node_cap,
-        arrays.heads.ctypes.data,
-        arrays.pool_nbr.ctypes.data,
-        arrays.pool_eid.ctypes.data,
-        arrays.pool_nxt.ctypes.data,
+        ctypes.byref(record),
         out.ctypes.data,
     )
     return out
 
 
 def fold_edge_counters(
-    ss: np.ndarray, us: np.ndarray, vs: np.ndarray, ds: np.ndarray, arrays
+    ss: np.ndarray, us: np.ndarray, vs: np.ndarray, ds: np.ndarray, record
 ) -> np.ndarray:
     """Fold per-edge counter deltas ``ds[k]`` into the stored edges.
 
     Applies :meth:`~repro.core.state.ProcessorCounters.merge`'s η
     correction against each stored edge's prior counter and returns the
     indices ``k`` whose edge ``{us[k], vs[k]}`` is not stored on slot
-    ``ss[k]`` (left untouched for the caller).  Ids must be below
-    ``arrays.node_cap``.
+    ``ss[k]`` (left untouched for the caller).  Ids must be below the
+    group's ``node_cap``.
     """
     ss, us, vs, ds = (np.ascontiguousarray(c, np.int64) for c in (ss, us, vs, ds))
     misses = np.empty(len(ss), np.int64)
@@ -897,20 +1139,37 @@ def fold_edge_counters(
         us.ctypes.data,
         vs.ctypes.data,
         ds.ctypes.data,
-        arrays.node_cap,
-        1 if arrays.has_eta_local else 0,
-        arrays.heads.ctypes.data,
-        arrays.pool_nbr.ctypes.data,
-        arrays.pool_eid.ctypes.data,
-        arrays.pool_nxt.ctypes.data,
-        arrays.edge_tri.ctypes.data,
-        arrays.edge_seen.ctypes.data,
-        arrays.eta.ctypes.data,
-        arrays.eta_local.ctypes.data,
-        arrays.eta_mark.ctypes.data,
+        ctypes.byref(record),
         misses.ctypes.data,
     )
     return misses[:n_miss]
+
+
+def read_cells(record, take: bool, tau_out: np.ndarray, eta_out: np.ndarray) -> np.ndarray:
+    """Write a group's non-zero ``τ_v`` cells and marked ``η_v`` cells as
+    ``(slot, node, value)`` columns of ``tau_out`` and ``eta_out`` (each
+    ``(3, k)`` with room for every cell), node by node; ``take`` zeroes
+    them.  Returns the two numbers of cells written."""
+    counts = np.zeros(2, np.int64)
+    _handle().rept_read_cells(
+        ctypes.byref(record),
+        1 if take else 0,
+        tau_out.ctypes.data,
+        tau_out.shape[1],
+        eta_out.ctypes.data,
+        eta_out.shape[1],
+        counts.ctypes.data,
+    )
+    return counts
+
+
+def compact_cells(record, head, tau, eta, mark) -> int:
+    """Pack a group's cell blocks node by node into the zeroed columns
+    ``head``/``tau``/``eta``/``mark`` and rewrite its ``node_base``;
+    returns the number of cells."""
+    return _handle().rept_compact_cells(
+        ctypes.byref(record), head.ctypes.data, tau.ctypes.data, eta.ctypes.data, mark.ctypes.data
+    )
 
 
 def table_lookup(values: np.ndarray, table_val, table_id, out: np.ndarray) -> None:

@@ -885,7 +885,7 @@ class GroupStateSet:
         :meth:`~repro.hashing.base.EdgeHashFunction.bucket` before ``seen``
         changes and advances over the encoded record.
         """
-        if u == v:
+        if u is v or u == v:
             return
         intern = self.interner.intern
         iu = intern(u)
@@ -900,9 +900,11 @@ class GroupStateSet:
             if stored < 0:
                 top = (iu if iu > iv else iv) + 1
                 for group, store in zip(groups, entry.stored):
-                    group._arrays.ensure_nodes(top)
+                    arrays = group._arrays
+                    arrays.ensure_nodes(top)
                     if store:
-                        group._arrays.ensure_edges(1)
+                        arrays.ensure_edges(1)
+                        arrays.ensure_cells(2 * arrays.group_size)
                 stored = entry.ingest(entry.address, key, iu, iv, first)
                 if stored < 0:
                     raise RuntimeError("the per-edge kernel call found no room after growth")

@@ -1,9 +1,10 @@
 """The estimation service: session registry, request dispatch, transports.
 
 :class:`EstimationService` hosts many :class:`~repro.service.session.StreamSession`
-objects — one per tenant — on a single asyncio event loop.  All REPT
-engines share one :class:`~repro.core.interning.NodeInterner` arena, so
-tenants observing overlapping node universes share the dense-id table.
+objects — one per tenant — on a single asyncio event loop.  Every REPT
+engine interns into its own :class:`~repro.core.interning.NodeInterner`,
+so a tenant's dense ids, and the node columns sized by them, depend on
+its own stream only.
 
 The service is transport-agnostic: :meth:`EstimationService.handle_request`
 takes a request dict and returns a response dict (the in-process client
@@ -29,7 +30,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.interning import NodeInterner
 from repro.exceptions import ProtocolError, ServiceError
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -92,7 +92,6 @@ class EstimationService:
         self.watermark_interval_seconds = watermark_interval_seconds
         self.restart_limit = restart_limit
         self.audit_logs = audit_logs
-        self.interner = NodeInterner()
         self.sessions: Dict[str, StreamSession] = {}
         self.shutdown_complete = asyncio.Event()
         self._accepting = True
@@ -233,7 +232,7 @@ class EstimationService:
         session = StreamSession(
             tenant=tenant,
             spec=spec,
-            engine=build_engine(spec, interner=self.interner),
+            engine=build_engine(spec),
             queue_frames=queue_frames or self.queue_frames,
             backpressure=backpressure or self.backpressure,
             checkpoint_dir=checkpoint_dir,

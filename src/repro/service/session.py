@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.baselines.exact import ExactStreamingCounter
 from repro.baselines.triest import TriestImprEstimator
 from repro.core.config import ReptConfig
-from repro.core.interning import NodeInterner
 from repro.core.state import GroupStateSet
 from repro.durability.checkpoint import CheckpointManager
 from repro.exceptions import ServiceError
@@ -153,21 +152,17 @@ def _frame_timestamped(frame: Sequence) -> List[Tuple[object, object, float]]:
     return records
 
 
-def build_engine(
-    spec: Dict[str, object], interner: Optional[NodeInterner] = None
-) -> "SessionEngine":
+def build_engine(spec: Dict[str, object]) -> "SessionEngine":
     """Build a fresh engine from a validated spec.
 
-    ``interner`` is the service-wide shared interning arena: every REPT
-    engine built with it interns into one dense-id table, so many tenants
-    over overlapping node universes share the encoding work and memory.
+    A ``rept`` engine interns into its own table, so its dense ids — and
+    the native groups' node columns they size — follow its own stream,
+    whatever other tenants ingest.
     """
     kind = spec["kind"]
     if kind == "rept":
-        return ReptEngine(spec, interner=interner)
+        return ReptEngine(spec)
     if kind == "rept-elastic":
-        # Shard workers are separate processes with their own interning
-        # tables; the shared arena does not apply.
         return ElasticReptEngine(spec)
     if kind == "exact":
         return EstimatorEngine(spec, ExactStreamingCounter())
@@ -234,22 +229,19 @@ class SessionEngine:
 
 
 class ReptEngine(SessionEngine):
-    """REPT estimator engine over a (possibly shared) interning arena.
+    """REPT estimator engine over its own interning table.
 
     Checkpoints persist the interner-independent
     :meth:`~repro.core.state.GroupStateSet.portable_state`, so a recovered
-    process — with a different shared arena and interning order — restores
-    bit-identically.
+    process — with a different interning order — restores bit-identically.
     """
 
     kind = "rept"
 
-    def __init__(
-        self, spec: Dict[str, object], interner: Optional[NodeInterner] = None
-    ) -> None:
+    def __init__(self, spec: Dict[str, object]) -> None:
         super().__init__(spec)
         self.config = _rept_config(spec)
-        self.state = GroupStateSet(self.config, interner=interner)
+        self.state = GroupStateSet(self.config)
 
     def ingest_frame(self, frame: Sequence) -> int:
         n = self.state.process_edges(_frame_pairs(frame))

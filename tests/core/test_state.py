@@ -251,3 +251,70 @@ class TestGroupStateSet:
         narrow = GroupStateSet(ReptConfig(m=4, c=2, seed=1)).groups[0].columns()
         with pytest.raises(ValueError, match="per-slot deltas"):
             state.groups[0].merge_deltas(narrow)
+
+
+class TestNanSelfLoop:
+    """A record whose two endpoints are one NaN object is a self-loop.
+
+    ``nan != nan``, yet one NaN object is one interner key, so the record
+    used to be stored as an edge from a node to itself and to close
+    triangles with it — and the batched C path counted it twice.  It is
+    skipped like any self-loop, on every path and either kernel.
+    """
+
+    def _stream(self):
+        nan = float("nan")
+        return [(nan, nan), (nan, 1), (nan, 1)]
+
+    def _assert_no_triangle(self, state):
+        estimate = state.estimate(3)
+        assert estimate.global_count == 0.0
+        assert estimate.local_counts == {}
+        assert state.total_edges_stored() == 1
+
+    @pytest.mark.parametrize("kernel", ["auto", "python"])
+    def test_per_edge_and_batched(self, kernel):
+        config = ReptConfig(m=1, c=1, seed=3, kernel=kernel)
+        batched = GroupStateSet(config)
+        batched.process_edges(self._stream())
+        self._assert_no_triangle(batched)
+        per_edge = GroupStateSet(config)
+        for u, v in self._stream():
+            per_edge.process_edge(u, v)
+        self._assert_no_triangle(per_edge)
+        assert len(per_edge.interner) == len(batched.interner) == 2
+
+    @pytest.mark.parametrize("kernel", ["auto", "python"])
+    def test_monitor_columns(self, kernel):
+        from repro.streaming.monitor import WindowedTriangleMonitor
+
+        monitor = WindowedTriangleMonitor(
+            window_seconds=10.0, config=ReptConfig(m=1, c=1, seed=3, kernel=kernel)
+        )
+        us, vs = zip(*self._stream())
+        results = monitor.ingest_columns(list(us), list(vs), [0.0, 1.0, 2.0])
+        results.extend(monitor.flush())
+        (result,) = results
+        assert result.records == 3
+        assert result.estimate.global_count == 0.0
+        assert result.estimate.local_counts == {}
+        assert result.estimate.edges_stored == 1
+
+    def test_service_frame_of_json_nans(self):
+        import asyncio
+        import json
+
+        from repro.service import EstimationService, InProcessClient
+
+        async def scenario():
+            service = EstimationService()
+            client = InProcessClient(service)
+            await client.open("t", engine={"kind": "rept", "m": 1, "c": 1, "seed": 3})
+            # json.loads returns one shared NaN object for every NaN token.
+            await client.ingest("t", json.loads("[[NaN, NaN], [NaN, 1], [NaN, 1]]"))
+            await service.sessions["t"].queue.join()
+            return await client.query_global("t")
+
+        answer = asyncio.run(scenario())
+        assert answer["global_count"] == 0.0
+        assert answer["edges_stored"] == 1

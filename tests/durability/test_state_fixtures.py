@@ -1,14 +1,18 @@
-"""Checkpoints written in the dict state format resume bit-identically.
+"""Checkpoints written by older versions resume bit-identically.
 
-``tests/fixtures/dict-form/`` holds one checkpoint of every state boundary
-as an older version wrote it (see its README and
+Each directory under ``tests/fixtures/`` holds one checkpoint of every
+state boundary as an older version wrote it (see its README and
 ``scripts/write_state_fixtures.py``): a service ``rept`` tenant, a
 ``run_rept_durable`` run, the elastic coordinator's per-shard checkpoints,
 a pickled native ``ReptEstimator`` and ``run_monitor_durable`` runs with
-pane rings on each kernel.  Every one is cut halfway through the same
-stream; resumed here and fed the rest, each must end exactly where an
-uninterrupted run ends: global and local counts, ``eta_hat``,
-``edges_stored`` and every window result.
+pane rings on each kernel.  ``dict-form/`` pins the raw-keyed dict state
+format; ``dense-cells/`` pins native groups whose per-(slot, node) state
+was laid out in dense ``group_size × node_cap`` blocks, in the pickled
+estimator and the native monitor's checkpoints.  Every one is cut halfway
+through the same stream; resumed here and fed the rest, through batches
+and through per-edge calls, each must end exactly where an uninterrupted
+run ends: global and local counts, ``eta_hat``, ``edges_stored`` and
+every window result.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from repro.durability.checkpoint import CheckpointManager, shard_checkpoint_dir
 from repro.service import EstimationService, InProcessClient
 from repro.streaming.monitor import WindowedTriangleMonitor
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "dict-form"
-STREAM = json.loads((FIXTURES / "stream.json").read_text())
+ROOT = Path(__file__).resolve().parents[1] / "fixtures"
+FIXTURE_SETS = ("dict-form", "dense-cells")
+STREAM = json.loads((ROOT / "dict-form" / "stream.json").read_text())
 RECORDS = [tuple(record) for record in STREAM["records"]]
 EDGES = [(u, v) for u, v, _ in RECORDS]
 CUT = STREAM["cut"]
@@ -41,6 +46,14 @@ BATCH = STREAM["batch"]
 SEGMENT = STREAM["segment"]
 
 needs_cc = pytest.mark.skipif(not native_available(), reason="no C compiler available")
+
+
+@pytest.fixture(params=FIXTURE_SETS)
+def fixtures(request):
+    """One fixture set's directory; every set was cut from the same stream."""
+    directory = ROOT / request.param
+    assert json.loads((directory / "stream.json").read_text()) == STREAM
+    return directory
 
 
 def _config(kernel="auto"):
@@ -56,8 +69,8 @@ def _monitor_factory(kernel):
     return factory
 
 
-def _copy(tmp_path, name):
-    return Path(shutil.copytree(FIXTURES / name, tmp_path / name))
+def _copy(fixtures, tmp_path, name):
+    return Path(shutil.copytree(fixtures / name, tmp_path / name))
 
 
 def _key(estimate):
@@ -75,8 +88,8 @@ def _uninterrupted():
     return state.estimate(state.process_edges(EDGES))
 
 
-def test_service_tenant_resumes(tmp_path):
-    root = _copy(tmp_path, "service")
+def test_service_tenant_resumes(fixtures, tmp_path):
+    root = _copy(fixtures, tmp_path, "service")
 
     async def scenario():
         service = EstimationService(checkpoint_root=root)
@@ -91,10 +104,10 @@ def test_service_tenant_resumes(tmp_path):
     assert _key(asyncio.run(scenario())) == _key(_uninterrupted())
 
 
-def test_service_checkpoint_restores_into_the_coordinator():
+def test_service_checkpoint_restores_into_the_coordinator(fixtures):
     # rept and rept-elastic checkpoints interchange: the coordinator reads
-    # the older tenant's dict-form state too.
-    payload = CheckpointManager(FIXTURES / "service" / "t").recover().checkpoint.payload
+    # the older tenant's state too.
+    payload = CheckpointManager(fixtures / "service" / "t").recover().checkpoint.payload
     with ElasticCoordinator(_config(), num_workers=0) as coordinator:
         coordinator.restore_portable(payload["portable"], edges_processed=CUT)
         for start in range(CUT, len(EDGES), BATCH):
@@ -103,8 +116,8 @@ def test_service_checkpoint_restores_into_the_coordinator():
     assert _key(estimate) == _key(_uninterrupted())
 
 
-def test_durable_run_resumes(tmp_path):
-    directory = _copy(tmp_path, "durable")
+def test_durable_run_resumes(fixtures, tmp_path):
+    directory = _copy(fixtures, tmp_path, "durable")
     estimate, report = run_rept_durable(EDGES, _config(), directory, checkpoint_every=SEGMENT)
     assert report.checkpoint.stream_offset == CUT
     assert _key(estimate) == _key(_uninterrupted())
@@ -116,8 +129,8 @@ def test_durable_run_resumes(tmp_path):
     assert _key(resumed.estimate(len(EDGES))) == _key(_uninterrupted())
 
 
-def test_elastic_shard_checkpoints_resume(tmp_path):
-    base = _copy(tmp_path, "elastic")
+def test_elastic_shard_checkpoints_resume(fixtures, tmp_path):
+    base = _copy(fixtures, tmp_path, "elastic")
     config = _config()
     batches = [EDGES[start : start + BATCH] for start in range(0, len(EDGES), BATCH)]
     summaries = []
@@ -141,16 +154,18 @@ def test_elastic_shard_checkpoints_resume(tmp_path):
 
 
 @needs_cc
-def test_pickled_native_estimator_resumes():
+def test_pickled_native_estimator_resumes(fixtures):
     # The pickle carries no group records: unpickling builds them, and the
     # per-edge path's one compiled call reads them from the first record.
+    # Its groups' dense per-(slot, node) blocks become cells.
     reference = ReptEstimator(_config())
     reference.process_edges(EDGES)
-    estimator = pickle.loads((FIXTURES / "estimator.pkl").read_bytes())
+    estimator = pickle.loads((fixtures / "estimator.pkl").read_bytes())
     assert all(isinstance(group, NativeProcessorGroup) for group in estimator.groups)
+    assert not any(hasattr(group._arrays, "heads") for group in estimator.groups)
     estimator.process_edges(EDGES[CUT:])
     assert _key(estimator.estimate()) == _key(reference.estimate())
-    estimator = pickle.loads((FIXTURES / "estimator.pkl").read_bytes())
+    estimator = pickle.loads((fixtures / "estimator.pkl").read_bytes())
     for u, v in EDGES[CUT:]:
         estimator.process_edge(u, v)
     assert _key(estimator.estimate()) == _key(reference.estimate())
@@ -158,8 +173,8 @@ def test_pickled_native_estimator_resumes():
 
 @pytest.mark.parametrize("kernel", [pytest.param("auto", marks=needs_cc), "python"])
 @pytest.mark.parametrize("name", ["service/t", "durable"])
-def test_dict_form_state_resumes_per_edge(name, kernel):
-    payload = CheckpointManager(FIXTURES / name).recover().checkpoint.payload
+def test_older_state_resumes_per_edge(fixtures, name, kernel):
+    payload = CheckpointManager(fixtures / name).recover().checkpoint.payload
     state = GroupStateSet(_config(kernel))
     state.restore_portable(payload.get("portable", payload))
     for u, v in EDGES[CUT:]:
@@ -186,8 +201,8 @@ def _window_rows(results):
     "name,kernel",
     [pytest.param("monitor", "auto", marks=needs_cc), ("monitor-python", "python")],
 )
-def test_monitor_with_pane_rings_resumes(tmp_path, name, kernel):
-    directory = _copy(tmp_path, name)
+def test_monitor_with_pane_rings_resumes(fixtures, tmp_path, name, kernel):
+    directory = _copy(fixtures, tmp_path, name)
     checkpoint = CheckpointManager(directory).recover().checkpoint
     assert any(chain.ring for chain in checkpoint.payload["monitor"]._chains.values())
     factory = _monitor_factory(kernel)
@@ -199,6 +214,20 @@ def test_monitor_with_pane_rings_resumes(tmp_path, name, kernel):
         factory, RECORDS, tmp_path / "fresh", checkpoint_every=SEGMENT
     )
     assert _window_rows(results) == _window_rows(expected)
+    # The same checkpoint resumed one record at a time ends like a fresh
+    # monitor fed the same calls (a call's records share one watermark).
+    payload = CheckpointManager(fixtures / name).recover().checkpoint.payload
+    resumed, fresh = payload["monitor"], factory()
+    one_by_one = list(payload["results"])
+    expected = []
+    for start in range(0, CUT, SEGMENT):
+        expected.extend(fresh.ingest(RECORDS[start : start + SEGMENT]))
+    for record in RECORDS[CUT:]:
+        one_by_one.extend(resumed.ingest([record]))
+        expected.extend(fresh.ingest([record]))
+    one_by_one.extend(resumed.flush())
+    expected.extend(fresh.flush())
+    assert _window_rows(one_by_one) == _window_rows(expected)
     # Rings written before the cut still read as mergeable snapshots.
     for result in results:
         rebuilt = GroupStateSet(_config())

@@ -16,8 +16,9 @@ batch loop:
   ``summaries()`` and every group's ``columns()``, on Algorithm 1,
   complete groups and a partial group, with local counts on and off,
   with η on, and with both hash families;
-* every group record holds its arrays' current addresses and capacities
-  across growth, ``restore_portable``, ``merge_snapshots`` and pickling;
+* every group record holds its arrays' current addresses and capacities,
+  the cell pool's included, across growth, ``restore_portable``,
+  ``merge_snapshots`` and pickling;
 * a record that raises changes neither ``seen`` nor any counter, a store
   settles loose per-edge counters and keeps a materialised pairs cache
   exact.
@@ -124,11 +125,14 @@ def _assert_records_fresh(state):
         record = arrays.record
         assert pointer == ctypes.addressof(record)
         assert (record.group_size, record.m) == (group.group_size, group.m)
-        assert (record.node_cap, record.edge_cap, record.pool_cap) == (
+        assert (record.node_cap, record.edge_cap, record.pool_cap, record.cell_cap) == (
             arrays.node_cap,
             arrays.edge_cap,
             arrays.pool_cap,
+            arrays.cell_cap,
         )
+        assert len(arrays.cell_head) == arrays.cell_cap
+        assert int(arrays.meta[4]) <= int(arrays.meta[3]) <= arrays.cell_cap
         for name in RECORD_COLUMNS:
             assert getattr(record, name) == getattr(arrays, name).ctypes.data, name
         hash_function = group.hash_function

@@ -71,11 +71,10 @@ class TestDispatch:
         asyncio.run(scenario())
 
 
-class TestSharedInterner:
+class TestTenantInterners:
     def test_a_lone_surrogate_id_cannot_break_another_tenant(self):
-        # Tenants share one interner.  A lone surrogate arrives as valid
-        # JSON; its node key must not desync the table every tenant hashes
-        # with, or the other tenants' frames fail and are dropped.
+        # A lone surrogate arrives as valid JSON; its node key must not
+        # break the tenant that sent it, nor any other tenant's frames.
         from repro.generators.traffic import packet_flow_stream
 
         spec = {"kind": "rept", "m": 4, "c": 4, "seed": 5}
@@ -140,7 +139,7 @@ class TestTenancy:
 
         asyncio.run(scenario())
 
-    def test_tenants_are_isolated_but_share_interner(self):
+    def test_tenants_are_isolated_with_their_own_interners(self):
         async def scenario():
             service = EstimationService()
             client = InProcessClient(service)
@@ -154,12 +153,49 @@ class TestTenancy:
             qb = await client.query_global("b")
             assert qa["edges_processed"] == len(EDGES)
             assert qb["edges_processed"] == 3
-            sessions = set()
-            for session in service.sessions.values():
-                sessions.add(id(session.engine.state.interner))
-            assert sessions == {id(service.interner)}
+            interners = [session.engine.state.interner for session in service.sessions.values()]
+            assert interners[0] is not interners[1]
+            assert len(interners[0]) == 6 and len(interners[1]) == 3
 
         asyncio.run(scenario())
+
+    def test_a_tenants_arrays_do_not_grow_with_another_tenants_nodes(self):
+        # Tenant a's array bytes after its stream are the same whether or
+        # not tenant b, over disjoint node ids, ingests in between.
+        import numpy as np
+
+        from repro.generators.traffic import packet_flow_stream
+
+        def frames(seed, shift):
+            stream = packet_flow_stream(20000, seed=seed).edges()
+            edges = [(u + shift, v + shift) for u, v in stream]
+            return [[list(e) for e in edges[k : k + 2000]] for k in range(0, len(edges), 2000)]
+
+        def array_bytes(state):
+            return sum(
+                column.nbytes
+                for group in state.groups
+                for column in vars(getattr(group, "_arrays", group)).values()
+                if isinstance(column, np.ndarray)
+            )
+
+        async def scenario(interleave):
+            service = EstimationService()
+            client = InProcessClient(service)
+            await client.open("a", engine=REPT)
+            await client.open("b", engine=REPT)
+            for frame_a, frame_b in zip(frames(4, 0), frames(5, 1 << 32)):
+                await client.ingest("a", frame_a)
+                await service.sessions["a"].queue.join()
+                if interleave:
+                    await client.ingest("b", frame_b)
+                    await service.sessions["b"].queue.join()
+            state = service.sessions["a"].engine.state
+            return array_bytes(state), state.estimate(20000).global_count
+
+        alone = asyncio.run(scenario(False))
+        interleaved = asyncio.run(scenario(True))
+        assert interleaved == alone
 
     def test_stats_rollup_aggregates_tenants(self):
         async def scenario():
