@@ -112,15 +112,15 @@ class ShardState:
 
         ``cu``/``cv``/``edge_keys`` come from one per-worker encoding of the
         raw batch (shared across all shards the worker hosts); first flags
-        and hash buckets are derived per shard.  The sequence guard makes
-        WAL replay after migration idempotent.
+        are derived per shard, and the shard's group hashes the keys to its
+        slots.  The sequence guard makes WAL replay after migration
+        idempotent.
         """
         if seq <= self.applied_seq:
             return False
         if cu:
-            slots = self.group.hash_function.bucket_from_keys(edge_keys).tolist()
             firsts = first_flags(self.seen, cu, cv)
-            self.group.process_encoded(cu, cv, slots, firsts)
+            self.group.process_encoded(cu, cv, edge_keys, firsts)
         self.applied_seq = seq
         return True
 

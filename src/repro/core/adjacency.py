@@ -5,10 +5,11 @@ dicts and sets — the reference every other path is checked against, but
 every probe and store in its
 :meth:`~repro.core.state.ProcessorGroup.process_encoded` loop pays
 interpreter and hashing overhead.  This module re-hosts one group's state
-on flat int64 columns so the C closure+store step (:mod:`repro.core.kernel`)
-advances a whole encoded batch — or, in one call for every group of a
-state set, one record of the per-edge path — without touching a Python
-object:
+on flat int64 columns so the C record loop (:mod:`repro.core.kernel`),
+which hashes each record's edge key to the group's slot and runs the
+closure+store step, advances a whole encoded batch — or, in one call for
+every group of a state set, one record of the per-edge path — without
+touching a Python object:
 
 ``GroupArrays``
     The storage: a half-edge pool of singly-linked neighbour chains
@@ -29,16 +30,18 @@ object:
     interned id.
 
     Growth is amortised doubling with contiguous reallocation, and the
-    compiled calls never allocate.  Node and edge capacities are ensured
-    before a batch.  A node that gains a slot moves its block to the end
-    of the cell pool, or grows it in place if it ends the pool; the cells
-    it leaves are zeroed and counted dead.  A compiled entry that would run
-    out of cells stops before the record (or edge, or counter) that does
-    not fit and returns its index; the pool then doubles, or is compacted
-    in one pass when its dead cells outnumber the live ones, and the entry
-    resumes there (:meth:`GroupArrays.fill`).  The per-edge call reports a
-    group short of room instead of writing, so the caller grows it and
-    calls again.  The group's state record
+    compiled calls never allocate.  Node capacity is ensured before a
+    batch, from the largest id it references.  A node that gains a slot
+    moves its block to the end of the cell pool, or grows it in place if
+    it ends the pool; the cells it leaves are zeroed and counted dead.  A
+    compiled entry that would run out of room stops before the record (or
+    edge, or counter) that does not fit and returns its index; the group
+    makes room for one stored record (:meth:`GroupArrays.make_room`) and
+    the entry resumes there (:meth:`GroupArrays.fill`).  The edge columns
+    and the half-edge pool double, and the cell pool doubles or, when its
+    dead cells outnumber the live ones, is compacted in one pass.  The
+    per-edge call reports a group short of room instead of writing, so the
+    caller makes the same room and calls again.  The group's state record
     (:class:`~repro.core.kernel.GroupRecord`) holds the columns' addresses
     and capacities; every growth and compaction rewrites it, a reset hands
     it on to the new columns, and it is never pickled.  There is no
@@ -90,12 +93,12 @@ Dict-equivalence notes (the subtle bits the parity suites pin down):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import kernel as kernel_mod
-from repro.core.interning import NodeInterner, pack_pairs
+from repro.core.interning import NodeInterner
 from repro.core.portable import ColumnarDelta, columns
 from repro.core.state import ProcessorGroup, _check_group_size, _id_ordered
 from repro.hashing.base import EdgeHashFunction
@@ -333,17 +336,23 @@ class GroupArrays:
         self.cell_cap = cap
         kernel_mod.sync_record(self.record, self)
 
+    def make_room(self) -> None:
+        """Room for one more stored record: one edge, two half-edges and
+        the most cells its endpoints may need (each gaining a slot)."""
+        self.ensure_edges(1)
+        self.ensure_cells(2 * self.group_size)
+
     def fill(self, step, n: int) -> None:
         """Run a compiled entry over ``n`` items until all are done.
 
         ``step(start)`` advances items ``start..n-1``, stops before the
-        first one whose cells do not fit, and returns its index; each stop
-        makes room for the most cells one item may need (two nodes gaining
-        a slot each) and resumes there.
+        first one that does not fit, and returns its index; each stop
+        makes room for one stored record, which covers one item of every
+        entry, and resumes there.
         """
         done = step(0)
         while done < n:
-            self.ensure_cells(2 * self.group_size)
+            self.make_room()
             resumed = step(done)
             if resumed == done:
                 raise RuntimeError("a compiled call found no room after growth")
@@ -405,10 +414,14 @@ class GroupArrays:
 
     # -- extraction and detachment ---------------------------------------------
 
+    def edge_rows(self, start: int) -> np.ndarray:
+        """The ``(slot, lo, hi)`` columns of the edges stored from eid ``start`` on."""
+        n = int(self.meta[1])
+        return np.stack((self.edge_slot[start:n], self.edge_u[start:n], self.edge_v[start:n]))
+
     def columns(self) -> ColumnarDelta:
         """Every stored edge and counter as a :class:`ColumnarDelta`; changes nothing."""
-        n = int(self.meta[1])
-        edges = np.stack((self.edge_slot[:n], self.edge_u[:n], self.edge_v[:n]))
+        edges = self.edge_rows(0)
         tri, _ = self._tri()
         tau_cells, eta_cells = self.cells(take=False)
         return ColumnarDelta(edges, tri, tau_cells, eta_cells, self._rows())
@@ -489,7 +502,6 @@ class NativeProcessorGroup(ProcessorGroup):
         self._node_bits = None  # type: ignore[assignment]
         self._arrays = GroupArrays(group_size, track_local, track_eta)
         kernel_mod.bind_hash(self._arrays.record, hash_function)
-        self._pairs_cache: Optional[Set[int]] = None
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
@@ -497,48 +509,35 @@ class NativeProcessorGroup(ProcessorGroup):
 
     # -- ingestion -------------------------------------------------------------
 
-    def _after_store(self, pair: int) -> None:
-        """Bookkeeping once the per-edge call stored the packed ``pair`` here."""
-        if self._pairs_cache is not None:
-            self._pairs_cache.add(pair)
-        if any(self._arrays.loose_tri):
-            self._arrays.settle_loose()
-
     def process_encoded(
         self,
         cu: Sequence[int],
         cv: Sequence[int],
-        slots: Sequence[int],
+        keys: np.ndarray,
         firsts: Sequence[bool],
     ) -> None:
+        """Advance the group over a whole encoded batch in compiled calls.
+
+        The record loop hashes each edge key to this group's slot.  Node
+        columns cover the ids this batch references, not the whole shared
+        interner; the rest grows where the loop stops short.
+        """
         n = len(cu)
         if n == 0:
             return
         arrays = self._arrays
         cu_a = np.asarray(cu, np.int64)
         cv_a = np.asarray(cv, np.int64)
-        slots_a = np.asarray(slots, np.int64)
+        keys_a = np.asarray(keys, np.uint64)
         firsts_a = np.asarray(firsts, np.uint8)
-        # The kernel never grows storage.  Node columns cover the ids this
-        # batch references (not the whole shared interner) and the edge
-        # columns its storable first flags; the cell pool grows where the
-        # kernel stops short of it.
         arrays.ensure_nodes(max(int(cu_a.max()), int(cv_a.max())) + 1)
-        store_mask = (firsts_a != 0) & (slots_a < self.group_size)
-        n_stores = int(np.count_nonzero(store_mask))
-        if n_stores:
-            arrays.ensure_edges(n_stores)
+        stored = arrays.n_edges
         record = arrays.record
         arrays.fill(
-            lambda start: kernel_mod.run_batch(start, n, cu_a, cv_a, slots_a, firsts_a, record), n
+            lambda start: kernel_mod.run_batch(start, n, cu_a, cv_a, keys_a, firsts_a, record), n
         )
-        if n_stores:
-            if self._pairs_cache is not None:
-                self._pairs_cache.update(
-                    pack_pairs(cu_a[store_mask], cv_a[store_mask]).tolist()
-                )
-            if any(arrays.loose_tri):
-                arrays.settle_loose()
+        if arrays.n_edges > stored and any(arrays.loose_tri):
+            arrays.settle_loose()
 
     # -- the kernel primitives: columns, fold and reset -------------------------
 
@@ -549,7 +548,6 @@ class NativeProcessorGroup(ProcessorGroup):
         self._arrays = GroupArrays(
             self.group_size, self.track_local, self.track_eta, record=self._arrays.record
         )
-        self._pairs_cache = None
 
     def merge_deltas(self, delta: ColumnarDelta) -> None:
         """Fold a whole group's columns, slot by slot exactly like
@@ -614,7 +612,6 @@ class NativeProcessorGroup(ProcessorGroup):
         arrays.tau += rows[0]
         arrays.eta += rows[1]
         arrays.edges_stored += rows[2]
-        self._pairs_cache = None
 
     def take_pane_deltas(self, new_stored: np.ndarray) -> ColumnarDelta:
         return self._arrays.detach(new_stored)

@@ -9,9 +9,12 @@ bitmasks all operate on small ints instead.
 
 The interner also memoises each node's stable 64-bit hash key (the same
 ``stable_node_key`` the scalar hash path computes per call), exposed as a
-NumPy array: the batched ingestion pipeline gathers per-edge canonical key
-pairs with two fancy-index reads and hands them to the vectorized hash
-layer (:meth:`~repro.hashing.base.EdgeHashFunction.bucket_from_keys`).
+NumPy array: the batched ingestion pipeline gathers per-edge canonical
+edge keys with two fancy-index reads (:meth:`NodeInterner.edge_key_array`)
+and hands them to every group, which hashes them to its slots — in the C
+record loop on the compiled kernel, with
+:meth:`~repro.hashing.base.EdgeHashFunction.bucket_from_keys` on the dict
+reference.
 
 On a native state set, batches whose records are all 2-item tuples or
 lists of plain ``int`` node ids inside int64 take a compiled encode pass

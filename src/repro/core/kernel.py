@@ -15,26 +15,31 @@ and parameters, ``m``, its shape (``group_size``, ``track_local``,
 half-edge pool and cell pool (``node_cap``, ``edge_cap``, ``pool_cap``,
 ``cell_cap``) and the addresses of its columns (:data:`RECORD_COLUMNS`),
 among them ``meta``, the scalars the calls advance: ``[n_half, n_edges,
-epoch, n_cells, n_dead]``.  Two entries read it and share the record step:
+epoch, n_cells, n_dead]``.
 
-* ``rept_ingest_batch`` advances one group over records ``start..n-1`` of
-  an encoded batch whose slots the vectorised hash computed
-  (:func:`run_batch`).  Before each record that stores, it checks the
-  room the store needs — one edge, two half-edges, and for each endpoint
-  that gains the slot its whole block of cells plus one — and stops
-  before the first record that does not fit, returning its index (``n``
-  when every record ran).  The caller grows or compacts the cell pool and
-  calls again from that index, so every record runs exactly once;
+One record loop advances a group.  For each record it turns the edge's
+canonical key, which no seed enters, into the group's slot with C ports of
+both hash families — splitmix64 of ``key ^ seed``, and simple tabulation
+over the 8×256 rows — equal to
+:meth:`~repro.hashing.base.EdgeHashFunction.bucket` bit for bit, and runs
+the fused closure+store step.  Before each record that stores, it checks
+the room the store needs — one edge, two half-edges, and for each
+endpoint that gains the slot its whole block of cells plus one — and
+stops before the first record that does not fit, returning its index
+(``n`` when every record ran).  Two entries run it:
+
+* ``rept_ingest_batch`` runs it over records ``start..n-1`` of an encoded
+  batch (:func:`run_batch`).  The caller grows the group and calls again
+  from the index it returns, so every record runs exactly once;
 * ``rept_ingest_edge`` is the per-edge path (:class:`EdgeEntry`, called by
   :meth:`~repro.core.state.GroupStateSet.process_edge`): one call per
-  record whatever the number of groups.  It takes the edge's canonical
-  key, which no seed enters, turns it into every group's slot with C ports
-  of both hash families — splitmix64 of ``key ^ seed``, and simple
-  tabulation over the 8×256 rows — equal to
-  :meth:`~repro.hashing.base.EdgeHashFunction.bucket` bit for bit, and
-  advances every group.  It checks every group's room first, the cells
-  both endpoints may need included, and, if any is short, changes
-  nothing and asks the caller to grow.
+  record whatever the number of groups.  It checks every group's room
+  first, the cells both endpoints may need included, and, if any is
+  short, changes nothing and asks the caller to grow; otherwise it runs
+  the loop over the one record in each group.
+
+A batch stop and a per-edge shortfall take the same growth step
+(:meth:`~repro.core.adjacency.GroupArrays.make_room`).
 
 Selection is requested as ``kernel="auto"|"python"|"native"`` on
 :class:`~repro.core.config.ReptConfig` and resolved once per state set by
@@ -71,11 +76,11 @@ cell scans, all of which read the group's record:
   pane take), and the compaction, which packs every node's block into
   fresh columns and leaves the dead cells behind.
 
-No compiled function allocates: node columns, edge arrays, the half-edge
-pool and the encode pass's scratch set are ensured by the Python wrapper
-before the call — from vectorised counts of a batch's storable first
-occurrences, or, on the per-edge path, after the call reported which
-groups lack room — and the cell pool grows wherever a call stopped short.
+No compiled function allocates: node columns and the encode pass's
+scratch set are ensured by the Python wrapper before the call, from the
+largest id a batch references; edge columns, the half-edge pool and the
+cell pool grow wherever a call stopped short or, on the per-edge path,
+reported which groups lack room.
 """
 
 from __future__ import annotations
@@ -284,14 +289,14 @@ static inline void rept_link_edge(
 }
 
 /* One record through one group: the fused closure+store step of the
- * dict/set loop of ProcessorGroup.process_encoded, which the kernel-parity
+ * dict/set loop of ProcessorGroup._ingest, which the kernel-parity
  * suites hold it to bit for bit.  st is the local copy of meta.  The
  * neighbourhood intersection stamps N_u with a fresh epoch, so each
  * membership test during the N_v walk is one comparison and no clearing
  * pass runs between edges.  A slot both endpoints hold may have an empty
  * chain (a cell a fold gave a counter); the walk finds nothing there.
- * Returns 1 when the record was stored; the caller has checked room. */
-static inline i64 rept_record_step(
+ * The caller has checked room for a store. */
+static inline void rept_record_step(
     const rept_group *g, i64 iu, i64 iv, i64 slot, i64 first, i64 *st)
 {
     i64 track_local = g->track_local;
@@ -379,10 +384,9 @@ static inline i64 rept_record_step(
         }
     }
     if (first == 0 || !storeable)
-        return 0;
+        return;
     rept_link_edge(g, iu, iv, slot, track_eta ? closing_at_store : 0, track_eta ? 1 : 0, st);
     g->edges_stored[slot] += 1;
-    return 1;
 }
 
 static inline void rept_load(const rept_group *g, i64 *st)
@@ -395,30 +399,6 @@ static inline void rept_save(const rept_group *g, const i64 *st)
 {
     for (int i = 0; i < N_META; i++)
         g->meta[i] = st[i];
-}
-
-/* The closure+store loop of one group over records start..n-1 of an
- * encoded batch.  Node columns must cover every id; a record that stores
- * is checked for room first, and the loop stops before the first one that
- * does not fit.  Returns the index of that record, or n: the caller grows
- * the group and calls again from there. */
-int64_t rept_ingest_batch(
-    i64 start, i64 n,
-    const i64 *cu, const i64 *cv, const i64 *slots, const u8 *firsts,
-    const rept_group *group)
-{
-    const rept_group g = *group;
-    i64 st[N_META];
-    rept_load(&g, st);
-    i64 k;
-    for (k = start; k < n; k++) {
-        if (firsts[k] && slots[k] < g.group_size
-            && !rept_store_room(&g, cu[k], cv[k], slots[k], st))
-            break;
-        rept_record_step(&g, cu[k], cv[k], slots[k], firsts[k], st);
-    }
-    rept_save(&g, st);
-    return k;
 }
 
 static inline uint64_t rept_splitmix64(uint64_t x)
@@ -446,6 +426,39 @@ static inline i64 rept_slot(const rept_group *g, uint64_t key)
     return (i64)(h % (uint64_t)g->m);
 }
 
+/* The one record loop: the closure+store step of one group over records
+ * start..n-1 with canonical edge keys keys[k], each hashed to its slot
+ * here.  Node columns must cover every id; a record that stores is
+ * checked for room first, and the loop stops before the first one that
+ * does not fit.  Returns the index of that record, or n: the caller grows
+ * the group and calls again from there. */
+static i64 rept_records(
+    const rept_group *group, i64 start, i64 n,
+    const i64 *cu, const i64 *cv, const uint64_t *keys, const u8 *firsts)
+{
+    const rept_group g = *group;
+    i64 st[N_META];
+    rept_load(&g, st);
+    i64 k;
+    for (k = start; k < n; k++) {
+        i64 slot = rept_slot(&g, keys[k]);
+        if (firsts[k] && slot < g.group_size && !rept_store_room(&g, cu[k], cv[k], slot, st))
+            break;
+        rept_record_step(&g, cu[k], cv[k], slot, firsts[k], st);
+    }
+    rept_save(&g, st);
+    return k;
+}
+
+/* The batch entry: rept_records over an encoded batch. */
+int64_t rept_ingest_batch(
+    i64 start, i64 n,
+    const i64 *cu, const i64 *cv, const uint64_t *keys, const u8 *firsts,
+    const rept_group *group)
+{
+    return rept_records(group, start, n, cu, cv, keys, firsts);
+}
+
 /* The groups of one state set and a flag per group (EdgeEntry in Python). */
 typedef struct {
     i64 n_groups;
@@ -459,8 +472,9 @@ typedef struct {
  * (node columns above both ids and, where it stores, one more edge, two
  * half-edges and the cells both endpoints may need), it changes no
  * state, sets stored[k] to whether group k would store, and returns -1 so
- * the caller grows those groups and calls again.  Otherwise stored[k] is
- * whether group k stored, and the return value is their number. */
+ * the caller grows those groups and calls again.  Otherwise each group
+ * runs rept_records over the one record, stored[k] is whether group k
+ * stored, and the return value is their number. */
 int64_t rept_ingest_edge(
     const rept_edge_entry *entry, uint64_t key, i64 iu, i64 iv, i64 first)
 {
@@ -469,24 +483,21 @@ int64_t rept_ingest_edge(
     u8 *stored = entry->stored_flags;
     i64 top = iu > iv ? iu : iv;
     i64 short_of_room = 0;
+    i64 count = 0;
     for (i64 k = 0; k < n_groups; k++) {
         const rept_group *g = groups[k];
         i64 slot = rept_slot(g, key);
         i64 store = first != 0 && slot < g->group_size;
         stored[k] = (u8)store;
+        count += store;
         if (top >= g->node_cap || (store && !rept_store_room(g, iu, iv, slot, g->meta)))
             short_of_room = 1;
     }
     if (short_of_room)
         return -1;
-    i64 count = 0;
-    for (i64 k = 0; k < n_groups; k++) {
-        const rept_group g = *groups[k];
-        i64 st[N_META];
-        rept_load(&g, st);
-        count += rept_record_step(&g, iu, iv, rept_slot(&g, key), first, st);
-        rept_save(&g, st);
-    }
+    u8 flag = first != 0;
+    for (i64 k = 0; k < n_groups; k++)
+        rept_records(groups[k], 0, 1, &iu, &iv, &key, &flag);
     return count;
 }
 
@@ -815,7 +826,7 @@ def _build():
     signatures = {
         "rept_ingest_batch": [
             i64, i64,                     # start, n
-            ptr, ptr, ptr, ptr,           # cu, cv, slots, firsts
+            ptr, ptr, ptr, ptr,           # cu, cv, keys, firsts
             ptr,                          # group record
         ],
         "rept_ingest_edge": [
@@ -1023,19 +1034,21 @@ def bind_hash(record: GroupRecord, hash_function) -> None:
     record.m = hash_function.buckets
 
 
-def run_batch(start, n, cu, cv, slots, firsts, record: GroupRecord) -> int:
-    """Run the kernel over records ``start..n-1`` of one encoded batch.
+def run_batch(start, n, cu, cv, keys, firsts, record: GroupRecord) -> int:
+    """Run the record loop over records ``start..n-1`` of one encoded batch.
 
-    ``record`` is the group's :class:`GroupRecord`; node columns must cover
-    every id.  Returns the index of the first record whose store does not
-    fit, or ``n`` (see :meth:`~repro.core.adjacency.GroupArrays.fill`).
+    ``keys`` holds the records' canonical uint64 edge keys, which the loop
+    hashes to the group's slots; ``record`` is the group's
+    :class:`GroupRecord`, whose node columns must cover every id.  Returns
+    the index of the first record whose store does not fit, or ``n`` (see
+    :meth:`~repro.core.adjacency.GroupArrays.fill`).
     """
     return _handle().rept_ingest_batch(
         start,
         n,
         cu.ctypes.data,
         cv.ctypes.data,
-        slots.ctypes.data,
+        keys.ctypes.data,
         firsts.ctypes.data,
         ctypes.byref(record),
     )

@@ -25,12 +25,15 @@ Two further exact optimisations serve the batched ingestion pipeline:
   bitmask probe operates on small ints; raw identifiers reappear only at
   the public boundaries (aggregates, snapshots, stored-edge records);
 * :meth:`ProcessorGroup.process_encoded` consumes whole batches whose
-  canonicalisation, hashing and first-occurrence flags were precomputed as
-  array operations, dropping into per-edge Python only for the residual
-  state updates.  It is the dict group's only ingestion loop: a per-edge
-  call is a one-record batch, so the two paths cannot drift apart.  The
-  compiled kernel keeps the same guarantee by sharing one record step
-  between its batch entry and the per-edge entry of
+  canonicalisation, edge keys and first-occurrence flags were precomputed
+  as array operations.  The dict reference hashes the keys with
+  :meth:`~repro.hashing.base.EdgeHashFunction.bucket_from_keys` and drops
+  into per-edge Python only for the residual state updates of its one
+  ingestion loop; a per-edge call, hashed with
+  :meth:`~repro.hashing.base.EdgeHashFunction.bucket`, is a one-record
+  batch of that loop, so the two paths cannot drift apart.  The compiled
+  kernel keeps the same guarantee with one record loop that hashes each
+  key in C, behind both its batch entry and the per-edge entry of
   :meth:`GroupStateSet.process_edge`.
 
 Mergeable state
@@ -87,8 +90,9 @@ state the merge contract expects — so a window advances by folding one
 O(pane) delta instead of re-ingesting the window.  The delta's stored
 edges are only the pane-new ones: :meth:`GroupStateSet.ingest_encoded`
 with ``collect_stored=True`` returns each group's stored edges of a batch
-as ``(slot, iu, iv)`` int64 columns, which the caller concatenates per
-pane and hands to the take.
+as ``(slot, u, v)`` int64 columns — on the C kernel the edge rows the
+batch appended — which the caller concatenates per pane and hands to the
+take.
 """
 
 from __future__ import annotations
@@ -270,10 +274,6 @@ class ProcessorGroup:
         ]
         # dense node id -> bitmask of slots where the node has a stored edge.
         self._node_bits: Dict[int, int] = {}
-        # Cached seen-pairs set (packed keys) handed to
-        # process_edges(seen=None) callers; see _stored_pairs for the
-        # maintenance contract.
-        self._pairs_cache: Optional[Set[int]] = None
 
     # -- per-edge update ----------------------------------------------------
 
@@ -285,33 +285,40 @@ class ProcessorGroup:
         """
         self.process_edges(((u, v),))
 
-    def _ingest(self, iu: int, iv: int, slot: int, first: bool) -> None:
-        """Advance the group with one encoded record (see :meth:`process_encoded`).
-
-        The per-edge entry point of :meth:`GroupStateSet.process_edge`,
-        which has already interned the endpoints, hashed the slot and taken
-        the first-occurrence flag from its ``seen`` set.
-        """
-        self.process_encoded((iu,), (iv,), (slot,), (first,))
-
     # -- batched update ------------------------------------------------------
 
     def process_encoded(
         self,
         cu: Sequence[int],
         cv: Sequence[int],
-        slots: Sequence[int],
+        keys: np.ndarray,
         firsts: Sequence[bool],
     ) -> None:
         """Advance the group over a whole encoded batch.
 
         ``cu``/``cv`` are canonical interned id pairs (self-loops already
-        dropped), ``slots`` this group's precomputed hash buckets (see
-        :meth:`~repro.hashing.base.EdgeHashFunction.bucket_from_keys`) and
+        dropped), ``keys`` their canonical uint64 edge keys (see
+        :meth:`~repro.core.interning.NodeInterner.edge_key_array`) and
         ``firsts`` the stream-global first-occurrence flags from
-        :meth:`~repro.core.interning.NodeInterner.encode_pairs`.  This is
-        the group's one ingestion loop — per-edge calls arrive here as
-        one-record batches.  Only the edges whose endpoints actually
+        :meth:`~repro.core.interning.NodeInterner.encode_pairs`.  The dict
+        reference hashes the keys with
+        :meth:`~repro.hashing.base.EdgeHashFunction.bucket_from_keys`.
+        """
+        self._ingest(cu, cv, self.hash_function.bucket_from_keys(keys).tolist(), firsts)
+
+    def _ingest(
+        self,
+        cu: Sequence[int],
+        cv: Sequence[int],
+        slots: Sequence[int],
+        firsts: Sequence[bool],
+    ) -> None:
+        """The group's one ingestion loop, over records hashed to ``slots``.
+
+        Batches arrive here from :meth:`process_encoded`; the per-edge path
+        of :meth:`GroupStateSet.process_edge` hashes its record with
+        :meth:`~repro.hashing.base.EdgeHashFunction.bucket` and passes it as
+        a one-record batch.  Only the edges whose endpoints actually
         co-occur in a slot reach the closure logic, everything else is a
         handful of int operations.
         """
@@ -324,7 +331,6 @@ class ProcessorGroup:
         # Hoisted per-slot structures: one list index instead of an
         # attribute chain on every probe and store.
         adjacencies = [processor.adjacency for processor in processors]
-        pairs_cache = self._pairs_cache
         # ``slot < group_size`` can only fail for a partial group; complete
         # groups (group_size == m) take a branch-free specialisation.
         complete = group_size == self.m
@@ -375,54 +381,27 @@ class ProcessorGroup:
                 bit = 1 << slot
                 node_bits[iu] = bits_u | bit
                 node_bits[iv] = bits_v | bit
-                if pairs_cache is not None:
-                    pairs_cache.add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
 
     def process_edges(self, edges, seen: Optional[Set[int]] = None) -> None:
         """Standalone batched ingestion for one group.
 
-        Encodes ``edges`` through this group's interner, hashes the batch
-        vectorially and advances the counters via :meth:`process_encoded`.
+        Encodes ``edges`` through this group's interner and advances the
+        counters via :meth:`process_encoded`.
 
         ``seen`` carries first-occurrence state across calls (the packed
         keys of the interned pairs already consumed); when omitted it is
-        derived from the stored adjacency, which is exact even on a group
-        restored with zeroed counters (an edge is stored iff it was seen and
-        its slot is real, and unstoreable edges never consult the flag).
+        derived from the stored edges on each call, which is exact even on
+        a group restored with zeroed counters: an edge's slot is fixed by
+        the hash, so an edge is stored iff it was seen and its slot is
+        real, and unstoreable edges never consult the flag.
         """
         if seen is None:
-            seen = self._stored_pairs()
+            stored = self.columns().edges
+            seen = set(pack_pairs(stored[1], stored[2]).tolist())
         interner = self.interner
         cu, cv, firsts, _ = interner.encode_pairs(edges, seen)
-        if not cu:
-            return
-        slots = self.hash_function.bucket_from_keys(
-            interner.edge_key_array(cu, cv)
-        ).tolist()
-        self.process_encoded(cu, cv, slots, firsts)
-
-    def _stored_pairs(self) -> Set[int]:
-        """Return the cached seen-pairs set covering every stored edge.
-
-        The cache is derived once (O(stored edges)) and maintained
-        incrementally: every store adds its packed pair key, and the cold
-        mutators (restore/merge) invalidate it.  Because callers use
-        the returned set as a live first-occurrence ``seen`` set, it may
-        also accumulate *unstoreable* seen pairs — harmless, since an
-        edge's slot is fixed by the hash, so unstoreable edges never
-        consult their flag and storeable edges are stored exactly on their
-        first arrival (making "stored" and "seen" coincide for them).
-        """
-        cache = self._pairs_cache
-        if cache is None:
-            cache = self._derive_stored_pairs()
-            self._pairs_cache = cache
-        return cache
-
-    def _derive_stored_pairs(self) -> Set[int]:
-        """Rebuild the packed pair keys of every stored edge."""
-        edges = self.columns().edges
-        return set(pack_pairs(edges[1], edges[2]).tolist())
+        if cu:
+            self.process_encoded(cu, cv, interner.edge_key_array(cu, cv), firsts)
 
     def _apply_closure(
         self, processor: ProcessorCounters, u: int, v: int, common: Set[int]
@@ -484,13 +463,11 @@ class ProcessorGroup:
             bit = 1 << slot
             for node in later.adjacency:
                 node_bits[node] = node_bits.get(node, 0) | bit
-        self._pairs_cache = None
 
     def reset(self) -> None:
         """Drop every stored edge and counter."""
         self.processors = [ProcessorCounters() for _ in range(self.group_size)]
         self._node_bits = {}
-        self._pairs_cache = None
 
     # -- snapshot / merge, built on the primitives ----------------------------
 
@@ -735,9 +712,9 @@ class EncodedBatch:
     """One batch of records encoded once for every group of a config.
 
     ``cu``/``cv`` are canonical interned id pairs (self-loops dropped),
-    ``slots`` holds each group's hash buckets for the batch (hash seeds are
-    derived from the config, so one encoding serves every
-    :class:`GroupStateSet` of that config sharing the same interner), and
+    ``keys`` their canonical uint64 edge keys, which no seed enters (each
+    group hashes them to its own slots, so one encoding serves every
+    :class:`GroupStateSet` of a config sharing the same interner), and
     ``n_records`` counts all input records including dropped self-loops.
     First-occurrence flags are deliberately *not* part of the encoding —
     they are scope-local (each consumer derives them from its own ``seen``
@@ -746,12 +723,12 @@ class EncodedBatch:
 
     cu: List[int]
     cv: List[int]
-    slots: List[List[int]]
+    keys: np.ndarray
     n_records: int
 
 
-def _batch_columns(batch: EncodedBatch):
-    """Memoised int64 column views of an encoded batch.
+def _batch_columns(batch: EncodedBatch) -> Tuple[np.ndarray, np.ndarray]:
+    """Memoised int64 columns of an encoded batch's ``cu`` and ``cv``.
 
     The monitor feeds one :class:`EncodedBatch` to many overlapping
     windows; converting the shared columns once per batch (cached on the
@@ -760,11 +737,7 @@ def _batch_columns(batch: EncodedBatch):
     """
     cached = getattr(batch, "_native_columns", None)
     if cached is None:
-        cached = (
-            np.asarray(batch.cu, np.int64),
-            np.asarray(batch.cv, np.int64),
-            [np.asarray(slots, np.int64) for slots in batch.slots],
-        )
+        cached = (np.asarray(batch.cu, np.int64), np.asarray(batch.cv, np.int64))
         batch._native_columns = cached
     return cached
 
@@ -903,8 +876,7 @@ class GroupStateSet:
                     arrays = group._arrays
                     arrays.ensure_nodes(top)
                     if store:
-                        arrays.ensure_edges(1)
-                        arrays.ensure_cells(2 * arrays.group_size)
+                        arrays.make_room()
                 stored = entry.ingest(entry.address, key, iu, iv, first)
                 if stored < 0:
                     raise RuntimeError("the per-edge kernel call found no room after growth")
@@ -912,53 +884,43 @@ class GroupStateSet:
                 self.seen.add(pair)
                 if stored:
                     for group, store in zip(groups, entry.stored):
-                        if store:
-                            group._after_store(pair)
+                        if store and any(group._arrays.loose_tri):
+                            group._arrays.settle_loose()
             return
         slots = [group.hash_function.bucket(u, v) for group in groups]
         seen = self.seen
         size = len(seen)
         seen.add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
-        first = len(seen) != size
+        first = (len(seen) != size,)
         for group, slot in zip(groups, slots):
-            group._ingest(iu, iv, slot, first)
+            group._ingest((iu,), (iv,), (slot,), first)
 
     def process_edges(self, edges: Iterable[EdgeTuple]) -> int:
         """Advance every group over a raw batch; returns records consumed.
 
-        Canonicalisation, interning and hashing run once as array
-        operations shared by all groups — bit-identical to per-edge
-        :meth:`process_edge` calls.  A batch that raises leaves ``seen``
-        as it was (see :meth:`~repro.core.interning.NodeInterner.encode_pairs`).
-        On a native state set an all-int batch is encoded by the compiled
-        pass (:meth:`~repro.core.interning.NodeInterner._encode_columns`)
-        and its columns go straight to the hash and the kernel.
+        Canonicalisation, interning and edge keys run once as array
+        operations shared by all groups, and each group hashes the keys to
+        its slots — bit-identical to per-edge :meth:`process_edge` calls.
+        A batch that raises leaves ``seen`` as it was (see
+        :meth:`~repro.core.interning.NodeInterner.encode_pairs`).  On a
+        native state set an all-int batch is encoded by the compiled pass
+        (:meth:`~repro.core.interning.NodeInterner._encode_columns`) and its
+        columns go straight to the kernel, which hashes each record in C.
         """
-        if self._native:
-            columns = self.interner._encode_columns(edges, self.seen)
-            if columns is not None:
-                cu, cv, edge_keys, firsts, n_records = columns
-                if len(cu):
-                    for group in self.groups:
-                        slots = group.hash_function.bucket_from_keys(edge_keys)
-                        group.process_encoded(cu, cv, slots, firsts)
-                return n_records
-        cu, cv, firsts, n_records = self.interner.encode_pairs(edges, self.seen)
-        if cu:
-            edge_keys = self.interner.edge_key_array(cu, cv)
+        encoded = self.interner._encode_columns(edges, self.seen) if self._native else None
+        if encoded is not None:
+            cu, cv, keys, firsts, n_records = encoded
+        else:
+            cu, cv, firsts, n_records = self.interner.encode_pairs(edges, self.seen)
+            keys = self.interner.edge_key_array(cu, cv)
             if self._native:
-                # One list->array conversion shared by every group; slot
-                # arrays go to the kernel without a tolist round trip.
+                # One list->array conversion shared by every group.
                 cu = np.asarray(cu, np.int64)
                 cv = np.asarray(cv, np.int64)
                 firsts = np.asarray(firsts, np.uint8)
-                for group in self.groups:
-                    slots = group.hash_function.bucket_from_keys(edge_keys)
-                    group.process_encoded(cu, cv, slots, firsts)
-            else:
-                for group in self.groups:
-                    slots = group.hash_function.bucket_from_keys(edge_keys).tolist()
-                    group.process_encoded(cu, cv, slots, firsts)
+        if len(cu):
+            for group in self.groups:
+                group.process_encoded(cu, cv, keys, firsts)
         return n_records
 
     def ingest_stream(
@@ -980,14 +942,7 @@ class GroupStateSet:
         any state set sharing the interner can :meth:`ingest_encoded` it.
         """
         cu, cv, _firsts, n_records = self.interner.encode_pairs(edges, None)
-        if not cu:
-            return EncodedBatch([], [], [[] for _ in self.groups], n_records)
-        edge_keys = self.interner.edge_key_array(cu, cv)
-        slots = [
-            group.hash_function.bucket_from_keys(edge_keys).tolist()
-            for group in self.groups
-        ]
-        return EncodedBatch(cu, cv, slots, n_records)
+        return EncodedBatch(cu, cv, self.interner.edge_key_array(cu, cv), n_records)
 
     def ingest_encoded(
         self,
@@ -1003,32 +958,36 @@ class GroupStateSet:
         windowed monitor's shared arrival index) may pass precomputed
         ``firsts`` instead — then ``seen`` is neither consulted nor updated.
         With ``collect_stored=True`` each group's edges stored by this batch
-        are returned as ``(slot, iu, iv)`` int64 columns (a ``(3, n)``
-        array, in record order) on either kernel — concatenated per pane,
-        they are what :meth:`take_pane_deltas` needs.
+        are returned as ``(slot, u, v)`` int64 columns (a ``(3, n)`` array,
+        in record order, endpoints id-ordered on the C kernel and canonical
+        on the dict one) — concatenated per pane, they are what
+        :meth:`take_pane_deltas` needs.  On the C kernel they are the edge
+        rows the batch appended.
         """
+        groups = self.groups
         if not batch.cu:
-            if collect_stored:
-                return [np.empty((3, 0), np.int64) for _ in self.groups]
-            return None
+            return [np.empty((3, 0), np.int64) for _ in groups] if collect_stored else None
         if firsts is None:
             firsts = first_flags(self.seen, batch.cu, batch.cv)
+        cu, cv = _batch_columns(batch)
         if self._native:
-            cu_a, cv_a, slots_arrays = _batch_columns(batch)
-            firsts_a = np.asarray(firsts, np.uint8)
-            for group, slots_a in zip(self.groups, slots_arrays):
-                group.process_encoded(cu_a, cv_a, slots_a, firsts_a)
-        else:
-            for group, slots in zip(self.groups, batch.slots):
-                group.process_encoded(batch.cu, batch.cv, slots, firsts)
+            firsts = np.asarray(firsts, np.uint8)
+            marks = [group._arrays.n_edges for group in groups]
+            for group in groups:
+                group.process_encoded(cu, cv, batch.keys, firsts)
+            if collect_stored:
+                return [group._arrays.edge_rows(mark) for group, mark in zip(groups, marks)]
+            return None
+        for group in groups:
+            group.process_encoded(batch.cu, batch.cv, batch.keys, firsts)
         if not collect_stored:
             return None
-        cu_a, cv_a, slots_arrays = _batch_columns(batch)
         first_mask = np.asarray(firsts, bool)
         stored: List[np.ndarray] = []
-        for group, slots_a in zip(self.groups, slots_arrays):
-            idx = np.flatnonzero(first_mask & (slots_a < group.group_size))
-            stored.append(np.stack((slots_a[idx], cu_a[idx], cv_a[idx])))
+        for group in groups:
+            slots = group.hash_function.bucket_from_keys(batch.keys).astype(np.int64)
+            idx = np.flatnonzero(first_mask & (slots < group.group_size))
+            stored.append(np.stack((slots[idx], cu[idx], cv[idx])))
         return stored
 
     # -- pane-delta protocol --------------------------------------------------

@@ -16,12 +16,14 @@ path, bit for bit, which the hashing tests assert over int, string and
 mixed node identifiers.
 
 A third implementation lives in the compiled kernel
-(:mod:`repro.core.kernel`): the per-edge path of a native state set hands
-:meth:`EdgeHashFunction._edge_key` to C ports of both families, which
-turn it into every group's slot.  It reads each family's parameters
+(:mod:`repro.core.kernel`): a native state set hands the canonical edge
+keys of its batches, and :meth:`EdgeHashFunction._edge_key` on the
+per-edge path, to C ports of both families, which turn each key into the
+group's slot inside the record loop.  It reads each family's parameters
 (``SplitMixEdgeHash.seed``, ``TabulationEdgeHash.tables``), and
 ``tests/properties/test_property_per_edge.py`` holds it to :meth:`bucket`
-bit for bit.
+bit for bit.  :meth:`bucket_from_keys` thus serves the dict reference
+only.
 """
 
 from __future__ import annotations

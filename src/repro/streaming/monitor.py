@@ -475,12 +475,23 @@ class WindowedTriangleMonitor:
         Pane routing runs vectorially over the timestamp column; records
         are then delivered to the open windows pane-bucket by pane-bucket
         (stable order within a bucket).
+
+        A NaN node id is one node per NaN object, as in any dict, but an
+        array holds no object identity: a float endpoint array that holds
+        NaN raises ``ValueError`` before anything changes.
         """
         times = np.asarray(ts, dtype=np.float64)
         if times.size == 0:
             return []
         if not np.isfinite(times).all():
             raise ValueError("timestamps must be finite")
+        for column in (us, vs):
+            if (
+                isinstance(column, np.ndarray)
+                and np.issubdtype(column.dtype, np.floating)
+                and np.isnan(column).any()
+            ):
+                raise ValueError("a float endpoint array holds NaN, which names no one node")
         if isinstance(us, np.ndarray):
             us = us.tolist()  # interner and hash layers key on exact types
         if isinstance(vs, np.ndarray):

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.core.config import ReptConfig
-from repro.core.interning import NodeInterner, pack_pair
+from repro.core.interning import NodeInterner
 from repro.core.kernel import (
     KERNEL_CHOICES,
     MAX_NATIVE_GROUP_SIZE,
@@ -248,51 +248,6 @@ class TestProviderParity:
         native = _estimates(config, edges, "native")
         assert native.metadata["kernel"] == provider
         _assert_identical(_estimates(config, edges, "python"), native)
-
-
-class TestPairsCache:
-    """Regression: ``process_edges(seen=None)`` derives the stored-pairs
-    set at most once per group; later batches extend it incrementally."""
-
-    @pytest.mark.parametrize("kernel", ["python", "auto"])
-    def test_no_rederivation_on_later_batches(self, kernel, monkeypatch, clean_env):
-        config = ReptConfig(m=3, c=8, seed=SEED, track_local=False)
-        state = GroupStateSet(config, kernel=kernel)
-        calls = {"n": 0}
-        for group in state.groups:
-            original = group._derive_stored_pairs
-
-            def counted(_orig=original):
-                calls["n"] += 1
-                return _orig()
-
-            monkeypatch.setattr(group, "_derive_stored_pairs", counted)
-        edges = _stream(num_records=200)
-        for group in state.groups:
-            group.process_edges(edges[:100], seen=None)
-        first_round = calls["n"]
-        assert first_round <= len(state.groups)
-        for group in state.groups:
-            group.process_edges(edges[100:], seen=None)
-        assert calls["n"] == first_round
-
-    def test_cache_invalidated_by_restore(self, clean_env):
-        config = ReptConfig(m=3, c=8, seed=SEED, track_local=False)
-        state = GroupStateSet(config, kernel="python")
-        edges = _stream(num_records=120)
-        for group in state.groups:
-            group.process_edges(edges, seen=None)
-        snapshots = state.snapshot()
-        for group, snapshot in zip(state.groups, snapshots):
-            group.restore(snapshot)
-            assert group._pairs_cache is None
-            # The cache rebuilds lazily and matches the stored edges.
-            pairs = group._stored_pairs()
-            interner = group.interner
-            stored = set()
-            for _slot, u, v in group.stored_edges():
-                stored.add(pack_pair(interner.id_of(u), interner.id_of(v)))
-            assert pairs == stored
 
 
 @needs_cc

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.config import ReptConfig
@@ -299,6 +300,52 @@ class TestNanSelfLoop:
         assert result.estimate.global_count == 0.0
         assert result.estimate.local_counts == {}
         assert result.estimate.edges_stored == 1
+
+    def _monitor(self, kernel):
+        from repro.streaming.monitor import WindowedTriangleMonitor
+
+        return WindowedTriangleMonitor(
+            window_seconds=10.0, config=ReptConfig(m=1, c=1, seed=3, kernel=kernel)
+        )
+
+    @staticmethod
+    def _windows(results):
+        return [
+            (r.records, r.estimate.global_count, r.estimate.local_counts, r.estimate.edges_stored)
+            for r in results
+        ]
+
+    @pytest.mark.parametrize("kernel", ["auto", "python"])
+    def test_monitor_float_arrays_holding_nan_raise_and_change_nothing(self, kernel):
+        nan = float("nan")
+        us, vs, ts = [nan, nan, nan, 2.0], [1.0, 2.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0]
+        monitor = self._monitor(kernel)
+
+        def state():
+            interner = monitor._template.interner
+            return (monitor._origin, monitor._watermark, len(interner), dict(monitor._chains))
+
+        before = state()
+        # An array holds no NaN object, so its NaNs name no one node.
+        for columns in ((np.array(us), np.array(vs)), (np.array(vs), np.array(us))):
+            with pytest.raises(ValueError, match="NaN"):
+                monitor.ingest_columns(*columns, ts)
+            assert state() == before
+        # The list form shares one NaN object: one node, one triangle.
+        results = monitor.ingest_columns(us, vs, ts) + monitor.flush()
+        assert self._windows(results) == [(4, 1.0, {nan: 1.0, 1.0: 1.0, 2.0: 1.0}, 3)]
+        assert len(monitor._template.interner) == 3
+
+    @pytest.mark.parametrize("kernel", ["auto", "python"])
+    def test_monitor_finite_float_arrays_match_lists(self, kernel):
+        us, vs, ts = [0.5, 0.5, 0.5, 2.0, 0.5], [1.0, 2.0, 1.0, 1.0, 3.0], [0, 1, 2, 3, 14]
+        by_lists = self._monitor(kernel)
+        lists = by_lists.ingest_columns(us, vs, ts) + by_lists.flush()
+        by_arrays = self._monitor(kernel)
+        columns = (np.array(us), np.array(vs), np.array(ts, np.float64))
+        arrays = by_arrays.ingest_columns(*columns) + by_arrays.flush()
+        assert self._windows(arrays) == self._windows(lists)
+        assert [r.estimate.global_count for r in lists] == [1.0, 0.0]
 
     def test_service_frame_of_json_nans(self):
         import asyncio

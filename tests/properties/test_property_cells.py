@@ -13,9 +13,11 @@ kernel:
   each cell's chain holds exactly the node's stored edges on its slot,
   ``columns()`` equals the dict reference and every group record holds
   its arrays' current addresses and capacities;
-* a pool forced short mid-batch (a one-cell initial pool), compaction
-  mid-stream, and per-edge calls after a compaction and after unpickling
-  give the same columns as a roomy pool;
+* batches forced short mid-batch (a one-cell initial pool, with or
+  without a one-edge initial edge store) stop on cells and on edges and
+  half-edges, resume where they stopped, and like compaction mid-stream
+  and per-edge calls after a compaction and after unpickling give the
+  same columns as a roomy pool;
 * a cell that holds a counter but no stored edge — from the η correction
   of a loose per-edge counter, or from a restored ``τ_v`` — round-trips
   bit-identically on both kernels, and later ingest stays exact;
@@ -30,6 +32,7 @@ groups too: the parity checks still run and the layout checks skip.
 
 from __future__ import annotations
 
+import ctypes
 import pickle
 import random
 
@@ -209,30 +212,51 @@ def _run(config, edges, kernel="auto"):
     return state
 
 
+def _short_of(record):
+    """The room a batch call that stopped lacked: ``"edges"`` when the
+    group has no edge or no two half-edges left, else ``"cells"``."""
+    n_half, n_edges = (ctypes.c_int64 * 2).from_address(record.meta)
+    return "edges" if n_edges == record.edge_cap or n_half + 2 > record.pool_cap else "cells"
+
+
 @needs_cc
+@pytest.mark.parametrize("short", ["cells", "edges"])
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-def test_a_short_pool_mid_batch_ends_like_a_roomy_one(config_name, monkeypatch):
+def test_a_short_pool_mid_batch_ends_like_a_roomy_one(config_name, short, monkeypatch):
     config = _config(config_name)
     edges = _stream(3)
+    init_edges = adjacency._INIT_EDGES
     monkeypatch.setattr(adjacency, "_INIT_CELLS", 1 << 16)
+    monkeypatch.setattr(adjacency, "_INIT_EDGES", 1 << 16)
     roomy = _run(config, edges)
-    assert all(group._arrays.cell_cap == 1 << 16 for group in roomy.groups)
+    assert all(
+        (group._arrays.cell_cap, group._arrays.edge_cap) == (1 << 16, 1 << 16)
+        for group in roomy.groups
+    )
+    # A one-cell pool, and with "edges" one edge and two half-edges too.
     monkeypatch.setattr(adjacency, "_INIT_CELLS", 1)
+    monkeypatch.setattr(adjacency, "_INIT_EDGES", 1 if short == "edges" else init_edges)
     calls = []
     run_batch = kernel_mod.run_batch
 
     def spy(start, n, *args):
+        record = args[-1]
         done = run_batch(start, n, *args)
-        calls.append((start, done, n))
+        calls.append((ctypes.addressof(record), start, done, n, done < n and _short_of(record)))
         return done
 
     monkeypatch.setattr(kernel_mod, "run_batch", spy)
-    short = _run(config, edges)
-    # Batches stopped short of cells mid-way and resumed where they stopped.
-    assert any(0 < done < n for _, done, n in calls)
-    assert any(start > 0 for start, _, _ in calls)
-    assert _exact_columns(short) == _exact_columns(roomy)
-    _assert_same(short, _run(config, edges, "python"))
+    short_run = _run(config, edges)
+    # Batches stopped mid-way and each resumed where it stopped.
+    assert any(0 < done < n for _, _, done, n, _ in calls)
+    resume = {}
+    for address, start, done, n, _ in calls:
+        assert start == resume.get(address, 0)
+        resume[address] = done if done < n else 0
+    lacked = {reason for *_, reason in calls if reason}
+    assert lacked == {"cells", "edges"}
+    assert _exact_columns(short_run) == _exact_columns(roomy)
+    _assert_same(short_run, _run(config, edges, "python"))
 
 
 @needs_cc

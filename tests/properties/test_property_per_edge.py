@@ -1,11 +1,11 @@
 """Property-based tests: the per-edge path's one compiled call.
 
 On a native state set :meth:`~repro.core.state.GroupStateSet.process_edge`
-makes one compiled call per record: C ports of both hash families turn the
-edge's key into every group's slot, and every group runs the record step
-it shares with the batch loop.  These tests hold it to the dict kernel,
-whose per-edge path is ``EdgeHashFunction.bucket`` plus the group's one
-batch loop:
+makes one compiled call per record: every group runs the record loop of
+the batch entry over the one record, in which C ports of both hash
+families turn the edge's key into the group's slot.  These tests hold it
+to the dict kernel, whose per-edge path is ``EdgeHashFunction.bucket``
+plus the group's one batch loop:
 
 * the compiled slot of every edge equals ``bucket(u, v)`` for both
   families over several seeds and values of ``m``, on int ids (0, ±1, the
@@ -19,9 +19,8 @@ batch loop:
 * every group record holds its arrays' current addresses and capacities,
   the cell pool's included, across growth, ``restore_portable``,
   ``merge_snapshots`` and pickling;
-* a record that raises changes neither ``seen`` nor any counter, a store
-  settles loose per-edge counters and keeps a materialised pairs cache
-  exact.
+* a record that raises changes neither ``seen`` nor any counter, and a
+  store settles loose per-edge counters.
 
 Under ``REPRO_KERNEL=python`` the ``auto`` side resolves to the dict
 groups too; the tests that need the compiled call skip.
@@ -375,19 +374,6 @@ def test_per_edge_after_pickling_mid_stream(config_name, hash_kind):
         python.process_edge(u, v)
     _assert_same(native, python)
     _assert_records_fresh(native)
-
-
-@pytest.mark.parametrize("config_name", sorted(CONFIGS))
-def test_stores_keep_a_materialised_pairs_cache_exact(config_name):
-    config = _config(config_name, True, "splitmix")
-    for kernel in ("auto", "python"):
-        state = GroupStateSet(config, kernel=kernel)
-        for group in state.groups:
-            group._stored_pairs()
-        for u, v in _growth_stream(17, n=300, nodes=60):
-            state.process_edge(u, v)
-        for group in state.groups:
-            assert group._pairs_cache == group._derive_stored_pairs()
 
 
 class Touchy:
