@@ -22,7 +22,9 @@ Failure model, in timeline order:
    orphaned shard is rebuilt on the deterministically-chosen survivor from
    its best *restore point*: the in-memory portable snapshot of the last
    snapshot round, else the shard's durable checkpoint
-   (``<base>/shard-NNNN/``), else fresh state.
+   (``<base>/shard-NNNN/``), else fresh state.  A restore point is the
+   shard's group part alone: the group decides first occurrence from its
+   own stored edges, so nothing else has to travel.
 3. **replay** — the WAL suffix after the restore point is re-routed to the
    rebuilt shards only; the per-shard ``applied_seq`` guard makes replay
    idempotent, so overshooting (replaying a batch the restore point
@@ -683,10 +685,11 @@ class ElasticCoordinator:
     def portable_state(self) -> Dict[str, object]:
         """Cluster state in :meth:`GroupStateSet.portable_state` format.
 
-        All shards share one ``seen`` set by construction (each consumes
-        the full stream), so the result is interchangeable with a serial
-        state set's — a checkpoint taken from the cluster restores into a
-        serial engine and vice versa.
+        Each shard is one group of the serial state set (it consumes the
+        full stream and decides first occurrence from its own stored
+        edges), so the result is interchangeable with a serial state set's
+        — a checkpoint taken from the cluster restores into a serial engine
+        and vice versa.
         """
         self.flush()
         # A worker failing mid-round leaves its shards' restore points one
@@ -708,9 +711,7 @@ class ElasticCoordinator:
                 "snapshot rounds kept tearing"
             )
         points = [self._restore_points[s][1] for s in range(self.num_shards)]
-        return portable.portable_state(
-            [point["snapshot"] for point in points], points[0]["seen"]
-        )
+        return portable.portable_state([point["snapshot"] for point in points])
 
     def restore_portable(
         self, state: Dict[str, object], edges_processed: Optional[int] = None
@@ -719,7 +720,7 @@ class ElasticCoordinator:
 
         The state is checked before any shard changes.
         """
-        snapshots, seen = portable.read_state(
+        snapshots = portable.read_state(
             state, [(size, self.config.m) for size in self.config.group_sizes()]
         )
         self.flush()
@@ -728,7 +729,6 @@ class ElasticCoordinator:
                 "shard_id": shard_id,
                 "applied_seq": self._seq,
                 "snapshot": snapshots[shard_id],
-                "seen": seen,
             }
             self._restore_points[shard_id] = (self._seq, point)
             owner = self.shard_map.owner(shard_id)

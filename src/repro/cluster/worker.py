@@ -1,8 +1,9 @@
 """Shard-hosting worker runtime for the elastic coordinator.
 
 One worker process hosts any number of :class:`ShardState` objects — each
-a single processor group plus its own stream-global first-occurrence set —
-and serves an ordered command protocol over a ``multiprocessing`` pipe.
+a single processor group, which decides first occurrence from its own
+stored edges — and serves an ordered command protocol over a
+``multiprocessing`` pipe.
 Because every shard's counters depend only on (stream, group hash seed,
 group size), a shard computes the same bits on any worker, and a shard
 restored from its portable snapshot continues bit-identically even though
@@ -38,12 +39,11 @@ treats that worker as failed and migrates its shards.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence
 
 from repro.core import portable
 from repro.core.config import ReptConfig
 from repro.core.interning import NodeInterner
-from repro.core.state import first_flags
 from repro.testing.faults import maybe_fail
 
 
@@ -98,11 +98,6 @@ class ShardState:
             interner=self.interner,
             kernel=getattr(config, "kernel", "auto"),
         )
-        #: First-occurrence scope.  Per-shard (not per-worker!) so the flags
-        #: survive migration: a shard's ``seen`` travels in its portable
-        #: state, while the other shards on the same worker keep their own.
-        #: Holds packed pair keys (see :func:`~repro.core.interning.pack_pair`).
-        self.seen: Set[int] = set()
         self.applied_seq = 0
 
     # -- ingestion ------------------------------------------------------------
@@ -111,60 +106,55 @@ class ShardState:
         """Advance the shard with one encoded batch; False = already applied.
 
         ``cu``/``cv``/``edge_keys`` come from one per-worker encoding of the
-        raw batch (shared across all shards the worker hosts); first flags
-        are derived per shard, and the shard's group hashes the keys to its
-        slots.  The sequence guard makes WAL replay after migration
-        idempotent.
+        raw batch (shared across all shards the worker hosts); the shard's
+        group hashes the keys to its slots and tests first occurrence
+        against its own stored edges, which travel with it on migration.
+        The sequence guard makes WAL replay after migration idempotent.
         """
         if seq <= self.applied_seq:
             return False
         if cu:
-            firsts = first_flags(self.seen, cu, cv)
-            self.group.process_encoded(cu, cv, edge_keys, firsts)
+            self.group.process_encoded(cu, cv, edge_keys)
         self.applied_seq = seq
         return True
 
     def apply_raw(self, seq: int, edges: Sequence) -> bool:
         """Encode and apply one raw batch (inline-host and test convenience)."""
-        cu, cv, _firsts, _n = self.interner.encode_pairs(edges, None)
-        edge_keys = self.interner.edge_key_array(cu, cv) if cu else None
-        return self.apply_encoded(seq, cu, cv, edge_keys)
+        return self.apply_encoded(seq, *_encode_batch(self.interner, edges))
 
     # -- migration ------------------------------------------------------------
 
     def portable(self) -> Dict[str, object]:
         """Picklable state: everything a migration must carry.
 
-        ``snapshot`` and ``seen`` are portable parts (see
-        :mod:`repro.core.portable`), which the coordinator assembles as
-        they are.
+        ``snapshot`` is a portable group part (see
+        :mod:`repro.core.portable`), which the coordinator assembles as it
+        is.
         """
         return {
             "shard_id": self.shard_id,
             "applied_seq": self.applied_seq,
             "snapshot": self.group.snapshot(),
-            "seen": portable.seen_part(self.interner.nodes, self.seen),
         }
 
     def restore(self, state: Dict[str, object]) -> None:
         """Adopt a :meth:`portable` payload produced on any worker.
 
-        The parts are checked before anything changes; payloads in the
-        dict form of earlier versions (older per-shard checkpoints) are
-        read too.
+        The parts are checked before anything changes; payloads earlier
+        versions wrote (older per-shard checkpoints, with a ``seen`` part
+        and possibly in the dict form) are read too.
         """
         if state["shard_id"] != self.shard_id:
             raise ValueError(
                 f"portable state is for shard {state['shard_id']}, "
                 f"this is shard {self.shard_id}"
             )
-        parts, seen = portable.read_parts(
-            [state["snapshot"]], state["seen"], [(self.group.group_size, self.group.m)]
+        (part,) = portable.read_parts(
+            [state["snapshot"]], [(self.group.group_size, self.group.m)], state.get("seen")
         )
-        (delta,), seen = portable.intern_parts(parts, seen, self.interner)
+        delta = portable.intern_group(part, self.interner)
         self.group.reset()
         self.group.merge_deltas(delta)
-        self.seen = seen
         self.applied_seq = int(state["applied_seq"])
 
     # -- aggregates -----------------------------------------------------------
@@ -178,7 +168,7 @@ class ShardState:
 
 
 def _encode_batch(interner: NodeInterner, edges: Sequence):
-    cu, cv, _firsts, _n = interner.encode_pairs(edges, None)
+    cu, cv, _, _ = interner.encode_pairs(edges)
     edge_keys = interner.edge_key_array(cu, cv) if cu else None
     return cu, cv, edge_keys
 

@@ -510,34 +510,30 @@ class NativeProcessorGroup(ProcessorGroup):
     # -- ingestion -------------------------------------------------------------
 
     def process_encoded(
-        self,
-        cu: Sequence[int],
-        cv: Sequence[int],
-        keys: np.ndarray,
-        firsts: Sequence[bool],
-    ) -> None:
+        self, cu: Sequence[int], cv: Sequence[int], keys: np.ndarray
+    ) -> np.ndarray:
         """Advance the group over a whole encoded batch in compiled calls.
 
         The record loop hashes each edge key to this group's slot.  Node
         columns cover the ids this batch references, not the whole shared
-        interner; the rest grows where the loop stops short.
+        interner; the rest grows where the loop stops short.  Returns the
+        edge rows the batch appended (see :meth:`GroupArrays.edge_rows`).
         """
-        n = len(cu)
-        if n == 0:
-            return
         arrays = self._arrays
-        cu_a = np.asarray(cu, np.int64)
-        cv_a = np.asarray(cv, np.int64)
-        keys_a = np.asarray(keys, np.uint64)
-        firsts_a = np.asarray(firsts, np.uint8)
-        arrays.ensure_nodes(max(int(cu_a.max()), int(cv_a.max())) + 1)
         stored = arrays.n_edges
-        record = arrays.record
-        arrays.fill(
-            lambda start: kernel_mod.run_batch(start, n, cu_a, cv_a, keys_a, firsts_a, record), n
-        )
-        if arrays.n_edges > stored and any(arrays.loose_tri):
-            arrays.settle_loose()
+        n = len(cu)
+        if n:
+            cu_a = np.asarray(cu, np.int64)
+            cv_a = np.asarray(cv, np.int64)
+            keys_a = np.asarray(keys, np.uint64)
+            arrays.ensure_nodes(max(int(cu_a.max()), int(cv_a.max())) + 1)
+            record = arrays.record
+            arrays.fill(
+                lambda start: kernel_mod.run_batch(start, n, cu_a, cv_a, keys_a, record), n
+            )
+            if arrays.n_edges > stored and any(arrays.loose_tri):
+                arrays.settle_loose()
+        return arrays.edge_rows(stored)
 
     # -- the kernel primitives: columns, fold and reset -------------------------
 

@@ -24,14 +24,13 @@ itself (so dict equality holds exactly as in the Python loop: ``1`` finds
 a held ``True`` or ``1.0``), values new to the interner are interned in
 first-appearance order, and all of them enter the cache.  One C walk over
 the interleaved endpoints then skips self-loops, canonicalises and writes
-the ids and the packed pair keys with in-batch first flags; the
-cross-batch ``seen`` test runs as three C-level set passes.  Every other
-batch keeps the Python loop of :meth:`NodeInterner.encode_pairs`, which is
-the parity oracle for the compiled pass.
+the ids.  Every other batch keeps the Python loop of
+:meth:`NodeInterner.encode_pairs`, which is the parity oracle for the
+compiled pass.
 
-First-occurrence (``seen``) sets hold *packed* pair keys, ``lo << 32 | hi``
-for the id-ordered dense ids of an undirected edge (:func:`pack_pair`):
-one int per distinct edge instead of a tuple.
+Encoding decides nothing about first occurrence: each processor group
+tests an arriving edge against its own sampled set ``E(i)`` when it
+ingests the record (see :mod:`repro.core.state`).
 
 Interned ids are an internal representation only — every public surface of
 the estimators (estimates, summaries, snapshots) speaks raw node
@@ -42,39 +41,13 @@ equivalence guarantees.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.core import kernel as kernel_mod
 from repro.hashing.base import _GOLDEN64, _stable_node_key
 from repro.types import EdgeTuple, NodeId
-
-#: Width of the high id in a packed pair key; dense ids stay below 2**32.
-PAIR_SHIFT = 32
-_PAIR_LOW = (1 << PAIR_SHIFT) - 1
-
-
-def pack_pair(a: int, b: int) -> int:
-    """The packed ``seen`` key of the undirected id pair ``{a, b}``.
-
-    ``lo << 32 | hi`` over the id-ordered pair: interning is injective, so
-    id order identifies the edge.  Per-record loops inline this expression.
-    """
-    return (a << PAIR_SHIFT | b) if a < b else (b << PAIR_SHIFT | a)
-
-
-def unpack_pair(key: int) -> Tuple[int, int]:
-    """The id-ordered pair ``(lo, hi)`` of a packed key."""
-    return key >> PAIR_SHIFT, key & _PAIR_LOW
-
-
-def pack_pairs(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`pack_pair` over int64 id columns (``uint64``)."""
-    lo = np.minimum(cu, cv).astype(np.uint64)
-    hi = np.maximum(cu, cv).astype(np.uint64)
-    return lo << np.uint64(PAIR_SHIFT) | hi
-
 
 _RECORD_TYPES = frozenset({tuple, list})
 #: Initial cells of the interner's int64 id cache (kept at most half full).
@@ -207,30 +180,19 @@ class NodeInterner:
 
     # -- batch encoding ------------------------------------------------------
 
-    def encode_pairs(
-        self,
-        pairs: Iterable[EdgeTuple],
-        seen: Optional[Set[int]] = None,
-    ):
+    def encode_pairs(self, pairs: Iterable[EdgeTuple]):
         """Intern and canonicalise a batch of raw edge pairs in one pass.
 
-        Returns ``(cu, cv, firsts, n_records)`` where ``cu``/``cv`` are
+        Returns ``(cu, cv, None, n_records)`` where ``cu``/``cv`` are
         parallel lists of dense ids in *canonical* orientation (matching
         :func:`repro.types.canonical_edge` on the raw identifiers — the
         orientation the edge hash is defined over), self-loops — records
-        whose endpoints are one interner key — are dropped, and ``n_records`` counts every input record including the dropped
-        loops (the ``edges_processed`` contract).
-
-        When ``seen`` is given it is used (and updated in place) to flag
-        each surviving record's first occurrence: ``firsts[k]`` is True iff
-        the canonical edge's packed key (:func:`pack_pair`) had not been
-        seen before.  Because an edge always
-        hashes to the same slot, "seen before" is exactly the per-slot
-        ``already_stored`` test of the storing process, hoisted out of the
-        per-group loops.  With ``seen=None``, ``firsts`` is returned as
-        ``None``.  If the batch raises (an unhashable node, a record that
-        is not a pair), ``seen`` is restored before the exception
-        propagates; nodes interned on the way stay, unreferenced.
+        whose endpoints are one interner key — are dropped, and
+        ``n_records`` counts every input record including the dropped
+        loops (the ``edges_processed`` contract).  The third item, always
+        ``None``, keeps the tuple shape the benchmark's tracer unpacks.  If
+        the batch raises (an unhashable node, a record that is not a pair),
+        nodes interned on the way stay, unreferenced.
         """
         ids = self._ids
         nodes = self.nodes
@@ -239,69 +201,47 @@ class NodeInterner:
         cv: List[int] = []
         cu_append = cu.append
         cv_append = cv.append
-        firsts: Optional[List[bool]] = None
-        if seen is not None:
-            firsts = []
-            firsts_append = firsts.append
-            seen_add = seen.add
-            seen_size = len(seen)
         n_records = 0
-        try:
-            for u, v in pairs:
-                n_records += 1
-                # The dict's own key test: one NaN object is one node.
-                if u is v or u == v:
-                    continue
-                iu = ids.get(u)
-                if iu is None:
-                    key = _stable_node_key(u)
-                    iu = len(nodes)
-                    ids[u] = iu
-                    nodes.append(u)
-                    keys.append(key)
-                iv = ids.get(v)
-                if iv is None:
-                    key = _stable_node_key(v)
-                    iv = len(nodes)
-                    ids[v] = iv
-                    nodes.append(v)
-                    keys.append(key)
-                # Canonical orientation mirrors repro.types.canonical_edge.
-                try:
-                    flip = not (u <= v)
-                except TypeError:
-                    flip = (str(u), repr(u)) > (str(v), repr(v))
-                if flip:
-                    iu, iv = iv, iu
-                cu_append(iu)
-                cv_append(iv)
-                if seen is not None:
-                    # Packed id-ordered keys (pack_pair, inlined); the
-                    # size-delta trick tests and inserts with a single probe.
-                    seen_add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
-                    new_size = len(seen)
-                    firsts_append(new_size != seen_size)
-                    seen_size = new_size
-        except BaseException:
-            if seen is not None:
-                # Commit on success only: forget the keys this call added,
-                # or the failed batch's edges would count as seen forever.
-                for iu, iv, first in zip(cu, cv, firsts):
-                    if first:
-                        seen.discard(pack_pair(iu, iv))
-            raise
-        return cu, cv, firsts, n_records
+        for u, v in pairs:
+            n_records += 1
+            # The dict's own key test: one NaN object is one node.
+            if u is v or u == v:
+                continue
+            iu = ids.get(u)
+            if iu is None:
+                key = _stable_node_key(u)
+                iu = len(nodes)
+                ids[u] = iu
+                nodes.append(u)
+                keys.append(key)
+            iv = ids.get(v)
+            if iv is None:
+                key = _stable_node_key(v)
+                iv = len(nodes)
+                ids[v] = iv
+                nodes.append(v)
+                keys.append(key)
+            # Canonical orientation mirrors repro.types.canonical_edge.
+            try:
+                flip = not (u <= v)
+            except TypeError:
+                flip = (str(u), repr(u)) > (str(v), repr(v))
+            if flip:
+                iu, iv = iv, iu
+            cu_append(iu)
+            cv_append(iv)
+        return cu, cv, None, n_records
 
-    def _encode_columns(self, pairs, seen: Set[int]):
+    def _encode_columns(self, pairs):
         """The compiled :meth:`encode_pairs` of an all-int batch, or None.
 
         Takes a non-empty list or tuple of 2-item tuple/list records of
         plain ``int`` ids inside int64; returns ``(cu, cv, edge_keys,
-        firsts, n_records)`` as int64/int64/uint64/uint8 arrays, equal
-        element for element to ``encode_pairs(pairs, seen)`` followed by
-        :meth:`edge_key_array`, with ``seen`` and the interner advanced
-        identically.  Returns None, having changed nothing, when the batch
-        does not qualify — the caller then takes :meth:`encode_pairs`.
+        n_records)`` with int64/int64/uint64 arrays, equal element for
+        element to ``encode_pairs(pairs)`` followed by
+        :meth:`edge_key_array`, with the interner advanced identically.
+        Returns None, having changed nothing, when the batch does not
+        qualify — the caller then takes :meth:`encode_pairs`.
         """
         flat = _int_endpoints(pairs)
         if flat is None:
@@ -318,20 +258,10 @@ class NodeInterner:
         n = len(pairs)
         cu = np.empty(n, np.int64)
         cv = np.empty(n, np.int64)
-        packed = np.empty(n, np.uint64)
-        firsts = np.empty(n, np.uint8)
-        n_out = kernel_mod.encode_columns(raw, dense, cu, cv, packed, firsts)
+        n_out = kernel_mod.encode_columns(raw, dense, cu, cv)
         cu = cu[:n_out]
         cv = cv[:n_out]
-        firsts = firsts[:n_out]
-        # Only in-batch firsts can be new to ``seen``: one membership pass
-        # over their packed keys, then one bulk insert.
-        idx = np.flatnonzero(firsts)
-        candidates = packed[idx].tolist()
-        known = np.fromiter(map(seen.__contains__, candidates), bool, len(candidates))
-        firsts[idx[known]] = 0
-        seen.update(candidates)
-        return cu, cv, self.edge_key_array(cu, cv), firsts, n
+        return cu, cv, self.edge_key_array(cu, cv), n
 
     def _resolve_missed(self, raw: np.ndarray, dense: np.ndarray, missed: np.ndarray) -> None:
         """Fill in the ids of endpoints the cache lacks, as :meth:`encode_pairs` would.

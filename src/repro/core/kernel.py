@@ -22,11 +22,16 @@ canonical key, which no seed enters, into the group's slot with C ports of
 both hash families — splitmix64 of ``key ^ seed``, and simple tabulation
 over the 8×256 rows — equal to
 :meth:`~repro.hashing.base.EdgeHashFunction.bucket` bit for bit, and runs
-the fused closure+store step.  Before each record that stores, it checks
-the room the store needs — one edge, two half-edges, and for each
-endpoint that gains the slot its whole block of cells plus one — and
-stops before the first record that does not fit, returning its index
-(``n`` when every record ran).  Two entries run it:
+the fused closure+store step.  The step stores the edge unless its slot
+is virtual or the group's sampled set ``E(i)`` already holds it, which
+the closure walk of the record's own slot shows for free: each group
+decides first occurrence from its own stored edges.  Before each record
+on a real slot the loop checks the room a store needs — one edge, two
+half-edges, and for each endpoint that gains the slot its whole block of
+cells plus one — and only when room is short looks the edge up, so a
+held edge never stops it; it stops before the first record that does not
+fit, returning its index (``n`` when every record ran).  Two entries run
+it:
 
 * ``rept_ingest_batch`` runs it over records ``start..n-1`` of an encoded
   batch (:func:`run_batch`).  The caller grows the group and calls again
@@ -52,9 +57,8 @@ The same library carries the encode pass behind
 :meth:`~repro.core.interning.NodeInterner._encode_columns`: the probe and
 insert of the interner's open-addressing int64→id cache, and one walk over
 an all-int batch's interleaved endpoints and their dense ids that skips
-self-loops, canonicalises by raw value and writes the ids and the packed
-``lo << 32 | hi`` pair keys with in-batch first flags.  It also carries the
-cold-path calls of the group fold
+self-loops, canonicalises by raw value and writes the ids.  It also
+carries the cold-path calls of the group fold
 (:meth:`~repro.core.adjacency.NativeProcessorGroup.merge_deltas`), which
 folds a whole group's pane delta, snapshot or restored state, and of the
 cell scans, all of which read the group's record:
@@ -67,7 +71,7 @@ cell scans, all of which read the group's record:
   — and stops where the cells run out;
 * the edge lookup, which finds an edge's eid by walking both endpoints'
   neighbour chains on its slot in lockstep — the groups keep no other
-  edge index;
+  edge index, and the record loop's room check shares it;
 * the per-edge counter fold, which adds detached ``τ_(u,v)`` counters onto
   the stored edges with the exact η correction against each prior value
   and returns the counters whose edge is not stored;
@@ -76,11 +80,10 @@ cell scans, all of which read the group's record:
   pane take), and the compaction, which packs every node's block into
   fresh columns and leaves the dead cells behind.
 
-No compiled function allocates: node columns and the encode pass's
-scratch set are ensured by the Python wrapper before the call, from the
-largest id a batch references; edge columns, the half-edge pool and the
-cell pool grow wherever a call stopped short or, on the per-edge path,
-reported which groups lack room.
+No compiled function allocates: node columns are ensured by the Python
+wrapper before the call, from the largest id a batch references; edge
+columns, the half-edge pool and the cell pool grow wherever a call
+stopped short or, on the per-edge path, reported which groups lack room.
 """
 
 from __future__ import annotations
@@ -197,6 +200,26 @@ static inline i64 rept_store_room(const rept_group *g, i64 x, i64 y, i64 slot, c
             <= g->cell_cap;
 }
 
+/* The eid of edge {a, b} on slot, or -1.  Walks a's and b's neighbour
+ * chains on that slot in lockstep: a stored edge sits in both, so the walk
+ * stops after at most twice the smaller of the two degrees. */
+static inline i64 rept_find_edge(const rept_group *g, i64 slot, i64 a, i64 b)
+{
+    if (!((g->node_bits[a] & g->node_bits[b]) >> slot & 1))
+        return -1;
+    i64 ha = g->cell_head[rept_cell_of(g, a, slot)];
+    i64 hb = g->cell_head[rept_cell_of(g, b, slot)];
+    while (ha != -1 && hb != -1) {
+        if (g->pool_nbr[ha] == b)
+            return g->pool_eid[ha];
+        if (g->pool_nbr[hb] == a)
+            return g->pool_eid[hb];
+        ha = g->pool_nxt[ha];
+        hb = g->pool_nxt[hb];
+    }
+    return -1;
+}
+
 /* Moves cell from to cell to and zeroes cell from. */
 static inline void rept_move_cell(const rept_group *g, i64 from, i64 to)
 {
@@ -295,9 +318,11 @@ static inline void rept_link_edge(
  * membership test during the N_v walk is one comparison and no clearing
  * pass runs between edges.  A slot both endpoints hold may have an empty
  * chain (a cell a fold gave a counter); the walk finds nothing there.
- * The caller has checked room for a store. */
+ * On the record's own slot the stamp also says whether E(i) already
+ * holds the edge (iv is in N_u), and then nothing is stored.  The caller
+ * has checked room for a store. */
 static inline void rept_record_step(
-    const rept_group *g, i64 iu, i64 iv, i64 slot, i64 first, i64 *st)
+    const rept_group *g, i64 iu, i64 iv, i64 slot, i64 *st)
 {
     i64 track_local = g->track_local;
     i64 track_eta = g->track_eta;
@@ -320,6 +345,7 @@ static inline void rept_record_step(
     i64 candidates = bits_u & bits_v;
     i64 closing_at_store = 0;
     i64 storeable = slot < g->group_size;
+    i64 held = 0;
     while (candidates != 0) {
         i64 low = candidates & (-candidates);
         candidates -= low;
@@ -340,6 +366,8 @@ static inline void rept_record_step(
             mark_eid[w] = pool_eid[h];
             h = pool_nxt[h];
         }
+        if (s == slot)
+            held = mark[iv] == stamp;
         i64 closed = 0;
         h = cell_head[cv];
         while (h != -1) {
@@ -383,7 +411,7 @@ static inline void rept_record_step(
                 closing_at_store = closed;
         }
     }
-    if (first == 0 || !storeable)
+    if (held || !storeable)
         return;
     rept_link_edge(g, iu, iv, slot, track_eta ? closing_at_store : 0, track_eta ? 1 : 0, st);
     g->edges_stored[slot] += 1;
@@ -426,15 +454,25 @@ static inline i64 rept_slot(const rept_group *g, uint64_t key)
     return (i64)(h % (uint64_t)g->m);
 }
 
+/* Whether the record {x, y} on slot fits: a virtual slot stores nothing,
+ * and a real one needs room unless E(i) already holds the edge, which is
+ * looked up only when room is short. */
+static inline i64 rept_record_fits(const rept_group *g, i64 x, i64 y, i64 slot, const i64 *st)
+{
+    return slot >= g->group_size
+        || rept_store_room(g, x, y, slot, st)
+        || rept_find_edge(g, slot, x, y) >= 0;
+}
+
 /* The one record loop: the closure+store step of one group over records
  * start..n-1 with canonical edge keys keys[k], each hashed to its slot
- * here.  Node columns must cover every id; a record that stores is
+ * here.  Node columns must cover every id; a record that may store is
  * checked for room first, and the loop stops before the first one that
  * does not fit.  Returns the index of that record, or n: the caller grows
  * the group and calls again from there. */
 static i64 rept_records(
     const rept_group *group, i64 start, i64 n,
-    const i64 *cu, const i64 *cv, const uint64_t *keys, const u8 *firsts)
+    const i64 *cu, const i64 *cv, const uint64_t *keys)
 {
     const rept_group g = *group;
     i64 st[N_META];
@@ -442,9 +480,9 @@ static i64 rept_records(
     i64 k;
     for (k = start; k < n; k++) {
         i64 slot = rept_slot(&g, keys[k]);
-        if (firsts[k] && slot < g.group_size && !rept_store_room(&g, cu[k], cv[k], slot, st))
+        if (!rept_record_fits(&g, cu[k], cv[k], slot, st))
             break;
-        rept_record_step(&g, cu[k], cv[k], slot, firsts[k], st);
+        rept_record_step(&g, cu[k], cv[k], slot, st);
     }
     rept_save(&g, st);
     return k;
@@ -453,10 +491,10 @@ static i64 rept_records(
 /* The batch entry: rept_records over an encoded batch. */
 int64_t rept_ingest_batch(
     i64 start, i64 n,
-    const i64 *cu, const i64 *cv, const uint64_t *keys, const u8 *firsts,
+    const i64 *cu, const i64 *cv, const uint64_t *keys,
     const rept_group *group)
 {
-    return rept_records(group, start, n, cu, cv, keys, firsts);
+    return rept_records(group, start, n, cu, cv, keys);
 }
 
 /* The groups of one state set and a flag per group (EdgeEntry in Python). */
@@ -467,37 +505,44 @@ typedef struct {
 } rept_edge_entry;
 
 /* The per-edge path: one interned record {iu, iv} with canonical edge key
- * key through every group of a state set, first being its stream-global
- * first-occurrence flag.  All or nothing: unless every group has room
- * (node columns above both ids and, where it stores, one more edge, two
- * half-edges and the cells both endpoints may need), it changes no
- * state, sets stored[k] to whether group k would store, and returns -1 so
- * the caller grows those groups and calls again.  Otherwise each group
- * runs rept_records over the one record, stored[k] is whether group k
- * stored, and the return value is their number. */
+ * key through every group of a state set.  All or nothing: unless every
+ * group has room (node columns above both ids and, where it stores, one
+ * more edge, two half-edges and the cells both endpoints may need), it
+ * changes no state, sets stored[k] to whether group k would store (its
+ * slot is real and E(i) lacks the edge; an id past the node columns holds
+ * no slot), and returns -1 so the caller grows those groups and calls
+ * again.  Otherwise each group runs rept_records over the one record,
+ * stored[k] is whether group k stored, and the return value is their
+ * number. */
 int64_t rept_ingest_edge(
-    const rept_edge_entry *entry, uint64_t key, i64 iu, i64 iv, i64 first)
+    const rept_edge_entry *entry, uint64_t key, i64 iu, i64 iv)
 {
     i64 n_groups = entry->n_groups;
     rept_group *const *groups = entry->groups;
     u8 *stored = entry->stored_flags;
     i64 top = iu > iv ? iu : iv;
     i64 short_of_room = 0;
+    for (i64 k = 0; k < n_groups && !short_of_room; k++) {
+        const rept_group *g = groups[k];
+        short_of_room = top >= g->node_cap
+            || !rept_record_fits(g, iu, iv, rept_slot(g, key), g->meta);
+    }
+    if (short_of_room) {
+        for (i64 k = 0; k < n_groups; k++) {
+            const rept_group *g = groups[k];
+            i64 slot = rept_slot(g, key);
+            stored[k] = slot < g->group_size
+                && (top >= g->node_cap || rept_find_edge(g, slot, iu, iv) < 0);
+        }
+        return -1;
+    }
     i64 count = 0;
     for (i64 k = 0; k < n_groups; k++) {
-        const rept_group *g = groups[k];
-        i64 slot = rept_slot(g, key);
-        i64 store = first != 0 && slot < g->group_size;
-        stored[k] = (u8)store;
-        count += store;
-        if (top >= g->node_cap || (store && !rept_store_room(g, iu, iv, slot, g->meta)))
-            short_of_room = 1;
+        i64 before = groups[k]->meta[N_EDGES];
+        rept_records(groups[k], 0, 1, &iu, &iv, &key);
+        stored[k] = groups[k]->meta[N_EDGES] != before;
+        count += stored[k];
     }
-    if (short_of_room)
-        return -1;
-    u8 flag = first != 0;
-    for (i64 k = 0; k < n_groups; k++)
-        rept_records(groups[k], 0, 1, &iu, &iv, &key, &flag);
     return count;
 }
 
@@ -550,26 +595,6 @@ int64_t rept_add_cells(
     }
     rept_save(&g, st);
     return k;
-}
-
-/* The eid of edge {a, b} on slot, or -1.  Walks a's and b's neighbour
- * chains on that slot in lockstep: a stored edge sits in both, so the walk
- * stops after at most twice the smaller of the two degrees. */
-static inline i64 rept_find_edge(const rept_group *g, i64 slot, i64 a, i64 b)
-{
-    if (!((g->node_bits[a] & g->node_bits[b]) >> slot & 1))
-        return -1;
-    i64 ha = g->cell_head[rept_cell_of(g, a, slot)];
-    i64 hb = g->cell_head[rept_cell_of(g, b, slot)];
-    while (ha != -1 && hb != -1) {
-        if (g->pool_nbr[ha] == b)
-            return g->pool_eid[ha];
-        if (g->pool_nbr[hb] == a)
-            return g->pool_eid[hb];
-        ha = g->pool_nxt[ha];
-        hb = g->pool_nxt[hb];
-    }
-    return -1;
 }
 
 /* out[k] = the eid of edge {us[k], vs[k]} on slot ss[k], or -1. */
@@ -739,14 +764,8 @@ int64_t rept_table_insert(
 /* The column form of NodeInterner.encode_pairs over interleaved endpoints:
  * raw int64 values flat[2k], flat[2k+1] and their dense ids ids[2k],
  * ids[2k+1].  Skips self-loops, canonicalises by raw value and writes the
- * dense ids cu/cv, the packed id-ordered pair keys lo << 32 | hi and their
- * in-batch first flags, tracked in batch_keys (an empty open-addressing
- * set of packed keys, 0 marking an empty cell: no packed key is 0 because
- * lo < hi).  Returns the number of records written. */
-int64_t rept_encode_columns(
-    i64 n, const i64 *flat, const i64 *ids,
-    uint64_t *batch_keys, i64 batch_mask,
-    i64 *cu, i64 *cv, uint64_t *packed, u8 *firsts)
+ * dense ids cu/cv.  Returns the number of records written. */
+int64_t rept_encode_columns(i64 n, const i64 *flat, const i64 *ids, i64 *cu, i64 *cv)
 {
     i64 out = 0;
     for (i64 k = 0; k < n; k++) {
@@ -754,33 +773,9 @@ int64_t rept_encode_columns(
         i64 v = flat[2 * k + 1];
         if (u == v)
             continue;
-        i64 iu = ids[2 * k];
-        i64 iv = ids[2 * k + 1];
-        if (u > v) {
-            iu = ids[2 * k + 1];
-            iv = ids[2 * k];
-        }
-        cu[out] = iu;
-        cv[out] = iv;
-        uint64_t p = iu < iv
-            ? ((uint64_t)iu << 32) | (uint64_t)iv
-            : ((uint64_t)iv << 32) | (uint64_t)iu;
-        packed[out] = p;
-        i64 b = rept_cell(p, batch_mask);
-        u8 first = 1;
-        for (;;) {
-            uint64_t q = batch_keys[b];
-            if (q == 0) {
-                batch_keys[b] = p;
-                break;
-            }
-            if (q == p) {
-                first = 0;
-                break;
-            }
-            b = (b + 1) & batch_mask;
-        }
-        firsts[out] = first;
+        i64 swap = u > v;
+        cu[out] = ids[2 * k + swap];
+        cv[out] = ids[2 * k + 1 - swap];
         out++;
     }
     return out;
@@ -826,12 +821,12 @@ def _build():
     signatures = {
         "rept_ingest_batch": [
             i64, i64,                     # start, n
-            ptr, ptr, ptr, ptr,           # cu, cv, keys, firsts
+            ptr, ptr, ptr,                # cu, cv, keys
             ptr,                          # group record
         ],
         "rept_ingest_edge": [
             ptr, ctypes.c_uint64,         # entry, key
-            i64, i64, i64,                # iu, iv, first
+            i64, i64,                     # iu, iv
         ],
         "rept_append_edges": [
             i64, i64, ptr, ptr, ptr,      # start, n, us, vs, ss
@@ -867,8 +862,7 @@ def _build():
         ],
         "rept_encode_columns": [
             i64, ptr, ptr,                # n, flat, ids
-            ptr, i64,                     # batch_keys, batch_mask
-            ptr, ptr, ptr, ptr,           # cu, cv, packed, firsts
+            ptr, ptr,                     # cu, cv
         ],
     }
     for name, argtypes in signatures.items():
@@ -1034,7 +1028,7 @@ def bind_hash(record: GroupRecord, hash_function) -> None:
     record.m = hash_function.buckets
 
 
-def run_batch(start, n, cu, cv, keys, firsts, record: GroupRecord) -> int:
+def run_batch(start, n, cu, cv, keys, record: GroupRecord) -> int:
     """Run the record loop over records ``start..n-1`` of one encoded batch.
 
     ``keys`` holds the records' canonical uint64 edge keys, which the loop
@@ -1049,7 +1043,6 @@ def run_batch(start, n, cu, cv, keys, firsts, record: GroupRecord) -> int:
         cu.ctypes.data,
         cv.ctypes.data,
         keys.ctypes.data,
-        firsts.ctypes.data,
         ctypes.byref(record),
     )
 
@@ -1057,7 +1050,7 @@ def run_batch(start, n, cu, cv, keys, firsts, record: GroupRecord) -> int:
 class EdgeEntry(ctypes.Structure):
     """The C ``rept_edge_entry`` of one state set: its group records.
 
-    ``ingest(address, key, iu, iv, first)`` is the compiled per-edge call
+    ``ingest(address, key, iu, iv)`` is the compiled per-edge call
     (``rept_ingest_edge``), :attr:`stored` the flag per group it writes.
     The entry keeps the records alive, so the addresses it holds stay
     valid as long as it does; it is never pickled.
@@ -1210,7 +1203,7 @@ def table_insert(values: np.ndarray, ids: np.ndarray, table_val, table_id) -> No
     )
 
 
-def encode_columns(flat, ids, cu, cv, packed, firsts) -> int:
+def encode_columns(flat, ids, cu, cv) -> int:
     """Run the encode pass over interleaved int64 endpoints and their ids.
 
     ``flat`` holds the raw values and ``ids`` the dense ids of a batch's
@@ -1218,15 +1211,6 @@ def encode_columns(flat, ids, cu, cv, packed, firsts) -> int:
     per record.  Returns the number of records written (self-loops are
     skipped).
     """
-    batch_keys = np.zeros(1 << (len(flat) - 1).bit_length(), np.uint64)
     return _handle().rept_encode_columns(
-        len(flat) // 2,
-        flat.ctypes.data,
-        ids.ctypes.data,
-        batch_keys.ctypes.data,
-        len(batch_keys) - 1,
-        cu.ctypes.data,
-        cv.ctypes.data,
-        packed.ctypes.data,
-        firsts.ctypes.data,
+        len(flat) // 2, flat.ctypes.data, ids.ctypes.data, cu.ctypes.data, cv.ctypes.data
     )

@@ -11,11 +11,10 @@ made of self-contained *parts* holding the same blocks over positions
 into the part's own node table, a plain list of the distinct raw node
 ids the part references.  A part restores under any interning order, and
 the elastic coordinator assembles its shards' parts into one state as
-they are.  A portable state is ``{"snapshots": [group part, ...],
-"seen": seen part}``: a group part holds ``format``, ``group_size``,
-``m``, ``nodes`` and the five blocks, the part of the first-occurrence
-set ``seen`` holds ``format``, ``nodes`` and ``pairs`` (``(2, n)``, one
-column per distinct edge consumed).
+they are.  A portable state is ``{"snapshots": [group part, ...]}``: a
+group part holds ``format``, ``group_size``, ``m``, ``nodes`` and the
+five blocks.  Each group decides first occurrence from its own stored
+edges, so the parts carry it.
 
 This module is the only code that reads or writes those fields.  Its
 reader checks every part of an input before anything is interned, so a
@@ -25,17 +24,19 @@ outside the node table, a repeated node-table entry, a slot ``>=
 group_size``, an edge whose two endpoints are equal, a per-edge counter
 key given twice, a negative counter, a zero ``τ_v`` cell (no kernel
 writes one) and a ``group_size`` or ``m`` other than the receiver's.  It
-also reads the raw-keyed dict form earlier versions wrote (see
-:func:`read_parts`).
+also reads what earlier versions wrote (see :func:`read_parts`): the
+raw-keyed dict form, and a ``seen`` part beside the groups — the set of
+distinct edges consumed, ``format``, ``nodes`` and ``pairs`` (``(2, n)``)
+— which it checks like any other part and then drops.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.interning import NodeInterner, pack_pair, pack_pairs
+from repro.core.interning import NodeInterner
 
 #: Tag of the current part layout.
 FORMAT = "rept-columns-1"
@@ -125,50 +126,40 @@ def group_part(group_size: int, m: int, nodes: Sequence, delta: ColumnarDelta) -
     }
 
 
-def seen_part(nodes: Sequence, seen: Set[int]) -> Part:
-    """The portable part of a first-occurrence set of packed pair keys."""
-    packed = np.fromiter(seen, np.uint64, len(seen))
-    ids = np.stack((packed >> np.uint64(32), packed & np.uint64(0xFFFFFFFF))).astype(np.int64)
-    table, positions = np.unique(ids.ravel(), return_inverse=True)
-    return {
-        "format": FORMAT,
-        "nodes": [nodes[i] for i in table.tolist()],
-        "pairs": positions.reshape(ids.shape),
-    }
-
-
-def portable_state(groups: Sequence[Part], seen: Part) -> Dict[str, object]:
-    """A portable state from its group parts and its seen part."""
-    return {"snapshots": list(groups), "seen": seen}
+def portable_state(groups: Sequence[Part]) -> Dict[str, object]:
+    """A portable state from its group parts."""
+    return {"snapshots": list(groups)}
 
 
 # -- the validating reader -----------------------------------------------------
 
 
-def read_state(state, shapes: Sequence[Tuple[int, int]]) -> Tuple[List[Part], Part]:
+def read_state(state, shapes: Sequence[Tuple[int, int]]) -> List[Part]:
     """Check a portable state against one ``(group_size, m)`` per group.
 
-    Returns its group parts and seen part, see :func:`read_parts`.
+    Returns its group parts, see :func:`read_parts`.
     """
-    if not isinstance(state, dict) or "snapshots" not in state or "seen" not in state:
-        raise ValueError("a portable state is a dict with 'snapshots' and 'seen'")
-    return read_parts(state["snapshots"], state["seen"], shapes)
+    if not isinstance(state, dict) or "snapshots" not in state:
+        raise ValueError("a portable state is a dict with 'snapshots'")
+    return read_parts(state["snapshots"], shapes, state.get("seen"))
 
 
-def read_parts(groups, seen, shapes: Sequence[Tuple[int, int]]) -> Tuple[List[Part], Part]:
-    """Check group parts and a seen part; returns them in the current layout.
+def read_parts(groups, shapes: Sequence[Tuple[int, int]], seen=None) -> List[Part]:
+    """Check group parts; returns them in the current layout.
 
-    Earlier versions wrote each group as raw-keyed per-processor dicts and
-    ``seen`` as a list of raw node pairs; such input is converted by
+    ``seen`` is the set of consumed edges earlier versions wrote beside
+    the groups, if any: it is checked, then dropped.  Those versions also
+    wrote each group as raw-keyed per-processor dicts, with ``seen`` as a
+    list of raw node pairs; such input is converted by
     :func:`_from_dict_form` first and then checked like any other.
     """
     if isinstance(seen, list):
-        groups, seen = _from_dict_form(groups, seen)
-    groups = read_groups(groups, shapes)
-    pairs = _block(seen, "pairs", 2, _node_count(seen), slice(None))
-    if np.any(pairs[0] == pairs[1]):
-        raise ValueError("seen holds an edge whose two endpoints are equal")
-    return groups, seen
+        groups = _from_dict_form(groups, seen)
+    elif seen is not None:
+        pairs = _block(seen, "pairs", 2, _node_count(seen), slice(None))
+        if np.any(pairs[0] == pairs[1]):
+            raise ValueError("seen holds an edge whose two endpoints are equal")
+    return read_groups(groups, shapes)
 
 
 def read_groups(parts, shapes: Sequence[Tuple[int, int]]) -> List[Part]:
@@ -273,32 +264,23 @@ def intern_group(part: Part, interner: NodeInterner) -> ColumnarDelta:
     )
 
 
-def intern_parts(
-    groups: Sequence[Part], seen: Part, interner: NodeInterner
-) -> Tuple[List[ColumnarDelta], Set[int]]:
-    """The columns and packed ``seen`` keys of checked parts (see :func:`read_parts`)."""
-    ids = _ids(seen, interner)
-    pairs = seen["pairs"]
-    keys = set(pack_pairs(ids[pairs[0]], ids[pairs[1]]).tolist())
-    return [intern_group(part, interner) for part in groups], keys
-
-
 # -- the dict form of earlier versions -----------------------------------------
 
 
-def _from_dict_form(snapshots, seen: list) -> Tuple[List[Part], Part]:
-    """Current parts of a state in the raw-keyed dict form of earlier versions.
+def _from_dict_form(snapshots, seen: list) -> List[Part]:
+    """Current group parts of a state in the raw-keyed dict form of earlier versions.
 
     Nodes are numbered by a scratch interner and the parts written by the
-    writers above.  Every stored edge is added back to ``seen``: the
-    segment driver of earlier versions wrote ``seen: []``.  The union is
-    exact, because a storeable edge is stored on its first arrival and an
-    edge no group can store never reads its flag.
+    writer above.  ``seen``, a list of raw node pairs (empty from the
+    segment driver of earlier versions), is checked and dropped: a
+    storeable edge is stored on its first arrival and an edge no group can
+    store never needs the test, so the stored edges carry it.
     """
     scratch = NodeInterner()
     intern = scratch.intern
     try:
-        pairs = {pack_pair(intern(u), intern(v)) for u, v in seen}
+        for u, v in seen:
+            hash((u, v))
         groups = []
         for snapshot in snapshots:
             records: Tuple[list, list, list, list] = ([], [], [], [])
@@ -307,12 +289,11 @@ def _from_dict_form(snapshots, seen: list) -> Tuple[List[Part], Part]:
                 _internalize_processor(entry, slot, intern, records)
                 rows.append((entry["tau"], entry["eta"], entry["edges_stored"]))
             edges, tri, tau_cells, eta_cells = map(columns, records, (3, 4, 3, 3))
-            pairs.update(pack_pairs(edges[1], edges[2]).tolist())
             delta = ColumnarDelta(edges, tri, tau_cells, eta_cells, columns(rows, 3))
             groups.append(group_part(snapshot["group_size"], snapshot["m"], scratch.nodes, delta))
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ValueError(f"malformed dict-form state: {exc!r}") from exc
-    return groups, seen_part(scratch.nodes, pairs)
+    return groups
 
 
 def _internalize_processor(

@@ -11,7 +11,7 @@ and delegates the final arithmetic to
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, List
 
 from repro.baselines.base import StreamingTriangleEstimator, TriangleEstimate
 from repro.core.combine import GroupSummary
@@ -46,10 +46,9 @@ class ReptEstimator(StreamingTriangleEstimator):
     def __init__(self, config: ReptConfig) -> None:
         super().__init__()
         self.config = config
-        # One state set holds every group, the shared interning table (one
-        # encoded batch is valid for all groups — only hash seeds differ)
-        # and the canonical seen-edge set ("seen before" is exactly the
-        # per-slot already_stored test, computed once per edge).
+        # One state set holds every group and the shared interning table
+        # (one encoded batch is valid for all groups — only hash seeds
+        # differ); each group tests first occurrence against its own E(i).
         self._state = GroupStateSet(config)
 
     @classmethod
@@ -85,12 +84,6 @@ class ReptEstimator(StreamingTriangleEstimator):
     def interner(self) -> NodeInterner:
         """The interning table shared by every group."""
         return self._state.interner
-
-    @property
-    def _seen_edges(self) -> Set[int]:
-        """Interned edges seen so far, as packed id-ordered keys
-        ``lo << 32 | hi`` (see :func:`~repro.core.interning.pack_pair`)."""
-        return self._state.seen
 
     # -- streaming ------------------------------------------------------------
 

@@ -25,8 +25,8 @@ Two further exact optimisations serve the batched ingestion pipeline:
   bitmask probe operates on small ints; raw identifiers reappear only at
   the public boundaries (aggregates, snapshots, stored-edge records);
 * :meth:`ProcessorGroup.process_encoded` consumes whole batches whose
-  canonicalisation, edge keys and first-occurrence flags were precomputed
-  as array operations.  The dict reference hashes the keys with
+  canonicalisation and edge keys were precomputed as array operations.
+  The dict reference hashes the keys with
   :meth:`~repro.hashing.base.EdgeHashFunction.bucket_from_keys` and drops
   into per-edge Python only for the residual state updates of its one
   ingestion loop; a per-edge call, hashed with
@@ -36,13 +36,26 @@ Two further exact optimisations serve the batched ingestion pipeline:
   key in C, behind both its batch entry and the per-edge entry of
   :meth:`GroupStateSet.process_edge`.
 
+First occurrence
+----------------
+Algorithms 1–2 store an arriving edge on processor ``i`` only when it is
+not already in ``E(i)``.  Each group makes exactly that test in its own
+record step — the dict reference looks the edge up in the slot's
+adjacency, the C step reads it off the neighbourhood walk it makes anyway
+— so no stream-global set of consumed edges exists.  The test is exact
+because an edge's slot is fixed by its hash: the edges a group stores are
+exactly the distinct edges consumed whose slot is real, and an edge on a
+virtual slot is never stored whatever its history.  So whatever carries
+a group's stored edges (a snapshot, a restore, a pane delta, a merge)
+carries its first-occurrence state with them.
+
 Mergeable state
 ---------------
 The counters are *mergeable* across consecutive stretches of the stream,
 which is what the sliding-window monitor's pane deltas exploit (see
 below).  The key observation is that the **storing** process (which edges
 end up in which processor's sampled edge set) depends only on the hash
-function and the set of distinct edges seen — never on the counters.  A
+function and the set of distinct edges consumed — never on the counters.  A
 group that keeps the stored-edge index as it stood at a boundary but
 starts the next stretch with every counter zeroed therefore computes
 *exact* per-event closure counts, so ``τ`` and the ``τ_v`` merge by pure
@@ -64,9 +77,8 @@ Shared state abstraction
 ------------------------
 :class:`GroupStateSet` is the abstraction every REPT path builds on: the
 complete counter state of one :class:`~repro.core.config.ReptConfig` —
-every processor group, the shared interning table and the stream-global
-first-occurrence set — with batch ingestion, snapshot/merge and
-summarisation in one place.  The estimator
+every processor group and the shared interning table — with batch
+ingestion, snapshot/merge and summarisation in one place.  The estimator
 (:class:`~repro.core.rept.ReptEstimator`), the serial driver
 (:mod:`repro.core.parallel`), the durable runner and the service sessions
 each advance one through :meth:`GroupStateSet.process_edges`; the
@@ -92,7 +104,8 @@ edges are only the pane-new ones: :meth:`GroupStateSet.ingest_encoded`
 with ``collect_stored=True`` returns each group's stored edges of a batch
 as ``(slot, u, v)`` int64 columns — on the C kernel the edge rows the
 batch appended — which the caller concatenates per pane and hands to the
-take.
+take.  The live groups keep their stored edges, so within a window each
+decides first occurrence as an uninterrupted run would.
 """
 
 from __future__ import annotations
@@ -105,7 +118,7 @@ import numpy as np
 from repro.core import portable
 from repro.core.combine import GroupSummary, combine_group_estimates
 from repro.core.config import ReptConfig
-from repro.core.interning import NodeInterner, pack_pair, pack_pairs
+from repro.core.interning import NodeInterner
 from repro.core.portable import ColumnarDelta, columns
 from repro.hashing.base import EdgeHashFunction
 from repro.types import EdgeTuple, NodeId, canonical_edge
@@ -288,31 +301,24 @@ class ProcessorGroup:
     # -- batched update ------------------------------------------------------
 
     def process_encoded(
-        self,
-        cu: Sequence[int],
-        cv: Sequence[int],
-        keys: np.ndarray,
-        firsts: Sequence[bool],
-    ) -> None:
+        self, cu: Sequence[int], cv: Sequence[int], keys: np.ndarray
+    ) -> np.ndarray:
         """Advance the group over a whole encoded batch.
 
         ``cu``/``cv`` are canonical interned id pairs (self-loops already
-        dropped), ``keys`` their canonical uint64 edge keys (see
-        :meth:`~repro.core.interning.NodeInterner.edge_key_array`) and
-        ``firsts`` the stream-global first-occurrence flags from
-        :meth:`~repro.core.interning.NodeInterner.encode_pairs`.  The dict
-        reference hashes the keys with
+        dropped) and ``keys`` their canonical uint64 edge keys (see
+        :meth:`~repro.core.interning.NodeInterner.edge_key_array`).  The
+        dict reference hashes the keys with
         :meth:`~repro.hashing.base.EdgeHashFunction.bucket_from_keys`.
+        Returns the edges the batch stored as ``(slot, u, v)`` int64
+        columns (a ``(3, n)`` array in record order).
         """
-        self._ingest(cu, cv, self.hash_function.bucket_from_keys(keys).tolist(), firsts)
+        slots = self.hash_function.bucket_from_keys(keys).tolist()
+        return columns(self._ingest(cu, cv, slots), 3)
 
     def _ingest(
-        self,
-        cu: Sequence[int],
-        cv: Sequence[int],
-        slots: Sequence[int],
-        firsts: Sequence[bool],
-    ) -> None:
+        self, cu: Sequence[int], cv: Sequence[int], slots: Sequence[int]
+    ) -> List[Tuple[int, int, int]]:
         """The group's one ingestion loop, over records hashed to ``slots``.
 
         Batches arrive here from :meth:`process_encoded`; the per-edge path
@@ -320,7 +326,9 @@ class ProcessorGroup:
         :meth:`~repro.hashing.base.EdgeHashFunction.bucket` and passes it as
         a one-record batch.  Only the edges whose endpoints actually
         co-occur in a slot reach the closure logic, everything else is a
-        handful of int operations.
+        handful of int operations.  A record on a real slot is stored
+        unless the slot's adjacency already holds it.  Returns the stored
+        records as ``(slot, u, v)``.
         """
         node_bits = self._node_bits
         processors = self.processors
@@ -334,7 +342,8 @@ class ProcessorGroup:
         # ``slot < group_size`` can only fail for a partial group; complete
         # groups (group_size == m) take a branch-free specialisation.
         complete = group_size == self.m
-        for iu, iv, slot, first in zip(cu, cv, slots, firsts):
+        stored: List[Tuple[int, int, int]] = []
+        for iu, iv, slot in zip(cu, cv, slots):
             bits_u = bits_get(iu, 0)
             bits_v = bits_get(iv, 0)
             closing_at_store = 0
@@ -361,11 +370,13 @@ class ProcessorGroup:
                         if storeable and s == slot:
                             closing_at_store = closed
 
-            if first and (complete or slot < group_size):
+            if complete or slot < group_size:
                 adjacency = adjacencies[slot]
                 neighbors = adjacency.get(iu)
                 if neighbors is None:
                     adjacency[iu] = {iv}
+                elif iv in neighbors:
+                    continue  # E(slot) already holds the edge
                 else:
                     neighbors.add(iv)
                 neighbors = adjacency.get(iv)
@@ -381,27 +392,21 @@ class ProcessorGroup:
                 bit = 1 << slot
                 node_bits[iu] = bits_u | bit
                 node_bits[iv] = bits_v | bit
+                stored.append((slot, iu, iv))
+        return stored
 
-    def process_edges(self, edges, seen: Optional[Set[int]] = None) -> None:
+    def process_edges(self, edges) -> None:
         """Standalone batched ingestion for one group.
 
         Encodes ``edges`` through this group's interner and advances the
-        counters via :meth:`process_encoded`.
-
-        ``seen`` carries first-occurrence state across calls (the packed
-        keys of the interned pairs already consumed); when omitted it is
-        derived from the stored edges on each call, which is exact even on
-        a group restored with zeroed counters: an edge's slot is fixed by
-        the hash, so an edge is stored iff it was seen and its slot is
-        real, and unstoreable edges never consult the flag.
+        counters via :meth:`process_encoded`.  The group decides first
+        occurrence from its own stored edges, so this is exact on a group
+        restored with zeroed counters too.
         """
-        if seen is None:
-            stored = self.columns().edges
-            seen = set(pack_pairs(stored[1], stored[2]).tolist())
         interner = self.interner
-        cu, cv, firsts, _ = interner.encode_pairs(edges, seen)
+        cu, cv, _, _ = interner.encode_pairs(edges)
         if cu:
-            self.process_encoded(cu, cv, interner.edge_key_array(cu, cv), firsts)
+            self.process_encoded(cu, cv, interner.edge_key_array(cu, cv))
 
     def _apply_closure(
         self, processor: ProcessorCounters, u: int, v: int, common: Set[int]
@@ -682,72 +687,32 @@ def slot_counters(delta: ColumnarDelta) -> List[ProcessorCounters]:
     return laters
 
 
-def first_flags(
-    seen: Set[int], cu: Sequence[int], cv: Sequence[int]
-) -> List[bool]:
-    """Stream-global first-occurrence flags of encoded canonical id pairs.
-
-    The standalone counterpart of the flags
-    :meth:`~repro.core.interning.NodeInterner.encode_pairs` computes inline:
-    given an already-encoded batch, flag each record whose undirected edge
-    (packed key, :func:`~repro.core.interning.pack_pair`) is new to
-    ``seen``, updating ``seen`` in place.  Used
-    by consumers that share one encoded batch across several independent
-    first-occurrence scopes (the windowed monitor's overlapping windows).
-    """
-    flags: List[bool] = []
-    append = flags.append
-    add = seen.add
-    size = len(seen)
-    for iu, iv in zip(cu, cv):
-        add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
-        new_size = len(seen)
-        append(new_size != size)
-        size = new_size
-    return flags
-
-
 @dataclass
 class EncodedBatch:
     """One batch of records encoded once for every group of a config.
 
-    ``cu``/``cv`` are canonical interned id pairs (self-loops dropped),
-    ``keys`` their canonical uint64 edge keys, which no seed enters (each
-    group hashes them to its own slots, so one encoding serves every
+    ``cu``/``cv`` are canonical interned id pairs (self-loops dropped) —
+    lists on the dict kernel, int64 arrays on the C kernel — ``keys`` their
+    canonical uint64 edge keys, which no seed enters (each group hashes
+    them to its own slots, so one encoding serves every
     :class:`GroupStateSet` of a config sharing the same interner), and
     ``n_records`` counts all input records including dropped self-loops.
-    First-occurrence flags are deliberately *not* part of the encoding —
-    they are scope-local (each consumer derives them from its own ``seen``
-    set via :func:`first_flags`).
+    The encoding carries no first-occurrence flags: each group decides
+    first occurrence from its own stored edges as it ingests the batch.
     """
 
-    cu: List[int]
-    cv: List[int]
+    cu: Sequence[int]
+    cv: Sequence[int]
     keys: np.ndarray
     n_records: int
-
-
-def _batch_columns(batch: EncodedBatch) -> Tuple[np.ndarray, np.ndarray]:
-    """Memoised int64 columns of an encoded batch's ``cu`` and ``cv``.
-
-    The monitor feeds one :class:`EncodedBatch` to many overlapping
-    windows; converting the shared columns once per batch (cached on the
-    batch object) keeps the native groups and the stored-edge collection
-    from paying a list->array round trip per window.
-    """
-    cached = getattr(batch, "_native_columns", None)
-    if cached is None:
-        cached = (np.asarray(batch.cu, np.int64), np.asarray(batch.cv, np.int64))
-        batch._native_columns = cached
-    return cached
 
 
 class GroupStateSet:
     """The complete mergeable counter state of one REPT configuration.
 
     Owns the processor groups described by a
-    :class:`~repro.core.config.ReptConfig`, the interning table shared by
-    all of them and the stream-global first-occurrence set.  This is the
+    :class:`~repro.core.config.ReptConfig` and the interning table shared
+    by all of them.  This is the
     abstraction shared by :class:`~repro.core.rept.ReptEstimator` and the
     serial driver (one state set advanced in process), the durable runner
     (one state set checkpointed between segments) and the windowed monitor
@@ -774,6 +739,10 @@ class GroupStateSet:
         ``"cc"``), which is also recorded in estimate metadata.
     """
 
+    #: Always empty: each group decides first occurrence from its own
+    #: stored edges.  Only perfbench's tracer reads it.
+    seen = frozenset()
+
     def __init__(
         self,
         config: ReptConfig,
@@ -788,9 +757,6 @@ class GroupStateSet:
 
         self.config = config
         self.interner = interner if interner is not None else NodeInterner()
-        #: Packed keys (:func:`~repro.core.interning.pack_pair`) of every
-        #: distinct edge consumed — the stream-global first-occurrence set.
-        self.seen: Set[int] = set()
         sizes = config.group_sizes()
         if hash_functions is None:
             seeds = config.group_hash_seeds()
@@ -845,18 +811,15 @@ class GroupStateSet:
     def process_edge(self, u: NodeId, v: NodeId) -> None:
         """Advance every group with one raw edge (the per-edge path).
 
-        Interns once and takes the first-occurrence flag from ``seen``
-        exactly like :meth:`process_edges`.  On a native state set one
-        compiled call then hashes the edge's key
-        (:meth:`~repro.hashing.base.EdgeHashFunction._edge_key`, which no
-        seed enters) for every group and advances every group; ``seen``
-        changes only once it has returned, so a record that raises leaves
-        ``seen`` and every counter as they were.  When a group lacks room
-        the call changes nothing and says which groups would store; their
-        columns grow and the call runs again.  On the dict kernel each
-        group hashes the edge with
-        :meth:`~repro.hashing.base.EdgeHashFunction.bucket` before ``seen``
-        changes and advances over the encoded record.
+        Interns once.  On a native state set one compiled call then hashes
+        the edge's key (:meth:`~repro.hashing.base.EdgeHashFunction._edge_key`,
+        which no seed enters) for every group and advances every group, so
+        a record that raises leaves every counter as it was.  When a group
+        lacks room the call changes nothing and says which groups would
+        store; their columns grow and the call runs again.  On the dict
+        kernel every group hashes the edge with
+        :meth:`~repro.hashing.base.EdgeHashFunction.bucket` before any
+        advances over the encoded record.
         """
         if u is v or u == v:
             return
@@ -865,11 +828,9 @@ class GroupStateSet:
         iv = intern(v)
         groups = self.groups
         if self._native:
-            pair = (iu << 32 | iv) if iu < iv else (iv << 32 | iu)
-            first = pair not in self.seen
             key = groups[0].hash_function._edge_key(u, v)
             entry = self._edge_entry
-            stored = entry.ingest(entry.address, key, iu, iv, first)
+            stored = entry.ingest(entry.address, key, iu, iv)
             if stored < 0:
                 top = (iu if iu > iv else iv) + 1
                 for group, store in zip(groups, entry.stored):
@@ -877,51 +838,30 @@ class GroupStateSet:
                     arrays.ensure_nodes(top)
                     if store:
                         arrays.make_room()
-                stored = entry.ingest(entry.address, key, iu, iv, first)
+                stored = entry.ingest(entry.address, key, iu, iv)
                 if stored < 0:
                     raise RuntimeError("the per-edge kernel call found no room after growth")
-            if first:
-                self.seen.add(pair)
-                if stored:
-                    for group, store in zip(groups, entry.stored):
-                        if store and any(group._arrays.loose_tri):
-                            group._arrays.settle_loose()
+            if stored:
+                for group, store in zip(groups, entry.stored):
+                    if store and any(group._arrays.loose_tri):
+                        group._arrays.settle_loose()
             return
         slots = [group.hash_function.bucket(u, v) for group in groups]
-        seen = self.seen
-        size = len(seen)
-        seen.add((iu << 32 | iv) if iu < iv else (iv << 32 | iu))
-        first = (len(seen) != size,)
         for group, slot in zip(groups, slots):
-            group._ingest((iu,), (iv,), (slot,), first)
+            group._ingest((iu,), (iv,), (slot,))
 
     def process_edges(self, edges: Iterable[EdgeTuple]) -> int:
         """Advance every group over a raw batch; returns records consumed.
 
-        Canonicalisation, interning and edge keys run once as array
-        operations shared by all groups, and each group hashes the keys to
-        its slots — bit-identical to per-edge :meth:`process_edge` calls.
-        A batch that raises leaves ``seen`` as it was (see
-        :meth:`~repro.core.interning.NodeInterner.encode_pairs`).  On a
-        native state set an all-int batch is encoded by the compiled pass
-        (:meth:`~repro.core.interning.NodeInterner._encode_columns`) and its
-        columns go straight to the kernel, which hashes each record in C.
+        :meth:`ingest_encoded` of :meth:`encode`: canonicalisation,
+        interning and edge keys run once as array operations shared by all
+        groups, and each group hashes the keys to its slots — bit-identical
+        to per-edge :meth:`process_edge` calls.  A batch that raises while
+        it is encoded changes no counter.
         """
-        encoded = self.interner._encode_columns(edges, self.seen) if self._native else None
-        if encoded is not None:
-            cu, cv, keys, firsts, n_records = encoded
-        else:
-            cu, cv, firsts, n_records = self.interner.encode_pairs(edges, self.seen)
-            keys = self.interner.edge_key_array(cu, cv)
-            if self._native:
-                # One list->array conversion shared by every group.
-                cu = np.asarray(cu, np.int64)
-                cv = np.asarray(cv, np.int64)
-                firsts = np.asarray(firsts, np.uint8)
-        if len(cu):
-            for group in self.groups:
-                group.process_encoded(cu, cv, keys, firsts)
-        return n_records
+        batch = self.encode(edges)
+        self.ingest_encoded(batch)
+        return batch.n_records
 
     def ingest_stream(
         self, edges: Sequence[EdgeTuple], batch_edges: int = 65536
@@ -937,58 +877,44 @@ class GroupStateSet:
     def encode(self, edges: Iterable[EdgeTuple]) -> EncodedBatch:
         """Encode a batch once for every state set of this config.
 
-        Does *not* touch this state set's counters or ``seen`` — the batch
-        is a pure function of the interner and the config's hash seeds, so
-        any state set sharing the interner can :meth:`ingest_encoded` it.
+        Does *not* touch this state set's counters — the batch is a pure
+        function of the interner, so any state set of the config sharing
+        the interner can :meth:`ingest_encoded` it.  On a native state set
+        an all-int batch is encoded by the compiled pass
+        (:meth:`~repro.core.interning.NodeInterner._encode_columns`), and
+        every batch's ids become int64 columns once, shared by every group
+        and every state set that ingests it.
         """
-        cu, cv, _firsts, n_records = self.interner.encode_pairs(edges, None)
-        return EncodedBatch(cu, cv, self.interner.edge_key_array(cu, cv), n_records)
+        interner = self.interner
+        if self._native:
+            encoded = interner._encode_columns(edges)
+            if encoded is not None:
+                return EncodedBatch(*encoded)
+        cu, cv, _, n_records = interner.encode_pairs(edges)
+        keys = interner.edge_key_array(cu, cv)
+        if self._native:
+            cu = np.asarray(cu, np.int64)
+            cv = np.asarray(cv, np.int64)
+        return EncodedBatch(cu, cv, keys, n_records)
 
     def ingest_encoded(
-        self,
-        batch: EncodedBatch,
-        collect_stored: bool = False,
-        firsts: Optional[Sequence[bool]] = None,
+        self, batch: EncodedBatch, collect_stored: bool = False
     ) -> Optional[List[np.ndarray]]:
         """Advance every group over a shared encoded batch.
 
-        First-occurrence flags come from *this* state set's ``seen`` set, so
-        several state sets can consume the same :class:`EncodedBatch` with
-        independent dedup scopes.  A caller owning its own dedup scope (the
-        windowed monitor's shared arrival index) may pass precomputed
-        ``firsts`` instead — then ``seen`` is neither consulted nor updated.
-        With ``collect_stored=True`` each group's edges stored by this batch
-        are returned as ``(slot, u, v)`` int64 columns (a ``(3, n)`` array,
-        in record order, endpoints id-ordered on the C kernel and canonical
-        on the dict one) — concatenated per pane, they are what
-        :meth:`take_pane_deltas` needs.  On the C kernel they are the edge
-        rows the batch appended.
+        Each group decides first occurrence from its own stored edges, so
+        several state sets can consume the same :class:`EncodedBatch`, each
+        in its own scope.  With ``collect_stored=True`` each group's edges
+        stored by this batch are returned as ``(slot, u, v)`` int64 columns
+        (a ``(3, n)`` array, in record order, endpoints id-ordered on the C
+        kernel and canonical on the dict one) — concatenated per pane, they
+        are what :meth:`take_pane_deltas` needs.  On the C kernel they are
+        the edge rows the batch appended.
         """
-        groups = self.groups
-        if not batch.cu:
-            return [np.empty((3, 0), np.int64) for _ in groups] if collect_stored else None
-        if firsts is None:
-            firsts = first_flags(self.seen, batch.cu, batch.cv)
-        cu, cv = _batch_columns(batch)
-        if self._native:
-            firsts = np.asarray(firsts, np.uint8)
-            marks = [group._arrays.n_edges for group in groups]
-            for group in groups:
-                group.process_encoded(cu, cv, batch.keys, firsts)
-            if collect_stored:
-                return [group._arrays.edge_rows(mark) for group, mark in zip(groups, marks)]
-            return None
-        for group in groups:
-            group.process_encoded(batch.cu, batch.cv, batch.keys, firsts)
-        if not collect_stored:
-            return None
-        first_mask = np.asarray(firsts, bool)
-        stored: List[np.ndarray] = []
-        for group in groups:
-            slots = group.hash_function.bucket_from_keys(batch.keys).astype(np.int64)
-            idx = np.flatnonzero(first_mask & (slots < group.group_size))
-            stored.append(np.stack((slots[idx], cu[idx], cv[idx])))
-        return stored
+        stored = [
+            group.process_encoded(batch.cu, batch.cv, batch.keys) for group in self.groups
+        ]
+        return stored if collect_stored else None
 
     # -- pane-delta protocol --------------------------------------------------
 
@@ -1031,34 +957,29 @@ class GroupStateSet:
     def portable_state(self) -> Dict[str, object]:
         """The complete state in portable (interner-independent) form.
 
-        Extends :meth:`snapshot` with a part for the stream-global
-        first-occurrence set — everything a fresh process needs to continue
-        the stream bit-identically.  (The ``seen`` set is in principle
-        reconstructible from the stored edges, but only via a subtle
-        storability argument; serialising it keeps recovery auditable.)
-        The result is picklable and checkpoint-friendly; restore with
+        The group parts of :meth:`snapshot` — everything a fresh process
+        needs to continue the stream bit-identically, first occurrence
+        included, since each group decides it from its stored edges.  The
+        result is picklable and checkpoint-friendly; restore with
         :meth:`restore_portable`.
         """
-        return portable.portable_state(
-            self.snapshot(), portable.seen_part(self.interner.nodes, self.seen)
-        )
+        return portable.portable_state(self.snapshot())
 
     def restore_portable(self, state: Dict[str, object]) -> None:
         """Replace this state set's contents with :meth:`portable_state` output.
 
         The receiving state set must be built from the same config.  The
         whole state is checked first (see :mod:`repro.core.portable`), so a
-        rejected one raises ``ValueError`` and changes nothing; the dict
-        form earlier versions wrote is read too.  Interning order may differ
+        rejected one raises ``ValueError`` and changes nothing; the forms
+        earlier versions wrote are read too.  Interning order may differ
         from the originating process — slot assignment keys on raw node
         identity, so the restored run is bit-identical regardless.
         """
-        parts, seen = portable.read_state(state, self._shapes())
-        deltas, seen = portable.intern_parts(parts, seen, self.interner)
+        parts = portable.read_state(state, self._shapes())
+        deltas = [portable.intern_group(part, self.interner) for part in parts]
         for group, delta in zip(self.groups, deltas):
             group.reset()
             group.merge_deltas(delta)
-        self.seen = seen
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -1066,12 +987,10 @@ class GroupStateSet:
         return state
 
     def __setstate__(self, state) -> None:
+        # Pickles of earlier versions carry a stream-global set of the
+        # edges consumed, which the groups' stored edges now stand for.
+        state.pop("seen", None)
         self.__dict__.update(state)
-        # Durable estimator checkpoints pickle whole state sets; one written
-        # while ``seen`` held (lo, hi) tuples resumes with packed keys.
-        seen = self.seen
-        if seen and type(next(iter(seen))) is tuple:
-            self.seen = {pack_pair(a, b) for a, b in seen}
         if self._native:
             self._bind_edge_entry()
 

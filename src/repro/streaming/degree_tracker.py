@@ -25,7 +25,7 @@ class DegreeTracker:
 
     def __init__(self) -> None:
         self._degrees: Dict[NodeId, int] = {}
-        self._seen_edges = set()
+        self._edges = set()
         self.edges_processed = 0
 
     def process_edge(self, u: NodeId, v: NodeId) -> None:
@@ -34,9 +34,9 @@ class DegreeTracker:
         if u == v:
             return
         key = canonical_edge(u, v)
-        if key in self._seen_edges:
+        if key in self._edges:
             return
-        self._seen_edges.add(key)
+        self._edges.add(key)
         self._degrees[u] = self._degrees.get(u, 0) + 1
         self._degrees[v] = self._degrees.get(v, 0) + 1
 
@@ -64,7 +64,7 @@ class DegreeTracker:
     @property
     def num_distinct_edges(self) -> int:
         """Number of distinct undirected edges observed."""
-        return len(self._seen_edges)
+        return len(self._edges)
 
     @property
     def num_wedges(self) -> int:

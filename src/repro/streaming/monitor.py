@@ -34,11 +34,14 @@ shared mergeable-state abstraction of :mod:`repro.core.state`:
 
 Because every chain of one monitor shares the configuration's hash seeds
 and one interning table, each arriving batch is canonicalised, interned
-and hashed **once** (:meth:`~repro.core.state.GroupStateSet.encode`) and
-every open window consumes the same :class:`~repro.core.state.EncodedBatch`
-with its own first-occurrence scope — the per-record cost of window overlap
-is only the residual counter updates, not the full pipeline.  Closing a
-window drops its chain in O(1); no retained pane is ever re-ingested.
+and keyed **once** (:meth:`~repro.core.state.GroupStateSet.encode`, the
+compiled pass for all-int batches on the C kernel) and every open window
+consumes the same :class:`~repro.core.state.EncodedBatch`.  Each window's
+live groups keep the window's stored edges, so they decide first
+occurrence within the window themselves — the per-record cost of window
+overlap is only each window's record step, not the full pipeline.
+Closing a window drops its chain in O(1); no retained pane is ever
+re-ingested.
 
 Estimates are **bit-identical** to re-ingesting each emitted window's
 records from scratch with :class:`~repro.core.rept.ReptEstimator` (the
@@ -212,23 +215,10 @@ class _MergeableReptChain:
         self._pane_stored: List[List[np.ndarray]] = [[] for _ in self.live.groups]
         self.ring: List[PaneDelta] = []
 
-    def ingest(
-        self,
-        pane: int,
-        batch: EncodedBatch,
-        raw_edges: Sequence[EdgeTuple],
-        firsts: Optional[Sequence[bool]] = None,
-    ) -> None:
-        """Advance the window over one shared encoded pane bucket.
-
-        ``firsts`` carries the window-scoped first-occurrence flags the
-        monitor derives once per batch from its shared arrival index (see
-        :meth:`WindowedTriangleMonitor._record_arrivals`); the chain's own
-        ``live.seen`` set then stays empty.  ``None`` falls back to the
-        chain-local dedup scope (bit-identical, one set pass per chain).
-        """
+    def ingest(self, pane: int, batch: EncodedBatch, raw_edges: Sequence[EdgeTuple]) -> None:
+        """Advance the window over one shared encoded pane bucket."""
         self._roll_to(pane)
-        stored = self.live.ingest_encoded(batch, collect_stored=True, firsts=firsts)
+        stored = self.live.ingest_encoded(batch, collect_stored=True)
         for bucket, new in zip(self._pane_stored, stored):
             if new.shape[1]:
                 bucket.append(new)
@@ -349,6 +339,31 @@ class WindowedTriangleMonitor:
     :class:`~repro.streaming.windows.TimeWindowedStream`.
     """
 
+    __slots__ = (
+        "window_seconds",
+        "slide_seconds",
+        "pane_seconds",
+        "_window_panes",
+        "_slide_panes",
+        "config",
+        "estimator_factory",
+        "seed",
+        "allowed_lateness",
+        "late_policy",
+        "record_replay",
+        "results",
+        "late_records",
+        "_origin",
+        "_watermark",
+        "_sealed_before",
+        "_next_close_index",
+        "_max_pane_seen",
+        "_chains",
+        "_template",
+        "_hash_functions",
+        "__weakref__",
+    )
+
     def __init__(
         self,
         window_seconds: float,
@@ -413,14 +428,6 @@ class WindowedTriangleMonitor:
         self._next_close_index = 0  # windows close strictly in index order
         self._max_pane_seen = -1
         self._chains: Dict[int, object] = {}
-        #: Shared arrival index of the REPT engine: canonical interned edge
-        #: -> bitmask of the panes it has arrived in, rebased so bit 0 is
-        #: pane ``_dedup_base`` (the first pane an open window can cover).
-        #: One pass over each encoded batch updates it, and every
-        #: overlapping window derives its first-occurrence flags from the
-        #: recorded prior masks — the chains' own ``seen`` sets stay empty.
-        self._edge_panes: Dict[Tuple[int, int], int] = {}
-        self._dedup_base = 0
         if config is not None:
             # Template state: owns the interning table and the (possibly
             # table-backed) hash functions every chain of this monitor
@@ -432,6 +439,17 @@ class WindowedTriangleMonitor:
         else:
             self._template = None
             self._hash_functions = None
+
+    def __setstate__(self, state) -> None:
+        # Monitors of earlier versions pickled a __dict__ that also held a
+        # shared index of the panes each edge had arrived in; the windows'
+        # groups decide first occurrence now, so only the declared
+        # attributes are restored.
+        if isinstance(state, tuple):
+            state = state[1]
+        for name, value in state.items():
+            if name in WindowedTriangleMonitor.__slots__:
+                setattr(self, name, value)
 
     @staticmethod
     def _exact_multiple(total: float, unit: float, total_name: str, unit_name: str) -> int:
@@ -547,57 +565,15 @@ class WindowedTriangleMonitor:
         last_window = pane // slide
         if first_window > last_window:
             # Every window covering this pane has already closed; the
-            # records feed nothing (and need no arrival-index entry — no
-            # remaining window's pane span can include this pane).
+            # records feed nothing.
             return
         if self._template is not None:
             batch = self._template.encode(edges)
-            priors = self._record_arrivals(pane, batch)
             for window in range(first_window, last_window + 1):
-                firsts = self._window_firsts(window, priors)
-                self._rept_chain(window).ingest(pane, batch, edges, firsts)
+                self._rept_chain(window).ingest(pane, batch, edges)
         else:
             for window in range(first_window, last_window + 1):
                 self._factory_chain(window).ingest(pane, edges)
-
-    def _record_arrivals(
-        self, pane: int, batch: EncodedBatch
-    ) -> Optional[List[int]]:
-        """Fold one encoded pane bucket into the shared arrival index.
-
-        Returns each record's *prior* pane mask — the panes the edge had
-        already arrived in before this record, captured before the current
-        pane's bit is set so in-batch duplicates are flagged non-first.
-        ``None`` for an empty batch (every record was a self-loop).
-        """
-        if not batch.cu:
-            return None
-        offset = pane - self._dedup_base
-        bit = 1 << offset
-        index = self._edge_panes
-        priors: List[int] = []
-        append = priors.append
-        for iu, iv in zip(batch.cu, batch.cv):
-            key = (iu, iv) if iu < iv else (iv, iu)
-            prior = index.get(key, 0)
-            append(prior)
-            index[key] = prior | bit
-        return priors
-
-    def _window_firsts(
-        self, window: int, priors: Optional[List[int]]
-    ) -> Optional[List[bool]]:
-        """Window-scoped first-occurrence flags from recorded prior masks.
-
-        A record is first-in-window exactly when no prior arrival fell in
-        any pane of the window's span — one mask test per record, shared
-        with every other window through the arrival index.
-        """
-        if priors is None:
-            return None
-        start = window * self._slide_panes
-        wmask = ((1 << self._window_panes) - 1) << (start - self._dedup_base)
-        return [(prior & wmask) == 0 for prior in priors]
 
     def _rept_chain(self, window: int) -> _MergeableReptChain:
         chain = self._chains.get(window)
@@ -721,34 +697,7 @@ class WindowedTriangleMonitor:
         )
         self.results.append(result)
         self._next_close_index = window + 1
-        self._rebase_arrival_index()
         return result
-
-    def _rebase_arrival_index(self) -> None:
-        """Shift the arrival index down to the earliest still-open window.
-
-        Panes below ``_next_close_index * _slide_panes`` can never fall in
-        an open window's span again, so their bits are shifted out and
-        fully-expired edges are dropped — the index stays bounded by the
-        open-window pane span regardless of stream length.
-        """
-        new_base = self._next_close_index * self._slide_panes
-        shift = new_base - self._dedup_base
-        if shift <= 0:
-            return
-        self._dedup_base = new_base
-        index = self._edge_panes
-        if not index:
-            return
-        expired = []
-        for key, mask in index.items():
-            mask >>= shift
-            if mask:
-                index[key] = mask
-            else:
-                expired.append(key)
-        for key in expired:
-            del index[key]
 
     def flush(self) -> List[MonitorWindowResult]:
         """Close every remaining window (stream end).

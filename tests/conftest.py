@@ -105,10 +105,14 @@ def raw_snapshot(part):
     return {"group_size": part["group_size"], "m": part["m"], "processors": processors}
 
 
-def raw_seen(part):
-    """A portable ``seen`` part as a set of canonical raw edges."""
-    nodes = part["nodes"]
-    return {canonical_edge(nodes[a], nodes[b]) for a, b in zip(*part["pairs"].tolist())}
+def stored_raw_edges(state):
+    """The distinct canonical raw edges the group parts of a portable state store."""
+    return {
+        edge
+        for part in state["snapshots"]
+        for entry in raw_snapshot(part)["processors"]
+        for edge in entry["edges"]
+    }
 
 
 def dict_snapshot(part):
@@ -124,8 +128,12 @@ def dict_snapshot(part):
 
 
 def dict_form(state):
-    """A portable state rewritten in the raw-keyed dict form of earlier versions."""
+    """A portable state rewritten in the raw-keyed dict form of earlier versions.
+
+    Those versions wrote beside the groups a ``seen`` list of the raw edges
+    consumed; the stored ones stand in for it here.
+    """
     return {
         "snapshots": [dict_snapshot(part) for part in state["snapshots"]],
-        "seen": list(raw_seen(state["seen"])),
+        "seen": sorted(stored_raw_edges(state), key=repr),
     }

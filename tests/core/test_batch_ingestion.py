@@ -67,21 +67,18 @@ class TestNodeInterner:
 
     def test_encode_pairs_canonicalises_and_counts(self):
         interner = NodeInterner()
-        seen = set()
-        cu, cv, firsts, n = interner.encode_pairs(
-            [(2, 1), (1, 2), (3, 3), (1, 2)], seen
-        )
+        cu, cv, firsts, n = interner.encode_pairs([(2, 1), (1, 2), (3, 3), (1, 2)])
         assert n == 4  # self-loop counted
         assert len(cu) == 3  # but dropped from the encoded batch
         # Canonical orientation matches canonical_edge on the raw ids.
         pairs = [(interner.node_of(a), interner.node_of(b)) for a, b in zip(cu, cv)]
         assert pairs == [canonical_edge(2, 1)] * 3
-        assert firsts == [True, False, False]
+        assert firsts is None  # first occurrence is each group's own test
 
     def test_encode_pairs_mixed_types_match_canonical_edge(self):
         interner = NodeInterner()
         raw = [(1, "1"), ("b", 3), (10, "2"), ("2", 3)]
-        cu, cv, _, _ = interner.encode_pairs(raw, set())
+        cu, cv, _, _ = interner.encode_pairs(raw)
         for (a, b), (u, v) in zip(zip(cu, cv), raw):
             assert (interner.node_of(a), interner.node_of(b)) == canonical_edge(u, v)
 
@@ -139,7 +136,7 @@ class TestInternerKeys:
             interner.intern(node)
         assert int(interner.key_array()[1]) == stable_node_key(200)
         with pytest.raises(RuntimeError, match="no key"):
-            interner.encode_pairs([(500, 600), (700, Unkeyable())], set())
+            interner.encode_pairs([(500, 600), (700, Unkeyable())])
         assert_interner_in_sync(interner)
         interner.intern("\ud800")
         assert_interner_in_sync(interner)
@@ -223,9 +220,8 @@ class TestReptBatchEquivalence:
 
 
 class TestFailedBatch:
-    """A batch that raises part-way must not mark its earlier records as
-    seen: those edges would otherwise count as duplicates forever and
-    never be stored."""
+    """A batch that raises part-way must not store its earlier records:
+    those edges would otherwise count as duplicates forever."""
 
     @pytest.mark.parametrize("kernel", ["python", "native"])
     def test_raising_batch_does_not_hide_its_edges(self, kernel, monkeypatch):
@@ -237,7 +233,6 @@ class TestFailedBatch:
             state.process_edges([(1, 2), (2, 3), ([9], 3)])
         with pytest.raises(TypeError):
             state.process_edge([9], 3)
-        assert state.seen == set()
         assert state.total_edges_stored() == 0
         n_records = state.process_edges([(1, 2), (2, 3), (1, 3)])
         assert state.total_edges_stored() == 3

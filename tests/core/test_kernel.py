@@ -29,6 +29,7 @@ from repro.core.kernel import (
 from repro.core.rept import ReptEstimator
 from repro.core.state import GroupStateSet
 from repro.exceptions import ConfigurationError
+from tests.conftest import zeroed_snapshot
 
 SEED = 20240808
 
@@ -184,7 +185,6 @@ class TestKernelParity:
             )
             for group, snapshot in zip(second.groups, first.snapshot()):
                 group.restore(snapshot)
-            second.seen = set(first.seen)
             n_second = second.process_edges(edges[half:])
             reference = GroupStateSet(config, kernel="python")
             n_ref = reference.process_edges(edges)
@@ -194,7 +194,8 @@ class TestKernelParity:
 
     def test_merge_snapshots_across_kernels(self, clean_env):
         """Chunked-style merge: a python-built snapshot folds into a
-        native accumulator exactly like into a python one."""
+        native accumulator exactly like into a python one, and both end
+        where one uninterrupted run does."""
         config = ReptConfig(m=4, c=10, seed=SEED, track_local=True)
         edges = _stream()
         half = len(edges) // 2
@@ -209,12 +210,18 @@ class TestKernelParity:
             worker = GroupStateSet(
                 config, interner=shared.interner, kernel="python"
             )
-            worker.seen = shared.seen
+            # The worker starts from the stored edges merged so far, with
+            # zeroed counters, so it stores only edges new to the prefix.
+            for group, accum_group in zip(worker.groups, accum_python.groups):
+                group.restore(zeroed_snapshot(accum_group))
             worker.process_edges(chunk)
             snapshots = worker.snapshot()
             accum_native.merge_snapshots(snapshots)
             accum_python.merge_snapshots(snapshots)
         assert accum_python.summaries() == accum_native.summaries()
+        reference = GroupStateSet(config, kernel="python")
+        reference.process_edges(edges)
+        assert accum_native.summaries() == reference.summaries()
 
     def test_estimate_metadata_records_resolved_label(self, clean_env):
         config = ReptConfig(m=3, c=8, seed=SEED, track_local=False, kernel="auto")

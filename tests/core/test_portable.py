@@ -1,9 +1,10 @@
 """The portable state reader: one test per rule it enforces.
 
 Each malformed input must raise ``ValueError`` and leave the receiving
-state unchanged — its counters, its ``seen`` set and its interner.  The
+state unchanged — its stored edges, its counters and its interner.  The
 receiving state already holds a stretch of stream, so "unchanged" is not
-the same as "empty".
+the same as "empty".  Every input also carries the ``seen`` part earlier
+versions wrote beside the groups, which the reader checks and drops.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import pytest
 
 from repro.cluster import ElasticCoordinator, ShardState
 from repro.core.config import ReptConfig
-from repro.core.portable import ColumnarDelta
+from repro.core.portable import FORMAT, ColumnarDelta
 from repro.core.state import GroupStateSet
-from tests.conftest import dict_form, raw_seen, raw_snapshot
+from tests.conftest import dict_form, raw_snapshot, stored_raw_edges
 
 # (m, c) = (4, 6): a complete group and a partial one, so η and every
 # block of a part are populated.
@@ -36,9 +37,19 @@ def _state(kernel, edges):
 def _view(state):
     return (
         [raw_snapshot(part) for part in state.snapshot()],
-        sorted(state.seen),
         list(state.interner.nodes),
     )
+
+
+def _with_legacy_seen(state):
+    """``state`` with the ``seen`` part earlier versions wrote beside the
+    groups: one column of node-table positions per distinct edge consumed
+    (the stored ones here)."""
+    edges = sorted(stored_raw_edges(state), key=repr)
+    nodes = list(dict.fromkeys(node for edge in edges for node in edge))
+    position = {node: index for index, node in enumerate(nodes)}
+    pairs = np.array([[position[u] for u, _ in edges], [position[v] for _, v in edges]], np.int64)
+    return dict(state, seen={"format": FORMAT, "nodes": nodes, "pairs": pairs})
 
 
 def _break_shape(state):
@@ -122,7 +133,7 @@ RULES = {
 
 def _broken(rule):
     breaker, message = RULES[rule]
-    state = copy.deepcopy(_state("python", EDGES).portable_state())
+    state = copy.deepcopy(_with_legacy_seen(_state("python", EDGES).portable_state()))
     breaker(state)
     return state, message
 
@@ -145,12 +156,14 @@ def test_rejected_state_leaves_receiver_unchanged(rule, kernel):
 def test_rejected_shard_state_leaves_shard_unchanged():
     shard = ShardState(CONFIG, 0)
     shard.apply_raw(1, EDGES[:50])
-    before = (raw_snapshot(shard.group.snapshot()), sorted(shard.seen), shard.applied_seq)
-    state, message = _broken("position-outside-table")
-    point = {"shard_id": 0, "applied_seq": 9, "snapshot": state["snapshots"][0], "seen": state["seen"]}
-    with pytest.raises(ValueError, match=message):
-        shard.restore(point)
-    assert (raw_snapshot(shard.group.snapshot()), sorted(shard.seen), shard.applied_seq) == before
+    before = (raw_snapshot(shard.group.snapshot()), shard.applied_seq)
+    for rule in ("position-outside-table", "seen-position-outside-table"):
+        state, message = _broken(rule)
+        point = {"shard_id": 0, "applied_seq": 9, "snapshot": state["snapshots"][0]}
+        point["seen"] = state["seen"]
+        with pytest.raises(ValueError, match=message):
+            shard.restore(point)
+        assert (raw_snapshot(shard.group.snapshot()), shard.applied_seq) == before
 
 
 def test_coordinator_rejects_before_touching_shards():
@@ -176,7 +189,7 @@ def test_dict_form_reads_like_the_columns(kernel):
     assert [raw_snapshot(p) for p in legacy.snapshot()] == [
         raw_snapshot(p) for p in columnar.snapshot()
     ]
-    assert raw_seen(legacy.portable_state()["seen"]) == raw_seen(state["seen"])
+    assert "seen" not in legacy.portable_state()
 
 
 def test_malformed_dict_form_is_a_value_error():
@@ -200,12 +213,34 @@ def test_restore_replaces_existing_state(kernel):
     assert [raw_snapshot(p) for p in got["snapshots"]] == [
         raw_snapshot(p) for p in want["snapshots"]
     ]
-    assert raw_seen(got["seen"]) == raw_seen(want["seen"])
     shard = ShardState(CONFIG, 1)
     shard.apply_raw(1, EDGES[:50])
-    point = {"shard_id": 1, "applied_seq": 2, "snapshot": state["snapshots"][1], "seen": state["seen"]}
+    point = {"shard_id": 1, "applied_seq": 2, "snapshot": state["snapshots"][1]}
     shard.restore(point)
     assert raw_snapshot(shard.group.snapshot()) == raw_snapshot(fresh.snapshot()[1])
+    assert set(shard.portable()) == {"shard_id", "applied_seq", "snapshot"}
+
+
+@pytest.mark.parametrize("kernel", ["python", "auto"])
+def test_legacy_seen_part_is_checked_then_dropped(kernel):
+    """A state or shard point written with a ``seen`` part restores exactly
+    like one without, and what the receiver writes back has none."""
+    state = _state("auto", EDGES).portable_state()
+    assert set(state) == {"snapshots"}
+    plain = GroupStateSet(CONFIG, kernel=kernel)
+    plain.restore_portable(state)
+    legacy = GroupStateSet(CONFIG, kernel=kernel)
+    legacy.restore_portable(_with_legacy_seen(state))
+    assert _view(legacy)[0] == _view(plain)[0]
+    assert set(legacy.portable_state()) == {"snapshots"}
+    for resumed in (plain, legacy):
+        resumed.process_edges(EDGES[::-1])
+    assert _view(legacy)[0] == _view(plain)[0]
+    shard = ShardState(CONFIG, 1)
+    point = {"shard_id": 1, "applied_seq": 3, "snapshot": state["snapshots"][1]}
+    shard.restore(dict(point, seen=_with_legacy_seen(state)["seen"]))
+    assert raw_snapshot(shard.portable()["snapshot"]) == raw_snapshot(state["snapshots"][1])
+    assert "seen" not in shard.portable()
 
 
 def test_repeated_cells_add_up_on_both_kernels():

@@ -9,7 +9,8 @@ including the η pair counters, matches an uninterrupted run bit for bit.
 import numpy as np
 import pytest
 
-from repro.core.state import ProcessorGroup
+from repro.core.config import ReptConfig
+from repro.core.state import GroupStateSet, ProcessorGroup
 from repro.generators.planted import planted_triangles_stream
 from repro.generators.random_graphs import barabasi_albert_stream
 from repro.hashing import make_hash_function
@@ -148,3 +149,29 @@ class TestChunkMerge:
         expected = zeroed_snapshot(group)
         group.take_pane_deltas(np.empty((3, 0), dtype=np.int64))
         assert raw_snapshot(group.snapshot()) == raw_snapshot(expected)
+
+
+class TestMergedEdgesDecideFirstOccurrence:
+    """A stretch merged into a state set leaves its stored edges there, and
+    they decide first occurrence: an edge that was merged in and arrives
+    again is not stored a second time."""
+
+    STREAM = [(1, 2), (2, 3), (1, 3), (3, 4), (2, 4)]
+
+    @pytest.mark.parametrize("kernel", ["python", "auto"])
+    def test_merged_edge_arriving_again_is_not_stored_twice(self, kernel):
+        config = ReptConfig(m=1, c=1, seed=1)
+        stretch = GroupStateSet(config, kernel=kernel)
+        stretch.process_edges(self.STREAM)
+        merged = GroupStateSet(config, kernel=kernel)
+        merged.merge_snapshots(stretch.snapshot())
+        rest = self.STREAM + [(1, 4)]
+        merged.process_edges(rest)
+        uninterrupted = GroupStateSet(config, kernel=kernel)
+        n = uninterrupted.process_edges(self.STREAM + rest)
+        assert merged.total_edges_stored() == uninterrupted.total_edges_stored() == 6
+        assert sorted(merged.groups[0].stored_edges()) == sorted(
+            uninterrupted.groups[0].stored_edges()
+        )
+        got, want = merged.estimate(n), uninterrupted.estimate(n)
+        assert (got.global_count, got.local_counts) == (want.global_count, want.local_counts)

@@ -36,7 +36,7 @@ from repro.testing.faults import (
     arm,
     truncate_file,
 )
-from tests.conftest import dict_form, raw_seen, raw_snapshot
+from tests.conftest import dict_form, raw_snapshot
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -60,10 +60,8 @@ def _assert_same_estimate(candidate, reference):
 
 def _canonical_payload(payload):
     """A portable state read with raw node ids, so interning order drops out."""
-    return (
-        [raw_snapshot(part) for part in payload["snapshots"]],
-        raw_seen(payload["seen"]),
-    )
+    assert set(payload) == {"snapshots"}
+    return [raw_snapshot(part) for part in payload["snapshots"]]
 
 
 def _kill_plan(site, kill_segment, action="raise"):
@@ -99,14 +97,14 @@ class TestReptDurable:
     @pytest.mark.parametrize("m,c", [(2, 4), (4, 6)])
     def test_checkpoint_with_empty_seen_resumes_exactly(self, tmp_path, m, c):
         """Dict-form checkpoints of the former shard-then-merge segment
-        driver carry ``seen: []``; resume rebuilds the flags from the
-        stored edges."""
+        driver carry ``seen: []``; the groups' stored edges decide first
+        occurrence on resume."""
         config = ReptConfig(m=m, c=c, seed=17, track_local=True)
         reference = run_rept(EDGES, config, backend="serial")
         run_rept_durable(EDGES[:300], config, tmp_path, checkpoint_every=300)
         manager = CheckpointManager(tmp_path)
         written = manager.recover().checkpoint
-        assert raw_seen(written.payload["seen"])
+        assert "seen" not in written.payload
         manager.save(
             dict(dict_form(written.payload), seen=[]),
             written.stream_offset,
@@ -124,7 +122,7 @@ class TestReptDurable:
     def test_checkpoint_is_the_serial_state(self, tmp_path, m, c):
         """Segments advance through the serial ingest path, so the last
         checkpoint holds exactly the serial state set's portable state —
-        first-occurrence flags included."""
+        whose groups' stored edges decide first occurrence."""
         config = ReptConfig(m=m, c=c, seed=17, track_local=True)
         serial = GroupStateSet(config)
         serial.ingest_stream(EDGES)
@@ -166,7 +164,7 @@ class TestReptDurable:
             longer, config, tmp_path, checkpoint_every=300
         )
         assert report.checkpoint.stream_offset == 600
-        assert raw_seen(report.checkpoint.payload["seen"])
+        assert "seen" not in report.checkpoint.payload
         _assert_same_estimate(estimate, reference)
         assert estimate.metadata.get("eta_hat") == reference.metadata.get("eta_hat")
 

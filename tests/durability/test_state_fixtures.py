@@ -121,9 +121,11 @@ def test_durable_run_resumes(fixtures, tmp_path):
     estimate, report = run_rept_durable(EDGES, _config(), directory, checkpoint_every=SEGMENT)
     assert report.checkpoint.stream_offset == CUT
     assert _key(estimate) == _key(_uninterrupted())
-    # The checkpoints written after the resume are in the current format.
+    # The checkpoints written after the resume are in the current format,
+    # with no seen part: the groups' stored edges decide first occurrence.
     written = CheckpointManager(directory).recover().checkpoint
     assert written.stream_offset == len(EDGES)
+    assert set(written.payload) == {"snapshots"}
     resumed = GroupStateSet(_config())
     resumed.restore_portable(written.payload)
     assert _key(resumed.estimate(len(EDGES))) == _key(_uninterrupted())
@@ -141,6 +143,7 @@ def test_elastic_shard_checkpoints_resume(fixtures, tmp_path):
         shard.restore(checkpoint.payload)
         for seq, batch in enumerate(batches, start=1):
             shard.apply_raw(seq, batch)
+        assert "seen" not in shard.portable()
         summaries.append(shard.summary())
     estimate = combine_group_estimates(
         summaries,
@@ -163,6 +166,8 @@ def test_pickled_native_estimator_resumes(fixtures):
     estimator = pickle.loads((fixtures / "estimator.pkl").read_bytes())
     assert all(isinstance(group, NativeProcessorGroup) for group in estimator.groups)
     assert not any(hasattr(group._arrays, "heads") for group in estimator.groups)
+    # The older set of consumed edges is dropped; the groups stand for it.
+    assert "seen" not in vars(estimator._state)
     estimator.process_edges(EDGES[CUT:])
     assert _key(estimator.estimate()) == _key(reference.estimate())
     estimator = pickle.loads((fixtures / "estimator.pkl").read_bytes())
@@ -204,7 +209,12 @@ def _window_rows(results):
 def test_monitor_with_pane_rings_resumes(fixtures, tmp_path, name, kernel):
     directory = _copy(fixtures, tmp_path, name)
     checkpoint = CheckpointManager(directory).recover().checkpoint
-    assert any(chain.ring for chain in checkpoint.payload["monitor"]._chains.values())
+    monitor = checkpoint.payload["monitor"]
+    assert any(chain.ring for chain in monitor._chains.values())
+    # The older monitor's shared arrival index and its chains' consumed-edge
+    # sets are dropped on unpickling.
+    assert not hasattr(monitor, "_edge_panes") and not hasattr(monitor, "_dedup_base")
+    assert not any("seen" in vars(chain.live) for chain in monitor._chains.values())
     factory = _monitor_factory(kernel)
     results, report = run_monitor_durable(
         factory, RECORDS, directory, checkpoint_every=SEGMENT

@@ -158,7 +158,6 @@ def _state_columns(state):
 
 
 def _assert_same(native, python):
-    assert native.seen == python.seen
     assert _state_columns(native) == _state_columns(python)
     assert native.summaries() == python.summaries()
 

@@ -7,12 +7,12 @@ whatever the interner already holds; every other batch keeps
 :meth:`~repro.core.interning.NodeInterner.encode_pairs`.
 These tests feed the same batches to such a state set (``kernel="auto"``)
 and to the dict reference (``kernel="python"``, always ``encode_pairs``)
-and compare, batch by batch, the interned node table, the ``seen`` set,
-the encoded columns, the first flags and the edge keys, and at the end
-the estimates; every entry of the interner's int64 id cache must equal
-what ``_ids`` holds for its value.  Each batch's encoder is recorded and checked against the
-selection rule; with ``REPRO_KERNEL=python`` every batch must take
-``encode_pairs``.
+and compare, batch by batch, the interned node table, the stored edges,
+the encoded columns and the edge keys, and at the end the estimates;
+every entry of the interner's int64 id cache must equal what ``_ids``
+holds for its value.  Each batch's encoder is recorded and checked
+against the selection rule; with ``REPRO_KERNEL=python`` every batch must
+take ``encode_pairs``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ReptConfig
-from repro.core.interning import NodeInterner, pack_pair, unpack_pair
+from repro.core.interning import NodeInterner
 from repro.core.state import GroupStateSet
+from tests.conftest import stored_raw_edges
 
 SEED = 20240808
 INT64_MIN = -(2**63)
@@ -36,10 +37,9 @@ INT64_MAX = 2**63 - 1
 class RecordingInterner(NodeInterner):
     """A :class:`NodeInterner` that logs every batch it encodes.
 
-    Each entry is ``[encoder, cu, cv, firsts, edge_keys, n_records]`` as
-    plain lists; ``edge_keys`` is filled by the :meth:`edge_key_array`
-    call that follows ``encode_pairs`` (empty when every record was a
-    self-loop and no keys were asked for).
+    Each entry is ``[encoder, cu, cv, edge_keys, n_records]`` as plain
+    lists; ``edge_keys`` is filled by the :meth:`edge_key_array` call that
+    follows ``encode_pairs``.
     """
 
     def __init__(self) -> None:
@@ -47,35 +47,27 @@ class RecordingInterner(NodeInterner):
         self.log = []
         self.in_columns = False
 
-    def _encode_columns(self, pairs, seen):
+    def _encode_columns(self, pairs):
         self.in_columns = True
         try:
-            out = super()._encode_columns(pairs, seen)
+            out = super()._encode_columns(pairs)
         finally:
             self.in_columns = False
         if out is not None:
-            cu, cv, keys, firsts, n_records = out
-            self.log.append(
-                [
-                    "columns",
-                    cu.tolist(),
-                    cv.tolist(),
-                    [bool(flag) for flag in firsts],
-                    keys.tolist(),
-                    n_records,
-                ]
-            )
+            cu, cv, keys, n_records = out
+            self.log.append(["columns", cu.tolist(), cv.tolist(), keys.tolist(), n_records])
         return out
 
-    def encode_pairs(self, pairs, seen=None):
-        cu, cv, firsts, n_records = super().encode_pairs(pairs, seen)
-        self.log.append(["pairs", list(cu), list(cv), firsts, [], n_records])
+    def encode_pairs(self, pairs):
+        cu, cv, firsts, n_records = super().encode_pairs(pairs)
+        assert firsts is None
+        self.log.append(["pairs", list(cu), list(cv), [], n_records])
         return cu, cv, firsts, n_records
 
     def edge_key_array(self, cu, cv):
         keys = super().edge_key_array(cu, cv)
         if not self.in_columns:
-            self.log[-1][4] = keys.tolist()
+            self.log[-1][3] = keys.tolist()
         return keys
 
 
@@ -103,6 +95,11 @@ def _typed(nodes):
     return [(type(node), node) for node in nodes]
 
 
+def _stored(state):
+    """Every group's stored edges, raw: what decides first occurrence."""
+    return [stored_raw_edges({"snapshots": [part]}) for part in state.snapshot()]
+
+
 def _outcome(state, batch):
     try:
         return state.process_edges(batch), None
@@ -116,15 +113,15 @@ def _step(subject, reference, batch, make=None):
     ``make`` rebuilds the batch for the reference (a generator is consumed
     by the first state).
     """
-    before_seen = set(subject.seen)
+    before_stored = _stored(subject)
     expect_columns = subject.kernel == "cc" and _qualifies(batch)
     logged = len(subject.interner.log), len(reference.interner.log)
     got = _outcome(subject, batch)
     want = _outcome(reference, make() if make is not None else batch)
     assert got == want
     if got[1] is not None:
-        # A failed batch leaves seen as it was on both sides.
-        assert subject.seen == before_seen
+        # A failed batch stores nothing on either side.
+        assert _stored(subject) == before_stored
     new_subject = subject.interner.log[logged[0]:]
     new_reference = reference.interner.log[logged[1]:]
     if got[1] is None:
@@ -134,7 +131,7 @@ def _step(subject, reference, batch, make=None):
         encoders = [entry[0] for entry in new_subject]
         assert encoders == ["columns" if expect_columns else "pairs"]
     assert _typed(subject.interner.nodes) == _typed(reference.interner.nodes)
-    assert subject.seen == reference.seen
+    assert _stored(subject) == _stored(reference)
     _assert_cache_exact(subject.interner)
 
 
@@ -204,7 +201,7 @@ class TestIntBatches:
                 reference.process_edge(*payload)
                 total += 1
                 assert subject.interner.nodes == reference.interner.nodes
-                assert subject.seen == reference.seen
+                assert _stored(subject) == _stored(reference)
         _assert_estimates_equal(subject, reference, total)
 
     def test_many_fresh_nodes_in_first_appearance_order(self):
@@ -286,7 +283,7 @@ class TestFallbackBatches:
     def test_fallbacks_match_encode_pairs(self, batches):
         """bool, float, numpy ints, strings, wrong arities, ints outside
         int64, unhashable nodes and generators: same result or exception
-        as encode_pairs, and a failed batch leaves ``seen`` unchanged."""
+        as encode_pairs, and a failed batch stores nothing."""
         subject, reference = _states(ReptConfig(m=3, c=7, seed=SEED, track_eta=True))
         total = 0
         for records, as_generator in batches:
@@ -318,25 +315,28 @@ class TestFallbackBatches:
         _assert_estimates_equal(subject, reference, 6)
 
 
-class TestPackedKeys:
-    def test_seen_holds_packed_keys(self):
+class TestFirstOccurrence:
+    def test_groups_store_each_distinct_edge_once(self):
+        """Repeats, within a batch and across batches, are not stored again."""
         subject, reference = _states(ReptConfig(m=2, c=2, seed=SEED))
         _step(subject, reference, [(10, 20), (20, 10), (30, 10)])
-        ids = subject.interner.id_of
-        assert subject.seen == {pack_pair(ids(10), ids(20)), pack_pair(ids(10), ids(30))}
+        _step(subject, reference, [(10, 30), (20, 10)])
+        assert _stored(subject) == [{(10, 20), (10, 30)}]
+        assert subject.total_edges_stored() == 2
 
-    def test_pickle_drops_the_cache_and_migrates_tuple_keys(self):
+    def test_pickle_drops_the_cache_and_an_older_seen_set(self):
         """The interner pickles without its id cache, and a state pickled
-        while ``seen`` held ``(lo, hi)`` tuples resumes with packed keys."""
+        with the set of consumed edges earlier versions kept resumes
+        without it."""
         subject, reference = _states(ReptConfig(m=3, c=6, seed=SEED, track_eta=True))
         batch = [(u, (u * 5 + 1) % 40) for u in range(150)]
         _step(subject, reference, batch)
-        subject.seen = set(map(unpack_pair, subject.seen))
+        subject.__dict__["seen"] = {(0, 1), (1, 2)}
         restored = pickle.loads(pickle.dumps(subject))
         assert restored.interner._cache_used == 0
+        assert "seen" not in vars(restored)
         restored.interner.log = []
         restored.interner.in_columns = False
-        assert restored.seen == reference.seen
         follow = [(u, (u * 3 + 2) % 45) for u in range(150)]
         _step(restored, reference, follow)
         _assert_estimates_equal(restored, reference, 300)
@@ -416,9 +416,9 @@ class TestInternerKeys:
                 if op == "intern":
                     interner.intern(_materialise(payload))
                 elif op == "encode_pairs":
-                    interner.encode_pairs([(_materialise(u), v) for u, v in payload], set())
+                    interner.encode_pairs([(_materialise(u), v) for u, v in payload])
                 elif op == "columns":
-                    interner._encode_columns([(_materialise(u), v) for u, v in payload], set())
+                    interner._encode_columns([(_materialise(u), v) for u, v in payload])
                 else:
                     interner = pickle.loads(pickle.dumps(interner))
             except (TypeError, RuntimeError):

@@ -112,8 +112,8 @@ class TestIngestionEquivalence:
         m, group_size = shape
         python, native = _pair(m, group_size)
         for chunk in _chunks(edges, chunk_seed):
-            python.process_edges(chunk, seen=None)
-            native.process_edges(chunk, seen=None)
+            python.process_edges(chunk)
+            native.process_edges(chunk)
         _assert_groups_equal(python, native)
 
     @given(edges=edges_strategy, shape=configs)
@@ -128,7 +128,6 @@ class TestIngestionEquivalence:
         for u, v in edges:
             python.process_edge(u, v)
             native.process_edge(u, v)
-        assert python.seen == native.seen
         assert python.summaries() == native.summaries()
         for python_group, native_group in zip(python.groups, native.groups):
             _assert_groups_equal(python_group, native_group)
@@ -138,8 +137,8 @@ class TestIngestionEquivalence:
     def test_untracked_locals_match(self, edges, shape):
         m, group_size = shape
         python, native = _pair(m, group_size, track_eta=False, track_local=False)
-        python.process_edges(edges, seen=None)
-        native.process_edges(edges, seen=None)
+        python.process_edges(edges)
+        native.process_edges(edges)
         assert python.summarise(True) == native.summarise(True)
         assert sorted(python.stored_edges()) == sorted(native.stored_edges())
 
@@ -153,13 +152,13 @@ class TestSnapshotAndMerge:
         m, group_size = shape
         cut = min(cut, len(edges))
         python, native = _pair(m, group_size)
-        native.process_edges(edges[:cut], seen=None)
+        native.process_edges(edges[:cut])
         snapshot = native.snapshot()
         python.restore(snapshot)
         resumed = _pair(m, group_size)[1]
         resumed.restore(snapshot)
-        python.process_edges(edges[cut:], seen=None)
-        resumed.process_edges(edges[cut:], seen=None)
+        python.process_edges(edges[cut:])
+        resumed.process_edges(edges[cut:])
         _assert_groups_equal(python, resumed)
 
     @given(edges=edges_strategy, shape=shapes, cut=st.integers(0, 150))
@@ -170,8 +169,8 @@ class TestSnapshotAndMerge:
         m, group_size = shape
         cut = min(cut, len(edges))
         python, native = _pair(m, group_size)
-        python.process_edges(edges[:cut], seen=None)
-        native.process_edges(edges[:cut], seen=None)
+        python.process_edges(edges[:cut])
+        native.process_edges(edges[:cut])
         # The later chunk, counted against the prefix's stored edges.
         later = ProcessorGroup(
             hash_function=make_hash_function("splitmix", m, seed=SEED),
@@ -181,7 +180,7 @@ class TestSnapshotAndMerge:
             track_eta=True,
         )
         later.restore(zeroed_snapshot(python))
-        later.process_edges(edges[cut:], seen=None)
+        later.process_edges(edges[cut:])
         snapshot = later.snapshot()
         python.merge_snapshot(snapshot)
         native.merge_snapshot(snapshot)
@@ -196,7 +195,7 @@ class TestSnapshotAndMerge:
         m, group_size = shape
         cut = min(cut, len(edges))
         source = _pair(m, group_size)[1]
-        source.process_edges(edges[:cut], seen=None)
+        source.process_edges(edges[:cut])
         zeroed = zeroed_snapshot(source)
         python, native = _pair(m, group_size)
         python.restore(zeroed)
@@ -204,8 +203,8 @@ class TestSnapshotAndMerge:
         assert sorted(python.stored_edges()) == sorted(source.stored_edges())
         assert sorted(native.stored_edges()) == sorted(source.stored_edges())
         assert python.total_edges_stored() == native.total_edges_stored() == 0
-        python.process_edges(edges[cut:], seen=None)
-        native.process_edges(edges[cut:], seen=None)
+        python.process_edges(edges[cut:])
+        native.process_edges(edges[cut:])
         _assert_groups_equal(python, native)
 
 
@@ -263,9 +262,9 @@ class TestGroupArraysModel:
         m, group_size = shape
         cut = min(cut, len(edges))
         python, native = _pair(m, group_size)
-        python.process_edges(edges[:cut], seen=None)
-        native.process_edges(edges[:cut], seen=None)
+        python.process_edges(edges[:cut])
+        native.process_edges(edges[:cut])
         native = pickle.loads(pickle.dumps(native))
-        python.process_edges(edges[cut:], seen=None)
-        native.process_edges(edges[cut:], seen=None)
+        python.process_edges(edges[cut:])
+        native.process_edges(edges[cut:])
         _assert_groups_equal(python, native)

@@ -12,14 +12,14 @@ plus the group's one batch loop:
   int64 extremes, values past int64), strs (lone surrogates included),
   bools and integral floats;
 * per-edge calls mixed with batches leave a ``kernel="auto"`` and a
-  ``kernel="python"`` state set equal after every step, in ``seen``,
+  ``kernel="python"`` state set equal after every step, in
   ``summaries()`` and every group's ``columns()``, on Algorithm 1,
   complete groups and a partial group, with local counts on and off,
   with η on, and with both hash families;
 * every group record holds its arrays' current addresses and capacities,
   the cell pool's included, across growth, ``restore_portable``,
   ``merge_snapshots`` and pickling;
-* a record that raises changes neither ``seen`` nor any counter, and a
+* a record that raises changes no stored edge and no counter, and a
   store settles loose per-edge counters.
 
 Under ``REPRO_KERNEL=python`` the ``auto`` side resolves to the dict
@@ -107,7 +107,6 @@ def _state_columns(state):
 
 
 def _assert_same(native, python):
-    assert native.seen == python.seen
     assert native.summaries() == python.summaries()
     assert _state_columns(native) == _state_columns(python)
 
@@ -389,11 +388,9 @@ class Touchy:
 def test_a_record_whose_key_raises_changes_nothing(kernel):
     state = GroupStateSet(ReptConfig(m=3, c=6, seed=2, track_eta=True), kernel=kernel)
     state.process_edges([(1, 2), (2, 3)])
-    seen = set(state.seen)
     before = _state_columns(state)
     with pytest.raises(RuntimeError, match="no order"):
         state.process_edge(Touchy(), 1)
-    assert state.seen == seen
     assert _state_columns(state) == before
 
 
@@ -407,7 +404,6 @@ def test_a_record_whose_growth_raises_changes_nothing(monkeypatch):
         # Ids past the groups' node columns, which cover the ids they reference.
         for node in range(1000, 1200):
             state.interner.intern(node)
-    seen = set(native.seen)
     before = _state_columns(native)
     grow = GroupArrays.ensure_nodes
 
@@ -419,7 +415,6 @@ def test_a_record_whose_growth_raises_changes_nothing(monkeypatch):
     monkeypatch.setattr(GroupArrays, "ensure_nodes", refuse)
     with pytest.raises(MemoryError):
         native.process_edge(1, 1150)
-    assert native.seen == seen
     assert _state_columns(native) == before
     monkeypatch.setattr(GroupArrays, "ensure_nodes", grow)
     native.process_edge(1, 1150)
