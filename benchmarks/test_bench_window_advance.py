@@ -1,11 +1,11 @@
-"""Window-advance benchmark: merge-based advance vs per-window re-ingestion.
+"""Window-advance benchmark: closing a monitor window vs per-window re-ingestion.
 
-The sliding-window monitor does its counting work when records *arrive*;
-advancing a window across a pane boundary then only detaches the pending
-pane's counters as an O(pane) delta, folds it into the window's
-accumulator (the exact η merge) and combines the summaries — no retained
-pane is ever re-ingested.  The re-ingestion alternative pays O(window) at
-every advance: build a fresh estimator and replay the window's records.
+The sliding-window monitor does its counting work when records *arrive*:
+each open window's one state set ingests the window's records.  Advancing
+a window across its last pane boundary then only combines that state
+set's summaries into the estimate — no record is ever re-ingested.  The
+re-ingestion alternative pays O(window) at every advance: build a fresh
+estimator and replay the window's records.
 
 This benchmark drives both over the same timestamped packet-flow trace and
 asserts
@@ -13,9 +13,8 @@ asserts
 * **exactness** — every monitor window estimate is bit-identical to the
   from-scratch re-ingestion of the same records, and
 * **advance latency** — the monitor's median per-advance cost beats the
-  median per-window re-ingestion cost (the margin is ~8x at the default
-  scale; ``REPRO_BENCH_WINDOW_ADVANCE_TOL`` relaxes the comparison for
-  noisy machines).
+  median per-window re-ingestion cost (``REPRO_BENCH_WINDOW_ADVANCE_TOL``
+  relaxes the comparison for noisy machines).
 
 The amortized totals (arrival-time ingestion vs summed re-ingestion) are
 printed for context: with overlapping windows both designs update each
@@ -54,9 +53,9 @@ def test_bench_window_advance():
     for record in records:
         pane_buckets.setdefault(int(record.time // PANE_SECONDS), []).append(record)
 
-    # Merge-based monitor: arrival work per pane, then the timed advance —
-    # an explicit watermark tick across the pane boundary that closes the
-    # due window by folding the pending pane delta into its accumulator.
+    # Monitor: arrival work per pane, then the timed advance — an explicit
+    # watermark tick across the pane boundary that closes the due window
+    # by estimating its state set.
     monitor = WindowedTriangleMonitor(
         WINDOW_SECONDS,
         slide_seconds=PANE_SECONDS,
@@ -92,8 +91,8 @@ def test_bench_window_advance():
         estimate = estimator.estimate()
         reingest_seconds.append(time.perf_counter() - start)
 
-        # Exactness first: merge-based advance is an execution strategy,
-        # not an approximation.
+        # Exactness first: advancing without re-ingestion is an execution
+        # strategy, not an approximation.
         assert estimate.global_count == result.estimate.global_count
         assert estimate.local_counts == result.estimate.local_counts
         assert estimate.edges_stored == result.estimate.edges_stored
@@ -104,7 +103,7 @@ def test_bench_window_advance():
     print(
         f"\n  {len(results)} windows (window={WINDOW_SECONDS:.0f}s, "
         f"pane={PANE_SECONDS:.0f}s, {len(records)} records): "
-        f"merge-based advance median {advance_ms:.2f}ms vs "
+        f"window-close advance median {advance_ms:.2f}ms vs "
         f"re-ingestion median {reingest_ms:.2f}ms "
         f"({reingest_ms / advance_ms:.1f}x)"
     )
@@ -113,6 +112,6 @@ def test_bench_window_advance():
         f"summed re-ingestion {sum(reingest_seconds):.2f}s total"
     )
     assert advance_ms * ADVANCE_TOL < reingest_ms, (
-        f"merge-based advance ({advance_ms:.2f}ms median) did not beat "
+        f"window-close advance ({advance_ms:.2f}ms median) did not beat "
         f"per-window re-ingestion ({reingest_ms:.2f}ms median)"
     )

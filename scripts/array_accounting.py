@@ -12,9 +12,10 @@ native group's ``GroupArrays`` take (the sum perfbench's traced
   frames interleaved one frame per tenant at a time; each tenant's array
   MB and their sum after the whole stream.
 * ``monitor``: one pass of ``monitor-sliding``'s chunks and watermarks
-  through a ``WindowedTriangleMonitor``; the open chains' array MB at the
-  end of the pass (before the flush), split by column, and the growth of
-  the process's resident set over the pass.
+  through a ``WindowedTriangleMonitor``; the array MB of the open windows'
+  state sets (one per window) at the end of the pass (before the flush),
+  split by column, and the growth of the process's resident set over the
+  pass.
 
 It reads perfbench's input generators and configurations, so its figures
 match the benchmark's shapes; it changes nothing there.
@@ -95,11 +96,9 @@ def monitor(seed: int) -> dict:
     by_column: Counter = Counter()
     total = 0
     for chain in monitor._chains.values():
-        for state in (getattr(chain, "live", None), getattr(chain, "acc", None)):
-            if state is not None:
-                total += _array_bytes(state, by_column)
+        total += _array_bytes(chain.state, by_column)
     return {
-        "open_chain_array_mb": total / 1e6,
+        "open_window_array_mb": total / 1e6,
         "by_column_mb": {name: round(size / 1e6, 3) for name, size in by_column.most_common()},
         "rss_growth_mb": grown,
     }

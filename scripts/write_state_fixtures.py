@@ -20,8 +20,9 @@ complete group and a partial group of two processors, so η is tracked.
   checkpoints;
 * ``estimator.pkl`` — a pickled ``ReptEstimator`` on the C kernel;
 * ``monitor/`` and ``monitor-python/`` — ``run_monitor_durable``
-  checkpoints with pane rings, with ``kernel="auto"`` (the C kernel where
-  it builds) and with ``kernel="python"``.
+  checkpoints with open windows and closed results, with
+  ``kernel="auto"`` (the C kernel where it builds) and with
+  ``kernel="python"``.
 """
 
 from __future__ import annotations

@@ -52,8 +52,8 @@ carries its first-occurrence state with them.
 Mergeable state
 ---------------
 The counters are *mergeable* across consecutive stretches of the stream,
-which is what the sliding-window monitor's pane deltas exploit (see
-below).  The key observation is that the **storing** process (which edges
+which is what snapshots, restores and the pane-delta protocol below
+exploit.  The key observation is that the **storing** process (which edges
 end up in which processor's sampled edge set) depends only on the hash
 function and the set of distinct edges consumed — never on the counters.  A
 group that keeps the stored-edge index as it stood at a boundary but
@@ -83,7 +83,7 @@ ingestion, snapshot/merge and summarisation in one place.  The estimator
 (:mod:`repro.core.parallel`), the durable runner and the service sessions
 each advance one through :meth:`GroupStateSet.process_edges`; the
 sliding-window monitor (:mod:`repro.streaming.monitor`) feeds shared
-encoded batches to one live and one accumulator state set per window.
+encoded batches to one state set per open window.
 
 State format and pane deltas
 ----------------------------
@@ -95,17 +95,19 @@ and :meth:`ProcessorGroup.reset` — and snapshot, restore and merge are
 built on them once here; :mod:`repro.core.portable` writes and reads the
 portable form.
 
-The monitor's *pane delta* protocol (:meth:`ProcessorGroup.take_pane_deltas`)
-detaches a live group's counters at every pane boundary while the group
-keeps its stored-edge index — exactly the zeroed-counters-at-a-boundary
-state the merge contract expects — so a window advances by folding one
-O(pane) delta instead of re-ingesting the window.  The delta's stored
-edges are only the pane-new ones: :meth:`GroupStateSet.ingest_encoded`
+The *pane delta* protocol (:meth:`ProcessorGroup.take_pane_deltas` and
+:meth:`GroupStateSet.merge_pane_deltas`) is library API with no monitor
+caller: the monitor's windows each ingest their own records into one
+state set.  A take detaches a live group's counters at a boundary while
+the group keeps its stored-edge index — exactly the
+zeroed-counters-at-a-boundary state the merge contract expects — so an
+accumulator advances by folding one O(stretch) delta.  The delta's stored
+edges are only the stretch's new ones: :meth:`GroupStateSet.ingest_encoded`
 with ``collect_stored=True`` returns each group's stored edges of a batch
 as ``(slot, u, v)`` int64 columns — on the C kernel the edge rows the
-batch appended — which the caller concatenates per pane and hands to the
-take.  The live groups keep their stored edges, so within a window each
-decides first occurrence as an uninterrupted run would.
+batch appended — which the caller concatenates per stretch and hands to
+the take.  The live groups keep their stored edges, so each decides first
+occurrence as an uninterrupted run would.
 """
 
 from __future__ import annotations

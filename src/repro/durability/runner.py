@@ -194,9 +194,10 @@ def run_monitor_durable(
     the monitor *and* every window result sealed so far, so the returned
     ``results`` list is complete across crashes: windows sealed before the
     last checkpoint come from the checkpoint, later ones from replay —
-    and because the monitor's pane/watermark state round-trips exactly
-    through pickle, the combined list is bit-identical to the
-    uninterrupted run's.
+    and because the monitor's open windows' state sets and its watermark
+    round-trip exactly through pickle, the combined list is bit-identical
+    to the uninterrupted run's.  Checkpoints whose windows still carry
+    the pane-delta rings of earlier versions resume bit-identically too.
 
     ``flush=True`` drains still-open windows once the stream ends (same
     contract as :meth:`WindowedTriangleMonitor.flush`).

@@ -6,8 +6,8 @@ planted anomaly bursts is fed once, in arrival order, through
 :class:`~repro.streaming.monitor.WindowedTriangleMonitor`, and every
 emitted window is estimated three ways:
 
-* **REPT** through the merge-based engine (pane deltas, shared encoding,
-  no re-ingestion on window advance);
+* **REPT** through the monitor's REPT engine (one state set per open
+  window, shared encoding, no re-ingestion on window advance);
 * **exact** through a per-window exact streaming counter (ground truth);
 * **TRIÈST** through a per-window reservoir estimator (fixed-memory
   baseline).
@@ -64,7 +64,7 @@ def windowed_monitoring(
 
     Returns one row per emitted window with the exact count, the REPT and
     TRIÈST estimates and their relative errors.  The REPT column comes from
-    the merge-based monitor engine, whose estimates are bit-identical to
+    the monitor's REPT engine, whose estimates are bit-identical to
     re-ingesting each window from scratch — so its errors here are purely
     the estimator's sampling error, never an artefact of the windowing.
 

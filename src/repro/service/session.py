@@ -382,7 +382,7 @@ class EstimatorEngine(SessionEngine):
 
 
 class MonitorEngine(SessionEngine):
-    """Sliding-window monitor engine (merge-based REPT chains).
+    """Sliding-window monitor engine (one REPT state set per open window).
 
     Frames must carry timestamps.  The service's watermark timer ticks
     :meth:`advance_watermark` with the largest event time seen — possibly

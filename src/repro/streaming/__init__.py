@@ -9,8 +9,8 @@ sequence, plus the plumbing a real deployment needs:
   deterministic shuffling, sub-sampling);
 * time-interval windowing for the traffic-monitoring use case the paper's
   introduction motivates (counting triangles per hour of a packet stream);
-* the sliding-window monitor serving per-interval estimates online with
-  merge-based window advance (no re-ingestion of retained panes).
+* the sliding-window monitor serving per-interval estimates online, one
+  REPT state set per open window (no record is ever re-ingested).
 """
 
 from repro.streaming.edge_stream import EdgeStream
@@ -29,11 +29,7 @@ from repro.streaming.transforms import (
     subsample_stream,
 )
 from repro.streaming.windows import TimeWindowedStream, TimestampedRecord
-from repro.streaming.monitor import (
-    MonitorWindowResult,
-    PaneDelta,
-    WindowedTriangleMonitor,
-)
+from repro.streaming.monitor import MonitorWindowResult, WindowedTriangleMonitor
 from repro.streaming.degree_tracker import DegreeTracker
 
 __all__ = [
@@ -54,5 +50,4 @@ __all__ = [
     "TimestampedRecord",
     "WindowedTriangleMonitor",
     "MonitorWindowResult",
-    "PaneDelta",
 ]

@@ -1,4 +1,4 @@
-"""Sliding-window triangle monitoring with merge-based window advance.
+"""Sliding-window triangle monitoring: one REPT state set per open window.
 
 The paper's headline deployment is interval-based traffic monitoring: a
 router observes a packet stream and wants global/local triangle counts
@@ -6,42 +6,30 @@ router observes a packet stream and wants global/local triangle counts
 serves that workload offline by slicing a materialised trace;
 :class:`WindowedTriangleMonitor` serves it online: timestamped records are
 ingested once, windows (tumbling or sliding) are assembled from fixed-width
-**panes**, and advancing a window never re-ingests retained panes.
+**panes**, and advancing a window never re-ingests a record.
 
 Architecture
 ------------
 Time is divided into half-open panes of ``pane_seconds`` aligned at the
 monitor's origin.  Window ``w`` covers the ``K = window/pane`` panes
 starting at pane ``w · s`` (``s = slide/pane``); tumbling windows are the
-``s = K`` special case.  Each window in flight is a *chain* built on the
-shared mergeable-state abstraction of :mod:`repro.core.state`:
+``s = K`` special case.  Panes are the routing and sealing grid: each
+arriving batch is split into pane buckets, each bucket goes to every open
+window covering its pane, and a window closes once the watermark seals its
+last pane.
 
-* a **live** :class:`~repro.core.state.GroupStateSet` ingests the window's
-  records as they arrive;
-* at every pane boundary the live counters are detached as an O(pane)
-  *pane delta* (:meth:`~repro.core.state.ProcessorGroup.take_pane_deltas`)
-  — the live groups keep their stored-edge index with zeroed counters,
-  exactly the boundary state the merge contract expects — and folded into
-  an **accumulator** state set with the exact η correction
-  (:meth:`~repro.core.state.ProcessorCounters.merge`);
-* the window's **ring** of pane deltas is retained for per-pane
-  attribution and diagnostics, and a closed window's result keeps it.
-  Each pane delta is a handful of int64 column blocks per group
-  (:class:`~repro.core.portable.ColumnarDelta`), on the C kernel detached
-  and folded by compiled calls, so a ring holds a fixed number of Python
-  objects whatever its panes held; a pane's portable snapshots are
-  written only when read.
-
-Because every chain of one monitor shares the configuration's hash seeds
-and one interning table, each arriving batch is canonicalised, interned
-and keyed **once** (:meth:`~repro.core.state.GroupStateSet.encode`, the
-compiled pass for all-int batches on the C kernel) and every open window
-consumes the same :class:`~repro.core.state.EncodedBatch`.  Each window's
-live groups keep the window's stored edges, so they decide first
+Each REPT window in flight is one :class:`~repro.core.state.GroupStateSet`
+that ingests exactly the window's records, so it runs the paper's
+Algorithms 1–2 over them and is estimated, as it stands, when the window
+closes.  Because every window of one monitor shares the configuration's
+hash seeds and one interning table, each pane bucket is canonicalised,
+interned and keyed **once** (:meth:`~repro.core.state.GroupStateSet.encode`,
+the compiled pass for all-int batches on the C kernel) and every open
+window consumes the same :class:`~repro.core.state.EncodedBatch`.  Each
+window's groups keep the window's stored edges, so they decide first
 occurrence within the window themselves — the per-record cost of window
 overlap is only each window's record step, not the full pipeline.
-Closing a window drops its chain in O(1); no retained pane is ever
-re-ingested.
+Closing a window estimates its state set and drops it in O(1).
 
 Estimates are **bit-identical** to re-ingesting each emitted window's
 records from scratch with :class:`~repro.core.rept.ReptEstimator` (the
@@ -66,16 +54,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.base import StreamingTriangleEstimator, TriangleEstimate
-from repro.core import portable
 from repro.core.config import ReptConfig
-from repro.core.portable import ColumnarDelta
 from repro.exceptions import ConfigurationError
-from repro.core.state import (
-    EncodedBatch,
-    GroupSnapshot,
-    GroupStateSet,
-    counter_columns,
-)
+from repro.core.state import EncodedBatch, GroupStateSet
 from repro.streaming.windows import TimestampedRecord
 from repro.types import EdgeTuple, NodeId
 from repro.utils.rng import derive_seed
@@ -88,65 +69,17 @@ EstimatorFactory = Callable[[int], StreamingTriangleEstimator]
 
 
 class PaneDelta:
-    """One retained pane of one window: counters detached at the boundary.
+    """What a pane delta pickled by an earlier version unpickles into.
 
-    The pane's counters are kept as one
-    :class:`~repro.core.portable.ColumnarDelta` of int64 columns per
-    processor group, on either kernel.  :attr:`snapshots` writes them as
-    portable group parts (see :mod:`repro.core.portable`) whose stored
-    edges are only the pane-new ones — genuine mergeable snapshots of
-    O(pane) size, foldable anywhere via
-    :meth:`~repro.core.state.ProcessorGroup.merge_snapshot`.  They are
-    written on first access, so the monitor's hot path never pays for
-    snapshots nobody reads; the shared interning table is append-only,
-    which is what makes late translation safe.  A delta holds only the
-    group *shapes*, the monitor-wide id→node table and its own O(pane)
-    counters — never the window's live groups — so retaining closed-window
-    results does not pin per-window adjacency state.
-
-    Attribution note: records admitted late (within ``allowed_lateness``)
-    are booked into the pane a window is assembling when they *arrive*;
-    window totals and estimates are unaffected (the merge is split-point
-    agnostic), only this diagnostic per-pane breakdown follows arrival
-    rather than event time.
+    Windows and results of earlier versions kept rings of per-pane
+    counter deltas; loading one of their pickles drops every ring, so an
+    instance holds nothing.
     """
 
-    __slots__ = ("pane", "records", "_shapes", "_nodes", "_deltas", "_snapshots")
-
-    def __init__(self, pane: int, records: int, shapes, nodes, deltas) -> None:
-        self.pane = pane
-        self.records = records
-        self._shapes = shapes
-        self._nodes = nodes
-        self._deltas = deltas
-        self._snapshots: Optional[Tuple[GroupSnapshot, ...]] = None
+    __slots__ = ()
 
     def __setstate__(self, state) -> None:
-        _, slots = state
-        for name, value in slots.items():
-            setattr(self, name, value)
-        # Earlier versions kept per-slot ProcessorCounters lists on the dict
-        # reference and cached snapshots in the dict form.
-        self._deltas = [
-            delta if isinstance(delta, ColumnarDelta) else counter_columns(delta)
-            for delta in self._deltas
-        ]
-        self._snapshots = None
-
-    @property
-    def snapshots(self) -> Tuple[GroupSnapshot, ...]:
-        """Portable per-group snapshots of this pane's deltas (cached)."""
-        if self._snapshots is None:
-            self._snapshots = tuple(
-                portable.group_part(group_size, m, self._nodes, delta)
-                for (group_size, m), delta in zip(self._shapes, self._deltas)
-            )
-        return self._snapshots
-
-    @property
-    def tau_delta(self) -> int:
-        """Summed semi-triangle increments of this pane (diagnostics)."""
-        return sum(int(delta.rows[0].sum()) for delta in self._deltas)
+        pass
 
 
 @dataclass(frozen=True)
@@ -167,112 +100,52 @@ class MonitorWindowResult:
     estimate: TriangleEstimate
     complete: bool = True
     replay: Optional[List[EdgeTuple]] = None
-    pane_deltas: Optional[Tuple[PaneDelta, ...]] = None
+
+    def __setstate__(self, state) -> None:
+        # Results of earlier versions kept their window's pane-delta ring.
+        state.pop("pane_deltas", None)
+        self.__dict__.update(state)
+
+
+def _rept_estimate(state: GroupStateSet, records: int) -> TriangleEstimate:
+    estimate = state.estimate(records)
+    estimate.metadata["algorithm"] = 2.0 if state.config.uses_groups else 1.0
+    return estimate
 
 
 class _MergeableReptChain:
-    """One in-flight window of the REPT engine.
+    """One in-flight window of the REPT engine: one state set over its records."""
 
-    The **live** state set ingests the window's records as they arrive.
-    Every pane boundary detaches the live counters as an O(pane) delta
-    (the live groups keep their stored-edge index with zeroed counters —
-    the boundary state of the merge contract), keeps it in the window's
-    ring and folds it into the **accumulator** with the exact η
-    correction; the final estimate comes from the accumulator,
-    bit-identical to from-scratch re-ingestion.
-    """
+    __slots__ = ("state", "records", "replay")
 
-    __slots__ = (
-        "live",
-        "acc",
-        "start_pane",
-        "end_pane",
-        "current_pane",
-        "records",
-        "pane_records",
-        "_pane_stored",
-        "ring",
-        "replay",
-    )
-
-    def __init__(
-        self,
-        config: ReptConfig,
-        interner,
-        hash_functions,
-        start_pane: int,
-        end_pane: int,
-        record_replay: bool,
-    ) -> None:
-        self.live = GroupStateSet(config, interner=interner, hash_functions=hash_functions)
-        self.acc = GroupStateSet(config, interner=interner, hash_functions=hash_functions)
-        self.start_pane = start_pane
-        self.end_pane = end_pane
-        self.current_pane = start_pane
+    def __init__(self, state: GroupStateSet, record_replay: bool) -> None:
+        self.state = state
         self.records = 0
-        self.pane_records = 0
         self.replay: Optional[List[EdgeTuple]] = [] if record_replay else None
-        self._pane_stored: List[List[np.ndarray]] = [[] for _ in self.live.groups]
-        self.ring: List[PaneDelta] = []
 
-    def ingest(self, pane: int, batch: EncodedBatch, raw_edges: Sequence[EdgeTuple]) -> None:
+    def ingest(self, batch: EncodedBatch, raw_edges: Sequence[EdgeTuple]) -> None:
         """Advance the window over one shared encoded pane bucket."""
-        self._roll_to(pane)
-        stored = self.live.ingest_encoded(batch, collect_stored=True)
-        for bucket, new in zip(self._pane_stored, stored):
-            if new.shape[1]:
-                bucket.append(new)
+        self.state.ingest_encoded(batch)
         self.records += batch.n_records
-        self.pane_records += batch.n_records
         if self.replay is not None:
             self.replay.extend(raw_edges)
 
-    def _roll_to(self, pane: int) -> None:
-        while self.current_pane < pane:
-            self._roll()
-
-    def _roll(self) -> None:
-        """Advance one pane boundary: detach the live counters as an O(pane)
-        delta, keep it in the ring and fold it into the accumulator."""
-        deltas = self.live.take_pane_deltas(
-            [
-                np.concatenate(bucket, axis=1) if bucket else np.empty((3, 0), np.int64)
-                for bucket in self._pane_stored
-            ]
-        )
-        if self.pane_records:
-            self.ring.append(
-                PaneDelta(
-                    pane=self.current_pane,
-                    records=self.pane_records,
-                    shapes=[(g.group_size, g.m) for g in self.live.groups],
-                    nodes=self.live.interner.nodes,
-                    deltas=deltas,
-                )
-            )
-        self.acc.merge_pane_deltas(deltas)
-        self._pane_stored = [[] for _ in self.live.groups]
-        self.pane_records = 0
-        self.current_pane += 1
-
     def __setstate__(self, state) -> None:
         _, slots = state
+        if "acc" in slots:
+            # Windows of earlier versions split their counters at every pane
+            # boundary between a live state set and an accumulator, beside a
+            # ring of pane deltas.  The live set's counters are the pending
+            # pane's: fold them in, and the accumulator stands for the window.
+            acc = slots["acc"]
+            for group, live in zip(acc.groups, slots["live"].groups):
+                group.merge_deltas(live.columns())
+            slots = {"state": acc, "records": slots["records"], "replay": slots["replay"]}
         for name, value in slots.items():
             setattr(self, name, value)
-        # Older checkpoints collected stored edges as (slot, iu, iv) tuples.
-        self._pane_stored = [
-            [np.array(bucket, np.int64).reshape(-1, 3).T.copy()]
-            if bucket and isinstance(bucket[0], tuple)
-            else bucket
-            for bucket in self._pane_stored
-        ]
 
     def finalize(self) -> Tuple[int, TriangleEstimate]:
-        if self.pane_records:
-            self._roll()
-        estimate = self.acc.estimate(self.records)
-        estimate.metadata["algorithm"] = 2.0 if self.acc.config.uses_groups else 1.0
-        return self.records, estimate
+        return self.records, _rept_estimate(self.state, self.records)
 
 
 class _EstimatorChain:
@@ -284,7 +157,7 @@ class _EstimatorChain:
         self.estimator = factory(seed)
         self.replay: Optional[List[EdgeTuple]] = [] if record_replay else None
 
-    def ingest(self, pane: int, edges: Sequence[EdgeTuple]) -> None:
+    def ingest(self, edges: Sequence[EdgeTuple]) -> None:
         self.estimator.process_edges(edges)
         if self.replay is not None:
             self.replay.extend(edges)
@@ -308,8 +181,9 @@ class WindowedTriangleMonitor:
         Pane granularity (default: ``slide_seconds``).  Must evenly divide
         both the window and the slide.
     config:
-        REPT parameters — selects the merge-based engine (shared encoding,
-        O(pane) advance).  Mutually exclusive with ``estimator_factory``.
+        REPT parameters — selects the REPT engine (shared encoding, one
+        state set per open window).  Mutually exclusive with
+        ``estimator_factory``.
     estimator_factory:
         ``(seed) -> estimator`` building a fresh
         :class:`~repro.baselines.base.StreamingTriangleEstimator` per
@@ -401,7 +275,7 @@ class WindowedTriangleMonitor:
         )
         if (config is None) == (estimator_factory is None):
             raise ConfigurationError(
-                "exactly one of config (merge-based REPT engine) or "
+                "exactly one of config (REPT engine) or "
                 "estimator_factory must be given"
             )
         if late_policy not in LATE_POLICIES:
@@ -570,23 +444,20 @@ class WindowedTriangleMonitor:
         if self._template is not None:
             batch = self._template.encode(edges)
             for window in range(first_window, last_window + 1):
-                self._rept_chain(window).ingest(pane, batch, edges)
+                self._rept_chain(window).ingest(batch, edges)
         else:
             for window in range(first_window, last_window + 1):
-                self._factory_chain(window).ingest(pane, edges)
+                self._factory_chain(window).ingest(edges)
 
     def _rept_chain(self, window: int) -> _MergeableReptChain:
         chain = self._chains.get(window)
         if chain is None:
-            start_pane = window * self._slide_panes
-            chain = _MergeableReptChain(
+            state = GroupStateSet(
                 self.config,
-                self._template.interner,
-                self._hash_functions,
-                start_pane,
-                start_pane + self._window_panes,
-                self.record_replay,
+                interner=self._template.interner,
+                hash_functions=self._hash_functions,
             )
+            chain = _MergeableReptChain(state, self.record_replay)
             self._chains[window] = chain
         return chain
 
@@ -609,11 +480,9 @@ class WindowedTriangleMonitor:
         An explicit event-time tick (e.g. an idle stream, or a driver that
         knows a pane's arrivals are complete).  ``allowed_lateness`` is
         honoured exactly as for record timestamps.  Advancing across a
-        window's final pane boundary performs **no re-ingestion of retained
-        panes**: the pending pane's counters are detached as an O(pane)
-        delta, folded into the window's accumulator with the exact η
-        correction, and the estimate is combined from the merged summaries.
-        The watermark never moves backwards.
+        window's final pane boundary **re-ingests nothing**: the window's
+        state set already holds its counters, and the estimate is combined
+        from their summaries.  The watermark never moves backwards.
         """
         time = float(time)
         if not math.isfinite(time):
@@ -659,32 +528,20 @@ class WindowedTriangleMonitor:
     def _close_window(self, window: int, complete: bool) -> MonitorWindowResult:
         chain = self._chains.pop(window, None)
         start = self._origin + window * self._slide_panes * self.pane_seconds
-        replay: Optional[List[EdgeTuple]] = [] if self.record_replay else None
-        pane_deltas: Optional[Tuple[PaneDelta, ...]] = None
-        if chain is None:
+        if chain is not None:
+            records, estimate = chain.finalize()
+            replay = chain.replay
+        else:
             # An empty window: emit the zero estimate so per-interval series
             # stay aligned with time.
+            records = 0
+            replay = [] if self.record_replay else None
             if self._template is not None:
-                acc = GroupStateSet(
-                    self.config,
-                    interner=self._template.interner,
-                    hash_functions=self._hash_functions,
-                )
-                estimate = acc.estimate(0)
-                estimate.metadata["algorithm"] = (
-                    2.0 if self.config.uses_groups else 1.0
-                )
+                estimate = _rept_estimate(self._template, 0)
             else:
                 estimate = self.estimator_factory(
                     derive_seed(self.seed, "monitor-window", window)
                 ).estimate()
-            records = 0
-        else:
-            records, estimate = chain.finalize()
-            if chain.replay is not None:
-                replay = chain.replay
-            if isinstance(chain, _MergeableReptChain):
-                pane_deltas = tuple(chain.ring)
         result = MonitorWindowResult(
             index=window,
             start=start,
@@ -693,7 +550,6 @@ class WindowedTriangleMonitor:
             estimate=estimate,
             complete=complete,
             replay=replay,
-            pane_deltas=pane_deltas,
         )
         self.results.append(result)
         self._next_close_index = window + 1
@@ -725,11 +581,3 @@ class WindowedTriangleMonitor:
     def open_window_indices(self) -> List[int]:
         """Indices of the windows currently holding state, ascending."""
         return sorted(self._chains)
-
-    def open_pane_deltas(self) -> Dict[int, Tuple[PaneDelta, ...]]:
-        """The retained pane-delta rings of the open REPT windows."""
-        return {
-            window: tuple(chain.ring)
-            for window, chain in sorted(self._chains.items())
-            if isinstance(chain, _MergeableReptChain)
-        }

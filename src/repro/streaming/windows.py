@@ -20,7 +20,7 @@ policy — never a silent drop.
 
 This class slices a *materialised* record sequence, so out-of-order
 delivery is handled by sorting.  The streaming counterpart — watermarks,
-bounded lateness, merge-based window advance — lives in
+bounded lateness, window advance without re-ingestion — lives in
 :class:`repro.streaming.monitor.WindowedTriangleMonitor`.
 """
 

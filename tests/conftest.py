@@ -7,6 +7,9 @@ session-cached medium stream for statistical tests.
 
 from __future__ import annotations
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -137,3 +140,20 @@ def dict_form(state):
         "snapshots": [dict_snapshot(part) for part in state["snapshots"]],
         "seen": sorted(stored_raw_edges(state), key=repr),
     }
+
+
+def reachable(*roots):
+    """Every object reachable from ``roots`` through ``gc.get_referents``.
+
+    Classes and modules are not entered, so the walk stays inside the
+    instances the roots hold.
+    """
+    seen, stack, found = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found

@@ -7,13 +7,11 @@ import pickle
 import pytest
 
 from repro.core.config import ReptConfig
-from repro.core.state import slot_counters
 from repro.durability import run_monitor_durable
 from repro.exceptions import RecoveryError
 from repro.streaming.monitor import WindowedTriangleMonitor
 from repro.testing.faults import FaultPlan, FaultSpec, InjectedFault, arm
 from repro.utils.rng import as_random_source
-from tests.conftest import dict_snapshot, raw_snapshot
 
 CONFIG = ReptConfig(m=4, c=6, seed=11, track_local=True)
 
@@ -136,69 +134,40 @@ class TestMonitorDurable:
 
 
 def _age_to_older_format(monitor):
-    """Rewrite a monitor's pane state in the layout older checkpoints hold.
+    """Rewrite a monitor's window state in the layout older checkpoints hold.
 
-    Older monitors collected each chain's stored edges as ``(slot, iu, iv)``
-    tuples, kept rings of per-slot ``ProcessorCounters`` lists with the
-    snapshots they had written cached in the dict form, and gave every
-    array-backed group a ``(slot, u, v) -> eid`` dict with its sync mark.
+    Older versions gave every array-backed group a ``(slot, u, v) -> eid``
+    dict with its sync mark.  The chain layouts of older monitors (a live
+    state set, an accumulator and a ring of pane deltas per window) are
+    pinned by the checkpoints under ``tests/fixtures/``.
     """
     for chain in monitor._chains.values():
-        chain._pane_stored = [
-            [
-                record
-                for columns in bucket
-                for record in zip(*(column.tolist() for column in columns))
-            ]
-            for bucket in chain._pane_stored
-        ]
-        for delta in chain.ring:
-            delta._snapshots = tuple(dict_snapshot(part) for part in delta.snapshots)
-            delta._deltas = [slot_counters(group_delta) for group_delta in delta._deltas]
-        for state in (chain.live, chain.acc):
-            for group in state.groups:
-                arrays = getattr(group, "_arrays", None)
-                if arrays is not None:
-                    n = arrays.n_edges
-                    arrays._pair_eids = {
-                        (int(arrays.edge_slot[e]), int(arrays.edge_u[e]), int(arrays.edge_v[e])): e
-                        for e in range(n)
-                    }
-                    arrays._pair_sync = n
-
-
-def _ring_rows(results):
-    return [
-        [
-            (
-                delta.pane,
-                delta.records,
-                delta.tau_delta,
-                [raw_snapshot(snapshot) for snapshot in delta.snapshots],
-            )
-            for delta in result.pane_deltas or ()
-        ]
-        for result in results
-    ]
+        for group in chain.state.groups:
+            arrays = getattr(group, "_arrays", None)
+            if arrays is not None:
+                n = arrays.n_edges
+                arrays._pair_eids = {
+                    (int(arrays.edge_slot[e]), int(arrays.edge_u[e]), int(arrays.edge_v[e])): e
+                    for e in range(n)
+                }
+                arrays._pair_sync = n
 
 
 class TestOlderCheckpoints:
     @pytest.mark.parametrize("cut", [700, 1300])
-    def test_older_pane_state_resumes_exactly(self, cut):
+    def test_older_group_arrays_resume_exactly(self, cut):
         reference = _make_monitor()
         expected = reference.ingest(RECORDS)
         expected.extend(reference.flush())
 
         monitor = _make_monitor()
         results = monitor.ingest(RECORDS[:cut])
-        assert any(chain.pane_records for chain in monitor._chains.values())
+        assert monitor._chains
         _age_to_older_format(monitor)
         resumed = pickle.loads(pickle.dumps(monitor, protocol=pickle.HIGHEST_PROTOCOL))
         for chain in resumed._chains.values():
-            for state in (chain.live, chain.acc):
-                for group in state.groups:
-                    assert not hasattr(getattr(group, "_arrays", None), "_pair_eids")
+            for group in chain.state.groups:
+                assert not hasattr(getattr(group, "_arrays", None), "_pair_eids")
         results.extend(resumed.ingest(RECORDS[cut:]))
         results.extend(resumed.flush())
         assert _rows(results) == _rows(expected)
-        assert _ring_rows(results) == _ring_rows(expected)

@@ -4,11 +4,14 @@ Each directory under ``tests/fixtures/`` holds one checkpoint of every
 state boundary as an older version wrote it (see its README and
 ``scripts/write_state_fixtures.py``): a service ``rept`` tenant, a
 ``run_rept_durable`` run, the elastic coordinator's per-shard checkpoints,
-a pickled native ``ReptEstimator`` and ``run_monitor_durable`` runs with
-pane rings on each kernel.  ``dict-form/`` pins the raw-keyed dict state
-format; ``dense-cells/`` pins native groups whose per-(slot, node) state
-was laid out in dense ``group_size × node_cap`` blocks, in the pickled
-estimator and the native monitor's checkpoints.  Every one is cut halfway
+a pickled native ``ReptEstimator`` and ``run_monitor_durable`` runs on
+each kernel.  ``dict-form/`` pins the raw-keyed dict state format;
+``dense-cells/`` pins native groups whose per-(slot, node) state was laid
+out in dense ``group_size × node_cap`` blocks, in the pickled estimator
+and the native monitor's checkpoints; ``pane-rings/`` pins the monitor
+windows' last layout with a live state set, an accumulator and a ring of
+pane deltas each (all three sets' windows kept those), which now resume
+as one state set per window.  Every one is cut halfway
 through the same stream; resumed here and fed the rest, through batches
 and through per-edge calls, each must end exactly where an uninterrupted
 run ends: global and local counts, ``eta_hat``, ``edges_stored`` and
@@ -35,9 +38,10 @@ from repro.durability import run_monitor_durable, run_rept_durable
 from repro.durability.checkpoint import CheckpointManager, shard_checkpoint_dir
 from repro.service import EstimationService, InProcessClient
 from repro.streaming.monitor import WindowedTriangleMonitor
+from tests.conftest import reachable
 
 ROOT = Path(__file__).resolve().parents[1] / "fixtures"
-FIXTURE_SETS = ("dict-form", "dense-cells")
+FIXTURE_SETS = ("dict-form", "dense-cells", "pane-rings")
 STREAM = json.loads((ROOT / "dict-form" / "stream.json").read_text())
 RECORDS = [tuple(record) for record in STREAM["records"]]
 EDGES = [(u, v) for u, v, _ in RECORDS]
@@ -196,7 +200,6 @@ def _window_rows(results):
             result.records,
             result.complete,
             _key(result.estimate),
-            [(d.pane, d.records, d.tau_delta) for d in result.pane_deltas or ()],
         )
         for result in results
     ]
@@ -210,11 +213,15 @@ def test_monitor_with_pane_rings_resumes(fixtures, tmp_path, name, kernel):
     directory = _copy(fixtures, tmp_path, name)
     checkpoint = CheckpointManager(directory).recover().checkpoint
     monitor = checkpoint.payload["monitor"]
-    assert any(chain.ring for chain in monitor._chains.values())
-    # The older monitor's shared arrival index and its chains' consumed-edge
-    # sets are dropped on unpickling.
+    assert monitor._chains
+    # Each older window's accumulator, with its pending pane folded in, is
+    # the window's one state set; its live set and pane-delta ring are
+    # dropped, as are the older monitor's shared arrival index and its
+    # chains' consumed-edge sets.
+    state_sets = [obj for obj in reachable(monitor) if isinstance(obj, GroupStateSet)]
+    assert len(state_sets) == len(monitor._chains) + 1  # and the template
+    assert not any("seen" in vars(state) for state in state_sets)
     assert not hasattr(monitor, "_edge_panes") and not hasattr(monitor, "_dedup_base")
-    assert not any("seen" in vars(chain.live) for chain in monitor._chains.values())
     factory = _monitor_factory(kernel)
     results, report = run_monitor_durable(
         factory, RECORDS, directory, checkpoint_every=SEGMENT
@@ -238,14 +245,3 @@ def test_monitor_with_pane_rings_resumes(fixtures, tmp_path, name, kernel):
     one_by_one.extend(resumed.flush())
     expected.extend(fresh.flush())
     assert _window_rows(one_by_one) == _window_rows(expected)
-    # Rings written before the cut still read as mergeable snapshots.
-    for result in results:
-        rebuilt = GroupStateSet(_config())
-        for delta in result.pane_deltas or ():
-            rebuilt.merge_snapshots(list(delta.snapshots))
-        got = rebuilt.estimate(result.records)
-        assert (got.global_count, got.local_counts, got.edges_stored) == (
-            result.estimate.global_count,
-            result.estimate.local_counts,
-            result.estimate.edges_stored,
-        )

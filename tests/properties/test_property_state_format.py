@@ -9,9 +9,7 @@ each with and without local counts, and checks that
   once mapped to raw node ids;
 * ``restore_portable(portable_state())`` continues bit-identically on
   the same kernel and across kernels, and so does the state rewritten in
-  the dict form earlier versions wrote;
-* merging a closed window's ``PaneDelta.snapshots`` in order into a fresh
-  state set, on either kernel, reproduces that window's estimate.
+  the dict form earlier versions wrote.
 
 Under ``REPRO_KERNEL=python`` the ``auto`` side resolves to the dict
 groups too, which keeps the format paths in the pure-Python lane.
@@ -27,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import ReptConfig
 from repro.core.state import GroupStateSet
-from repro.streaming.monitor import WindowedTriangleMonitor
 from repro.types import canonical_edge
 from tests.conftest import dict_form
 
@@ -117,31 +114,3 @@ def test_portable_round_trip_continues_bit_identically(config_name, track_local,
                 resumed.process_edges(edges[cut:])
                 assert _key(resumed.estimate(n)) == expected
                 assert _state_columns(resumed) == _state_columns(straight)
-
-
-@pytest.mark.parametrize("track_local", [True, False], ids=["local", "global"])
-@pytest.mark.parametrize("config_name", sorted(CONFIGS))
-@given(
-    records=st.lists(
-        st.tuples(node_ids, node_ids, st.integers(min_value=0, max_value=60)),
-        min_size=0,
-        max_size=140,
-    )
-)
-@settings(max_examples=15, deadline=None)
-def test_closed_window_snapshots_refold_to_its_estimate(config_name, track_local, records):
-    config = _config(config_name, track_local)
-    stamped = [(u, v, t / 2.0) for u, v, t in sorted(records, key=lambda r: r[2])]
-    monitor = WindowedTriangleMonitor(
-        9.0, slide_seconds=3.0, pane_seconds=1.5, config=config, allowed_lateness=1.0
-    )
-    results = []
-    for start in range(0, len(stamped), 12):
-        results.extend(monitor.ingest(stamped[start : start + 12]))
-    results.extend(monitor.flush())
-    for result in results:
-        for kernel in KERNELS:
-            rebuilt = GroupStateSet(config, kernel=kernel)
-            for delta in result.pane_deltas or ():
-                rebuilt.merge_snapshots(list(delta.snapshots))
-            assert _key(rebuilt.estimate(result.records)) == _key(result.estimate)

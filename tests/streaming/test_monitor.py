@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import gc
-import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +10,21 @@ import pytest
 from repro.baselines.exact import ExactStreamingCounter
 from repro.baselines.triest import TriestImprEstimator
 from repro.core import GroupStateSet, ReptConfig, ReptEstimator
-from repro.generators.traffic import packet_flow_records
+from repro.core.kernel import native_available
+from repro.durability.checkpoint import CheckpointManager
 from repro.streaming.monitor import WindowedTriangleMonitor
 from repro.streaming.windows import TimeWindowedStream, TimestampedRecord
 from repro.utils.rng import as_random_source, derive_seed
+from tests.conftest import reachable
 
 CONFIG = ReptConfig(m=4, c=6, seed=11, track_local=True)  # partial group: η tracked
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+KERNELS = [
+    pytest.param(
+        "auto", marks=pytest.mark.skipif(not native_available(), reason="no C compiler available")
+    ),
+    "python",
+]
 
 
 def _trace(n=2500, nodes=30, span=60.0, jitter=0.0, seed=5):
@@ -123,39 +131,39 @@ class TestSlidingWindows:
             assert result.records == expected.edges_processed
 
     def test_advance_is_merge_only(self):
-        """Advancing by one pane never re-ingests retained panes: the total
-        records ingested across overlapping windows is exactly (records per
-        pane) × (windows covering the pane)."""
+        """Advancing by one pane never re-ingests retained panes: each window
+        counts every record of its panes exactly once."""
         records = [(i % 7, (i + 1) % 7, float(t)) for t in range(40) for i in range(3)]
         monitor = WindowedTriangleMonitor(
             20.0, slide_seconds=10.0, pane_seconds=10.0, config=CONFIG
         )
         results = _drain(monitor, records)
-        # Every full window saw exactly its two panes' records, assembled
-        # from pane deltas (one delta per pane in the ring).
-        for result in results:
-            if result.complete and result.pane_deltas:
-                assert len(result.pane_deltas) <= 2
-                assert sum(d.records for d in result.pane_deltas) == result.records
+        # 30 records per pane: every full window holds its two panes', the
+        # flushed tail window the one pane it observed.
+        assert [(r.records, r.complete) for r in results] == [
+            (60, True),
+            (60, True),
+            (60, True),
+            (30, False),
+        ]
+        assert [r.estimate.edges_processed for r in results] == [60, 60, 60, 30]
 
-    def test_pane_delta_snapshots_refold_to_window_state(self):
-        """The ring entries are genuine mergeable snapshots: folding them
-        into a fresh state set reproduces the window's estimate."""
-        records = _trace(n=1200, span=30.0)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_one_state_set_per_open_window(self, kernel):
+        # An open window is one state set over its records, beside the
+        # template that owns the interning table every window shares.
+        config = ReptConfig(m=4, c=6, seed=11, track_local=True, kernel=kernel)
         monitor = WindowedTriangleMonitor(
-            10.0, pane_seconds=2.5, config=CONFIG, record_replay=True
+            12.0, slide_seconds=4.0, pane_seconds=2.0, config=config, allowed_lateness=1.0
         )
-        results = _drain(monitor, records)
-        interesting = [r for r in results if r.pane_deltas]
-        assert interesting
-        for result in interesting:
-            rebuilt = GroupStateSet(CONFIG)
-            for delta in result.pane_deltas:
-                rebuilt.merge_snapshots(list(delta.snapshots))
-            estimate = rebuilt.estimate(result.records)
-            assert estimate.global_count == result.estimate.global_count
-            assert estimate.local_counts == result.estimate.local_counts
-            assert estimate.edges_stored == result.estimate.edges_stored
+        records = _trace(n=600, span=30.0, jitter=0.5)
+        open_counts = set()
+        for start in range(0, len(records), 40):
+            monitor.ingest(records[start : start + 40])
+            state_sets = [obj for obj in reachable(monitor) if isinstance(obj, GroupStateSet)]
+            assert len(state_sets) == len(monitor.open_window_indices()) + 1
+            open_counts.add(len(monitor.open_window_indices()))
+        assert max(open_counts) >= 3
 
 
 class TestSealingAndLateness:
@@ -264,49 +272,24 @@ class TestSealingAndLateness:
             == reference.estimate().global_count
         )
 
-    def test_pane_deltas_do_not_pin_window_groups(self):
-        # Closed-window results keep only O(pane) delta state: the ring
-        # entries hold group shapes and the shared node table, never the
-        # window's live ProcessorGroups with their full adjacency.
-        records = _trace(n=600, span=20.0)
-        monitor = WindowedTriangleMonitor(10.0, pane_seconds=5.0, config=CONFIG)
-        results = _drain(monitor, records)
-        deltas = [d for r in results if r.pane_deltas for d in r.pane_deltas]
-        assert deltas
-        for delta in deltas:
-            assert not hasattr(delta, "_groups")
-            assert all(isinstance(shape, tuple) for shape in delta._shapes)
-            # Snapshots still externalize correctly after the chain is gone.
-            assert delta.snapshots[0]["m"] == CONFIG.m
-
-    def test_closed_ring_holds_bounded_gc_objects(self):
-        # A closed result keeps its ring, so the ring's GC-tracked objects
-        # must not grow with the records its panes held: ten times the
-        # records over the same windows leaves the count unchanged.
-        def tracked_in_ring(n_records):
-            monitor = WindowedTriangleMonitor(
-                120.0, pane_seconds=60.0, config=ReptConfig(m=4, c=6, seed=11)
-            )
-            if monitor._template.kernel == "python":
-                pytest.skip("the dict reference keeps per-slot counter rings")
-            records = packet_flow_records(n_records, duration_seconds=600.0, seed=3)
-            results = _drain(monitor, records, chunk=500)
-            result = next(r for r in results if r.complete and len(r.pane_deltas) == 2)
-            shared = monitor._template.interner.nodes
-            gc.collect()
-            seen, stack, tracked = set(), [result.pane_deltas], 0
-            while stack:
-                obj = stack.pop()
-                if id(obj) in seen or obj is shared:
-                    continue
-                seen.add(id(obj))
-                if isinstance(obj, (type, types.ModuleType)):
-                    continue
-                tracked += gc.is_tracked(obj)
-                stack.extend(gc.get_referents(obj))
-            return tracked
-
-        assert tracked_in_ring(2_000) == tracked_in_ring(20_000)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_closed_results_hold_no_window_state(self, kernel):
+        # A closed result keeps none of its window's counting state, and
+        # neither does one that an older version pickled with its window's
+        # ring of pane deltas, nor one such a version's open window closes.
+        config = ReptConfig(m=4, c=6, seed=11, track_local=True, kernel=kernel)
+        monitor = WindowedTriangleMonitor(10.0, pane_seconds=5.0, config=config)
+        results = _drain(monitor, _trace(n=600, span=20.0))
+        name = "monitor" if kernel == "auto" else "monitor-python"
+        directories = sorted(FIXTURES.glob(f"*/{name}"))
+        assert len(directories) >= 3
+        for directory in directories:
+            payload = CheckpointManager(directory).recover().checkpoint.payload
+            assert payload["results"] and payload["monitor"].open_window_indices()
+            results.extend(payload["results"])
+            results.extend(payload["monitor"].flush())
+        held = reachable(results)
+        assert not any(isinstance(obj, (np.ndarray, GroupStateSet)) for obj in held)
 
     def test_empty_windows_keep_series_aligned(self):
         records = [(0, 1, 1.0), (1, 2, 35.0)]
