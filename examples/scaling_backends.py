@@ -54,10 +54,10 @@ def main() -> None:
     print()
     agree = len(set(estimates.values())) == 1
     print(f"Estimates identical across backends: {agree}")
-    print("Notes: serial encodes and hashes each batch once for every group;")
-    print("the elastic backend ships each batch to every worker and also pays")
-    print("for starting its shard workers, so it wins only when the groups'")
-    print("counting work outweighs that overhead on enough cores.")
+    print("Notes: serial encodes each batch once for every group and runs the")
+    print("groups on threads, up to one per usable core; the elastic backend")
+    print("ships each batch to every worker and also pays for starting its")
+    print("shard workers, so on one machine it buys fault tolerance, not speed.")
 
 
 if __name__ == "__main__":

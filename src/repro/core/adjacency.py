@@ -7,9 +7,11 @@ every probe and store in its
 interpreter and hashing overhead.  This module re-hosts one group's state
 on flat int64 columns so the C record loop (:mod:`repro.core.kernel`),
 which hashes each record's edge key to the group's slot and runs the
-closure+store step, advances a whole encoded batch — or, in one call for
-every group of a state set, one record of the per-edge path — without
-touching a Python object:
+closure+store step, advances every group of a state set over a whole
+encoded batch in one call (:func:`ingest_batch`, the groups on threads
+of their own when they have enough records left and the room to store
+them), or over one record of the per-edge path, without touching a
+Python object:
 
 ``GroupArrays``
     The storage: a half-edge pool of singly-linked neighbour chains
@@ -37,12 +39,15 @@ touching a Python object:
     compiled entry that would run out of room stops before the record (or
     edge, or counter) that does not fit and returns its index; the group
     makes room for one stored record (:meth:`GroupArrays.make_room`) and
-    the entry resumes there (:meth:`GroupArrays.fill`).  The edge columns
-    and the half-edge pool double, and the cell pool doubles or, when its
-    dead cells outnumber the live ones, is compacted in one pass.  The
-    per-edge call reports a group short of room instead of writing, so the
-    caller makes the same room and calls again.  The group's state record
-    (:class:`~repro.core.kernel.GroupRecord`) holds the columns' addresses
+    the entry resumes there.  The batch call of a state set reports each
+    group's stop, so only the groups that stopped grow, all on the calling
+    thread, before it runs again (:func:`ingest_batch`); the cold-path
+    folds resume one group at a time (:meth:`GroupArrays.fill`).  The edge
+    columns and the half-edge pool double, and the cell pool doubles or,
+    when its dead cells outnumber the live ones, is compacted in one pass.
+    The per-edge call reports a group short of room instead of writing, so
+    the caller makes the same room and calls again.  The group's state
+    record (:class:`~repro.core.kernel.GroupRecord`) holds the columns' addresses
     and capacities; every growth and compaction rewrites it, a reset hands
     it on to the new columns, and it is never pickled.  There is no
     separate edge index: an edge's row in the flat columns (its *eid*) is
@@ -51,9 +56,11 @@ touching a Python object:
 
 ``NativeProcessorGroup``
     A drop-in :class:`~repro.core.state.ProcessorGroup` subclass backed by
-    ``GroupArrays``.  It supplies the three primitives every state
-    boundary is built on (see :mod:`repro.core.portable`): ``columns``
-    reads the state as a :class:`~repro.core.portable.ColumnarDelta`, its
+    ``GroupArrays``.  A standalone group (a cluster shard's, say) ingests a
+    batch as the one-group case of :func:`ingest_batch`.  It supplies the
+    three primitives every state boundary is built on (see
+    :mod:`repro.core.portable`): ``columns`` reads the state as a
+    :class:`~repro.core.portable.ColumnarDelta`, its
     ``τ_v``/``η_v`` entries in one compiled pass over the occupied cells,
     ``merge_deltas`` folds one — new edges are appended in one compiled
     call, the per-edge counters fold with the exact η correction in
@@ -503,6 +510,15 @@ class NativeProcessorGroup(ProcessorGroup):
         self._arrays = GroupArrays(group_size, track_local, track_eta)
         kernel_mod.bind_hash(self._arrays.record, hash_function)
 
+    #: The one-group entry of :meth:`process_encoded`, built on first use;
+    #: a group in a state set ingests through the state set's entry.
+    _entry: Optional[kernel_mod.EdgeEntry] = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_entry", None)
+        return state
+
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         kernel_mod.bind_hash(self._arrays.record, self.hash_function)
@@ -512,27 +528,16 @@ class NativeProcessorGroup(ProcessorGroup):
     def process_encoded(
         self, cu: Sequence[int], cv: Sequence[int], keys: np.ndarray
     ) -> np.ndarray:
-        """Advance the group over a whole encoded batch in compiled calls.
+        """Advance the group over a whole encoded batch: the one-group case
+        of :func:`ingest_batch`, over an entry of its own.
 
-        The record loop hashes each edge key to this group's slot.  Node
-        columns cover the ids this batch references, not the whole shared
-        interner; the rest grows where the loop stops short.  Returns the
-        edge rows the batch appended (see :meth:`GroupArrays.edge_rows`).
+        Returns the edge rows the batch appended (see
+        :meth:`GroupArrays.edge_rows`).
         """
         arrays = self._arrays
-        stored = arrays.n_edges
-        n = len(cu)
-        if n:
-            cu_a = np.asarray(cu, np.int64)
-            cv_a = np.asarray(cv, np.int64)
-            keys_a = np.asarray(keys, np.uint64)
-            arrays.ensure_nodes(max(int(cu_a.max()), int(cv_a.max())) + 1)
-            record = arrays.record
-            arrays.fill(
-                lambda start: kernel_mod.run_batch(start, n, cu_a, cv_a, keys_a, record), n
-            )
-            if arrays.n_edges > stored and any(arrays.loose_tri):
-                arrays.settle_loose()
+        if self._entry is None:
+            self._entry = kernel_mod.EdgeEntry([arrays.record])
+        (stored,) = ingest_batch(self._entry, [arrays], cu, cv, keys)
         return arrays.edge_rows(stored)
 
     # -- the kernel primitives: columns, fold and reset -------------------------
@@ -637,6 +642,53 @@ class NativeProcessorGroup(ProcessorGroup):
             nodes[node]: convert(total)
             for node, total in zip(ids[starts].tolist(), sums.tolist())
         }
+
+
+def ingest_batch(
+    entry: kernel_mod.EdgeEntry,
+    arrays: Sequence[GroupArrays],
+    cu: Sequence[int],
+    cv: Sequence[int],
+    keys: np.ndarray,
+) -> List[int]:
+    """Advance the groups of ``entry`` over one encoded batch.
+
+    ``arrays[k]`` holds the columns of the entry's group ``k``.  Node
+    columns first grow to the largest id the batch references, not to the
+    whole shared interner.  Then one compiled call runs every group's
+    record loop, on threads where a group has enough records left and the
+    room to store them (:func:`~repro.core.kernel.run_groups`); each group
+    that stopped short gets room for one stored record, here on the
+    calling thread, and the call runs again from where each group stopped.
+    Returns each group's number of stored edges before the batch (see
+    :meth:`GroupArrays.edge_rows`).
+    """
+    stored = [group.n_edges for group in arrays]
+    n = len(cu)
+    if len(cv) != n or len(keys) != n:
+        raise ValueError("an encoded batch needs one cv entry and one key per cu entry")
+    if not n:
+        return stored
+    cu = np.ascontiguousarray(cu, np.int64)
+    cv = np.ascontiguousarray(cv, np.int64)
+    keys = np.ascontiguousarray(keys, np.uint64)
+    top = max(int(cu.max()), int(cv.max())) + 1
+    for group in arrays:
+        group.ensure_nodes(top)
+    entry.stops.fill(0)
+    starts = [-1] * len(arrays)
+    while kernel_mod.run_groups(entry, n, cu, cv, keys):
+        stops = entry.stops.tolist()
+        for group, start, stop in zip(arrays, starts, stops):
+            if stop < n:
+                if stop == start:
+                    raise RuntimeError("a compiled call found no room after growth")
+                group.make_room()
+        starts = stops
+    for group, before in zip(arrays, stored):
+        if group.n_edges > before and any(group.loose_tri):
+            group.settle_loose()
+    return stored
 
 
 def make_processor_group(

@@ -31,17 +31,25 @@ half-edges, and for each endpoint that gains the slot its whole block of
 cells plus one — and only when room is short looks the edge up, so a
 held edge never stops it; it stops before the first record that does not
 fit, returning its index (``n`` when every record ran).  Two entries run
-it:
+it, both over the group records of one state set (:class:`EdgeEntry`):
 
-* ``rept_ingest_batch`` runs it over records ``start..n-1`` of an encoded
-  batch (:func:`run_batch`).  The caller grows the group and calls again
-  from the index it returns, so every record runs exactly once;
-* ``rept_ingest_edge`` is the per-edge path (:class:`EdgeEntry`, called by
+* ``rept_ingest_groups`` is the batch path (:func:`run_groups`): one call
+  per encoded batch whatever the number of groups, each group running the
+  loop from its own resume index and writing back where it stopped.  A
+  state set's groups share no state, so the call runs them on threads —
+  one per group that has at least :data:`THREAD_FLOOR` records left and
+  room to store as many edges, up to the :data:`CPUS` this process may
+  use, the calling thread taking the first group — and joins every thread
+  before it returns; a thread that cannot be started leaves its groups to
+  the others.  Python grows the groups that stopped, on the calling
+  thread, and calls again, so every record runs exactly once in every
+  group;
+* ``rept_ingest_edge`` is the per-edge path (called by
   :meth:`~repro.core.state.GroupStateSet.process_edge`): one call per
   record whatever the number of groups.  It checks every group's room
   first, the cells both endpoints may need included, and, if any is
   short, changes nothing and asks the caller to grow; otherwise it runs
-  the loop over the one record in each group.
+  the loop over the one record in each group, on the calling thread.
 
 A batch stop and a per-edge shortfall take the same growth step
 (:meth:`~repro.core.adjacency.GroupArrays.make_room`).
@@ -84,6 +92,9 @@ No compiled function allocates: node columns are ensured by the Python
 wrapper before the call, from the largest id a batch references; edge
 columns, the half-edge pool and the cell pool grow wherever a call
 stopped short or, on the per-edge path, reported which groups lack room.
+So no Python runs and no column grows off the calling thread.  The
+library is built with ``-pthread`` (:data:`CFLAGS`), and the cached build
+is named by a hash of the compiler, the flags and the source.
 """
 
 from __future__ import annotations
@@ -110,10 +121,25 @@ NATIVE_LABEL = "cc"
 #: address at most 63 slots; wider groups fall back to the Python kernel.
 MAX_NATIVE_GROUP_SIZE = 63
 
+#: A batch call starts a thread for a group only when the group has at
+#: least this many records left and the edge room to store this many more
+#: without growing.  A thread costs about 55 µs to start and join (one
+#: thread, 2-vCPU container), more than a few hundred records take; and a
+#: young group, short of room, stops to grow within fewer records, idles
+#: its thread and is resumed by a call that starts threads anew.  Gated on
+#: records alone, the windowed-monitoring experiment's monitor (fresh
+#: window state sets fed 8192-record chunks) ran 3–9 % slower than inline.
+THREAD_FLOOR = 4096
+
+#: The CPUs this process may run on: the most threads a batch call runs on,
+#: the calling thread included.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 
 # -- the C kernel, compiled once per machine and loaded via ctypes -------------
 
 _C_SOURCE = r"""
+#include <pthread.h>
 #include <stdint.h>
 
 typedef int64_t i64;
@@ -488,21 +514,98 @@ static i64 rept_records(
     return k;
 }
 
-/* The batch entry: rept_records over an encoded batch. */
-int64_t rept_ingest_batch(
-    i64 start, i64 n,
-    const i64 *cu, const i64 *cv, const uint64_t *keys,
-    const rept_group *group)
-{
-    return rept_records(group, start, n, cu, cv, keys);
-}
-
-/* The groups of one state set and a flag per group (EdgeEntry in Python). */
+/* The groups of one state set (EdgeEntry in Python): a flag per group
+ * for the per-edge entry, and for the batch entry a record index per group
+ * and the number of threads its last call started. */
 typedef struct {
     i64 n_groups;
     rept_group *const *groups;
     u8 *stored_flags;
+    i64 *stops;
+    i64 threads;
 } rept_edge_entry;
+
+/* One batch call: the records every job reads, and the next group to claim. */
+typedef struct {
+    const rept_edge_entry *entry;
+    i64 n;
+    const i64 *cu;
+    const i64 *cv;
+    const uint64_t *keys;
+    i64 next;
+} rept_batch;
+
+/* Runs group k's record loop from its stop index, if it has records left. */
+static void rept_batch_job(rept_batch *b, i64 k)
+{
+    i64 *stops = b->entry->stops;
+    if (stops[k] < b->n)
+        stops[k] = rept_records(b->entry->groups[k], stops[k], b->n, b->cu, b->cv, b->keys);
+}
+
+/* Claims groups until none is left.  Groups share no state, so any
+ * thread may run any group; each is claimed exactly once. */
+static void *rept_batch_worker(void *arg)
+{
+    rept_batch *b = arg;
+    i64 k;
+    while ((k = __atomic_fetch_add(&b->next, 1, __ATOMIC_RELAXED)) < b->entry->n_groups)
+        rept_batch_job(b, k);
+    return NULL;
+}
+
+/* The most threads one batch call starts, the calling thread aside. */
+#define REPT_MAX_THREADS 255
+
+/* Whether g has the edge room to store count more edges without growing:
+ * as many free edge rows and twice as many free half-edges.  (The cells a
+ * store takes depend on the slots its endpoints already hold, so they are
+ * not counted.) */
+static inline i64 rept_room_for(const rept_group *g, i64 count)
+{
+    return g->edge_cap - g->meta[N_EDGES] >= count
+        && g->pool_cap - g->meta[N_HALF] >= 2 * count;
+}
+
+/* The batch entry: each group k of a state set runs rept_records over
+ * records stops[k]..n-1 of an encoded batch and writes where it stopped
+ * back to stops[k].  A group earns a thread when it has at least
+ * thread_floor records left and room to store thread_floor more edges:
+ * the call runs on min(such groups, max_threads) threads, the calling
+ * thread included and taking the first group, and every thread it starts
+ * is joined before it returns; a thread that cannot be started leaves its
+ * groups to the others.  Returns the number of groups that stopped short:
+ * the caller grows those and calls again. */
+int64_t rept_ingest_groups(
+    rept_edge_entry *entry, i64 n,
+    const i64 *cu, const i64 *cv, const uint64_t *keys,
+    i64 thread_floor, i64 max_threads)
+{
+    rept_batch b = {entry, n, cu, cv, keys, 1};
+    i64 n_groups = entry->n_groups;
+    i64 *stops = entry->stops;
+    i64 earned = 0;
+    for (i64 k = 0; k < n_groups; k++)
+        earned += stops[k] < n && n - stops[k] >= thread_floor
+            && rept_room_for(entry->groups[k], thread_floor);
+    i64 wanted = (earned < max_threads ? earned : max_threads) - 1;
+    if (wanted > REPT_MAX_THREADS)
+        wanted = REPT_MAX_THREADS;
+    pthread_t threads[REPT_MAX_THREADS];
+    i64 started = 0;
+    while (started < wanted
+           && pthread_create(&threads[started], NULL, rept_batch_worker, &b) == 0)
+        started++;
+    entry->threads = started;
+    rept_batch_job(&b, 0);
+    rept_batch_worker(&b);
+    for (i64 t = 0; t < started; t++)
+        pthread_join(threads[t], NULL);
+    i64 short_of_room = 0;
+    for (i64 k = 0; k < n_groups; k++)
+        short_of_room += stops[k] < n;
+    return short_of_room;
+}
 
 /* The per-edge path: one interned record {iu, iv} with canonical edge key
  * key through every group of a state set.  All or nothing: unless every
@@ -794,22 +897,36 @@ def _kernel_cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), "repro-kernel-cache")
 
 
+#: The flags the kernel is compiled with (``-pthread`` for the batch entry's
+#: threads).
+CFLAGS = ("-O3", "-fPIC", "-shared", "-pthread")
+
+
+def _cached_build(compiler: str, flags) -> str:
+    """The cached library's path for one compiler and one set of flags.
+
+    The name hashes the compiler, the flags and the source, so changing
+    any of them builds afresh instead of loading a stale library.
+    """
+    key = "\0".join((compiler, *flags, _C_SOURCE))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return os.path.join(_kernel_cache_dir(), f"rept_kernel_{digest}.so")
+
+
 def _build():
     """Compile (or load the cached) C kernel; raises on any failure."""
     compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         raise RuntimeError("no C compiler found")
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    cache_dir = _kernel_cache_dir()
-    so_path = os.path.join(cache_dir, f"rept_kernel_{digest}.so")
+    so_path = _cached_build(compiler, CFLAGS)
     if not os.path.exists(so_path):
-        os.makedirs(cache_dir, exist_ok=True)
-        src_path = os.path.join(cache_dir, f"rept_kernel_{digest}.c")
+        os.makedirs(os.path.dirname(so_path), exist_ok=True)
+        src_path = so_path[: -len(".so")] + ".c"
         tmp_path = f"{so_path}.{os.getpid()}.tmp"
         with open(src_path, "w") as handle:
             handle.write(_C_SOURCE)
         subprocess.run(
-            [compiler, "-O3", "-fPIC", "-shared", "-o", tmp_path, src_path],
+            [compiler, *CFLAGS, "-o", tmp_path, src_path],
             check=True,
             capture_output=True,
         )
@@ -819,10 +936,10 @@ def _build():
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
     signatures = {
-        "rept_ingest_batch": [
-            i64, i64,                     # start, n
+        "rept_ingest_groups": [
+            ptr, i64,                     # entry, n
             ptr, ptr, ptr,                # cu, cv, keys
-            ptr,                          # group record
+            i64, i64,                     # thread floor, most threads
         ],
         "rept_ingest_edge": [
             ptr, ctypes.c_uint64,         # entry, key
@@ -1028,53 +1145,67 @@ def bind_hash(record: GroupRecord, hash_function) -> None:
     record.m = hash_function.buckets
 
 
-def run_batch(start, n, cu, cv, keys, record: GroupRecord) -> int:
-    """Run the record loop over records ``start..n-1`` of one encoded batch.
-
-    ``keys`` holds the records' canonical uint64 edge keys, which the loop
-    hashes to the group's slots; ``record`` is the group's
-    :class:`GroupRecord`, whose node columns must cover every id.  Returns
-    the index of the first record whose store does not fit, or ``n`` (see
-    :meth:`~repro.core.adjacency.GroupArrays.fill`).
-    """
-    return _handle().rept_ingest_batch(
-        start,
-        n,
-        cu.ctypes.data,
-        cv.ctypes.data,
-        keys.ctypes.data,
-        ctypes.byref(record),
-    )
-
-
 class EdgeEntry(ctypes.Structure):
     """The C ``rept_edge_entry`` of one state set: its group records.
 
     ``ingest(address, key, iu, iv)`` is the compiled per-edge call
-    (``rept_ingest_edge``), :attr:`stored` the flag per group it writes.
-    The entry keeps the records alive, so the addresses it holds stay
-    valid as long as it does; it is never pickled.
+    (``rept_ingest_edge``), :attr:`stored` the flag per group it writes;
+    :func:`run_groups` is the batch call over the same records, and
+    :attr:`stops` the record index per group it reads and writes.  The
+    entry keeps the records alive, so the addresses it holds stay valid as
+    long as it does; it is never pickled.
     """
 
     _fields_ = [
         ("n_groups", ctypes.c_int64),
         ("groups", ctypes.c_void_p),
         ("stored_flags", ctypes.c_void_p),
+        ("stops_address", ctypes.c_void_p),
+        ("threads", ctypes.c_int64),
     ]
 
     def __init__(self, records) -> None:
         super().__init__()
         n = len(records)
-        pointers = (ctypes.c_void_p * n)(*map(ctypes.addressof, records))
+        self.records = list(records)
+        pointers = (ctypes.c_void_p * n)(*map(ctypes.addressof, self.records))
         #: Whether each group stored the last record (would store, after -1).
         self.stored = bytearray(n)
         view = (ctypes.c_uint8 * n).from_buffer(self.stored)
-        self._keep = (list(records), pointers, view)
+        #: Where each group resumes a batch call, and then where it stopped.
+        self.stops = np.zeros(n, np.int64)
+        self._keep = (pointers, view)
         self.n_groups = n
         self.groups = ctypes.addressof(pointers)
         self.stored_flags = ctypes.addressof(view)
+        self.stops_address = self.stops.ctypes.data
         self.address = ctypes.addressof(self)
         self.ingest = _handle().rept_ingest_edge
+        self._batch = _handle().rept_ingest_groups
+
+
+def run_groups(entry: EdgeEntry, n: int, cu, cv, keys) -> int:
+    """Run every group of ``entry`` over records ``entry.stops[k]..n-1`` of
+    one encoded batch, in one compiled call.
+
+    ``keys`` holds the records' canonical uint64 edge keys, which each
+    group hashes to its slots; every group's node columns must cover every
+    id.  A group with at least :data:`THREAD_FLOOR` records left and room
+    to store as many edges earns a thread, up to :data:`CPUS` threads with
+    the calling one, and all are joined before the call returns
+    (:attr:`EdgeEntry.threads` counts the ones it started).  Each group's
+    stop index is written back to ``entry.stops``; returns the number of
+    groups that stopped short (see :func:`~repro.core.adjacency.ingest_batch`).
+    """
+    return entry._batch(
+        entry.address,
+        n,
+        cu.ctypes.data,
+        cv.ctypes.data,
+        keys.ctypes.data,
+        THREAD_FLOOR,
+        CPUS,
+    )
 
 
 def append_edges(start: int, us: np.ndarray, vs: np.ndarray, ss: np.ndarray, record) -> int:

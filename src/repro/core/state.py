@@ -34,7 +34,11 @@ Two further exact optimisations serve the batched ingestion pipeline:
   batch of that loop, so the two paths cannot drift apart.  The compiled
   kernel keeps the same guarantee with one record loop that hashes each
   key in C, behind both its batch entry and the per-edge entry of
-  :meth:`GroupStateSet.process_edge`.
+  :meth:`GroupStateSet.process_edge`.  Each entry advances every group of
+  a state set in one call; the groups share no state, so the batch entry
+  runs them on threads of their own when they have enough records left
+  and the room to store them (see :mod:`repro.core.kernel`), and the
+  results do not depend on it.
 
 First occurrence
 ----------------
@@ -718,7 +722,7 @@ class GroupStateSet:
     abstraction shared by :class:`~repro.core.rept.ReptEstimator` and the
     serial driver (one state set advanced in process), the durable runner
     (one state set checkpointed between segments) and the windowed monitor
-    (one live + one accumulator state set per open window).
+    (one state set per open window).
 
     Parameters
     ----------
@@ -912,11 +916,24 @@ class GroupStateSet:
         kernel and canonical on the dict one) — concatenated per pane, they
         are what :meth:`take_pane_deltas` needs.  On the C kernel they are
         the edge rows the batch appended.
+
+        On the C kernel one compiled call advances every group, each on a
+        thread of its own when it has enough records left and the room to
+        store them (:func:`~repro.core.adjacency.ingest_batch`); on the dict
+        kernel the groups advance one after another.
         """
-        stored = [
-            group.process_encoded(batch.cu, batch.cv, batch.keys) for group in self.groups
-        ]
-        return stored if collect_stored else None
+        if not self._native:
+            stored = [
+                group.process_encoded(batch.cu, batch.cv, batch.keys) for group in self.groups
+            ]
+            return stored if collect_stored else None
+        from repro.core.adjacency import ingest_batch
+
+        arrays = [group._arrays for group in self.groups]
+        stored = ingest_batch(self._edge_entry, arrays, batch.cu, batch.cv, batch.keys)
+        if not collect_stored:
+            return None
+        return [group.edge_rows(start) for group, start in zip(arrays, stored)]
 
     # -- pane-delta protocol --------------------------------------------------
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
+from repro.core import kernel
 from repro.durability.retry import RetryPolicy
 from repro.exceptions import ExperimentError
 from repro.experiments.campaign.fingerprint import CODE_TAG, task_fingerprint
@@ -111,6 +112,17 @@ def _execute_task(kind_name: str, config: Mapping, inputs: Mapping):
     start = time.perf_counter()
     payload = kind.fn(config, inputs)
     return payload, time.perf_counter() - start
+
+
+def _share_cpus(workers: int) -> None:
+    """Pool initializer: each of ``workers`` processes takes its share of the
+    CPUs for the threads of native batch calls.
+
+    A batch call runs a state set's groups on up to ``kernel.CPUS`` threads
+    (see :mod:`repro.core.kernel`); at the whole count in every worker the
+    pool would run ``workers`` times as many threads as there are CPUs.
+    """
+    kernel.CPUS = max(1, kernel.CPUS // workers)
 
 
 def _supervised_execute(kind_name: str, config: Mapping, inputs: Mapping, task_id: str):
@@ -276,7 +288,9 @@ class _Run:
         while True:
             pool_broken = False
             in_flight: Dict[object, str] = {}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_share_cpus, initargs=(workers,)
+            ) as pool:
                 while (ready or in_flight) and not pool_broken:
                     while ready and first_error is None:
                         task_id = ready.pop(0)

@@ -230,10 +230,15 @@ def measure_calibration_eps(
 ) -> float:
     """Raw single-thread ingest throughput of the bench engine config.
 
-    Measures ``GroupStateSet.process_edges`` over the same packet-flow
-    workload, outside the service entirely — the machine-speed yardstick
+    Measures ``GroupStateSet`` ingest over the same packet-flow workload,
+    outside the service entirely — the machine-speed yardstick
     ``BENCH_service.json`` stores as ``calibration_eps`` so the regression
-    gate can compare service overhead ratios across hardware.
+    gate can compare service overhead ratios across hardware.  Each
+    8192-record batch is encoded once and its groups advance one after
+    another on this thread, as the service's 2000-record frames run them:
+    a state-set batch that large would run its groups on threads (see
+    :data:`repro.core.kernel.THREAD_FLOOR`), and the yardstick would then
+    move with the core count rather than with the machine's speed.
     """
     engine = dict(engine or DEFAULT_ENGINE)
     records = packet_flow_records(num_records=num_records, seed=seed)
@@ -247,6 +252,9 @@ def measure_calibration_eps(
     n = 0
     batch = 8192
     for start in range(0, len(edges), batch):
-        n += state.process_edges(edges[start : start + batch])
+        encoded = state.encode(edges[start : start + batch])
+        for group in state.groups:
+            group.process_encoded(encoded.cu, encoded.cv, encoded.keys)
+        n += encoded.n_records
     elapsed = time.perf_counter() - started
     return n / max(elapsed, 1e-9)

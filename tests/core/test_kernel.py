@@ -20,8 +20,10 @@ import pytest
 from repro.core.config import ReptConfig
 from repro.core.interning import NodeInterner
 from repro.core.kernel import (
+    CFLAGS,
     KERNEL_CHOICES,
     MAX_NATIVE_GROUP_SIZE,
+    _cached_build,
     native_available,
     reset_kernel_cache,
     resolve_kernel,
@@ -102,6 +104,20 @@ class TestResolveKernel:
         with pytest.raises(ConfigurationError, match="cannot be built"):
             resolve_kernel("native", 8)
         assert resolve_kernel("auto", 8) == "python"
+
+    def test_cached_build_is_named_by_compiler_and_flags(self, clean_env, tmp_path):
+        """Changing the compiler or its flags builds afresh instead of
+        loading a library built another way."""
+        clean_env.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        path = _cached_build("/usr/bin/cc", CFLAGS)
+        assert path == _cached_build("/usr/bin/cc", CFLAGS)
+        assert path.startswith(str(tmp_path))
+        others = {
+            _cached_build("/usr/bin/cc", tuple(flag for flag in CFLAGS if flag != "-pthread")),
+            _cached_build("/usr/bin/cc", (*CFLAGS, "-g")),
+            _cached_build("/usr/bin/clang", CFLAGS),
+        }
+        assert len(others) == 3 and path not in others
 
     def test_config_validates_kernel_choice(self):
         assert KERNEL_CHOICES == ("auto", "python", "native")

@@ -322,6 +322,29 @@ class TestEquivalenceAndParallelism:
                 tmp_path / "parallel" / rel
             ).read_bytes()
 
+    @pytest.mark.parametrize("cpus, workers, share", [(4, 2, 2), (2, 2, 1), (2, 3, 1), (6, 4, 1)])
+    def test_pool_workers_share_the_cpus(self, cpus, workers, share, monkeypatch):
+        # Each pool worker caps the threads of its batch calls at its share
+        # of the CPUs, so the pool runs no more threads than there are.
+        monkeypatch.setattr(engine_module.kernel, "CPUS", cpus)
+        engine_module._share_cpus(workers)
+        assert engine_module.kernel.CPUS == share
+
+    def test_the_pool_initializes_workers_with_their_share(self, tmp_path, monkeypatch):
+        pools = []
+        pool_class = engine_module.ProcessPoolExecutor
+
+        def spy(**kwargs):
+            pools.append(kwargs)
+            return pool_class(**kwargs)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", spy)
+        spec = campaign_spec_from_mapping(_smoke_mapping())
+        run_campaign(spec, store=tmp_path / "store", workers=2)
+        assert pools == [
+            dict(max_workers=2, initializer=engine_module._share_cpus, initargs=(2,))
+        ]
+
     def test_parallel_failure_still_persists_completed_tasks(self, tmp_path):
         mapping = _smoke_mapping()
         mapping["stages"]["table2"]["artefact"] = "table2"

@@ -236,17 +236,21 @@ def test_a_short_pool_mid_batch_ends_like_a_roomy_one(config_name, short, monkey
     monkeypatch.setattr(adjacency, "_INIT_CELLS", 1)
     monkeypatch.setattr(adjacency, "_INIT_EDGES", 1 if short == "edges" else init_edges)
     calls = []
-    run_batch = kernel_mod.run_batch
+    run_groups = kernel_mod.run_groups
 
-    def spy(start, n, *args):
-        record = args[-1]
-        done = run_batch(start, n, *args)
-        calls.append((ctypes.addressof(record), start, done, n, done < n and _short_of(record)))
-        return done
+    def spy(entry, n, *args):
+        starts = entry.stops.tolist()
+        short = run_groups(entry, n, *args)
+        for record, start, done in zip(entry.records, starts, entry.stops.tolist()):
+            if start < n:
+                calls.append(
+                    (ctypes.addressof(record), start, done, n, done < n and _short_of(record))
+                )
+        return short
 
-    monkeypatch.setattr(kernel_mod, "run_batch", spy)
+    monkeypatch.setattr(kernel_mod, "run_groups", spy)
     short_run = _run(config, edges)
-    # Batches stopped mid-way and each resumed where it stopped.
+    # Batches stopped mid-way and each group resumed where it stopped.
     assert any(0 < done < n for _, _, done, n, _ in calls)
     resume = {}
     for address, start, done, n, _ in calls:
