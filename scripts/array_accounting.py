@@ -17,6 +17,12 @@ native group's ``GroupArrays`` take (the sum perfbench's traced
   split by column, and the growth of the process's resident set over the
   pass.
 
+Beside each tenant's array MB and the open windows' MB it prints the array
+bytes per stored edge (``total_edges_stored()``, summed over the groups,
+so an edge two groups store counts twice) and per interned node (each
+tenant's own interner; the monitor's one interner, which its windows
+share).
+
 It reads perfbench's input generators and configurations, so its figures
 match the benchmark's shapes; it changes nothing there.
 """
@@ -59,6 +65,17 @@ def _array_bytes(state, by_column=None) -> int:
     return total
 
 
+def _per_edge_and_node(total: int, states, interner) -> dict:
+    """Array bytes per stored edge and per interned node."""
+    edges = sum(state.total_edges_stored() for state in states)
+    return {
+        "edges_stored": edges,
+        "nodes": len(interner),
+        "bytes_per_edge": round(total / edges, 1) if edges else None,
+        "bytes_per_node": round(total / len(interner), 1) if len(interner) else None,
+    }
+
+
 def service(seed: int) -> dict:
     from repro.service import EstimationService, InProcessClient
 
@@ -76,13 +93,21 @@ def service(seed: int) -> dict:
                     frame = [list(edge) for edge in tenant["frames"][index]]
                     await client.ingest(tenant["name"], frame)
                     await service.sessions[tenant["name"]].queue.join()
-        return {
-            tenant["name"]: _array_bytes(service.sessions[tenant["name"]].engine.state) / 1e6
-            for tenant in tenants
-        }
+        per_tenant = {}
+        for tenant in tenants:
+            state = service.sessions[tenant["name"]].engine.state
+            total = _array_bytes(state)
+            per_tenant[tenant["name"]] = {
+                "array_mb": total / 1e6,
+                **_per_edge_and_node(total, [state], state.interner),
+            }
+        return per_tenant
 
     per_tenant = asyncio.run(scenario())
-    return {"tenant_array_mb": per_tenant, "total_array_mb": sum(per_tenant.values())}
+    return {
+        "tenants": per_tenant,
+        "total_array_mb": sum(tenant["array_mb"] for tenant in per_tenant.values()),
+    }
 
 
 def monitor(seed: int) -> dict:
@@ -95,10 +120,12 @@ def monitor(seed: int) -> dict:
     grown = _rss_mb() - before
     by_column: Counter = Counter()
     total = 0
-    for chain in monitor._chains.values():
-        total += _array_bytes(chain.state, by_column)
+    states = [chain.state for chain in monitor._chains.values()]
+    for state in states:
+        total += _array_bytes(state, by_column)
     return {
         "open_window_array_mb": total / 1e6,
+        **_per_edge_and_node(total, states, monitor._template.interner),
         "by_column_mb": {name: round(size / 1e6, 3) for name, size in by_column.most_common()},
         "rss_growth_mb": grown,
     }

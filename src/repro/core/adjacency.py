@@ -14,12 +14,16 @@ them), or over one record of the per-edge path, without touching a
 Python object:
 
 ``GroupArrays``
-    The storage: a half-edge pool of singly-linked neighbour chains
-    (``pool_nbr``/``pool_eid``/``pool_nxt``), flat edge records
-    (``edge_u``/``edge_v``/``edge_slot``/``edge_tri``), per-slot counter
-    rows and a pool of *cells*, one per ``(slot, node)`` where the node
-    holds the slot — the bitmap-indexed node of Bagwell's hash array mapped
-    trie ("Ideal Hash Trees", 2001).  ``node_bits[x]`` is node ``x``'s slot
+    The storage: one row of flat edge columns per stored edge
+    (``edge_slot``/``edge_tri``/``edge_seen``), whose index is the edge's
+    *eid* and its only index; a half-edge pool of singly-linked neighbour
+    chains (``pool_nbr``/``pool_nxt``), in which edge ``e``'s two
+    half-edges sit at ``2e`` (in its first endpoint's chain, naming the
+    second) and ``2e + 1`` (in the second's, naming the first), so a
+    half-edge's eid is ``h >> 1`` and the pair names both endpoints;
+    per-slot counter rows; and a pool of *cells*, one per ``(slot, node)``
+    where the node holds the slot — the bitmap-indexed node of Bagwell's
+    hash array mapped trie ("Ideal Hash Trees", 2001).  ``node_bits[x]`` is node ``x``'s slot
     mask and ``node_base[x]`` the start of its block of cells, one per set
     bit in slot order, so slot ``s``'s cell sits at ``node_base[x] +
     popcount(node_bits[x] & ((1 << s) - 1))``.  A cell holds the head of
@@ -43,7 +47,7 @@ Python object:
     group's stop, so only the groups that stopped grow, all on the calling
     thread, before it runs again (:func:`ingest_batch`); the cold-path
     folds resume one group at a time (:meth:`GroupArrays.fill`).  The edge
-    columns and the half-edge pool double, and the cell pool doubles or,
+    columns double with their half-edges, and the cell pool doubles or,
     when its dead cells outnumber the live ones, is compacted in one pass.
     The per-edge call reports a group short of room instead of writing, so
     the caller makes the same room and calls again.  The group's state
@@ -129,9 +133,10 @@ class GroupArrays:
     why native groups are limited to
     :data:`~repro.core.kernel.MAX_NATIVE_GROUP_SIZE` slots — and the
     boolean markers are uint8.  ``meta`` carries the mutable scalars the
-    kernel advances in place: ``[n_half, n_edges, epoch, n_cells,
-    n_dead]``, the last two being the cells in use at the pool's front and
-    the abandoned (zeroed) ones among them.  ``record`` is the
+    kernel advances in place: ``[n_edges, epoch, n_cells, n_dead]``, the
+    last two being the cells in use at the pool's front and the abandoned
+    (zeroed) ones among them.  The half-edge pool holds two entries per
+    edge row, ``2 * edge_cap``.  ``record`` is the
     :class:`~repro.core.kernel.GroupRecord` the compiled calls read; every
     growth and compaction rewrites it, and a group that resets passes its
     record on, so its address stays the group's for life.
@@ -155,7 +160,6 @@ class GroupArrays:
         self.track_eta = track_eta
         self.node_cap = _INIT_NODES
         self.edge_cap = _INIT_EDGES
-        self.pool_cap = 2 * _INIT_EDGES
         self.cell_cap = _INIT_CELLS
         # Per-node columns (indexed by interned id): the slots the node
         # holds and where its block of cells starts, and the closure walk's
@@ -170,15 +174,13 @@ class GroupArrays:
         self.cell_head, self.cell_tau, self.cell_eta, self.cell_mark = self._cell_columns(
             self.cell_cap
         )
-        # Half-edge pool: two entries per stored edge, chained via pool_nxt.
-        self.pool_nbr = np.zeros(self.pool_cap, np.int64)
-        self.pool_eid = np.zeros(self.pool_cap, np.int64)
-        self.pool_nxt = np.zeros(self.pool_cap, np.int64)
-        # Flat edge records; edge_u < edge_v (id order).  edge_tri/edge_seen
-        # are the detachable per-edge triangle counters ("seen" = the dict
-        # implementation would hold a key for this edge).
-        self.edge_u = np.zeros(self.edge_cap, np.int64)
-        self.edge_v = np.zeros(self.edge_cap, np.int64)
+        # Half-edge pool: edge e's half-edges at 2e and 2e + 1, each naming
+        # the other endpoint, chained via pool_nxt.
+        self.pool_nbr = np.zeros(2 * self.edge_cap, np.int64)
+        self.pool_nxt = np.zeros(2 * self.edge_cap, np.int64)
+        # Edge rows, indexed by eid.  edge_tri/edge_seen are the detachable
+        # per-edge triangle counters ("seen" = the dict implementation
+        # would hold a key for this edge).
         self.edge_slot = np.zeros(self.edge_cap, np.int64)
         self.edge_tri = np.zeros(self.edge_cap, np.int64)
         self.edge_seen = np.zeros(self.edge_cap, np.uint8)
@@ -186,7 +188,7 @@ class GroupArrays:
         self.tau = np.zeros(group_size, np.int64)
         self.eta = np.zeros(group_size, np.int64)
         self.edges_stored = np.zeros(group_size, np.int64)
-        self.meta = np.zeros(5, np.int64)
+        self.meta = np.zeros(4, np.int64)
         # Side state the flat columns cannot express (see module docstring).
         self.loose_tri: List[Dict[Tuple[int, int], int]] = [
             {} for _ in range(group_size)
@@ -222,10 +224,40 @@ class GroupArrays:
         state.pop("_pair_sync", None)
         state.pop("tau_zero", None)
         self.__dict__.update(state)
+        if "pool_eid" in state:
+            self._drop_repeated_ids()
         if "heads" in state:
             self._cells_from_dense()
         self.record = kernel_mod.GroupRecord()
         kernel_mod.sync_record(self.record, self)
+
+    def _drop_repeated_ids(self) -> None:
+        """Drop what an older pickle kept beside each edge's eid: each
+        half-edge's eid (``pool_eid``), each edge's id-ordered endpoints
+        (``edge_u``/``edge_v``), the half-edge pool's capacity
+        (``pool_cap``) and the half-edge count ahead of ``meta``.
+
+        Every older layout put edge ``e``'s half-edges at ``2e`` and ``2e +
+        1``, and the current one derives all of these from that, so each is
+        checked against it first: a mismatch raises :class:`ValueError`
+        naming the column, and no endpoint loads that the half-edges do not
+        name.
+        """
+        pool_eid, edge_u, edge_v, pool_cap = (
+            self.__dict__.pop(name) for name in ("pool_eid", "edge_u", "edge_v", "pool_cap")
+        )
+        n_half, n = int(self.meta[0]), int(self.meta[1])
+        if n_half != 2 * n:
+            raise ValueError(f"n_half is {n_half}, not twice the {n} stored edges")
+        if pool_cap != 2 * self.edge_cap:
+            raise ValueError(f"pool_cap is {pool_cap}, not twice edge_cap {self.edge_cap}")
+        if not np.array_equal(pool_eid[:n_half], np.arange(n_half) >> 1):
+            raise ValueError("pool_eid does not put edge e's half-edges at 2e and 2e + 1")
+        lo, hi = self._ends(slice(0, n))
+        for name, held, ends in (("edge_u", edge_u, lo), ("edge_v", edge_v, hi)):
+            if not np.array_equal(held[:n], ends):
+                raise ValueError(f"{name} differs from the endpoints the half-edges name")
+        self.meta = self.meta[1:].copy()
 
     def _cells_from_dense(self) -> None:
         """Convert the dense ``group_size × node_cap`` blocks of an older
@@ -257,11 +289,11 @@ class GroupArrays:
         np.add.at(self.node_bits, nodes, np.left_shift(1, slots))
         counts = np.bincount(nodes, minlength=self.node_cap)
         self.node_base = np.cumsum(counts) - counts
-        self.meta = np.concatenate((self.meta[:3], [n, 0]))
+        self.meta = np.concatenate((self.meta[:2], [n, 0]))
 
     @property
     def n_edges(self) -> int:
-        return int(self.meta[1])
+        return int(self.meta[0])
 
     @property
     def has_eta_local(self) -> bool:
@@ -284,32 +316,20 @@ class GroupArrays:
         kernel_mod.sync_record(self.record, self)
 
     def ensure_edges(self, extra: int) -> None:
-        """Guarantee room for ``extra`` more stored edges (and half-edges)."""
-        grown = False
-        need = int(self.meta[1]) + extra
-        if need > self.edge_cap:
-            cap = self.edge_cap
-            while cap < need:
-                cap *= 2
-            self.edge_u = _grown(self.edge_u, cap)
-            self.edge_v = _grown(self.edge_v, cap)
-            self.edge_slot = _grown(self.edge_slot, cap)
-            self.edge_tri = _grown(self.edge_tri, cap)
-            self.edge_seen = _grown(self.edge_seen, cap)
-            self.edge_cap = cap
-            grown = True
-        need = int(self.meta[0]) + 2 * extra
-        if need > self.pool_cap:
-            cap = self.pool_cap
-            while cap < need:
-                cap *= 2
-            self.pool_nbr = _grown(self.pool_nbr, cap)
-            self.pool_eid = _grown(self.pool_eid, cap)
-            self.pool_nxt = _grown(self.pool_nxt, cap)
-            self.pool_cap = cap
-            grown = True
-        if grown:
-            kernel_mod.sync_record(self.record, self)
+        """Guarantee room for ``extra`` more stored edges, rows and half-edges."""
+        need = int(self.meta[0]) + extra
+        if need <= self.edge_cap:
+            return
+        cap = self.edge_cap
+        while cap < need:
+            cap *= 2
+        self.edge_slot = _grown(self.edge_slot, cap)
+        self.edge_tri = _grown(self.edge_tri, cap)
+        self.edge_seen = _grown(self.edge_seen, cap)
+        self.pool_nbr = _grown(self.pool_nbr, 2 * cap)
+        self.pool_nxt = _grown(self.pool_nxt, 2 * cap)
+        self.edge_cap = cap
+        kernel_mod.sync_record(self.record, self)
 
     def ensure_cells(self, extra: int) -> None:
         """Guarantee room for ``extra`` more cells at the pool's end.
@@ -320,7 +340,7 @@ class GroupArrays:
         ``extra`` is large); any other pool doubles, its cells copied as
         they lie.
         """
-        top, dead = int(self.meta[3]), int(self.meta[4])
+        top, dead = int(self.meta[2]), int(self.meta[3])
         cap = self.cell_cap
         if top + extra <= cap:
             return
@@ -332,8 +352,8 @@ class GroupArrays:
         columns = self._cell_columns(cap)
         if compact:
             # The record points at the old columns until the pass has read them.
-            self.meta[3] = kernel_mod.compact_cells(self.record, *columns)
-            self.meta[4] = 0
+            self.meta[2] = kernel_mod.compact_cells(self.record, *columns)
+            self.meta[3] = 0
         else:
             old = (self.cell_head, self.cell_tau, self.cell_eta, self.cell_mark)
             for new_column, old_column in zip(columns, old):
@@ -344,8 +364,8 @@ class GroupArrays:
         kernel_mod.sync_record(self.record, self)
 
     def make_room(self) -> None:
-        """Room for one more stored record: one edge, two half-edges and
-        the most cells its endpoints may need (each gaining a slot)."""
+        """Room for one more stored record: one edge row and the most cells
+        its endpoints may need (each gaining a slot)."""
         self.ensure_edges(1)
         self.ensure_cells(2 * self.group_size)
 
@@ -423,8 +443,14 @@ class GroupArrays:
 
     def edge_rows(self, start: int) -> np.ndarray:
         """The ``(slot, lo, hi)`` columns of the edges stored from eid ``start`` on."""
-        n = int(self.meta[1])
-        return np.stack((self.edge_slot[start:n], self.edge_u[start:n], self.edge_v[start:n]))
+        eids = slice(start, int(self.meta[0]))
+        return np.stack((self.edge_slot[eids], *self._ends(eids)))
+
+    def _ends(self, eids) -> Tuple[np.ndarray, np.ndarray]:
+        """The id-ordered endpoints ``(lo, hi)`` of edges ``eids`` (a slice
+        or an index array): half-edges ``2e`` and ``2e + 1`` name them."""
+        first, second = self.pool_nbr[0::2][eids], self.pool_nbr[1::2][eids]
+        return np.minimum(first, second), np.maximum(first, second)
 
     def columns(self) -> ColumnarDelta:
         """Every stored edge and counter as a :class:`ColumnarDelta`; changes nothing."""
@@ -455,7 +481,7 @@ class GroupArrays:
         """The non-zero ``τ_v`` and the marked ``η_v`` cells as ``(slot, node,
         value)`` columns, node by node; ``take`` zeroes them.  Untracked
         counters yield no cells."""
-        live = int(self.meta[3] - self.meta[4])
+        live = int(self.meta[2] - self.meta[3])
         tau = np.empty((3, live if self.track_local else 0), np.int64)
         eta = np.empty((3, live if self.has_eta_local else 0), np.int64)
         n_tau, n_eta = kernel_mod.read_cells(self.record, take, tau, eta).tolist()
@@ -467,11 +493,8 @@ class GroupArrays:
 
     def _tri(self) -> Tuple[np.ndarray, np.ndarray]:
         """The per-edge counter columns, loose ones last, and the eids of the stored ones."""
-        n = int(self.meta[1])
-        sel = np.flatnonzero(self.edge_seen[:n])
-        tri = np.stack(
-            (self.edge_slot[sel], self.edge_u[sel], self.edge_v[sel], self.edge_tri[sel])
-        )
+        sel = np.flatnonzero(self.edge_seen[: int(self.meta[0])])
+        tri = np.stack((self.edge_slot[sel], *self._ends(sel), self.edge_tri[sel]))
         loose = [
             (slot, a, b, value)
             for slot, counters in enumerate(self.loose_tri)

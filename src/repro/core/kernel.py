@@ -11,11 +11,14 @@ bit (the kernel-parity suites assert exact equality).
 
 Each group has one state record (:class:`GroupRecord`): its hash family
 and parameters, ``m``, its shape (``group_size``, ``track_local``,
-``track_eta``), the capacities of its node columns, edge columns,
-half-edge pool and cell pool (``node_cap``, ``edge_cap``, ``pool_cap``,
-``cell_cap``) and the addresses of its columns (:data:`RECORD_COLUMNS`),
-among them ``meta``, the scalars the calls advance: ``[n_half, n_edges,
-epoch, n_cells, n_dead]``.
+``track_eta``), the capacities of its node columns, edge rows and cell
+pool (``node_cap``, ``edge_cap``, ``cell_cap``) and the addresses of its
+columns (:data:`RECORD_COLUMNS`), among them ``meta``, the scalars the
+calls advance: ``[n_edges, epoch, n_cells, n_dead]``.  The edge id is the
+one index of a stored edge: edge ``e``'s two half-edges sit at entries
+``2e`` (in the first endpoint's chain, naming the second) and ``2e + 1``
+of the half-edge pool, so a half-edge's eid is ``h >> 1`` and the pool
+holds two entries per edge row.
 
 One record loop advances a group.  For each record it turns the edge's
 canonical key, which no seed enters, into the group's slot with C ports of
@@ -26,12 +29,12 @@ the fused closure+store step.  The step stores the edge unless its slot
 is virtual or the group's sampled set ``E(i)`` already holds it, which
 the closure walk of the record's own slot shows for free: each group
 decides first occurrence from its own stored edges.  Before each record
-on a real slot the loop checks the room a store needs — one edge, two
-half-edges, and for each endpoint that gains the slot its whole block of
-cells plus one — and only when room is short looks the edge up, so a
-held edge never stops it; it stops before the first record that does not
-fit, returning its index (``n`` when every record ran).  Two entries run
-it, both over the group records of one state set (:class:`EdgeEntry`):
+on a real slot the loop checks the room a store needs — one edge row,
+and for each endpoint that gains the slot its whole block of cells plus
+one — and only when room is short looks the edge up, so a held edge
+never stops it; it stops before the first record that does not fit,
+returning its index (``n`` when every record ran).  Two entries run it,
+both over the group records of one state set (:class:`EdgeEntry`):
 
 * ``rept_ingest_groups`` is the batch path (:func:`run_groups`): one call
   per encoded batch whatever the number of groups, each group running the
@@ -90,7 +93,7 @@ cell scans, all of which read the group's record:
 
 No compiled function allocates: node columns are ensured by the Python
 wrapper before the call, from the largest id a batch references; edge
-columns, the half-edge pool and the cell pool grow wherever a call
+rows (with their half-edges) and the cell pool grow wherever a call
 stopped short or, on the per-edge path, reported which groups lack room.
 So no Python runs and no column grows off the calling thread.  The
 library is built with ``-pthread`` (:data:`CFLAGS`), and the cached build
@@ -158,8 +161,7 @@ typedef struct {
     i64 track_local;
     i64 track_eta;
     i64 node_cap;
-    i64 edge_cap;
-    i64 pool_cap;
+    i64 edge_cap;           /* the half-edge pool holds 2 * edge_cap */
     i64 cell_cap;
     i64 *node_bits;
     i64 *node_base;
@@ -168,10 +170,7 @@ typedef struct {
     i64 *cell_eta;
     u8 *cell_mark;
     i64 *pool_nbr;
-    i64 *pool_eid;
     i64 *pool_nxt;
-    i64 *edge_u;
-    i64 *edge_v;
     i64 *edge_slot;
     i64 *edge_tri;
     u8 *edge_seen;
@@ -184,7 +183,7 @@ typedef struct {
 } rept_group;
 
 /* The scalars of meta, which the entries advance in a local copy. */
-enum { N_HALF, N_EDGES, EPOCH, N_CELLS, N_DEAD, N_META };
+enum { N_EDGES, EPOCH, N_CELLS, N_DEAD, N_META };
 
 static inline i64 rept_popcount(uint64_t x)
 {
@@ -216,12 +215,11 @@ static inline i64 rept_cells_needed(const rept_group *g, i64 x, i64 s)
     return (bits >> s) & 1 ? 0 : rept_popcount((uint64_t)bits) + 1;
 }
 
-/* Whether g has room to store edge {x, y} on slot: one edge, two
- * half-edges and the cells both endpoints may need. */
+/* Whether g has room to store edge {x, y} on slot: one edge row (its two
+ * half-edges come with it) and the cells both endpoints may need. */
 static inline i64 rept_store_room(const rept_group *g, i64 x, i64 y, i64 slot, const i64 *st)
 {
     return st[N_EDGES] < g->edge_cap
-        && st[N_HALF] + 2 <= g->pool_cap
         && st[N_CELLS] + rept_cells_needed(g, x, slot) + rept_cells_needed(g, y, slot)
             <= g->cell_cap;
 }
@@ -237,9 +235,9 @@ static inline i64 rept_find_edge(const rept_group *g, i64 slot, i64 a, i64 b)
     i64 hb = g->cell_head[rept_cell_of(g, b, slot)];
     while (ha != -1 && hb != -1) {
         if (g->pool_nbr[ha] == b)
-            return g->pool_eid[ha];
+            return ha >> 1;
         if (g->pool_nbr[hb] == a)
-            return g->pool_eid[hb];
+            return hb >> 1;
         ha = g->pool_nxt[ha];
         hb = g->pool_nxt[hb];
     }
@@ -309,32 +307,28 @@ static inline i64 rept_hold_cell(const rept_group *g, i64 x, i64 s, i64 *st)
     return rept_gain_cell(g, x, s, st);
 }
 
-/* Stores edge {x, y} on slot: the id-ordered edge columns with per-edge
- * counter tri and flag seen, and x's half-edge then y's at the heads of
- * their cells' chains.  The one edge insert of the ingest loop and the
- * bulk append; the caller has checked rept_store_room. */
+/* Stores edge {x, y} on slot as edge e: its slot, per-edge counter tri and
+ * flag seen in row e, and its half-edges at the heads of their cells'
+ * chains, 2e in x's (naming y) and 2e + 1 in y's (naming x).  The one edge
+ * insert of the ingest loop and the bulk append; the caller has checked
+ * rept_store_room. */
 static inline void rept_link_edge(
     const rept_group *g, i64 x, i64 y, i64 slot, i64 tri, u8 seen, i64 *st)
 {
     i64 e = st[N_EDGES];
-    i64 h = st[N_HALF];
-    g->edge_u[e] = x < y ? x : y;
-    g->edge_v[e] = x < y ? y : x;
+    i64 h = 2 * e;
     g->edge_slot[e] = slot;
     g->edge_tri[e] = tri;
     g->edge_seen[e] = seen;
     i64 cx = rept_hold_cell(g, x, slot, st);
     i64 cy = rept_hold_cell(g, y, slot, st);
     g->pool_nbr[h] = y;
-    g->pool_eid[h] = e;
     g->pool_nxt[h] = g->cell_head[cx];
     g->cell_head[cx] = h;
     g->pool_nbr[h + 1] = x;
-    g->pool_eid[h + 1] = e;
     g->pool_nxt[h + 1] = g->cell_head[cy];
     g->cell_head[cy] = h + 1;
     st[N_EDGES] = e + 1;
-    st[N_HALF] = h + 2;
 }
 
 /* One record through one group: the fused closure+store step of the
@@ -360,7 +354,6 @@ static inline void rept_record_step(
     i64 *cell_eta = g->cell_eta;
     u8 *cell_mark = g->cell_mark;
     const i64 *pool_nbr = g->pool_nbr;
-    const i64 *pool_eid = g->pool_eid;
     const i64 *pool_nxt = g->pool_nxt;
     i64 *edge_tri = g->edge_tri;
     u8 *edge_seen = g->edge_seen;
@@ -389,7 +382,7 @@ static inline void rept_record_step(
         while (h != -1) {
             i64 w = pool_nbr[h];
             mark[w] = stamp;
-            mark_eid[w] = pool_eid[h];
+            mark_eid[w] = h >> 1;
             h = pool_nxt[h];
         }
         if (s == slot)
@@ -407,7 +400,7 @@ static inline void rept_record_step(
                     cell_tau[cw] += 1;
                 if (track_eta) {
                     i64 e_uw = mark_eid[w];
-                    i64 e_vw = pool_eid[h];
+                    i64 e_vw = h >> 1;
                     i64 count_uw = edge_tri[e_uw];
                     i64 count_vw = edge_tri[e_vw];
                     g->eta[s] += count_uw + count_vw;
@@ -558,13 +551,11 @@ static void *rept_batch_worker(void *arg)
 #define REPT_MAX_THREADS 255
 
 /* Whether g has the edge room to store count more edges without growing:
- * as many free edge rows and twice as many free half-edges.  (The cells a
- * store takes depend on the slots its endpoints already hold, so they are
- * not counted.) */
+ * as many free edge rows.  (The cells a store takes depend on the slots
+ * its endpoints already hold, so they are not counted.) */
 static inline i64 rept_room_for(const rept_group *g, i64 count)
 {
-    return g->edge_cap - g->meta[N_EDGES] >= count
-        && g->pool_cap - g->meta[N_HALF] >= 2 * count;
+    return g->edge_cap - g->meta[N_EDGES] >= count;
 }
 
 /* The batch entry: each group k of a state set runs rept_records over
@@ -610,11 +601,11 @@ int64_t rept_ingest_groups(
 /* The per-edge path: one interned record {iu, iv} with canonical edge key
  * key through every group of a state set.  All or nothing: unless every
  * group has room (node columns above both ids and, where it stores, one
- * more edge, two half-edges and the cells both endpoints may need), it
- * changes no state, sets stored[k] to whether group k would store (its
- * slot is real and E(i) lacks the edge; an id past the node columns holds
- * no slot), and returns -1 so the caller grows those groups and calls
- * again.  Otherwise each group runs rept_records over the one record,
+ * more edge row and the cells both endpoints may need), it changes no
+ * state, sets stored[k] to whether group k would store (its slot is real
+ * and E(i) lacks the edge; an id past the node columns holds no slot),
+ * and returns -1 so the caller grows those groups and calls again.
+ * Otherwise each group runs rept_records over the one record,
  * stored[k] is whether group k stored, and the return value is their
  * number. */
 int64_t rept_ingest_edge(
@@ -1064,8 +1055,7 @@ def resolve_kernel(requested: str, max_group_size: Optional[int] = None) -> str:
 #: a :class:`GroupRecord` holds, in the order of the C ``rept_group``.
 RECORD_COLUMNS = (
     "node_bits", "node_base", "cell_head", "cell_tau", "cell_eta", "cell_mark",
-    "pool_nbr", "pool_eid", "pool_nxt",
-    "edge_u", "edge_v", "edge_slot", "edge_tri", "edge_seen",
+    "pool_nbr", "pool_nxt", "edge_slot", "edge_tri", "edge_seen",
     "tau", "eta", "edges_stored", "mark", "mark_eid", "meta",
 )
 
@@ -1091,7 +1081,6 @@ class GroupRecord(ctypes.Structure):
         ("track_eta", ctypes.c_int64),
         ("node_cap", ctypes.c_int64),
         ("edge_cap", ctypes.c_int64),
-        ("pool_cap", ctypes.c_int64),
         ("cell_cap", ctypes.c_int64),
     ] + [(name, ctypes.c_void_p) for name in RECORD_COLUMNS]
 
@@ -1103,7 +1092,6 @@ def sync_record(record: GroupRecord, arrays) -> None:
     record.track_eta = 1 if arrays.track_eta else 0
     record.node_cap = arrays.node_cap
     record.edge_cap = arrays.edge_cap
-    record.pool_cap = arrays.pool_cap
     record.cell_cap = arrays.cell_cap
     for name in RECORD_COLUMNS:
         # The address through a zero-copy view of the writable buffer:

@@ -156,35 +156,6 @@ class ProcessorCounters:
     eta_local: Dict[NodeId, int] = field(default_factory=dict)
     edges_stored: int = 0
 
-    def neighbors(self, node: NodeId) -> Set[NodeId]:
-        """Return the stored neighbor set of ``node`` (empty if absent)."""
-        return self.adjacency.get(node, _EMPTY)
-
-    def store_edge(
-        self, u: NodeId, v: NodeId, closing_triangles: int, track_pairs: bool = True
-    ) -> None:
-        """Insert edge ``(u, v)`` into ``E(i)``.
-
-        ``closing_triangles`` is ``|N_u,v(i)|`` at insertion time, which
-        initialises the per-edge triangle counter ``τ_(u,v)(i)``.  With
-        ``track_pairs=False`` (groups that do not maintain the η counters)
-        the per-edge counter is not materialised at all.
-        """
-        adjacency = self.adjacency
-        neighbors = adjacency.get(u)
-        if neighbors is None:
-            adjacency[u] = {v}
-        else:
-            neighbors.add(v)
-        neighbors = adjacency.get(v)
-        if neighbors is None:
-            adjacency[v] = {u}
-        else:
-            neighbors.add(u)
-        if track_pairs:
-            self.edge_triangles[canonical_edge(u, v)] = closing_triangles
-        self.edges_stored += 1
-
     # -- merge ---------------------------------------------------------------
 
     def merge(self, later: "ProcessorCounters", track_local: bool = True) -> None:
@@ -231,9 +202,6 @@ class ProcessorCounters:
                 self.adjacency[node] = set(neighbors)
             else:
                 mine |= neighbors
-
-
-_EMPTY: Set[NodeId] = frozenset()  # type: ignore[assignment]
 
 
 class ProcessorGroup:

@@ -1,4 +1,4 @@
-"""Tests for ProcessorGroup / ProcessorCounters (the per-edge update rules)."""
+"""Tests for ProcessorGroup (the per-edge update rules) and GroupStateSet."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import ReptConfig
 from repro.core.rept import ReptEstimator
-from repro.core.state import GroupStateSet, ProcessorCounters, ProcessorGroup
+from repro.core.state import GroupStateSet, ProcessorGroup
 from repro.generators.planted import planted_triangles_stream
 from repro.hashing import make_hash_function
 
@@ -121,18 +121,6 @@ class TestSemiTriangleCounting:
         for u, v in clique_stream:
             group.process_edge(u, v)
         assert group.local_tau_sums() == {}
-
-
-class TestProcessorCounters:
-    def test_store_edge_initialises_triangle_counter(self):
-        counters = ProcessorCounters()
-        counters.store_edge(1, 2, closing_triangles=3)
-        assert counters.edge_triangles[(1, 2)] == 3
-        assert counters.edges_stored == 1
-        assert counters.neighbors(1) == {2}
-
-    def test_neighbors_of_unknown_node_empty(self):
-        assert ProcessorCounters().neighbors("nope") == frozenset()
 
 
 def _dup_heavy_stream():

@@ -145,12 +145,9 @@ def _age_to_older_format(monitor):
         for group in chain.state.groups:
             arrays = getattr(group, "_arrays", None)
             if arrays is not None:
-                n = arrays.n_edges
-                arrays._pair_eids = {
-                    (int(arrays.edge_slot[e]), int(arrays.edge_u[e]), int(arrays.edge_v[e])): e
-                    for e in range(n)
-                }
-                arrays._pair_sync = n
+                rows = zip(*arrays.edge_rows(0).tolist())
+                arrays._pair_eids = {key: e for e, key in enumerate(rows)}
+                arrays._pair_sync = arrays.n_edges
 
 
 class TestOlderCheckpoints:

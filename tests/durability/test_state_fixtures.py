@@ -11,7 +11,10 @@ out in dense ``group_size × node_cap`` blocks, in the pickled estimator
 and the native monitor's checkpoints; ``pane-rings/`` pins the monitor
 windows' last layout with a live state set, an accumulator and a ring of
 pane deltas each (all three sets' windows kept those), which now resume
-as one state set per window.  Every one is cut halfway
+as one state set per window.  Every native group pickled in these sets
+also kept each half-edge's eid and each edge's endpoints beside the
+half-edges, which now name both; they load with the same edges, and a
+pickle whose columns break that rule is refused.  Every one is cut halfway
 through the same stream; resumed here and fed the rest, through batches
 and through per-edge calls, each must end exactly where an uninterrupted
 run ends: global and local counts, ``eta_hat``, ``edges_stored`` and
@@ -21,16 +24,18 @@ every window result.
 from __future__ import annotations
 
 import asyncio
+import copy
 import json
 import pickle
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cluster import ElasticCoordinator, ShardState
 from repro.core import ReptConfig, ReptEstimator
-from repro.core.adjacency import NativeProcessorGroup
+from repro.core.adjacency import GroupArrays, NativeProcessorGroup
 from repro.core.combine import combine_group_estimates
 from repro.core.kernel import native_available
 from repro.core.state import GroupStateSet
@@ -178,6 +183,58 @@ def test_pickled_native_estimator_resumes(fixtures):
     for u, v in EDGES[CUT:]:
         estimator.process_edge(u, v)
     assert _key(estimator.estimate()) == _key(reference.estimate())
+
+
+def _unpickled_arrays(load):
+    """Run ``load()``; return every ``GroupArrays`` it unpickled with a copy
+    of the state its pickle held and its edge rows as it was loaded (an
+    older monitor's windows fold into some of them afterwards)."""
+    loaded = []
+    setstate = GroupArrays.__setstate__
+
+    def spy(arrays, state):
+        held = copy.deepcopy(state)
+        setstate(arrays, state)
+        loaded.append((held, arrays, arrays.edge_rows(0)))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GroupArrays, "__setstate__", spy)
+        load()
+    return loaded
+
+
+def _load_pickled(path):
+    if path.suffix == ".pkl":
+        return lambda: pickle.loads(path.read_bytes())
+    return lambda: CheckpointManager(path).recover().checkpoint.payload
+
+
+@needs_cc
+@pytest.mark.parametrize("name", ["estimator.pkl", "monitor"])
+def test_pickled_groups_load_the_edges_they_held(fixtures, name):
+    loaded = _unpickled_arrays(_load_pickled(fixtures / name))
+    assert loaded
+    for held, arrays, rows in loaded:
+        n = int(held["meta"][1])
+        columns = np.stack([held[column][:n] for column in ("edge_slot", "edge_u", "edge_v")])
+        assert np.array_equal(rows, columns)
+        assert len(arrays.meta) == 4
+        assert not {"pool_eid", "edge_u", "edge_v", "pool_cap"} & set(vars(arrays))
+
+
+@needs_cc
+@pytest.mark.parametrize("column", ["pool_eid", "n_half", "edge_u", "edge_v", "pool_cap"])
+def test_a_pickle_off_the_half_edge_rule_is_refused(column):
+    (state, _, _), *_ = _unpickled_arrays(_load_pickled(ROOT / "pane-rings" / "estimator.pkl"))
+    GroupArrays.__new__(GroupArrays).__setstate__(copy.deepcopy(state))
+    if column == "n_half":
+        state["meta"][0] += 2
+    elif column == "pool_cap":
+        state["pool_cap"] *= 2
+    else:
+        state[column][3] += 1
+    with pytest.raises(ValueError, match=column):
+        GroupArrays.__new__(GroupArrays).__setstate__(state)
 
 
 @pytest.mark.parametrize("kernel", [pytest.param("auto", marks=needs_cc), "python"])

@@ -78,7 +78,7 @@ def _native_groups(state):
 
 def _assert_cells(arrays):
     """The cell pool of one group against the edge columns it indexes."""
-    n_cells, n_dead = int(arrays.meta[3]), int(arrays.meta[4])
+    n_cells, n_dead = int(arrays.meta[2]), int(arrays.meta[3])
     assert 0 <= n_dead <= n_cells <= arrays.cell_cap
     owner = {}
     for x in np.flatnonzero(arrays.node_bits[: arrays.node_cap]).tolist():
@@ -101,8 +101,7 @@ def _assert_cells(arrays):
         else:
             assert column.tolist() == [0], f"{name} is an untracked placeholder"
     expected = {}
-    for e in range(arrays.n_edges):
-        s, a, b = (int(arrays.edge_slot[e]), int(arrays.edge_u[e]), int(arrays.edge_v[e]))
+    for e, (s, a, b) in enumerate(zip(*arrays.edge_rows(0).tolist())):
         expected.setdefault((a, s), set()).add((b, e))
         expected.setdefault((b, s), set()).add((a, e))
     for cell, (x, s) in owner.items():
@@ -111,7 +110,7 @@ def _assert_cells(arrays):
         for _ in range(2 * arrays.n_edges + 1):
             if h == -1:
                 break
-            chain.add((int(arrays.pool_nbr[h]), int(arrays.pool_eid[h])))
+            chain.add((int(arrays.pool_nbr[h]), h >> 1))
             h = int(arrays.pool_nxt[h])
         assert h == -1, "a chain does not end"
         assert chain == expected.pop((x, s), set()), (x, s)
@@ -191,7 +190,7 @@ class _Rebuilds:
         ensure = GroupArrays.ensure_cells
 
         def spy(arrays, extra):
-            before = (arrays.cell_cap, int(arrays.meta[4]), arrays.cell_head)
+            before = (arrays.cell_cap, int(arrays.meta[3]), arrays.cell_head)
             ensure(arrays, extra)
             if arrays.cell_head is not before[2]:
                 self.seen.append((before[0], arrays.cell_cap, before[1]))
@@ -213,9 +212,9 @@ def _run(config, edges, kernel="auto"):
 
 def _short_of(record):
     """The room a batch call that stopped lacked: ``"edges"`` when the
-    group has no edge or no two half-edges left, else ``"cells"``."""
-    n_half, n_edges = (ctypes.c_int64 * 2).from_address(record.meta)
-    return "edges" if n_edges == record.edge_cap or n_half + 2 > record.pool_cap else "cells"
+    group has no edge row left, else ``"cells"``."""
+    n_edges = ctypes.c_int64.from_address(record.meta).value
+    return "edges" if n_edges == record.edge_cap else "cells"
 
 
 @needs_cc
@@ -480,7 +479,19 @@ def _dense_pickle_state(arrays):
     for s in range(size):
         state["node_bits"] |= np.where(heads[s] != -1, 1 << s, 0)
     state.update(heads=heads, tau_local=tau_local, eta_local=eta_local, eta_mark=eta_mark)
-    state["meta"] = arrays.meta[:3].copy()
+    # It also kept each half-edge's eid, each edge's endpoints, the pool's
+    # capacity and the half-edge count.
+    n, edge_cap = arrays.n_edges, arrays.edge_cap
+    _, lo, hi = arrays.edge_rows(0)
+    pool_eid = np.arange(2 * edge_cap) >> 1
+    pool_eid[2 * n :] = 0
+    state.update(
+        pool_eid=pool_eid,
+        edge_u=np.concatenate((lo, np.zeros(edge_cap - n, np.int64))),
+        edge_v=np.concatenate((hi, np.zeros(edge_cap - n, np.int64))),
+        pool_cap=2 * edge_cap,
+        meta=np.array([2 * n, n, arrays.meta[1]]),
+    )
     return state
 
 

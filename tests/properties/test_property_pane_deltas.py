@@ -216,10 +216,7 @@ def test_restore_of_odd_snapshots_matches_dict_reference(config_name, track_loca
             arrays = getattr(group, "_arrays", None)
             if arrays is not None:
                 # A fold appends its new edges slot-major and by id.
-                n = arrays.n_edges
-                keys = list(
-                    zip(arrays.edge_slot[:n].tolist(), arrays.edge_u[:n].tolist(), arrays.edge_v[:n].tolist())
-                )
+                keys = list(zip(*arrays.edge_rows(0).tolist()))
                 assert keys == sorted(keys)
             group.merge_snapshot(snapshot)
     _assert_snapshots_agree(native, python)

@@ -92,9 +92,9 @@ def _run(config, edges, kernel="auto", batch=250):
 
 def _room_for(record, count):
     """Whether the group has the edge room to store ``count`` more edges:
-    as many free edge rows and twice as many half-edges."""
-    n_half, n_edges = (ctypes.c_int64 * 2).from_address(record.meta)
-    return record.edge_cap - n_edges >= count and record.pool_cap - n_half >= 2 * count
+    as many free edge rows."""
+    n_edges = ctypes.c_int64.from_address(record.meta).value
+    return record.edge_cap - n_edges >= count
 
 
 def _earned(entry, n):

@@ -123,14 +123,14 @@ def _assert_records_fresh(state):
         record = arrays.record
         assert pointer == ctypes.addressof(record)
         assert (record.group_size, record.m) == (group.group_size, group.m)
-        assert (record.node_cap, record.edge_cap, record.pool_cap, record.cell_cap) == (
+        assert (record.node_cap, record.edge_cap, record.cell_cap) == (
             arrays.node_cap,
             arrays.edge_cap,
-            arrays.pool_cap,
             arrays.cell_cap,
         )
         assert len(arrays.cell_head) == arrays.cell_cap
-        assert int(arrays.meta[4]) <= int(arrays.meta[3]) <= arrays.cell_cap
+        assert len(arrays.pool_nbr) == len(arrays.pool_nxt) == 2 * arrays.edge_cap
+        assert int(arrays.meta[3]) <= int(arrays.meta[2]) <= arrays.cell_cap
         for name in RECORD_COLUMNS:
             assert getattr(record, name) == getattr(arrays, name).ctypes.data, name
         hash_function = group.hash_function
@@ -140,10 +140,10 @@ def _assert_records_fresh(state):
             assert (record.hash_kind, record.table) == (1, hash_function.tables.ctypes.data)
         n = arrays.n_edges
         assert n <= arrays.edge_cap
-        assert int(arrays.meta[0]) == 2 * n <= arrays.pool_cap
         if n:
-            assert int(arrays.edge_v[:n].max()) < arrays.node_cap
-            assert (arrays.edge_u[:n] < arrays.edge_v[:n]).all()
+            _, lo, hi = arrays.edge_rows(0)
+            assert int(hi.max()) < arrays.node_cap
+            assert (lo < hi).all()
 
 
 # -- hash parity ---------------------------------------------------------------
