@@ -27,13 +27,12 @@ Python object:
     mask and ``node_base[x]`` the start of its block of cells, one per set
     bit in slot order, so slot ``s``'s cell sits at ``node_base[x] +
     popcount(node_bits[x] & ((1 << s) - 1))``.  A cell holds the head of
-    the node's neighbour chain on that slot (``cell_head``, -1 for an empty
-    chain) and, when the group tracks them, ``τ_v``, ``η_v`` and the η mark
+    the node's neighbour chain on that slot (``cell_head``) and, when the
+    group tracks them, ``τ_v``, ``η_v`` and the η mark
     (``cell_tau``/``cell_eta``/``cell_mark``).  A node gains a slot when it
-    stores its first edge there, or when a fold gives it a ``τ_v`` or
-    ``η_v`` on a slot where it stores no edge; that cell's chain stays
-    empty.  So a group's memory follows its sample, not the largest
-    interned id.
+    stores its first edge there, and ``τ_v``/``η_v`` only ever touch nodes
+    with a stored edge on the slot, so no chain is empty.  So a group's
+    memory follows its sample, not the largest interned id.
 
     Growth is amortised doubling with contiguous reallocation, and the
     compiled calls never allocate.  Node capacity is ensured before a
@@ -41,16 +40,16 @@ Python object:
     moves its block to the end of the cell pool, or grows it in place if
     it ends the pool; the cells it leaves are zeroed and counted dead.  A
     compiled entry that would run out of room stops before the record (or
-    edge, or counter) that does not fit and returns its index; the group
-    makes room for one stored record (:meth:`GroupArrays.make_room`) and
-    the entry resumes there.  The batch call of a state set reports each
-    group's stop, so only the groups that stopped grow, all on the calling
-    thread, before it runs again (:func:`ingest_batch`); the cold-path
-    folds resume one group at a time (:meth:`GroupArrays.fill`).  The edge
-    columns double with their half-edges, and the cell pool doubles or,
-    when its dead cells outnumber the live ones, is compacted in one pass.
-    The per-edge call reports a group short of room instead of writing, so
-    the caller makes the same room and calls again.  The group's state
+    edge) that does not fit and returns its index; the group makes room
+    for one stored record (:meth:`GroupArrays.make_room`) and the entry
+    resumes there.  The batch call of a state set reports each group's
+    stop, so only the groups that stopped grow, all on the calling thread,
+    before it runs again (:func:`ingest_batch`); the bulk append of a fold
+    resumes one group at a time (:meth:`GroupArrays.append_edges`).  The
+    edge columns double with their half-edges, and the cell pool doubles
+    or, when its dead cells outnumber the live ones, is compacted in one
+    pass.  The per-edge call reports a group short of room instead of
+    writing, so the caller makes the same room and calls again.  The group's state
     record (:class:`~repro.core.kernel.GroupRecord`) holds the columns' addresses
     and capacities; every growth and compaction rewrites it, a reset hands
     it on to the new columns, and it is never pickled.  There is no
@@ -67,10 +66,10 @@ Python object:
     :class:`~repro.core.portable.ColumnarDelta`, its
     ``τ_v``/``η_v`` entries in one compiled pass over the occupied cells,
     ``merge_deltas`` folds one — new edges are appended in one compiled
-    call, the per-edge counters fold with the exact η correction in
-    another, ``τ_v``/``η_v`` entries add onto cells in a third, and slot
-    rows are numpy adds — and ``reset`` drops the state.  Snapshots,
-    restores, merges, pane deltas, aggregates and stored-edge
+    call, the per-edge counters fold onto stored edges with the exact η
+    correction in another, ``τ_v``/``η_v`` entries add onto held cells in a
+    third, and slot rows are numpy adds — and ``reset`` drops the state.
+    Snapshots, restores, merges, pane deltas, aggregates and stored-edge
     introspection are bit-identical to the dict reference (asserted by the
     kernel-parity, pane-delta, cell-layout and state-format property
     suites), so no per-edge Python object is built at any boundary.
@@ -86,16 +85,10 @@ Dict-equivalence notes (the subtle bits the parity suites pin down):
   (``count_uw`` may be 0 when the wedge edge was stored this instant), and
   the dict keeps those explicit zero entries — ``cell_mark`` records
   touched cells so extraction reproduces them.
-* A dict entry for a node on a slot where it stores no edge (from a
-  restored part, or from the η correction of a loose per-edge counter)
-  is a cell with an empty chain: the closure walks it as nothing, so the
-  counters stay exact.
-* ``edge_triangles`` is keyed by stored edges but a merged snapshot may
-  contain keys whose edge is not in the adjacency; those live in the
-  ``loose_tri`` side dicts and fold with the same η correction.  Once such
-  an edge is stored, its loose counter moves onto the edge
-  (:meth:`GroupArrays.settle_loose`), unless the ingest loop already set
-  the edge's counter — the dict reference overwrites the key there.
+* ``edge_triangles`` and the ``τ_v``/``η_v`` dicts hold entries only for
+  stored edges and for nodes with a stored edge on the slot, as in
+  Algorithms 1–2; the portable reader refuses any other part, and a fold
+  that meets one raises :class:`ValueError`.
 * ``edge_tri``/``edge_seen`` carry the *detachable* per-edge counters: the
   pane-delta protocol zeroes them and the cells' counters while the
   adjacency (pool, cells, bitmasks) stays — exactly the
@@ -104,13 +97,13 @@ Dict-equivalence notes (the subtle bits the parity suites pin down):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import kernel as kernel_mod
 from repro.core.interning import NodeInterner
-from repro.core.portable import ColumnarDelta, columns
+from repro.core.portable import ColumnarDelta
 from repro.core.state import ProcessorGroup, _check_group_size, _id_ordered
 from repro.hashing.base import EdgeHashFunction
 
@@ -189,10 +182,6 @@ class GroupArrays:
         self.eta = np.zeros(group_size, np.int64)
         self.edges_stored = np.zeros(group_size, np.int64)
         self.meta = np.zeros(4, np.int64)
-        # Side state the flat columns cannot express (see module docstring).
-        self.loose_tri: List[Dict[Tuple[int, int], int]] = [
-            {} for _ in range(group_size)
-        ]
         self.record = record if record is not None else kernel_mod.GroupRecord()
         kernel_mod.sync_record(self.record, self)
 
@@ -218,11 +207,16 @@ class GroupArrays:
 
     def __setstate__(self, state) -> None:
         # Older pickles carry a (slot, u, v) -> eid dict and its sync mark,
-        # which the compiled lookup replaced, and explicit zero τ_v cells,
-        # which no kernel writes.
+        # which the compiled lookup replaced, explicit zero τ_v cells, which
+        # no kernel writes, and per-slot dicts of per-edge counters of
+        # edges the group does not store, which no run writes.
         state.pop("_pair_eids", None)
         state.pop("_pair_sync", None)
         state.pop("tau_zero", None)
+        if any(state.pop("loose_tri", ())):
+            raise ValueError(
+                "the pickle holds a per-edge counter of an edge its group does not store"
+            )
         self.__dict__.update(state)
         if "pool_eid" in state:
             self._drop_repeated_ids()
@@ -261,17 +255,22 @@ class GroupArrays:
 
     def _cells_from_dense(self) -> None:
         """Convert the dense ``group_size × node_cap`` blocks of an older
-        pickle: every chain head, non-zero ``τ_v`` and marked ``η_v`` becomes
-        a cell, node by node."""
+        pickle: every chain becomes a cell, node by node, with its ``τ_v``
+        and ``η_v``.  A non-zero ``τ_v`` or a marked ``η_v`` without a
+        chain raises :class:`ValueError`: no run writes one."""
         heads = self.__dict__.pop("heads")
         tau_local = self.__dict__.pop("tau_local")
         eta_local = self.__dict__.pop("eta_local")
         eta_mark = self.__dict__.pop("eta_mark")
         held = heads != -1
-        if self.track_local:
-            held |= tau_local != 0
-        if self.has_eta_local:
-            held |= eta_mark != 0
+        for name, dense, tracked in (
+            ("τ_v", tau_local, self.track_local),
+            ("η_v", eta_mark, self.has_eta_local),
+        ):
+            if tracked and dense[~held].any():
+                raise ValueError(
+                    f"the pickle holds a {name} of a node that stores no edge on its slot"
+                )
         nodes, slots = np.nonzero(held.T)
         n = len(nodes)
         cap = _INIT_CELLS
@@ -369,75 +368,41 @@ class GroupArrays:
         self.ensure_edges(1)
         self.ensure_cells(2 * self.group_size)
 
-    def fill(self, step, n: int) -> None:
-        """Run a compiled entry over ``n`` items until all are done.
-
-        ``step(start)`` advances items ``start..n-1``, stops before the
-        first one that does not fit, and returns its index; each stop
-        makes room for one stored record, which covers one item of every
-        entry, and resumes there.
-        """
-        done = step(0)
-        while done < n:
-            self.make_room()
-            resumed = step(done)
-            if resumed == done:
-                raise RuntimeError("a compiled call found no room after growth")
-            done = resumed
-
-    # -- edge lookup and insertion ---------------------------------------------
-
-    def find_edge(self, slot: int, a: int, b: int) -> Optional[int]:
-        """Return the eid of the pair ``{a, b}`` on ``slot``, if stored."""
-        if a >= self.node_cap or b >= self.node_cap:
-            return None
-        eid = int(kernel_mod.find_edges([slot], [a], [b], self.record)[0])
-        return None if eid < 0 else eid
-
-    def append_edge(self, iu: int, iv: int, slot: int) -> None:
-        """Cold-path insert of one edge (see :meth:`append_edges`)."""
-        a, b = (iu, iv) if iu < iv else (iv, iu)
-        self.append_edges([a], [b], [slot])
+    # -- the cold-path folds ---------------------------------------------------
 
     def append_edges(self, us: Sequence[int], vs: Sequence[int], ss: Sequence[int]) -> None:
-        """Insert id-ordered pairs ``us[k] < vs[k]`` on slots ``ss[k]`` in
-        one compiled call (restore/seed/merge; per-edge counters zero,
-        apart from loose counters the new edges settle)."""
+        """Insert id-ordered pairs ``us[k] < vs[k]`` on slots ``ss[k]`` with
+        per-edge counters zero (restore/merge).
+
+        One compiled call runs until an edge does not fit; each stop makes
+        room for one stored record and the call resumes there.
+        """
         us = np.ascontiguousarray(us, np.int64)
         vs = np.ascontiguousarray(vs, np.int64)
         ss = np.ascontiguousarray(ss, np.int64)
         self.ensure_nodes(int(vs.max()) + 1)
         self.ensure_edges(len(us))
-        self.fill(lambda start: kernel_mod.append_edges(start, us, vs, ss, self.record), len(us))
-        self.settle_loose()
+        done = kernel_mod.append_edges(0, us, vs, ss, self.record)
+        while done < len(us):
+            self.make_room()
+            resumed = kernel_mod.append_edges(done, us, vs, ss, self.record)
+            if resumed == done:
+                raise RuntimeError("a compiled call found no room after growth")
+            done = resumed
 
     def add_cells(self, ss: np.ndarray, xs: np.ndarray, vs: np.ndarray, eta: bool) -> None:
         """Add ``vs[k]`` to node ``xs[k]``'s ``τ_v`` (or ``η_v``, marked) cell
-        on slot ``ss[k]``; a node without a stored edge there gains the cell."""
-        ss, xs, vs = (np.ascontiguousarray(c, np.int64) for c in (ss, xs, vs))
-        self.ensure_nodes(int(xs.max()) + 1)
-        self.fill(lambda start: kernel_mod.add_cells(start, ss, xs, vs, eta, self.record), len(ss))
+        on slot ``ss[k]``, which the node holds.
 
-    def settle_loose(self) -> None:
-        """Move each loose per-edge counter whose edge is now stored onto it.
-
-        The dict reference keeps one ``edge_triangles`` entry per key, so a
-        loose counter becomes the stored edge's prior — unless the ingest
-        loop already set that edge's counter at store time, which the dict
-        loop does by overwriting the key; then the loose value is dropped.
+        An entry of a node with no stored edge on its slot raises
+        :class:`ValueError`; the entries before it are added.
         """
-        for slot, loose in enumerate(self.loose_tri):
-            if not loose:
-                continue
-            keys = list(loose)
-            a, b = columns(keys, 2)
-            eids = kernel_mod.find_edges(np.full(len(keys), slot), a, b, self.record)
-            for key, eid in zip(keys, eids.tolist()):
-                if eid >= 0:
-                    value = loose.pop(key)
-                    if not self.edge_seen[eid]:
-                        self.edge_tri[eid] = value
-                        self.edge_seen[eid] = 1
+        ss, xs, vs = (np.ascontiguousarray(c, np.int64) for c in (ss, xs, vs))
+        bad = kernel_mod.add_cells(ss, xs, vs, eta, self.record)
+        if bad < len(ss):
+            raise ValueError(
+                f"node {xs[bad]} stores no edge on slot {ss[bad]} to hold its τ_v or η_v"
+            )
 
     # -- extraction and detachment ---------------------------------------------
 
@@ -469,7 +434,6 @@ class GroupArrays:
         tri, sel = self._tri()
         self.edge_tri[sel] = 0
         self.edge_seen[sel] = 0
-        self.loose_tri = [{} for _ in range(self.group_size)]
         tau_cells, eta_cells = self.cells(take=True)
         rows = self._rows()
         self.tau[:] = 0
@@ -492,17 +456,9 @@ class GroupArrays:
         return np.stack((self.tau, self.eta, self.edges_stored))
 
     def _tri(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The per-edge counter columns, loose ones last, and the eids of the stored ones."""
+        """The per-edge counter columns and the eids of the edges that hold one."""
         sel = np.flatnonzero(self.edge_seen[: int(self.meta[0])])
-        tri = np.stack((self.edge_slot[sel], *self._ends(sel), self.edge_tri[sel]))
-        loose = [
-            (slot, a, b, value)
-            for slot, counters in enumerate(self.loose_tri)
-            for (a, b), value in counters.items()
-        ]
-        if loose:
-            tri = np.concatenate((tri, columns(loose, 4)), axis=1)
-        return tri, sel
+        return np.stack((self.edge_slot[sel], *self._ends(sel), self.edge_tri[sel])), sel
 
 
 class NativeProcessorGroup(ProcessorGroup):
@@ -579,30 +535,28 @@ class NativeProcessorGroup(ProcessorGroup):
 
         1. The stored edges new to each slot are sorted slot-major and by
            id — the edge ids a slot-at-a-time fold would assign — and the
-           ones not already stored are appended in one compiled call (their
-           loose counters settle onto them as priors).
+           ones not already stored are appended in one compiled call.
         2. The per-edge counters fold in one compiled call that finds each
            eid by a chain walk and applies the closed-form η correction
-           against the prior value; counters whose edge is not stored fold
-           into the loose side dicts the same way.
-        3. ``τ_v``/``η_v`` cells add in one compiled call per block (a node
-           gains a cell on a slot where it stores no edge), and the slot
-           rows are numpy adds.
+           against the prior value.
+        3. ``τ_v``/``η_v`` entries add onto their nodes' cells in one
+           compiled call per block, and the slot rows are numpy adds.
 
-        Node columns grow to the ids the delta references, not to the
-        shared interner.
+        A processor keeps per-edge counters only for its stored edges and
+        ``τ_v``/``η_v`` only for nodes with a stored edge on the slot, so
+        after step 1 every counter has its edge and every entry its cell.
+        A counter or entry that does not raises :class:`ValueError` and
+        may leave the group partly folded; the portable reader refuses such
+        parts before anything changes (:mod:`repro.core.portable`).
+
+        Node columns grow to the ids the delta's edges reference, not to
+        the shared interner.
         """
         _check_group_size(delta, self.group_size)
         arrays = self._arrays
         edges = delta.edges
-        tri = delta.tri
-        top = -1
-        for ids in (edges[1:], tri[1:3], delta.tau_cells[1], delta.eta_cells[1]):
-            if ids.size:
-                top = max(top, int(ids.max()))
-        arrays.ensure_nodes(top + 1)
-
         if edges.shape[1]:
+            arrays.ensure_nodes(int(edges[1:].max()) + 1)
             ss, us, vs = edges[:, np.lexsort((edges[2], edges[1], edges[0]))]
             new = np.ones(len(ss), bool)
             new[1:] = (ss[1:] != ss[:-1]) | (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
@@ -610,28 +564,18 @@ class NativeProcessorGroup(ProcessorGroup):
             if new.any():
                 arrays.append_edges(us[new], vs[new], ss[new])
 
+        tri = delta.tri
         if tri.shape[1]:
-            misses = kernel_mod.fold_edge_counters(tri[0], tri[1], tri[2], tri[3], arrays.record)
-            corrections = []
-            for slot, a, b, value in zip(*tri[:, misses].tolist()):
-                loose = arrays.loose_tri[slot]
-                prior = loose.get((a, b), 0)
-                loose[(a, b)] = prior + value
-                if prior:
-                    correction = value * prior
-                    arrays.eta[slot] += correction
-                    corrections.append((slot, a, correction))
-                    corrections.append((slot, b, correction))
-            if corrections and arrays.has_eta_local:
-                arrays.add_cells(*columns(corrections, 3), eta=True)
-
+            bad = kernel_mod.fold_edge_counters(*tri, arrays.record)
+            if bad < tri.shape[1]:
+                raise ValueError(
+                    f"edge {tuple(tri[1:3, bad].tolist())} on slot {tri[0, bad]} holds a "
+                    "per-edge counter but is not stored"
+                )
         if self.track_local:
-            cells = delta.tau_cells
-            if cells.shape[1]:
-                arrays.add_cells(*cells, eta=False)
-            cells = delta.eta_cells
-            if arrays.has_eta_local and cells.shape[1]:
-                arrays.add_cells(*cells, eta=True)
+            arrays.add_cells(*delta.tau_cells, eta=False)
+            if arrays.has_eta_local:
+                arrays.add_cells(*delta.eta_cells, eta=True)
         rows = delta.rows
         arrays.tau += rows[0]
         arrays.eta += rows[1]
@@ -708,9 +652,6 @@ def ingest_batch(
                     raise RuntimeError("a compiled call found no room after growth")
                 group.make_room()
         starts = stops
-    for group, before in zip(arrays, stored):
-        if group.n_edges > before and any(group.loose_tri):
-            group.settle_loose()
     return stored
 
 

@@ -77,15 +77,17 @@ cell scans, all of which read the group's record:
 * the bulk edge append (the record step's store and the bulk append
   share one edge insert), which stops where the cells run out like the
   batch entry;
-* the cell fold, which adds ``τ_v`` or ``η_v`` entries onto cells — a
-  node gains a cell with an empty chain on a slot where it stores no edge
-  — and stops where the cells run out;
+* the cell fold, which adds ``τ_v`` or ``η_v`` entries onto the cells of
+  nodes that already hold the slot — a processor keeps them only for
+  nodes an edge of ``E(i)`` touches, so the fold never gains a cell — and
+  stops at the first entry of a node that does not;
 * the edge lookup, which finds an edge's eid by walking both endpoints'
   neighbour chains on its slot in lockstep — the groups keep no other
   edge index, and the record loop's room check shares it;
 * the per-edge counter fold, which adds detached ``τ_(u,v)`` counters onto
   the stored edges with the exact η correction against each prior value
-  and returns the counters whose edge is not stored;
+  and stops at the first counter whose edge is not stored — a processor
+  keeps them only for the edges of ``E(i)``;
 * the cell read, one pass over the nodes and their occupied cells that
   writes the ``τ_v``/``η_v`` entries as columns (and zeroes them for a
   pane take), and the compaction, which packs every node's block into
@@ -336,11 +338,9 @@ static inline void rept_link_edge(
  * suites hold it to bit for bit.  st is the local copy of meta.  The
  * neighbourhood intersection stamps N_u with a fresh epoch, so each
  * membership test during the N_v walk is one comparison and no clearing
- * pass runs between edges.  A slot both endpoints hold may have an empty
- * chain (a cell a fold gave a counter); the walk finds nothing there.
- * On the record's own slot the stamp also says whether E(i) already
- * holds the edge (iv is in N_u), and then nothing is stored.  The caller
- * has checked room for a store. */
+ * pass runs between edges.  On the record's own slot the stamp also says
+ * whether E(i) already holds the edge (iv is in N_u), and then nothing is
+ * stored.  The caller has checked room for a store. */
 static inline void rept_record_step(
     const rept_group *g, i64 iu, i64 iv, i64 slot, i64 *st)
 {
@@ -605,9 +605,8 @@ int64_t rept_ingest_groups(
  * state, sets stored[k] to whether group k would store (its slot is real
  * and E(i) lacks the edge; an id past the node columns holds no slot),
  * and returns -1 so the caller grows those groups and calls again.
- * Otherwise each group runs rept_records over the one record,
- * stored[k] is whether group k stored, and the return value is their
- * number. */
+ * Otherwise each group runs rept_records over the one record and it
+ * returns 0. */
 int64_t rept_ingest_edge(
     const rept_edge_entry *entry, uint64_t key, i64 iu, i64 iv)
 {
@@ -630,14 +629,9 @@ int64_t rept_ingest_edge(
         }
         return -1;
     }
-    i64 count = 0;
-    for (i64 k = 0; k < n_groups; k++) {
-        i64 before = groups[k]->meta[N_EDGES];
+    for (i64 k = 0; k < n_groups; k++)
         rept_records(groups[k], 0, 1, &iu, &iv, &key);
-        stored[k] = groups[k]->meta[N_EDGES] != before;
-        count += stored[k];
-    }
-    return count;
+    return 0;
 }
 
 /* Cold-path bulk insert of id-ordered edges start..n-1 (us[k] < vs[k]) on
@@ -661,34 +655,33 @@ int64_t rept_append_edges(
     return k;
 }
 
-/* Adds values vs[k] to the tau_v cells (eta == 0) or to the eta_v cells,
- * marking them (eta == 1), of nodes xs[k] on slots ss[k] for k in
- * start..n-1.  A node that does not hold the slot gains a cell with an
- * empty chain.  Node columns must cover every id; stops before the first
- * entry whose cell does not fit and returns its index, or n. */
-int64_t rept_add_cells(
-    i64 start, i64 n, const i64 *ss, const i64 *xs, const i64 *vs, i64 eta,
-    const rept_group *group)
+/* Whether node x lies inside the node columns and holds slot s. */
+static inline i64 rept_holds(const rept_group *g, i64 x, i64 s)
 {
-    const rept_group g = *group;
-    i64 st[N_META];
-    rept_load(&g, st);
-    i64 k;
-    for (k = start; k < n; k++) {
-        i64 s = ss[k];
-        i64 x = xs[k];
-        if (st[N_CELLS] + rept_cells_needed(&g, x, s) > g.cell_cap)
-            break;
-        i64 c = rept_hold_cell(&g, x, s, st);
+    return x >= 0 && x < g->node_cap && (g->node_bits[x] >> s) & 1;
+}
+
+/* Adds values vs[k] to the tau_v cells (eta == 0) or to the eta_v cells,
+ * marking them (eta == 1), of nodes xs[k] on slots ss[k]: a node keeps
+ * them only on a slot where it stores an edge, so it holds the cell.
+ * Stops before the first entry whose node does not hold its slot (or lies
+ * past the node columns) and returns its index, or n. */
+int64_t rept_add_cells(
+    i64 n, const i64 *ss, const i64 *xs, const i64 *vs, i64 eta,
+    const rept_group *g)
+{
+    for (i64 k = 0; k < n; k++) {
+        if (!rept_holds(g, xs[k], ss[k]))
+            return k;
+        i64 c = rept_cell_of(g, xs[k], ss[k]);
         if (eta) {
-            g.cell_eta[c] += vs[k];
-            g.cell_mark[c] = 1;
+            g->cell_eta[c] += vs[k];
+            g->cell_mark[c] = 1;
         } else {
-            g.cell_tau[c] += vs[k];
+            g->cell_tau[c] += vs[k];
         }
     }
-    rept_save(&g, st);
-    return k;
+    return n;
 }
 
 /* out[k] = the eid of edge {us[k], vs[k]} on slot ss[k], or -1. */
@@ -705,24 +698,21 @@ int64_t rept_find_edges(
  * slots ss[k] into the stored edges' counters, with the eta correction of
  * ProcessorCounters.merge against each prior value (on both endpoints'
  * eta_v cells too when the group tracks them; a stored edge's endpoints
- * hold its slot).  Writes the indices k whose edge is not stored to misses
- * and returns their number; the caller folds those into its loose side
- * dicts. */
+ * hold its slot).  A processor keeps these counters only for its stored
+ * edges: stops before the first counter whose edge is not stored and
+ * returns its index, or n. */
 int64_t rept_fold_edge_counters(
     i64 n, const i64 *ss, const i64 *us, const i64 *vs, const i64 *ds,
-    const rept_group *g, i64 *misses)
+    const rept_group *g)
 {
-    i64 n_miss = 0;
     i64 eta_local = rept_has_eta_local(g);
     for (i64 k = 0; k < n; k++) {
         i64 s = ss[k];
         i64 a = us[k];
         i64 b = vs[k];
-        i64 e = rept_find_edge(g, s, a, b);
-        if (e < 0) {
-            misses[n_miss++] = k;
-            continue;
-        }
+        i64 e = rept_holds(g, a, s) && rept_holds(g, b, s) ? rept_find_edge(g, s, a, b) : -1;
+        if (e < 0)
+            return k;
         i64 prior = g->edge_seen[e] ? g->edge_tri[e] : 0;
         g->edge_tri[e] = prior + ds[k];
         g->edge_seen[e] = 1;
@@ -739,7 +729,7 @@ int64_t rept_fold_edge_counters(
             }
         }
     }
-    return n_miss;
+    return n;
 }
 
 /* Writes the non-zero tau_v cells as (slot, node, value) columns of tau_out
@@ -941,7 +931,7 @@ def _build():
             ptr,                          # group record
         ],
         "rept_add_cells": [
-            i64, i64, ptr, ptr, ptr, i64, # start, n, ss, xs, vs, eta
+            i64, ptr, ptr, ptr, i64,      # n, ss, xs, vs, eta
             ptr,                          # group record
         ],
         "rept_find_edges": [
@@ -950,7 +940,7 @@ def _build():
         ],
         "rept_fold_edge_counters": [
             i64, ptr, ptr, ptr, ptr,      # n, ss, us, vs, ds
-            ptr, ptr,                     # group record, misses
+            ptr,                          # group record
         ],
         "rept_read_cells": [
             ptr, i64,                     # group record, take
@@ -1137,7 +1127,8 @@ class EdgeEntry(ctypes.Structure):
     """The C ``rept_edge_entry`` of one state set: its group records.
 
     ``ingest(address, key, iu, iv)`` is the compiled per-edge call
-    (``rept_ingest_edge``), :attr:`stored` the flag per group it writes;
+    (``rept_ingest_edge``), :attr:`stored` the flag per group it writes
+    when it finds a group short of room;
     :func:`run_groups` is the batch call over the same records, and
     :attr:`stops` the record index per group it reads and writes.  The
     entry keeps the records alive, so the addresses it holds stay valid as
@@ -1157,7 +1148,7 @@ class EdgeEntry(ctypes.Structure):
         n = len(records)
         self.records = list(records)
         pointers = (ctypes.c_void_p * n)(*map(ctypes.addressof, self.records))
-        #: Whether each group stored the last record (would store, after -1).
+        #: Whether each group would store the record a -1 call turned down.
         self.stored = bytearray(n)
         view = (ctypes.c_uint8 * n).from_buffer(self.stored)
         #: Where each group resumes a batch call, and then where it stopped.
@@ -1208,16 +1199,15 @@ def append_edges(start: int, us: np.ndarray, vs: np.ndarray, ss: np.ndarray, rec
     )
 
 
-def add_cells(start: int, ss: np.ndarray, xs: np.ndarray, vs: np.ndarray, eta: bool, record) -> int:
+def add_cells(ss: np.ndarray, xs: np.ndarray, vs: np.ndarray, eta: bool, record) -> int:
     """Add ``vs[k]`` to the ``τ_v`` cells, or to the ``η_v`` cells (marking
-    them), of nodes ``xs[k]`` on slots ``ss[k]`` from ``start`` on.
+    them), of nodes ``xs[k]`` on slots ``ss[k]``, each of which the node
+    holds.
 
-    A node that does not hold the slot gains a cell with an empty chain.
-    Node columns must cover every id.  Returns the index of the first
-    entry whose cell does not fit, or the number of entries.
+    Returns the index of the first entry whose node does not hold its slot
+    (the entries before it are added), or the number of entries.
     """
     return _handle().rept_add_cells(
-        start,
         len(ss),
         ss.ctypes.data,
         xs.ctypes.data,
@@ -1247,27 +1237,24 @@ def find_edges(ss: np.ndarray, us: np.ndarray, vs: np.ndarray, record) -> np.nda
 
 def fold_edge_counters(
     ss: np.ndarray, us: np.ndarray, vs: np.ndarray, ds: np.ndarray, record
-) -> np.ndarray:
+) -> int:
     """Fold per-edge counter deltas ``ds[k]`` into the stored edges.
 
     Applies :meth:`~repro.core.state.ProcessorCounters.merge`'s η
-    correction against each stored edge's prior counter and returns the
-    indices ``k`` whose edge ``{us[k], vs[k]}`` is not stored on slot
-    ``ss[k]`` (left untouched for the caller).  Ids must be below the
-    group's ``node_cap``.
+    correction against each stored edge's prior counter.  Returns the
+    index of the first counter whose edge ``{us[k], vs[k]}`` is not stored
+    on slot ``ss[k]`` (the counters before it are folded), or the number
+    of counters.
     """
     ss, us, vs, ds = (np.ascontiguousarray(c, np.int64) for c in (ss, us, vs, ds))
-    misses = np.empty(len(ss), np.int64)
-    n_miss = _handle().rept_fold_edge_counters(
+    return _handle().rept_fold_edge_counters(
         len(ss),
         ss.ctypes.data,
         us.ctypes.data,
         vs.ctypes.data,
         ds.ctypes.data,
         ctypes.byref(record),
-        misses.ctypes.data,
     )
-    return misses[:n_miss]
 
 
 def read_cells(record, take: bool, tau_out: np.ndarray, eta_out: np.ndarray) -> np.ndarray:

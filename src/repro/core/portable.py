@@ -23,7 +23,14 @@ unchanged.  It rejects a block of the wrong shape or dtype, a position
 outside the node table, a repeated node-table entry, a slot ``>=
 group_size``, an edge whose two endpoints are equal, a per-edge counter
 key given twice, a negative counter, a zero ``τ_v`` cell (no kernel
-writes one) and a ``group_size`` or ``m`` other than the receiver's.  It
+writes one), a per-edge counter of an edge the part does not store on
+that slot, a ``τ_v`` or ``η_v`` cell of a node that stores no edge on
+that slot (as Algorithms 1–2 keep them, so no run writes either) and a
+``group_size`` or ``m`` other than the receiver's.  A pane delta
+(:meth:`~repro.core.state.ProcessorGroup.take_pane_deltas`) is therefore
+no reader input: its counters may sit on edges an earlier pane stored, so
+pane deltas fold in process only
+(:meth:`~repro.core.state.GroupStateSet.merge_pane_deltas`).  The reader
 also reads what earlier versions wrote (see :func:`read_parts`): the
 raw-keyed dict form, and a ``seen`` part beside the groups — the set of
 distinct edges consumed, ``format``, ``nodes`` and ``pairs`` (``(2, n)``)
@@ -66,8 +73,8 @@ class ColumnarDelta:
       of the group's in a snapshot, the ones stored since the previous
       boundary in a pane delta;
     * ``tri`` ``(4, n)`` — slot, lo, hi, value of the per-edge counters
-      ``τ_(u,v)``, including counters of edges the group does not store
-      (a pane delta may carry counters of edges an earlier pane stored);
+      ``τ_(u,v)``: of stored edges in a snapshot, and in a pane delta of
+      edges this pane or an earlier one stored;
     * ``tau_cells`` ``(3, n)`` — slot, node, value of the ``τ_v`` entries;
     * ``eta_cells`` ``(3, n)`` — slot, node, value of the ``η_v`` entries,
       zero-valued ones included (the dict reference keeps them);
@@ -237,6 +244,24 @@ def _check_group(part, group_size: int, m: int) -> None:
             raise ValueError(f"{name} holds a negative counter")
     if np.any(blocks["tau_cells"][2] == 0):
         raise ValueError("tau_cells holds a zero cell")
+    # A processor keeps τ_(u,v) only for the edges of E(i), and τ_v and η_v
+    # only for the nodes an edge of E(i) touches.
+    stored = np.stack((edges[0], np.minimum(edges[1], edges[2]), np.maximum(edges[1], edges[2])))
+    if not _all_in(keys, stored):
+        raise ValueError("tri holds a counter of an edge the part does not store")
+    ends = np.concatenate((edges[:2], edges[::2]), axis=1)
+    for name in ("tau_cells", "eta_cells"):
+        if not _all_in(blocks[name][:2], ends):
+            raise ValueError(f"{name} holds a cell of a node that stores no edge on its slot")
+
+
+def _all_in(keys: np.ndarray, block: np.ndarray) -> bool:
+    """Whether every column of ``keys`` is a column of ``block``."""
+    if not keys.shape[1]:
+        return True
+    _, inverse = np.unique(np.concatenate((block, keys), axis=1), axis=1, return_inverse=True)
+    n = block.shape[1]
+    return bool(np.isin(inverse[n:], inverse[:n]).all())
 
 
 # -- interning checked parts ---------------------------------------------------

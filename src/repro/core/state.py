@@ -111,7 +111,10 @@ with ``collect_stored=True`` returns each group's stored edges of a batch
 as ``(slot, u, v)`` int64 columns — on the C kernel the edge rows the
 batch appended — which the caller concatenates per stretch and hands to
 the take.  The live groups keep their stored edges, so each decides first
-occurrence as an uninterrupted run would.
+occurrence as an uninterrupted run would.  A delta's counters may sit on
+edges an earlier stretch stored, so it folds only in process, into an
+accumulator that has folded every earlier delta of the same live set; the
+portable reader refuses it as a part (see :mod:`repro.core.portable`).
 """
 
 from __future__ import annotations
@@ -487,8 +490,11 @@ class ProcessorGroup:
     def externalize_deltas(self, delta: ColumnarDelta) -> GroupSnapshot:
         """Write columns interned by this group's interner as a portable part.
 
-        For a pane delta the part is O(pane): its stored edges are only the
-        pane-new ones.  It merges anywhere via :meth:`merge_snapshot`.
+        The part passes the reader only when every per-edge counter and
+        every ``τ_v``/``η_v`` entry sits on an edge it stores, as in
+        :meth:`snapshot`; a pane delta's counters may sit on edges an
+        earlier pane stored, so a pane delta folds in process only
+        (:meth:`GroupStateSet.merge_pane_deltas`).
         """
         return portable.group_part(self.group_size, self.m, self.interner.nodes, delta)
 
@@ -804,21 +810,15 @@ class GroupStateSet:
         if self._native:
             key = groups[0].hash_function._edge_key(u, v)
             entry = self._edge_entry
-            stored = entry.ingest(entry.address, key, iu, iv)
-            if stored < 0:
+            if entry.ingest(entry.address, key, iu, iv) < 0:
                 top = (iu if iu > iv else iv) + 1
                 for group, store in zip(groups, entry.stored):
                     arrays = group._arrays
                     arrays.ensure_nodes(top)
                     if store:
                         arrays.make_room()
-                stored = entry.ingest(entry.address, key, iu, iv)
-                if stored < 0:
+                if entry.ingest(entry.address, key, iu, iv) < 0:
                     raise RuntimeError("the per-edge kernel call found no room after growth")
-            if stored:
-                for group, store in zip(groups, entry.stored):
-                    if store and any(group._arrays.loose_tri):
-                        group._arrays.settle_loose()
             return
         slots = [group.hash_function.bucket(u, v) for group in groups]
         for group, slot in zip(groups, slots):
@@ -916,7 +916,13 @@ class GroupStateSet:
         ]
 
     def merge_pane_deltas(self, deltas: Sequence[ColumnarDelta]) -> None:
-        """Fold per-group pane deltas from a state set sharing this interner."""
+        """Fold per-group pane deltas from a state set sharing this interner.
+
+        This state set must have folded every earlier delta of the same
+        live set, so it stores every edge and node the deltas' counters sit
+        on.  On the C kernel a delta that breaks this raises
+        :class:`ValueError` and may leave this state set partly folded.
+        """
         for group, delta in zip(self.groups, deltas):
             group.merge_deltas(delta)
 

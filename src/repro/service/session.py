@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.baselines.base import TriangleEstimate
 from repro.baselines.exact import ExactStreamingCounter
 from repro.baselines.triest import TriestImprEstimator
 from repro.core.config import ReptConfig
@@ -185,7 +186,9 @@ class SessionEngine:
 
     ``delivered`` counts the stream records fully applied to the engine —
     the session's *delivered prefix*, which is also the ``stream_offset``
-    persisted with every checkpoint.
+    persisted with every checkpoint.  An estimator engine supplies
+    :meth:`estimate`, from which the global and local answers are built
+    here; the monitor engine answers from its closed windows instead.
     """
 
     kind: str = "abstract"
@@ -199,11 +202,29 @@ class SessionEngine:
     def ingest_frame(self, frame: Sequence) -> int:
         raise NotImplementedError
 
-    def query_global(self) -> Dict[str, object]:
+    def estimate(self) -> TriangleEstimate:
+        """The current estimate, which both default answers read."""
         raise NotImplementedError
 
+    def query_global(self) -> Dict[str, object]:
+        estimate = self.estimate()
+        return {
+            "global_count": estimate.global_count,
+            "edges_processed": estimate.edges_processed,
+            "edges_stored": estimate.edges_stored,
+            **self._global_extras(estimate),
+        }
+
+    def _global_extras(self, estimate: TriangleEstimate) -> Dict[str, object]:
+        """Fields an engine adds to the global answer."""
+        return {}
+
     def query_local(self, nodes: Sequence) -> Dict[str, object]:
-        raise NotImplementedError
+        estimate = self.estimate()
+        return {
+            "counts": [[node, estimate.local_count(node)] for node in nodes],
+            "edges_processed": estimate.edges_processed,
+        }
 
     def query_windows(self, since: int) -> List[Dict[str, object]]:
         raise ServiceError(f"engine kind {self.kind!r} has no windowed results")
@@ -248,20 +269,8 @@ class ReptEngine(SessionEngine):
         self.delivered += n
         return n
 
-    def query_global(self) -> Dict[str, object]:
-        estimate = self.state.estimate(self.delivered)
-        return {
-            "global_count": estimate.global_count,
-            "edges_processed": estimate.edges_processed,
-            "edges_stored": estimate.edges_stored,
-        }
-
-    def query_local(self, nodes: Sequence) -> Dict[str, object]:
-        estimate = self.state.estimate(self.delivered)
-        return {
-            "counts": [[node, estimate.local_count(node)] for node in nodes],
-            "edges_processed": estimate.edges_processed,
-        }
+    def estimate(self) -> TriangleEstimate:
+        return self.state.estimate(self.delivered)
 
     def state_payload(self) -> object:
         return {"portable": self.state.portable_state()}
@@ -305,24 +314,14 @@ class ElasticReptEngine(SessionEngine):
         self.delivered += len(pairs)
         return len(pairs)
 
-    def query_global(self) -> Dict[str, object]:
-        estimate = self.coordinator.estimate()
-        return {
-            "global_count": estimate.global_count,
-            "edges_processed": estimate.edges_processed,
-            "edges_stored": estimate.edges_stored,
-            "workers": int(estimate.metadata.get("workers", 0)),
-            "worker_deaths": int(estimate.metadata.get("worker_deaths", 0)),
-            "shard_migrations": int(
-                estimate.metadata.get("shard_migrations", 0)
-            ),
-        }
+    def estimate(self) -> TriangleEstimate:
+        return self.coordinator.estimate()
 
-    def query_local(self, nodes: Sequence) -> Dict[str, object]:
-        estimate = self.coordinator.estimate()
+    def _global_extras(self, estimate: TriangleEstimate) -> Dict[str, object]:
+        metadata = estimate.metadata
         return {
-            "counts": [[node, estimate.local_count(node)] for node in nodes],
-            "edges_processed": estimate.edges_processed,
+            name: int(metadata.get(name, 0))
+            for name in ("workers", "worker_deaths", "shard_migrations")
         }
 
     def state_payload(self) -> object:
@@ -358,20 +357,8 @@ class EstimatorEngine(SessionEngine):
         self.delivered = self.estimator.edges_processed
         return len(pairs)
 
-    def query_global(self) -> Dict[str, object]:
-        estimate = self.estimator.estimate()
-        return {
-            "global_count": estimate.global_count,
-            "edges_processed": estimate.edges_processed,
-            "edges_stored": estimate.edges_stored,
-        }
-
-    def query_local(self, nodes: Sequence) -> Dict[str, object]:
-        estimate = self.estimator.estimate()
-        return {
-            "counts": [[node, estimate.local_count(node)] for node in nodes],
-            "edges_processed": estimate.edges_processed,
-        }
+    def estimate(self) -> TriangleEstimate:
+        return self.estimator.estimate()
 
     def state_payload(self) -> object:
         return {"estimator": self.estimator}

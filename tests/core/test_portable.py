@@ -101,6 +101,24 @@ def _break_zero_tau(state):
     state["snapshots"][0]["tau_cells"][2, 0] = 0
 
 
+def _break_loose_counter(state):
+    # An edge hashes to one slot of a group: on any other it is not stored.
+    part = state["snapshots"][0]
+    part["tri"][0, 0] = (part["tri"][0, 0] + 1) % part["group_size"]
+
+
+def _break_edgeless_cell(state):
+    part = state["snapshots"][0]
+    edges = part["edges"]
+    for slot in range(part["group_size"]):
+        on_slot = set(edges[1:, edges[0] == slot].ravel().tolist())
+        off_slot = [k for k in range(len(part["nodes"])) if k not in on_slot]
+        if off_slot:
+            break
+    cell = np.array([[slot], [off_slot[0]], [1]], np.int64)
+    part["tau_cells"] = np.concatenate((part["tau_cells"], cell), axis=1)
+
+
 def _break_group_size(state):
     state["snapshots"][1]["group_size"] = 3
 
@@ -125,6 +143,8 @@ RULES = {
     "negative-counter": (_break_negative, "negative counter"),
     "negative-cell": (_break_negative_cell, "negative counter"),
     "zero-tau-cell": (_break_zero_tau, "zero cell"),
+    "counter-off-the-edges": (_break_loose_counter, "an edge the part does not store"),
+    "cell-off-the-slots": (_break_edgeless_cell, "stores no edge on its slot"),
     "group-size-mismatch": (_break_group_size, "shape mismatch"),
     "m-mismatch": (_break_m, "shape mismatch"),
     "group-count": (_break_group_count, "group snapshots"),
@@ -157,7 +177,12 @@ def test_rejected_shard_state_leaves_shard_unchanged():
     shard = ShardState(CONFIG, 0)
     shard.apply_raw(1, EDGES[:50])
     before = (raw_snapshot(shard.group.snapshot()), shard.applied_seq)
-    for rule in ("position-outside-table", "seen-position-outside-table"):
+    for rule in (
+        "position-outside-table",
+        "seen-position-outside-table",
+        "counter-off-the-edges",
+        "cell-off-the-slots",
+    ):
         state, message = _broken(rule)
         point = {"shard_id": 0, "applied_seq": 9, "snapshot": state["snapshots"][0]}
         point["seen"] = state["seen"]
@@ -167,14 +192,18 @@ def test_rejected_shard_state_leaves_shard_unchanged():
 
 
 def test_coordinator_rejects_before_touching_shards():
-    state, message = _broken("zero-tau-cell")
     with ElasticCoordinator(CONFIG, num_workers=0) as coordinator:
         coordinator.submit(EDGES[:50])
         before = coordinator.estimate()
-        with pytest.raises(ValueError, match=message):
-            coordinator.restore_portable(state)
-        after = coordinator.estimate()
-    assert (after.global_count, after.local_counts) == (before.global_count, before.local_counts)
+        for rule in ("zero-tau-cell", "counter-off-the-edges", "cell-off-the-slots"):
+            state, message = _broken(rule)
+            with pytest.raises(ValueError, match=message):
+                coordinator.restore_portable(state)
+            after = coordinator.estimate()
+            assert (after.global_count, after.local_counts) == (
+                before.global_count,
+                before.local_counts,
+            )
 
 
 @pytest.mark.parametrize("kernel", ["python", "auto"])

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import ReptConfig
+from repro.core.kernel import resolve_kernel
 from repro.core.rept import ReptEstimator
 from repro.core.state import GroupStateSet, ProcessorGroup
-from repro.generators.planted import planted_triangles_stream
+from repro.generators.planted import planted_clique_stream, planted_triangles_stream
 from repro.hashing import make_hash_function
 
 
@@ -198,29 +199,22 @@ class TestGroupStateSet:
         assert live.total_edges_stored() == 0
         assert acc.total_edges_stored() == reference.edges_stored
 
-    def test_pane_delta_snapshots_externalize_and_refold(self):
-        config = ReptConfig(m=3, c=8, seed=5)
-        edges = _dup_heavy_stream()
+    @pytest.mark.skipif(
+        resolve_kernel("auto") == "python", reason="kernel='auto' resolves to the dict groups here"
+    )
+    @pytest.mark.parametrize("track_eta", [True, False], ids=["eta", "tau"])
+    def test_off_contract_pane_merge_raises_on_the_c_kernel(self, track_eta):
+        """A pane delta whose counters sit on edges and nodes its
+        accumulator does not store raises instead of writing elsewhere."""
+        config = ReptConfig(m=1, c=1, seed=5, track_eta=track_eta)
+        edges = list(planted_clique_stream(12))
         live = GroupStateSet(config)
-        snapshots_per_pane = []
-        n = 0
-        for start in range(0, len(edges), 13):
-            batch = live.encode(edges[start : start + 13])
-            stored = live.ingest_encoded(batch, collect_stored=True)
-            n += batch.n_records
-            deltas = live.take_pane_deltas(stored)
-            snapshots_per_pane.append(
-                [
-                    group.externalize_deltas(group_deltas)
-                    for group, group_deltas in zip(live.groups, deltas)
-                ]
-            )
-        rebuilt = GroupStateSet(config)  # private interner: snapshots are raw-keyed
-        for snapshots in snapshots_per_pane:
-            rebuilt.merge_snapshots(snapshots)
-        reference = ReptEstimator(config)
-        reference.process_edges(edges)
-        self._assert_same(rebuilt.estimate(n), reference.estimate())
+        acc = GroupStateSet(config, interner=live.interner)
+        # The first pane is never folded, so acc lacks its edges.
+        live.take_pane_deltas(live.ingest_encoded(live.encode(edges[:30]), collect_stored=True))
+        second = live.ingest_encoded(live.encode(edges[30:]), collect_stored=True)
+        with pytest.raises(ValueError, match="is not stored|stores no edge"):
+            acc.merge_pane_deltas(live.take_pane_deltas(second))
 
     def test_hash_function_count_validated(self):
         config = ReptConfig(m=4, c=8, seed=1)

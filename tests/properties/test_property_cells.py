@@ -10,19 +10,22 @@ kernel:
 * after every batch and every per-edge step, each node with slot bits
   owns ``popcount(bits)`` cells at ``node_base``, the blocks do not
   overlap and count exactly the live cells, every other cell is zero,
-  each cell's chain holds exactly the node's stored edges on its slot,
-  ``columns()`` equals the dict reference and every group record holds
-  its arrays' current addresses and capacities;
+  each cell's chain holds exactly the node's stored edges on its slot
+  and is never empty, ``columns()`` equals the dict reference and every
+  group record holds its arrays' current addresses and capacities;
 * batches forced short mid-batch (a one-cell initial pool, with or
   without a one-edge initial edge store) stop on cells and on edges and
   half-edges, resume where they stopped, and like compaction mid-stream
   and per-edge calls after a compaction and after unpickling give the
   same columns as a roomy pool;
-* a cell that holds a counter but no stored edge — from the η correction
-  of a loose per-edge counter, or from a restored ``τ_v`` — round-trips
-  bit-identically on both kernels, and later ingest stays exact;
+* the η correction of a per-edge counter merged twice lands on cells its
+  ends already hold, a restored state round-trips bit-identically on both
+  kernels, and later ingest stays exact; a restored ``τ_v`` cell of a
+  node without an edge is refused and changes nothing;
 * older pickles in the dense ``group_size × node_cap`` layout convert
-  cell for cell;
+  cell for cell, and an older pickle that holds what no run writes — a
+  ``τ_v`` or ``η_v`` without a chain, or a per-edge counter of an edge
+  its group does not store — is refused;
 * a group's arrays scale with its sample, not with the interner, and the
   cell columns a pane take returns do not pin the scan's scratch.
 
@@ -42,13 +45,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_property_per_edge import _assert_records_fresh
 
-from repro.core import adjacency, portable
+from repro.core import adjacency
 from repro.core import kernel as kernel_mod
 from repro.core.adjacency import GroupArrays
 from repro.core.config import ReptConfig
 from repro.core.interning import NodeInterner
 from repro.core.kernel import resolve_kernel
-from repro.core.portable import ColumnarDelta, columns
+from repro.core.portable import columns
 from repro.core.state import GroupStateSet
 from repro.types import canonical_edge
 
@@ -105,6 +108,7 @@ def _assert_cells(arrays):
         expected.setdefault((a, s), set()).add((b, e))
         expected.setdefault((b, s), set()).add((a, e))
     for cell, (x, s) in owner.items():
+        assert arrays.cell_head[cell] != -1, f"node {x}'s chain on slot {s} is empty"
         chain = set()
         h = int(arrays.cell_head[cell])
         for _ in range(2 * arrays.n_edges + 1):
@@ -305,31 +309,7 @@ def test_per_edge_calls_after_unpickling(config_name, monkeypatch):
     _assert_same(state, python)
 
 
-# -- cells that hold a counter but no stored edge --------------------------------------
-
-
-def _tri_part(group, nodes, tri):
-    """A portable part holding only per-edge counters ``(slot, a, b, value)``
-    over positions into ``nodes``."""
-    empty = np.empty((3, 0), np.int64)
-    delta = ColumnarDelta(
-        empty, columns(tri, 4), empty, empty, np.zeros((3, group.group_size), np.int64)
-    )
-    return portable.group_part(group.group_size, group.m, nodes, delta)
-
-
-def _edgeless_cells(state):
-    """``(group, slot, raw node)`` of cells whose chain is empty."""
-    found = []
-    for index, group in enumerate(_native_groups(state)):
-        arrays = group._arrays
-        for x in np.flatnonzero(arrays.node_bits[: arrays.node_cap]).tolist():
-            bits = int(arrays.node_bits[x])
-            held = [s for s in range(arrays.group_size) if bits >> s & 1]
-            for rank, s in enumerate(held):
-                if arrays.cell_head[int(arrays.node_base[x]) + rank] == -1:
-                    found.append((index, s, state.interner.nodes[x]))
-    return found
+# -- cells that restores and merges fold into ---------------------------------------
 
 
 def _assert_round_trips(native, python, config):
@@ -375,9 +355,20 @@ def _continue(states, python, edges):
             _assert_layout(state)
 
 
+def _eta_cells(state, nodes):
+    """``(group, slot, raw node, η_v)`` of the η cells of ``nodes``."""
+    found = []
+    for index, group in enumerate(state.groups):
+        cells = group.columns().eta_cells
+        for slot, x, value in zip(*cells.tolist()):
+            if state.interner.nodes[x] in nodes:
+                found.append((index, slot, state.interner.nodes[x], value))
+    return sorted(found, key=repr)
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("config_name", ["alg1", "alg2-complete", "wide"])
-def test_an_eta_correction_of_a_loose_counter_gains_a_cell(config_name, seed):
+def test_an_eta_correction_of_a_merged_counter_lands_on_held_cells(config_name, seed):
     config = _config(config_name)
     rng = random.Random(seed)
     edges = [(rng.randrange(12), rng.randrange(12)) for _ in range(160)]
@@ -385,25 +376,29 @@ def test_an_eta_correction_of_a_loose_counter_gains_a_cell(config_name, seed):
     python = GroupStateSet(config, kernel="python")
     for state in (native, python):
         state.process_edges(edges[:40])
-    # Counters of an edge between two fresh nodes, merged twice: the
-    # second fold corrects η_v of both ends on a slot where they store
-    # nothing.
-    template = native.groups[0]
-    fresh = ["fresh-a", "fresh-b"]
-    parts = [
-        _tri_part(group, fresh, [(s, 0, 1, s + 1) for s in range(group.group_size)])
-        for group in native.groups
-    ]
+    # A run over a clique of fresh nodes, hung off the stream's nodes,
+    # merged twice: the second fold corrects η_v of both ends of every
+    # per-edge counter, on cells the first fold gave them.
+    fresh = [f"fresh-{k}" for k in range(7)]
+    side = GroupStateSet(config, kernel="python")
+    side.process_edges(
+        [(a, b) for k, a in enumerate(fresh) for b in fresh[k + 1 :]]
+        + [(a, rng.randrange(12)) for a in fresh]
+    )
+    parts = side.snapshot()
+    assert any(part["tri"][3].any() for part in parts), "nothing to correct"
     for state in (native, python):
         state.merge_snapshots(parts)
+    once = _eta_cells(python, fresh)
+    for state in (native, python):
         state.merge_snapshots(parts)
+        _assert_layout(state)
     _assert_same(native, python)
-    _assert_layout(native)
-    if native.kernel != "python":
-        gained = {(slot, node) for _, slot, node in _edgeless_cells(native)}
-        assert {(s, "fresh-a") for s in range(template.group_size)} <= gained
+    twice = _eta_cells(python, fresh)
+    assert [cell[:3] for cell in twice] == [cell[:3] for cell in once]
+    assert sum(cell[3] for cell in twice) > 2 * sum(cell[3] for cell in once)
     readers = _assert_round_trips(native, python, config)
-    later = edges[40:] + [("fresh-a", 1), ("fresh-b", 1), ("fresh-a", "fresh-b")]
+    later = edges[40:] + [(fresh[0], 1), (fresh[1], 1), (fresh[0], fresh[1])]
     _continue([native] + readers, python, later)
 
 
@@ -427,21 +422,26 @@ def _with_edgeless_node(state, track_eta):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-def test_a_restored_tau_cell_without_an_edge_gains_a_cell(config_name, seed):
+def test_a_restored_tau_cell_without_an_edge_is_refused(config_name, seed):
     config = _config(config_name)
     rng = random.Random(seed)
     edges = [(rng.randrange(12), rng.randrange(12)) for _ in range(160)]
     source = GroupStateSet(config, kernel="python")
     source.process_edges(edges[:50])
-    state = _with_edgeless_node(source.portable_state(), config.track_eta)
+    state = source.portable_state()
     native = GroupStateSet(config, kernel="auto")
     python = GroupStateSet(config, kernel="python")
     for target in (native, python):
+        target.process_edges(edges[100:120])
+        before = (_exact_columns(target), list(target.interner.nodes))
+        broken = _with_edgeless_node(pickle.loads(pickle.dumps(state)), config.track_eta)
+        with pytest.raises(ValueError, match="stores no edge on its slot"):
+            target.restore_portable(broken)
+        assert (_exact_columns(target), list(target.interner.nodes)) == before
+        _assert_layout(target)
         target.restore_portable(pickle.loads(pickle.dumps(state)))
     _assert_same(native, python)
     _assert_layout(native)
-    if native.kernel != "python":
-        assert {node for _, _, node in _edgeless_cells(native)} == {99}
     assert native.estimate(50).local_counts == python.estimate(50).local_counts
     readers = _assert_round_trips(native, python, config)
     _continue([native] + readers, python, edges[50:] + [(99, 1), (99, 2), (1, 2)])
@@ -504,11 +504,9 @@ def test_dense_pickles_convert_cell_for_cell(config_name):
     state.ingest_stream(edges[:200], batch_edges=30)
     python = GroupStateSet(config, kernel="python")
     python.ingest_stream(edges[:200], batch_edges=30)
-    # A restored τ_v without an edge makes a dense cell with no chain.
-    restored = _with_edgeless_node(python.portable_state(), config.track_eta)
-    for target in (state, python):
-        target.restore_portable(pickle.loads(pickle.dumps(restored)))
-    assert _edgeless_cells(state)
+    # Folded cells too: the state restored from the dict kernel's.
+    restored = pickle.loads(pickle.dumps(python.portable_state()))
+    state.restore_portable(restored)
     before = _exact_columns(state)
     for group in state.groups:
         converted = GroupArrays.__new__(GroupArrays)
@@ -524,6 +522,42 @@ def test_dense_pickles_convert_cell_for_cell(config_name):
         python.process_edge(u, v)
     _assert_same(state, python)
     _assert_layout(state)
+
+
+@needs_cc
+@pytest.mark.parametrize("counter", ["tau", "eta"])
+def test_a_dense_pickle_with_a_counter_off_every_chain_is_refused(counter):
+    state = GroupStateSet(_config("alg1"), kernel="auto")
+    state.process_edges(_stream(5, n=200, nodes=90))
+    (group,) = state.groups
+    dense = _dense_pickle_state(group._arrays)
+    slot, node = np.argwhere(dense["heads"] == -1)[0]
+    if counter == "tau":
+        dense["tau_local"][slot, node] = 2
+    else:
+        dense["eta_mark"][slot, node] = 1
+    with pytest.raises(ValueError, match="stores no edge on its slot"):
+        GroupArrays.__new__(GroupArrays).__setstate__(dense)
+
+
+@needs_cc
+def test_an_older_pickle_with_a_loose_counter_is_refused():
+    state = GroupStateSet(_config("alg1"), kernel="auto")
+    state.process_edges(_stream(5, n=200, nodes=90))
+    arrays = state.groups[0]._arrays
+    held = arrays.__getstate__()
+    # Older pickles kept per-slot dicts of per-edge counters of edges the
+    # group does not store: empty ones are dropped.
+    empty = [{} for _ in range(arrays.group_size)]
+    converted = GroupArrays.__new__(GroupArrays)
+    converted.__setstate__(dict(held, loose_tri=empty))
+    assert "loose_tri" not in vars(converted)
+    got, want = converted.columns(), arrays.columns()
+    for name in ("edges", "tri", "tau_cells", "eta_cells", "rows"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    loose = [{(1, 2): 3}] + empty[1:]
+    with pytest.raises(ValueError, match="does not store"):
+        GroupArrays.__new__(GroupArrays).__setstate__(dict(held, loose_tri=loose))
 
 
 @needs_cc

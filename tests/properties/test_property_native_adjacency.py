@@ -10,7 +10,7 @@ implementation on any stream — including duplicate-heavy ones and any
 chunking of the ingestion calls.  Hypothesis drives random streams and
 random chunk boundaries through both implementations side by side; the
 array growth paths are exercised naturally (capacities start small) and
-explicitly via a model-checked ``append_edge`` sequence.
+explicitly via a model-checked sequence of one-edge ``append_edges`` calls.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.adjacency import GroupArrays, NativeProcessorGroup
 from repro.core.config import ReptConfig
-from repro.core.kernel import native_available
+from repro.core.kernel import find_edges, native_available
 from repro.core.state import GroupStateSet, ProcessorGroup
 from repro.hashing import make_hash_function
 from tests.conftest import zeroed_snapshot
@@ -231,13 +231,13 @@ class TestGroupArraysModel:
             if u == v:
                 continue
             a, b = (u, v) if u < v else (v, u)
+            arrays.ensure_nodes(b + 1)
+            (eid,) = find_edges([slot], [a], [b], arrays.record)
             if (slot, a, b) in stored:
-                assert arrays.find_edge(slot, a, b) is not None
+                assert eid >= 0
                 continue
-            arrays.ensure_nodes(max(u, v) + 1)
-            assert arrays.find_edge(slot, a, b) is None
-            arrays.ensure_edges(1)
-            arrays.append_edge(u, v, slot)
+            assert eid == -1
+            arrays.append_edges([a], [b], [slot])
             stored.add((slot, a, b))
             model[slot].setdefault(u, set()).add(v)
             model[slot].setdefault(v, set()).add(u)

@@ -13,18 +13,20 @@ the same panes and checks, after every take, that
 * the live counters are zero, and each accumulator's ``snapshot()``
   agrees after every fold.
 
-Between panes the runs may merge odd but valid snapshots that carry loose
-per-edge keys (edges the group does not store) into the live sets or the
-accumulators, so the loose side dicts and their settling once an edge gets
-stored are covered too.  A second property pickles a whole monitor
-mid-pane, resumes it and compares every window with an uninterrupted
-dict-reference monitor.  Under ``REPRO_KERNEL=python`` both sides run the
-dict groups, which keeps the monitor and pane paths in the pure-Python
-lane.
+Between panes the runs may merge snapshots a run could write: a side
+run's into the accumulators, and an accumulator's stored edges with zero
+counters into the live sets.  A part no run writes — a per-edge counter
+of an edge it does not store, or a ``τ_v``/``η_v`` cell of a node with no
+edge on the slot — is refused by both kernels before anything changes.
+A last property pickles a whole monitor mid-pane, resumes it and
+compares every window with an uninterrupted dict-reference monitor.
+Under ``REPRO_KERNEL=python`` both sides run the dict groups, which keeps
+the monitor and pane paths in the pure-Python lane.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
 
@@ -34,15 +36,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import portable
-from repro.core.adjacency import NativeProcessorGroup
 from repro.core.config import ReptConfig
-from repro.core.kernel import native_available
-from repro.core.portable import ColumnarDelta, columns
-from repro.core.state import GroupStateSet, ProcessorGroup
-from repro.hashing import make_hash_function
+from repro.core.portable import ColumnarDelta
+from repro.core.state import GroupStateSet
 from repro.streaming.monitor import WindowedTriangleMonitor
-from repro.types import canonical_edge
-from tests.conftest import raw_snapshot
+from tests.conftest import raw_snapshot, zeroed_snapshot
 
 SEED = 20261017
 NODES = 12
@@ -55,8 +53,6 @@ CONFIGS = {
 
 node_ids = st.integers(min_value=0, max_value=NODES - 1)
 streams = st.lists(st.tuples(node_ids, node_ids), min_size=20, max_size=160)
-#: Per-edge keys an odd snapshot may repeat, so loose counters fold twice.
-LOOSE_POOL = [(0, 1), (2, 3), (4, 5), (1, 7)]
 rng_seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -64,49 +60,30 @@ def _config(name, track_local, kernel):
     return ReptConfig(seed=SEED, track_local=track_local, kernel=kernel, **CONFIGS[name])
 
 
-def _part(group_size, m, edges, tri, tau_cells=(), eta_cells=(), rows=None):
-    """A portable group part over raw node ids ``0..NODES-1``."""
-    delta = ColumnarDelta(
-        columns(edges, 3),
-        columns(tri, 4),
-        columns(tau_cells, 3),
-        columns(eta_cells, 3),
-        np.zeros((3, group_size), np.int64) if rows is None else columns(rows, 3),
-    )
-    return portable.group_part(group_size, m, list(range(NODES)), delta)
+def _side_snapshots(config, edges, rng):
+    """The snapshots of a dict-kernel run over a random sample of ``edges``."""
+    side = GroupStateSet(config, kernel="python")
+    side.process_edges(rng.sample(edges, min(len(edges), rng.randint(1, 30))))
+    return side.snapshot()
 
 
-def _odd_snapshot(group, rng, with_adjacency, upcoming):
-    """A valid snapshot whose per-edge keys are often loose.
-
-    Per-edge keys come from the stream's upcoming edges (often not stored
-    yet, stored later), a small pool of repeated pairs and the whole node
-    universe.  Counts are non-negative and ``τ_v`` cells positive, as the
-    portable reader requires.  Counter kinds the group does not track stay
-    empty, as in any snapshot it could take.
-    """
-    candidates = [(u, v) for u, v in upcoming[:40] if u != v] + LOOSE_POOL
-    edges, tri, tau_cells, eta_cells, rows = [], [], [], [], []
-    for slot in range(group.group_size):
-        stored = 0
-        if with_adjacency:
-            for _ in range(rng.randint(0, 3)):
-                edges.append((slot, *sorted(rng.sample(range(NODES), 2))))
-            stored = rng.randint(0, 2)
-        if group.track_eta:
-            keys = {}
-            for _ in range(rng.randint(0, 4)):
-                u, v = rng.choice(candidates) if rng.random() < 0.8 else rng.sample(range(NODES), 2)
-                keys[canonical_edge(u, v)] = rng.randint(0, 3)
-            tri.extend((slot, a, b, value) for (a, b), value in keys.items())
-        if group.track_local:
-            cells = {rng.randrange(NODES): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
-            tau_cells.extend((slot, node, value) for node, value in cells.items())
-            if group.track_eta:
-                cells = {rng.randrange(NODES): rng.randint(0, 2) for _ in range(rng.randint(0, 2))}
-                eta_cells.extend((slot, node, value) for node, value in cells.items())
-        rows.append((rng.randint(0, 3), rng.randint(0, 3) if group.track_eta else 0, stored))
-    return _part(group.group_size, group.m, edges, tri, tau_cells, eta_cells, rows)
+def _break_one_rule(part, rng):
+    """A copy of a snapshot with one counter no run writes: a per-edge
+    counter of an edge it does not store, or a ``τ_v``/``η_v`` cell of a
+    node that stores no edge on the slot."""
+    part = copy.deepcopy(part)
+    slot = rng.randrange(part["group_size"])
+    edges = part["edges"]
+    touching = set(edges[1:, edges[0] == slot].ravel().tolist())
+    free = [k for k in range(len(part["nodes"])) if k not in touching]
+    while len(free) < 2:
+        free.append(len(part["nodes"]))
+        part["nodes"].append(NODES + len(free))
+    a, b = sorted(rng.sample(free, 2))
+    block = rng.choice(["tri", "tau_cells", "eta_cells"])
+    entry = (slot, a, b, rng.randint(0, 3)) if block == "tri" else (slot, a, rng.randint(1, 3))
+    part[block] = np.concatenate((part[block], np.array(entry, np.int64)[:, None]), axis=1)
+    return part
 
 
 def _assert_takes_agree(native, python, native_deltas, python_deltas):
@@ -176,18 +153,19 @@ def test_pane_deltas_match_dict_reference(config_name, track_local, edges, seed)
         python_acc.merge_pane_deltas(deltas[1])
         _assert_snapshots_agree(native_acc, python_acc)
 
-        # Fold malformed-but-well-typed state in between, now and then.
-        upcoming = edges[position:]
+        # Fold snapshots a run could write in between, now and then.
         if rng.random() < 0.4:
-            odd = [_odd_snapshot(g, rng, True, upcoming) for g in native_acc.groups]
-            native_acc.merge_snapshots(odd)
-            python_acc.merge_snapshots(odd)
+            side = _side_snapshots(python.config, edges, rng)
+            native_acc.merge_snapshots(side)
+            python_acc.merge_snapshots(side)
             _assert_snapshots_agree(native_acc, python_acc)
         if rng.random() < 0.4:
-            # No adjacency: the live sets' dedup scope stays exact.
-            odd = [_odd_snapshot(g, rng, False, upcoming) for g in native.groups]
-            native.merge_snapshots(odd)
-            python.merge_snapshots(odd)
+            # The accumulators store every edge the live sets do, so the
+            # live sets may take all of theirs: later panes' counters
+            # still sit on edges the accumulators store.
+            zeroed = [zeroed_snapshot(group) for group in python_acc.groups]
+            native.merge_snapshots(zeroed)
+            python.merge_snapshots(zeroed)
             _assert_snapshots_agree(native, python)
         if position >= len(edges):
             break
@@ -201,76 +179,40 @@ def test_pane_deltas_match_dict_reference(config_name, track_local, edges, seed)
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @given(edges=streams, seed=rng_seeds)
 @settings(max_examples=15, deadline=None)
-def test_restore_of_odd_snapshots_matches_dict_reference(config_name, track_local, edges, seed):
-    """restore folds snapshots with loose keys and zero cells like the dict."""
+def test_restore_of_odd_snapshots_is_refused_by_both_kernels(
+    config_name, track_local, edges, seed
+):
+    """A part with one counter off its edges is refused, and nothing
+    changes; the same part without it restores like the dict reference."""
     rng = random.Random(seed)
     source = GroupStateSet(_config(config_name, track_local, "python"))
     source.ingest_stream(edges, batch_edges=17)
     snapshots = source.snapshot()
-    odd = [_odd_snapshot(g, rng, True, edges) for g in source.groups]
-    native = GroupStateSet(_config(config_name, track_local, "auto"))
-    python = GroupStateSet(_config(config_name, track_local, "python"))
-    for state in (native, python):
-        for group, snapshot, extra in zip(state.groups, snapshots, odd):
-            group.restore(extra)
+    odd = [_break_one_rule(part, rng) for part in snapshots]
+    refused = "does not store|stores no edge"
+    restored = []
+    for kernel in ("auto", "python"):
+        state = GroupStateSet(_config(config_name, track_local, kernel))
+        state.ingest_stream(edges[: len(edges) // 2], batch_edges=17)
+        before = ([raw_snapshot(s) for s in state.snapshot()], list(state.interner.nodes))
+        for group, part in zip(state.groups, odd):
+            for fold in (group.restore, group.merge_snapshot):
+                with pytest.raises(ValueError, match=refused):
+                    fold(part)
+        with pytest.raises(ValueError, match=refused):
+            state.merge_snapshots(odd)
+        with pytest.raises(ValueError, match=refused):
+            state.restore_portable(portable.portable_state(odd))
+        assert ([raw_snapshot(s) for s in state.snapshot()], list(state.interner.nodes)) == before
+        for group, part in zip(state.groups, snapshots):
+            group.restore(part)
             arrays = getattr(group, "_arrays", None)
             if arrays is not None:
                 # A fold appends its new edges slot-major and by id.
                 keys = list(zip(*arrays.edge_rows(0).tolist()))
                 assert keys == sorted(keys)
-            group.merge_snapshot(snapshot)
-    _assert_snapshots_agree(native, python)
-
-
-class TestLooseCounterRegression:
-    """A loose per-edge counter becomes the prior once its edge is stored."""
-
-    @staticmethod
-    def _snapshot(edges, edge_triangles):
-        return _part(
-            1,
-            1,
-            [(0, a, b) for a, b in edges],
-            [(0, a, b, value) for (a, b), value in edge_triangles.items()],
-        )
-
-    @pytest.mark.parametrize("kind", ["python", "native"])
-    def test_fold_uses_loose_value_as_prior(self, kind):
-        if kind == "native" and not native_available():
-            pytest.skip("no C compiler available")
-        cls = NativeProcessorGroup if kind == "native" else ProcessorGroup
-        group = cls(
-            make_hash_function("splitmix", buckets=1, seed=1),
-            1,
-            1,
-            track_local=True,
-            track_eta=True,
-        )
-        group.merge_snapshot(self._snapshot([(3, 4)], {(1, 2): 5, (3, 4): 1}))
-        group.merge_snapshot(self._snapshot([(1, 2)], {(1, 2): 2}))
-        (entry,) = raw_snapshot(group.snapshot())["processors"]
-        assert entry["eta"] == 10
-        assert entry["edge_triangles"] == {(1, 2): 7, (3, 4): 1}
-        assert entry["eta_local"] == {1: 10, 2: 10}
-
-    @pytest.mark.parametrize("per_edge", [False, True], ids=["batch", "per-edge"])
-    def test_ingest_store_overwrites_loose_value(self, per_edge):
-        # The dict loop sets a newly stored edge's counter to its closing
-        # count, replacing a loose value merged in earlier.
-        snapshots = []
-        for kernel in ("auto", "python"):
-            state = GroupStateSet(ReptConfig(m=1, c=1, seed=1, track_eta=True), kernel=kernel)
-            state.merge_snapshots([self._snapshot([], {(1, 2): 5})])
-            edges = [(1, 2), (2, 3), (1, 3)]
-            if per_edge:
-                for u, v in edges:
-                    state.process_edge(u, v)
-            else:
-                state.process_edges(edges)
-            snapshots.append([raw_snapshot(s) for s in state.snapshot()])
-        assert snapshots[0] == snapshots[1]
-        (entry,) = snapshots[1][0]["processors"]
-        assert entry["edge_triangles"][(1, 2)] == 1
+        restored.append(state)
+    _assert_snapshots_agree(*restored)
 
 
 def _monitor(config_name, track_local, kernel):

@@ -19,8 +19,7 @@ plus the group's one batch loop:
 * every group record holds its arrays' current addresses and capacities,
   the cell pool's included, across growth, ``restore_portable``,
   ``merge_snapshots`` and pickling;
-* a record that raises changes no stored edge and no counter, and a
-  store settles loose per-edge counters.
+* a record that raises changes no stored edge and no counter.
 
 Under ``REPRO_KERNEL=python`` the ``auto`` side resolves to the dict
 groups too; the tests that need the compiled call skip.
@@ -37,16 +36,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import portable
 from repro.core.adjacency import GroupArrays
 from repro.core.config import ReptConfig
 from repro.core.kernel import RECORD_COLUMNS, native_available
-from repro.core.portable import ColumnarDelta, columns
 from repro.core.state import GroupStateSet
 from repro.exceptions import ConfigurationError
 from repro.hashing import SplitMixEdgeHash, TabulationEdgeHash, make_hash_function
 from repro.hashing.base import EdgeHashFunction
 from repro.types import canonical_edge
+from tests.conftest import zeroed_snapshot
 
 SEED = 20261018
 HASH_KINDS = ("splitmix", "tabulation")
@@ -314,46 +312,34 @@ def test_per_edge_after_restore_portable(config_name, hash_kind):
     _assert_records_fresh(native)
 
 
-def _loose_part(group, edges, rng):
-    """A part whose per-edge counters are on edges the group has not stored."""
-    nodes = sorted({node for edge in edges for node in edge})
-    position = {node: k for k, node in enumerate(nodes)}
-    tri = {}
-    for u, v in rng.sample(edges, min(8, len(edges))):
-        if u != v:
-            a, b = sorted((position[u], position[v]))
-            tri[(rng.randrange(group.group_size), a, b)] = rng.randint(1, 4)
-    delta = ColumnarDelta(
-        np.empty((3, 0), np.int64),
-        columns([(slot, a, b, value) for (slot, a, b), value in tri.items()], 4),
-        np.empty((3, 0), np.int64),
-        np.empty((3, 0), np.int64),
-        np.zeros((3, group.group_size), np.int64),
-    )
-    return portable.group_part(group.group_size, group.m, nodes, delta)
-
-
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("hash_kind", HASH_KINDS)
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-def test_per_edge_after_merging_loose_counters(config_name, hash_kind, seed):
+def test_per_edge_after_merging_a_later_stretch(config_name, hash_kind, seed):
     config = _config(config_name, True, hash_kind)
     rng = random.Random(seed)
-    edges = [(rng.randrange(14), rng.randrange(14)) for _ in range(120)]
-    template = GroupStateSet(config, kernel="python")
-    parts = [_loose_part(group, edges[40:], rng) for group in template.groups]
+    edges = _growth_stream(17 + seed, n=480, nodes=rng.choice([14, 60, 300]))
+    first = rng.randint(40, 200)
+    second = rng.randint(first + 40, 400)
+    # Odd seeds advance the stretch on the compiled groups where available.
+    worker_kernel = ("python", "auto")[seed % 2]
     native = GroupStateSet(config, kernel="auto")
     python = GroupStateSet(config, kernel="python")
     for target in (native, python):
-        target.process_edges(edges[:40])
-        target.merge_snapshots(parts)
-    if native.kernel != "python":
-        assert any(any(group._arrays.loose_tri) for group in native.groups)
+        target.process_edges(edges[:first])
+        # The next stretch, advanced from the stored edges with zeroed counters.
+        worker = GroupStateSet(config, kernel=worker_kernel)
+        for group, prefix in zip(worker.groups, target.groups):
+            group.restore(zeroed_snapshot(prefix))
+        worker.process_edges(edges[first:second])
+        target.merge_snapshots(worker.snapshot())
+    _assert_same(native, python)
     _assert_records_fresh(native)
-    for u, v in edges[40:]:
+    for u, v in edges[second : second + 80]:
         native.process_edge(u, v)
         python.process_edge(u, v)
         _assert_same(native, python)
+    _assert_records_fresh(native)
 
 
 @pytest.mark.parametrize("hash_kind", HASH_KINDS)

@@ -9,7 +9,12 @@ each with and without local counts, and checks that
   once mapped to raw node ids;
 * ``restore_portable(portable_state())`` continues bit-identically on
   the same kernel and across kernels, and so does the state rewritten in
-  the dict form earlier versions wrote.
+  the dict form earlier versions wrote;
+* every part a run writes passes the reader — each per-edge counter on
+  an edge the part stores, each ``τ_v``/``η_v`` cell on a node with an
+  edge on the slot — after batches, per-edge calls, pickling mid-stream,
+  a restore then more records, a later stretch advanced from a zeroed
+  snapshot and merged, and in every open monitor window.
 
 Under ``REPRO_KERNEL=python`` the ``auto`` side resolves to the dict
 groups too, which keeps the format paths in the pure-Python lane.
@@ -23,10 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import portable
 from repro.core.config import ReptConfig
 from repro.core.state import GroupStateSet
+from repro.streaming.monitor import WindowedTriangleMonitor
 from repro.types import canonical_edge
-from tests.conftest import dict_form
+from tests.conftest import dict_form, zeroed_snapshot
 
 SEED = 20261017
 
@@ -114,3 +121,87 @@ def test_portable_round_trip_continues_bit_identically(config_name, track_local,
                 resumed.process_edges(edges[cut:])
                 assert _key(resumed.estimate(n)) == expected
                 assert _state_columns(resumed) == _state_columns(straight)
+
+
+# -- every part a run writes passes the reader -----------------------------------
+
+records = st.tuples(node_ids, node_ids)
+record_lists = st.lists(records, max_size=14)
+#: A step of a run: a batch, a per-edge record, a pickle round trip, a
+#: restore into a fresh state set, or a later stretch advanced from a
+#: zeroed snapshot and merged.
+steps = st.lists(
+    st.one_of(
+        record_lists.map(lambda batch: ("batch", batch)),
+        records.map(lambda record: ("edge", record)),
+        st.just(("pickle", None)),
+        st.just(("restore", None)),
+        record_lists.map(lambda batch: ("stretch", batch)),
+    ),
+    max_size=30,
+)
+
+
+def _assert_parts_pass(state):
+    shapes = [(group.group_size, group.m) for group in state.groups]
+    portable.read_state(pickle.loads(pickle.dumps(state.portable_state())), shapes)
+
+
+def _step(state, step, kernel):
+    kind, payload = step
+    if kind == "batch":
+        state.process_edges(payload)
+    elif kind == "edge":
+        state.process_edge(*payload)
+    elif kind == "pickle":
+        return pickle.loads(pickle.dumps(state))
+    elif kind == "restore":
+        fresh = GroupStateSet(state.config, kernel=kernel)
+        fresh.restore_portable(state.portable_state())
+        return fresh
+    else:
+        worker = GroupStateSet(state.config, kernel=kernel)
+        for group, prefix in zip(worker.groups, state.groups):
+            group.restore(zeroed_snapshot(prefix))
+        worker.process_edges(payload)
+        _assert_parts_pass(worker)
+        state.merge_snapshots(worker.snapshot())
+    return state
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("track_local", [True, False], ids=["local", "global"])
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@given(plan=steps)
+@settings(max_examples=15, deadline=None)
+def test_every_part_a_run_writes_passes_the_reader(config_name, track_local, kernel, plan):
+    state = GroupStateSet(_config(config_name, track_local), kernel=kernel)
+    for step in plan:
+        state = _step(state, step, kernel)
+        _assert_parts_pass(state)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@given(
+    stamped=st.lists(
+        st.tuples(node_ids, node_ids, st.integers(min_value=0, max_value=80)), max_size=120
+    ),
+    cut=st.integers(min_value=0, max_value=12),
+)
+@settings(max_examples=10, deadline=None)
+def test_every_monitor_window_state_passes_the_reader(config_name, kernel, stamped, cut):
+    monitor = WindowedTriangleMonitor(
+        12.0,
+        slide_seconds=4.0,
+        pane_seconds=2.0,
+        config=ReptConfig(seed=SEED, kernel=kernel, **CONFIGS[config_name]),
+        allowed_lateness=1.0,
+    )
+    ordered = [(u, v, t / 2.0) for u, v, t in sorted(stamped, key=lambda r: r[2])]
+    for index, start in enumerate(range(0, len(ordered), 10)):
+        if index == cut:
+            monitor = pickle.loads(pickle.dumps(monitor))
+        monitor.ingest(ordered[start : start + 10])
+        for chain in monitor._chains.values():
+            _assert_parts_pass(chain.state)
