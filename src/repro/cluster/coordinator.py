@@ -720,8 +720,13 @@ class ElasticCoordinator:
 
         The state is checked before any shard changes.
         """
+        config = self.config
         snapshots = portable.read_state(
-            state, [(size, self.config.m) for size in self.config.group_sizes()]
+            state,
+            [
+                (size, config.m, config.track_local, bool(config.track_eta))
+                for size in config.group_sizes()
+            ],
         )
         self.flush()
         for shard_id in range(self.num_shards):

@@ -150,7 +150,7 @@ class ShardState:
                 f"this is shard {self.shard_id}"
             )
         (part,) = portable.read_parts(
-            [state["snapshot"]], [(self.group.group_size, self.group.m)], state.get("seen")
+            [state["snapshot"]], [self.group.part_shape], state.get("seen")
         )
         delta = portable.intern_group(part, self.interner)
         self.group.reset()

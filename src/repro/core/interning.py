@@ -18,10 +18,13 @@ reference.
 
 On a native state set, batches whose records are all 2-item tuples or
 lists of plain ``int`` node ids inside int64 take a compiled encode pass
-(:meth:`NodeInterner._encode_columns`).  Ids come from an open-addressing
-int64→id cache probed in C; values it lacks are looked up in ``_ids``
-itself (so dict equality holds exactly as in the Python loop: ``1`` finds
-a held ``True`` or ``1.0``), values new to the interner are interned in
+(:meth:`NodeInterner._encode_columns`).  One C walk over the Python
+records applies that rule and reads the ids straight into interleaved
+int64 endpoints (:func:`~repro.core.kernel.int_pairs`), declining at the
+first record that breaks it.  Ids come from an open-addressing int64→id
+cache probed in C; values it lacks are looked up in ``_ids`` itself (so
+dict equality holds exactly as in the Python loop: ``1`` finds a held
+``True`` or ``1.0``), values new to the interner are interned in
 first-appearance order, and all of them enter the cache.  One C walk over
 the interleaved endpoints then skips self-loops, canonicalises and writes
 the ids.  Every other batch keeps the Python loop of
@@ -40,7 +43,7 @@ equivalence guarantees.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -49,36 +52,8 @@ from repro.core import kernel as kernel_mod
 from repro.hashing.base import _GOLDEN64, _stable_node_key
 from repro.types import EdgeTuple, NodeId
 
-_RECORD_TYPES = frozenset({tuple, list})
 #: Initial cells of the interner's int64 id cache (kept at most half full).
 _CACHE_MIN = 1024
-
-
-def _int_endpoints(pairs) -> Optional[List[int]]:
-    """Interleaved endpoints ``[u0, v0, u1, v1, ...]`` of an all-int batch, or None.
-
-    The batch qualifies when it is a non-empty list or tuple of 2-item
-    tuple/list records whose items are plain ``int`` — exactly the batches
-    on which :meth:`NodeInterner.encode_pairs` reads each record as
-    ``u, v`` and compares raw ints.  The first record is checked on its
-    own first, so a batch of other ids falls back in constant time.
-    """
-    if type(pairs) not in (list, tuple) or not pairs:
-        return None
-    head = pairs[0]
-    if (
-        type(head) not in _RECORD_TYPES
-        or len(head) != 2
-        or type(head[0]) is not int
-        or type(head[1]) is not int
-    ):
-        return None
-    if not set(map(type, pairs)) <= _RECORD_TYPES or set(map(len, pairs)) != {2}:
-        return None
-    flat = list(chain.from_iterable(pairs))
-    if set(map(type, flat)) != {int}:
-        return None
-    return flat
 
 
 class NodeInterner:
@@ -236,19 +211,16 @@ class NodeInterner:
         """The compiled :meth:`encode_pairs` of an all-int batch, or None.
 
         Takes a non-empty list or tuple of 2-item tuple/list records of
-        plain ``int`` ids inside int64; returns ``(cu, cv, edge_keys,
-        n_records)`` with int64/int64/uint64 arrays, equal element for
-        element to ``encode_pairs(pairs)`` followed by
-        :meth:`edge_key_array`, with the interner advanced identically.
-        Returns None, having changed nothing, when the batch does not
-        qualify — the caller then takes :meth:`encode_pairs`.
+        plain ``int`` ids inside int64, which one compiled walk reads into
+        interleaved endpoints (:func:`~repro.core.kernel.int_pairs`);
+        returns ``(cu, cv, edge_keys, n_records)`` with int64/int64/uint64
+        arrays, equal element for element to ``encode_pairs(pairs)``
+        followed by :meth:`edge_key_array`, with the interner advanced
+        identically.  Returns None, having changed nothing, when the batch
+        does not qualify — the caller then takes :meth:`encode_pairs`.
         """
-        flat = _int_endpoints(pairs)
-        if flat is None:
-            return None
-        try:
-            raw = np.fromiter(flat, np.int64, len(flat))
-        except OverflowError:
+        raw = kernel_mod.int_pairs(pairs)
+        if raw is None:
             return None
         dense = np.empty(len(raw), np.int64)
         kernel_mod.table_lookup(raw, self._cache_val, self._cache_id, dense)

@@ -65,10 +65,18 @@ environment disables the C kernel outright (the CI pure-Python lane); no
 other value of the variable has an effect.
 
 The same library carries the encode pass behind
-:meth:`~repro.core.interning.NodeInterner._encode_columns`: the probe and
-insert of the interner's open-addressing int64→id cache, and one walk over
-an all-int batch's interleaved endpoints and their dense ids that skips
-self-loops, canonicalises by raw value and writes the ids.  It also
+:meth:`~repro.core.interning.NodeInterner._encode_columns`: the record
+walk (:func:`int_pairs`), which reads a batch's Python records into
+interleaved int64 endpoints and declines at the first record that is not
+a 2-item tuple or list of plain ``int`` ids inside int64; the probe and
+insert of the interner's open-addressing int64→id cache; and one walk over
+the interleaved endpoints and their dense ids that skips self-loops,
+canonicalises by raw value and writes the ids.  The record walk is the
+one entry that reads Python objects: it calls functions of CPython's
+stable ABI, declared in the C source, so the library still builds with
+the system compiler alone and no Python headers, and it is called
+through a ``ctypes.PyDLL`` handle on the same library, which keeps the
+GIL for the walk (every other entry releases it).  It also
 carries the cold-path calls of the group fold
 (:meth:`~repro.core.adjacency.NativeProcessorGroup.merge_deltas`), which
 folds a whole group's pane delta, snapshot or restored state, and of the
@@ -146,6 +154,7 @@ CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.
 _C_SOURCE = r"""
 #include <pthread.h>
 #include <stdint.h>
+#include <sys/types.h>
 
 typedef int64_t i64;
 typedef uint8_t u8;
@@ -864,6 +873,78 @@ int64_t rept_encode_columns(i64 n, const i64 *flat, const i64 *ids, i64 *cu, i64
     }
     return out;
 }
+
+/* -- the record walk ----------------------------------------------------------
+ * The one entry that reads Python objects.  It goes through functions of
+ * CPython's stable ABI, declared here rather than taken from Python.h, so
+ * the library still builds with the system compiler alone; their symbols
+ * resolve when the interpreter loads the library.  It is called through a
+ * handle that keeps the GIL, and it runs no Python code, so the references
+ * it borrows stay valid while it reads. */
+
+typedef struct _object PyObject;
+typedef ssize_t Py_ssize_t;
+extern Py_ssize_t PyList_Size(PyObject *list);
+extern PyObject *PyList_GetItem(PyObject *list, Py_ssize_t index);
+extern Py_ssize_t PyTuple_Size(PyObject *tuple);
+extern PyObject *PyTuple_GetItem(PyObject *tuple, Py_ssize_t index);
+extern PyObject *PyObject_Type(PyObject *o);
+extern void Py_DecRef(PyObject *o);
+extern long long PyLong_AsLongLongAndOverflow(PyObject *o, int *overflow);
+
+/* The type of o, compared by identity only: o keeps its type alive. */
+static inline PyObject *rept_type(PyObject *o)
+{
+    PyObject *type = PyObject_Type(o);
+    Py_DecRef(type);
+    return type;
+}
+
+/* Item i of a list (is_list) or tuple. */
+static inline PyObject *rept_item(PyObject *seq, int is_list, i64 i)
+{
+    return is_list ? PyList_GetItem(seq, i) : PyTuple_GetItem(seq, i);
+}
+
+/* The value of o, an exact int inside int64, into *out; 0 if o is not one. */
+static inline int rept_int64(PyObject *o, PyObject *int_type, i64 *out)
+{
+    int overflow = 0;
+    if (rept_type(o) != int_type)
+        return 0;
+    *out = PyLong_AsLongLongAndOverflow(o, &overflow);
+    return !overflow;
+}
+
+/* Reads batch, a list or tuple of n records, each an exact 2-item tuple or
+ * list of exact ints inside int64, into the interleaved endpoints
+ * out[2k], out[2k + 1].  int_type, tuple_type and list_type are the
+ * int, tuple and list types.  Returns n, or -1 at the first record that
+ * is not one (what out holds then is undefined). */
+int64_t rept_int_pairs(
+    PyObject *batch, i64 n, PyObject *int_type, PyObject *tuple_type, PyObject *list_type,
+    i64 *out)
+{
+    PyObject *type = rept_type(batch);
+    int is_list = type == list_type;
+    if (!is_list && type != tuple_type)
+        return -1;
+    if ((is_list ? PyList_Size(batch) : PyTuple_Size(batch)) != n)
+        return -1;
+    for (i64 k = 0; k < n; k++) {
+        PyObject *record = rept_item(batch, is_list, k);
+        PyObject *kind = rept_type(record);
+        int record_list = kind == list_type;
+        if (!record_list && kind != tuple_type)
+            return -1;
+        if ((record_list ? PyList_Size(record) : PyTuple_Size(record)) != 2)
+            return -1;
+        if (!rept_int64(rept_item(record, record_list, 0), int_type, &out[2 * k])
+            || !rept_int64(rept_item(record, record_list, 1), int_type, &out[2 * k + 1]))
+            return -1;
+    }
+    return n;
+}
 """
 
 #: The loaded kernel library, or the exception that stopped it from
@@ -962,7 +1043,16 @@ def _build():
             i64, ptr, ptr,                # n, flat, ids
             ptr, ptr,                     # cu, cv
         ],
+        "rept_int_pairs": [
+            ctypes.py_object, i64,        # batch, n
+            ctypes.py_object,             # int
+            ctypes.py_object,             # tuple
+            ctypes.py_object,             # list
+            ptr,                          # out
+        ],
     }
+    # The record walk reads Python objects, so its handle keeps the GIL.
+    lib.rept_int_pairs = ctypes.PyDLL(so_path).rept_int_pairs
     for name, argtypes in signatures.items():
         fn = getattr(lib, name)
         fn.restype = i64
@@ -1307,6 +1397,26 @@ def table_insert(values: np.ndarray, ids: np.ndarray, table_val, table_id) -> No
         table_id.ctypes.data,
         len(table_id) - 1,
     )
+
+
+def int_pairs(pairs) -> Optional[np.ndarray]:
+    """The interleaved int64 endpoints ``[u0, v0, u1, v1, ...]`` of an
+    all-int batch, or None.
+
+    The batch qualifies when it is a non-empty list or tuple of 2-item
+    tuple or list records, each of exactly those types, whose items are
+    exactly ``int`` and inside int64: the batches on which
+    :meth:`~repro.core.interning.NodeInterner.encode_pairs` reads each
+    record as ``u, v`` and compares raw ints.  One compiled walk reads
+    them and stops at the first record that is not one.
+    """
+    if type(pairs) not in (list, tuple) or not pairs:
+        return None
+    n = len(pairs)
+    out = np.empty(2 * n, np.int64)
+    if _handle().rept_int_pairs(pairs, n, int, tuple, list, out.ctypes.data) < 0:
+        return None
+    return out
 
 
 def encode_columns(flat, ids, cu, cv) -> int:

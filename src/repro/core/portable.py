@@ -30,11 +30,16 @@ that slot (as Algorithms 1–2 keep them, so no run writes either) and a
 (:meth:`~repro.core.state.ProcessorGroup.take_pane_deltas`) is therefore
 no reader input: its counters may sit on edges an earlier pane stored, so
 pane deltas fold in process only
-(:meth:`~repro.core.state.GroupStateSet.merge_pane_deltas`).  The reader
-also reads what earlier versions wrote (see :func:`read_parts`): the
-raw-keyed dict form, and a ``seen`` part beside the groups — the set of
-distinct edges consumed, ``format``, ``nodes`` and ``pairs`` (``(2, n)``)
-— which it checks like any other part and then drops.
+(:meth:`~repro.core.state.GroupStateSet.merge_pane_deltas`).  It also
+rejects a block of counters the receiver does not track (its
+:data:`Shape`): ``τ_v`` cells unless it tracks ``τ_v``, per-edge
+counters unless it tracks η, and ``η_v`` cells unless it tracks both.
+No run of the receiver's shape writes one, and the two kernels would
+fold it differently.  The reader also reads what earlier versions wrote
+(see :func:`read_parts`): the raw-keyed dict form, and a ``seen`` part
+beside the groups — the set of distinct edges consumed, ``format``,
+``nodes`` and ``pairs`` (``(2, n)``) — which it checks like any other
+part and then drops.
 """
 
 from __future__ import annotations
@@ -57,6 +62,10 @@ _BLOCKS = {
 }
 
 Part = Dict[str, object]
+
+#: What the reader checks a group part against: the receiving group's
+#: ``(group_size, m, track_local, track_eta)``.
+Shape = Tuple[int, int, bool, bool]
 
 
 def columns(records, width: int) -> np.ndarray:
@@ -141,8 +150,8 @@ def portable_state(groups: Sequence[Part]) -> Dict[str, object]:
 # -- the validating reader -----------------------------------------------------
 
 
-def read_state(state, shapes: Sequence[Tuple[int, int]]) -> List[Part]:
-    """Check a portable state against one ``(group_size, m)`` per group.
+def read_state(state, shapes: Sequence[Shape]) -> List[Part]:
+    """Check a portable state against one :data:`Shape` per group.
 
     Returns its group parts, see :func:`read_parts`.
     """
@@ -151,7 +160,7 @@ def read_state(state, shapes: Sequence[Tuple[int, int]]) -> List[Part]:
     return read_parts(state["snapshots"], shapes, state.get("seen"))
 
 
-def read_parts(groups, shapes: Sequence[Tuple[int, int]], seen=None) -> List[Part]:
+def read_parts(groups, shapes: Sequence[Shape], seen=None) -> List[Part]:
     """Check group parts; returns them in the current layout.
 
     ``seen`` is the set of consumed edges earlier versions wrote beside
@@ -169,13 +178,13 @@ def read_parts(groups, shapes: Sequence[Tuple[int, int]], seen=None) -> List[Par
     return read_groups(groups, shapes)
 
 
-def read_groups(parts, shapes: Sequence[Tuple[int, int]]) -> List[Part]:
-    """Check one group part per ``(group_size, m)`` shape; returns them."""
+def read_groups(parts, shapes: Sequence[Shape]) -> List[Part]:
+    """Check one group part per :data:`Shape`; returns them."""
     count = len(parts) if isinstance(parts, (list, tuple)) else type(parts).__name__
     if count != len(shapes):
         raise ValueError(f"expected {len(shapes)} group snapshots, got {count}")
-    for part, (group_size, m) in zip(parts, shapes):
-        _check_group(part, group_size, m)
+    for part, shape in zip(parts, shapes):
+        _check_group(part, *shape)
     return list(parts)
 
 
@@ -211,7 +220,7 @@ def _block(part: Part, name: str, width: int, n_nodes: int, rows=slice(0)) -> np
     return block
 
 
-def _check_group(part, group_size: int, m: int) -> None:
+def _check_group(part, group_size: int, m: int, track_local: bool, track_eta: bool) -> None:
     n_nodes = _node_count(part)
     if part.get("group_size") != group_size or part.get("m") != m:
         raise ValueError(
@@ -222,6 +231,14 @@ def _check_group(part, group_size: int, m: int) -> None:
         name: _block(part, name, width, n_nodes, rows)
         for name, (width, rows) in _BLOCKS.items()
     }
+    # τ_v cells need τ_v tracked, the per-edge counters η, and η_v cells both.
+    for name, tracked in (
+        ("tau_cells", track_local),
+        ("tri", track_eta),
+        ("eta_cells", track_local and track_eta),
+    ):
+        if blocks[name].shape[1] and not tracked:
+            raise ValueError(f"{name} holds counters the receiving state does not track")
     rows = _block(part, "rows", 3, 0)
     if rows.shape[1] != group_size:
         raise ValueError(f"rows must be a (3, {group_size}) int64 block")

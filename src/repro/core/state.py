@@ -453,6 +453,12 @@ class ProcessorGroup:
 
     # -- snapshot / merge, built on the primitives ----------------------------
 
+    @property
+    def part_shape(self) -> portable.Shape:
+        """What the portable reader checks this group's incoming parts
+        against: ``(group_size, m, track_local, track_eta)``."""
+        return (self.group_size, self.m, self.track_local, self.track_eta)
+
     def snapshot(self) -> GroupSnapshot:
         """The group's state as a portable part (see :mod:`repro.core.portable`).
 
@@ -484,7 +490,7 @@ class ProcessorGroup:
 
     def _read(self, snapshot: GroupSnapshot) -> ColumnarDelta:
         """The columns of a snapshot, checked before anything is interned."""
-        (part,) = portable.read_groups([snapshot], [(self.group_size, self.m)])
+        (part,) = portable.read_groups([snapshot], [self.part_shape])
         return portable.intern_group(part, self.interner)
 
     def externalize_deltas(self, delta: ColumnarDelta) -> GroupSnapshot:
@@ -855,21 +861,35 @@ class GroupStateSet:
         function of the interner, so any state set of the config sharing
         the interner can :meth:`ingest_encoded` it.  On a native state set
         an all-int batch is encoded by the compiled pass
-        (:meth:`~repro.core.interning.NodeInterner._encode_columns`), and
-        every batch's ids become int64 columns once, shared by every group
-        and every state set that ingests it.
+        (:meth:`encode_compiled`), and every batch's ids become int64
+        columns once, shared by every group and every state set that
+        ingests it.
         """
+        batch = self.encode_compiled(edges)
+        if batch is not None:
+            return batch
         interner = self.interner
-        if self._native:
-            encoded = interner._encode_columns(edges)
-            if encoded is not None:
-                return EncodedBatch(*encoded)
         cu, cv, _, n_records = interner.encode_pairs(edges)
         keys = interner.edge_key_array(cu, cv)
         if self._native:
             cu = np.asarray(cu, np.int64)
             cv = np.asarray(cv, np.int64)
         return EncodedBatch(cu, cv, keys, n_records)
+
+    def encode_compiled(self, edges) -> Optional[EncodedBatch]:
+        """The compiled encoding of an all-int batch, or None.
+
+        On a native state set a non-empty list or tuple of 2-item tuple or
+        list records of plain ``int`` ids inside int64 is read by one
+        compiled walk and encoded in C
+        (:meth:`~repro.core.interning.NodeInterner._encode_columns`).  Any
+        other batch, and every batch on the dict kernel, returns None and
+        changes nothing.
+        """
+        if not self._native:
+            return None
+        encoded = self.interner._encode_columns(edges)
+        return None if encoded is None else EncodedBatch(*encoded)
 
     def ingest_encoded(
         self, batch: EncodedBatch, collect_stored: bool = False
@@ -928,8 +948,8 @@ class GroupStateSet:
 
     # -- snapshot / merge -----------------------------------------------------
 
-    def _shapes(self) -> List[Tuple[int, int]]:
-        return [(group.group_size, group.m) for group in self.groups]
+    def _shapes(self) -> List[portable.Shape]:
+        return [group.part_shape for group in self.groups]
 
     def snapshot(self) -> List[GroupSnapshot]:
         """Portable snapshots of every group (see ProcessorGroup.snapshot)."""

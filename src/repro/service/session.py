@@ -265,7 +265,19 @@ class ReptEngine(SessionEngine):
         self.state = GroupStateSet(self.config)
 
     def ingest_frame(self, frame: Sequence) -> int:
-        n = self.state.process_edges(_frame_pairs(frame))
+        """Advance the state over one frame.
+
+        An all-int ``[u, v]`` frame is encoded as it arrived, in one
+        compiled walk (:meth:`~repro.core.state.GroupStateSet.encode_compiled`);
+        every other frame goes through :func:`_frame_pairs`.
+        """
+        state = self.state
+        batch = state.encode_compiled(frame)
+        if batch is None:
+            n = state.process_edges(_frame_pairs(frame))
+        else:
+            state.ingest_encoded(batch)
+            n = batch.n_records
         self.delivered += n
         return n
 

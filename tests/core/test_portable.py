@@ -28,8 +28,8 @@ EDGES = [(u, (u * 7 + 3) % 23) for u in range(60)] + [
 ]
 
 
-def _state(kernel, edges):
-    state = GroupStateSet(CONFIG, kernel=kernel)
+def _state(kernel, edges, config=CONFIG):
+    state = GroupStateSet(config, kernel=kernel)
     state.process_edges(edges)
     return state
 
@@ -204,6 +204,102 @@ def test_coordinator_rejects_before_touching_shards():
                 before.global_count,
                 before.local_counts,
             )
+
+
+#: A source that tracks every counter: two complete groups, so a receiver
+#: of the same (m, c) may leave τ_v or η untracked.
+TRACKED = ReptConfig(m=4, c=8, seed=5, track_local=True, track_eta=True)
+_rng = np.random.default_rng(5)
+TRACKED_EDGES = [tuple(pair) for pair in _rng.integers(0, 30, (400, 2)).tolist()]
+
+#: rule -> (the receiver's track_local and track_eta, the block it refuses).
+UNTRACKED = {
+    "tau-cells-without-tau": (False, True, "tau_cells"),
+    "eta-cells-without-tau": (False, True, "eta_cells"),
+    "tri-without-eta": (True, False, "tri"),
+    "eta-cells-without-eta": (True, False, "eta_cells"),
+}
+
+
+def _untracked_state(rule, keep=True):
+    """The tracked source's state with every block the rule's receiver
+    does not track emptied, except (with ``keep``) the one the rule names."""
+    track_local, track_eta, block = UNTRACKED[rule]
+    tracked = {"tau_cells": track_local, "tri": track_eta, "eta_cells": track_local and track_eta}
+    state = copy.deepcopy(_state("python", TRACKED_EDGES, TRACKED).portable_state())
+    for part in state["snapshots"]:
+        for name, kept in tracked.items():
+            if not kept and not (keep and name == block):
+                part[name] = part[name][:, :0]
+    assert any(part[block].shape[1] for part in state["snapshots"]) == keep
+    return state
+
+
+def _receiver_config(rule, kernel):
+    track_local, track_eta, _ = UNTRACKED[rule]
+    return ReptConfig(
+        m=4, c=8, seed=5, track_local=track_local, track_eta=track_eta, kernel=kernel
+    )
+
+
+@pytest.mark.parametrize("kernel", ["python", "auto"])
+@pytest.mark.parametrize("rule", sorted(UNTRACKED))
+def test_untracked_counters_are_refused(rule, kernel):
+    """A block the receiver does not track is refused through every reader
+    path, naming the block, and the receiver is unchanged."""
+    state = _untracked_state(rule)
+    block = UNTRACKED[rule][2]
+    message = f"{block} holds counters the receiving state does not track"
+    config = _receiver_config(rule, kernel)
+    receiver = _state(kernel, TRACKED_EDGES[:150], config)
+    before = _view(receiver)
+    with pytest.raises(ValueError, match=message):
+        receiver.restore_portable(state)
+    assert _view(receiver) == before
+    with pytest.raises(ValueError, match=message):
+        receiver.merge_snapshots(state["snapshots"])
+    assert _view(receiver) == before
+    index = next(k for k, part in enumerate(state["snapshots"]) if part[block].shape[1])
+    part = state["snapshots"][index]
+    group = receiver.groups[index]
+    with pytest.raises(ValueError, match=message):
+        group.restore(part)
+    with pytest.raises(ValueError, match=message):
+        group.merge_snapshot(part)
+    assert _view(receiver) == before
+
+    shard = ShardState(config, index)
+    shard.apply_raw(1, TRACKED_EDGES[:150])
+    shard_before = (raw_snapshot(shard.group.snapshot()), shard.applied_seq)
+    with pytest.raises(ValueError, match=message):
+        shard.restore({"shard_id": index, "applied_seq": 9, "snapshot": part})
+    assert (raw_snapshot(shard.group.snapshot()), shard.applied_seq) == shard_before
+
+    with ElasticCoordinator(config, num_workers=0) as coordinator:
+        coordinator.submit(TRACKED_EDGES[:150])
+        estimate = coordinator.estimate()
+        with pytest.raises(ValueError, match=message):
+            coordinator.restore_portable(state)
+        after = coordinator.estimate()
+        assert (after.global_count, after.local_counts, after.edges_stored) == (
+            estimate.global_count,
+            estimate.local_counts,
+            estimate.edges_stored,
+        )
+
+
+@pytest.mark.parametrize("rule", sorted(UNTRACKED))
+def test_tracked_blocks_alone_restore_alike_on_both_kernels(rule):
+    """Without the untracked blocks the same state is read, and both
+    kernels restore and continue it alike."""
+    state = _untracked_state(rule, keep=False)
+    views = []
+    for kernel in ("python", "auto"):
+        receiver = GroupStateSet(_receiver_config(rule, kernel), kernel=kernel)
+        receiver.restore_portable(state)
+        receiver.process_edges(TRACKED_EDGES[::-1])
+        views.append(_view(receiver)[0])
+    assert views[0] == views[1]
 
 
 @pytest.mark.parametrize("kernel", ["python", "auto"])

@@ -12,11 +12,16 @@ the encoded columns and the edge keys, and at the end the estimates;
 every entry of the interner's int64 id cache must equal what ``_ids``
 holds for its value.  Each batch's encoder is recorded and checked
 against the selection rule; with ``REPRO_KERNEL=python`` every batch must
-take ``encode_pairs``.
+take ``encode_pairs``.  The rule's edge cases are pinned one batch each,
+a declined batch must leave the interner and the groups as they were, and
+the compiled record walk that applies the rule
+(:func:`~repro.core.kernel.int_pairs`) is tested on its own.
 """
 
 from __future__ import annotations
 
+import collections
+import enum
 import pickle
 
 import numpy as np
@@ -24,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernel as kernel_mod
 from repro.core.config import ReptConfig
 from repro.core.interning import NodeInterner
 from repro.core.state import GroupStateSet
@@ -313,6 +319,131 @@ class TestFallbackBatches:
             nodes = state.interner.nodes
             assert nodes.count(1) == 1 and type(nodes[nodes.index(1)]) is type(held)
         _assert_estimates_equal(subject, reference, 6)
+
+
+class _Choice(enum.IntEnum):
+    ONE = 1
+
+
+_Pair = collections.namedtuple("_Pair", "u v")
+
+
+class _PairList(list):
+    pass
+
+
+#: The records the compiled walk declines: an ``int`` subclass, a float,
+#: a numpy int, an ``IntEnum``, record types that subclass tuple or list,
+#: ints just outside int64, wrong arities and a 2-character string, which
+#: ``encode_pairs`` unpacks as two nodes.
+DECLINED_RECORDS = {
+    "bool": (True, 3),
+    "float": (1.0, 4),
+    "numpy-int64": (np.int64(3), 5),
+    "int-enum": (_Choice.ONE, 5),
+    "namedtuple": _Pair(2, 5),
+    "list-subclass": _PairList([2, 5]),
+    "int64-max-plus-one": (2**63, 1),
+    "int64-min-minus-one": (3, INT64_MIN - 1),
+    "one-item": (4,),
+    "three-items": (1, 2, 3),
+    "str": "ab",
+}
+
+#: The selection rule's edge cases, one batch each: the declined records
+#: after two int records, and the batches the walk accepts.
+RULE_BATCHES = {
+    **{name: [(1, 2), [2, 3], record] for name, record in DECLINED_RECORDS.items()},
+    "int64-min": [(1, 2), (INT64_MIN, 1)],
+    "int64-max": [(1, 2), [2, INT64_MAX]],
+    "lists-of-lists": [[1, 2], [2, 3], [3, 1], [1, 1]],
+    "tuple-batch": ((1, 2), (2, 3), (3, 1), (INT64_MAX, INT64_MIN)),
+}
+
+
+def _long_batch(last):
+    """A long all-int batch that ends with ``last``."""
+    return [(u, (u * 7 + 3) % 500) for u in range(5000)] + [last]
+
+
+def _interner_view(interner):
+    return (
+        _typed(interner.nodes),
+        dict(interner._ids),
+        list(interner._keys),
+        interner._cache_val.copy(),
+        interner._cache_id.copy(),
+        interner._cache_used,
+    )
+
+
+def _views_equal(a, b):
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b)
+    )
+
+
+class TestSelectionRule:
+    @pytest.mark.parametrize("name", sorted(RULE_BATCHES))
+    def test_rule_batch_matches_encode_pairs(self, name):
+        """Each edge case takes the encoder the rule names and matches the
+        dict reference."""
+        batch = RULE_BATCHES[name]
+        assert _qualifies(batch) == (name not in DECLINED_RECORDS)
+        subject, reference = _states(ReptConfig(m=3, c=7, seed=SEED, track_eta=True))
+        _step(subject, reference, [(u, (u * 5 + 1) % 40) for u in range(100)])
+        _step(subject, reference, batch)
+        _assert_estimates_equal(subject, reference, 100 + len(batch))
+
+    @pytest.mark.parametrize("name", sorted(DECLINED_RECORDS))
+    def test_a_long_batch_declined_by_its_last_record(self, name):
+        batch = _long_batch(DECLINED_RECORDS[name])
+        assert not _qualifies(batch)
+        subject, reference = _states(ReptConfig(m=4, c=8, seed=SEED, track_local=True))
+        _step(subject, reference, batch)
+        _assert_estimates_equal(subject, reference, len(batch))
+
+    @pytest.mark.parametrize("name", sorted(DECLINED_RECORDS))
+    def test_a_declined_walk_changes_nothing(self, name):
+        """``encode_compiled`` of a declined batch returns None and leaves
+        the interner, its id cache and every group as they were."""
+        state = GroupStateSet(ReptConfig(m=3, c=7, seed=SEED, track_eta=True), kernel="auto")
+        state.process_edges([(u, (u * 5 + 1) % 40) for u in range(100)])
+        for batch in (RULE_BATCHES[name], _long_batch(DECLINED_RECORDS[name])):
+            interner = _interner_view(state.interner)
+            stored = _stored(state)
+            snapshot = [part["edges"].tolist() for part in state.snapshot()]
+            assert state.encode_compiled(batch) is None
+            assert _views_equal(_interner_view(state.interner), interner)
+            assert _stored(state) == stored
+            assert [part["edges"].tolist() for part in state.snapshot()] == snapshot
+
+
+@pytest.mark.skipif(not kernel_mod.native_available(), reason="the C kernel does not build here")
+class TestIntPairs:
+    """The compiled record walk behind ``_encode_columns``."""
+
+    @pytest.mark.parametrize("outer", [list, tuple])
+    @pytest.mark.parametrize("inner", ["tuples", "lists", "mixed"])
+    def test_reads_records_into_interleaved_endpoints(self, outer, inner):
+        pairs = [(1, 2), (INT64_MIN, INT64_MAX), (-5, -5), (2**32, 0)]
+        kinds = {"tuples": [tuple], "lists": [list], "mixed": [tuple, list]}[inner]
+        out = kernel_mod.int_pairs(
+            outer(kinds[k % len(kinds)](pair) for k, pair in enumerate(pairs))
+        )
+        assert out.dtype == np.int64
+        assert out.tolist() == [node for pair in pairs for node in pair]
+
+    @pytest.mark.parametrize("name", sorted(DECLINED_RECORDS))
+    def test_declines_at_any_record(self, name):
+        record = DECLINED_RECORDS[name]
+        assert kernel_mod.int_pairs([record]) is None
+        assert kernel_mod.int_pairs(((1, 2), record, (3, 4))) is None
+        assert kernel_mod.int_pairs(_long_batch(record)) is None
+
+    @pytest.mark.parametrize("batch", [[], (), iter([(1, 2)]), {(1, 2)}, _PairList([(1, 2)]), "12"])
+    def test_declines_other_batches(self, batch):
+        assert kernel_mod.int_pairs(batch) is None
 
 
 class TestFirstOccurrence:

@@ -17,7 +17,9 @@ Between panes the runs may merge snapshots a run could write: a side
 run's into the accumulators, and an accumulator's stored edges with zero
 counters into the live sets.  A part no run writes — a per-edge counter
 of an edge it does not store, or a ``τ_v``/``η_v`` cell of a node with no
-edge on the slot — is refused by both kernels before anything changes.
+edge on the slot — is refused by both kernels before anything changes;
+where the receiver does not track that block, the reader refuses the
+block itself.
 A last property pickles a whole monitor mid-pane, resumes it and
 compares every window with an uninterrupted dict-reference monitor.
 Under ``REPRO_KERNEL=python`` both sides run the dict groups, which keeps
@@ -68,9 +70,9 @@ def _side_snapshots(config, edges, rng):
 
 
 def _break_one_rule(part, rng):
-    """A copy of a snapshot with one counter no run writes: a per-edge
-    counter of an edge it does not store, or a ``τ_v``/``η_v`` cell of a
-    node that stores no edge on the slot."""
+    """A copy of a snapshot with one counter no run writes, and the block
+    it sits in: a per-edge counter of an edge it does not store, or a
+    ``τ_v``/``η_v`` cell of a node that stores no edge on the slot."""
     part = copy.deepcopy(part)
     slot = rng.randrange(part["group_size"])
     edges = part["edges"]
@@ -83,7 +85,19 @@ def _break_one_rule(part, rng):
     block = rng.choice(["tri", "tau_cells", "eta_cells"])
     entry = (slot, a, b, rng.randint(0, 3)) if block == "tri" else (slot, a, rng.randint(1, 3))
     part[block] = np.concatenate((part[block], np.array(entry, np.int64)[:, None]), axis=1)
-    return part
+    return part, block
+
+
+def _refusal(config, block):
+    """What the reader says of an odd entry in ``block``: a block the
+    receiver does not track is refused for that before its entries are
+    looked at."""
+    tracked = {
+        "tri": config.track_eta,
+        "tau_cells": config.track_local,
+        "eta_cells": config.track_local and config.track_eta,
+    }
+    return "does not store|stores no edge" if tracked[block] else "does not track"
 
 
 def _assert_takes_agree(native, python, native_deltas, python_deltas):
@@ -185,23 +199,25 @@ def test_restore_of_odd_snapshots_is_refused_by_both_kernels(
     """A part with one counter off its edges is refused, and nothing
     changes; the same part without it restores like the dict reference."""
     rng = random.Random(seed)
-    source = GroupStateSet(_config(config_name, track_local, "python"))
+    config = _config(config_name, track_local, "python")
+    source = GroupStateSet(config)
     source.ingest_stream(edges, batch_edges=17)
     snapshots = source.snapshot()
-    odd = [_break_one_rule(part, rng) for part in snapshots]
-    refused = "does not store|stores no edge"
+    odd, blocks = zip(*(_break_one_rule(part, rng) for part in snapshots))
+    refused = [_refusal(config, block) for block in blocks]
     restored = []
     for kernel in ("auto", "python"):
         state = GroupStateSet(_config(config_name, track_local, kernel))
         state.ingest_stream(edges[: len(edges) // 2], batch_edges=17)
         before = ([raw_snapshot(s) for s in state.snapshot()], list(state.interner.nodes))
-        for group, part in zip(state.groups, odd):
+        for group, part, message in zip(state.groups, odd, refused):
             for fold in (group.restore, group.merge_snapshot):
-                with pytest.raises(ValueError, match=refused):
+                with pytest.raises(ValueError, match=message):
                     fold(part)
-        with pytest.raises(ValueError, match=refused):
-            state.merge_snapshots(odd)
-        with pytest.raises(ValueError, match=refused):
+        # The reader checks the parts in group order.
+        with pytest.raises(ValueError, match=refused[0]):
+            state.merge_snapshots(list(odd))
+        with pytest.raises(ValueError, match=refused[0]):
             state.restore_portable(portable.portable_state(odd))
         assert ([raw_snapshot(s) for s in state.snapshot()], list(state.interner.nodes)) == before
         for group, part in zip(state.groups, snapshots):

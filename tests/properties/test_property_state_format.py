@@ -143,7 +143,7 @@ steps = st.lists(
 
 
 def _assert_parts_pass(state):
-    shapes = [(group.group_size, group.m) for group in state.groups]
+    shapes = [group.part_shape for group in state.groups]
     portable.read_state(pickle.loads(pickle.dumps(state.portable_state())), shapes)
 
 

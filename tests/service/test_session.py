@@ -5,9 +5,12 @@ test functions (no pytest-asyncio dependency).
 """
 
 import asyncio
+import random
+import re
 
 import pytest
 
+import repro.service.session as session_mod
 from repro.baselines.exact import ExactStreamingCounter
 from repro.core.config import ReptConfig
 from repro.core.state import GroupStateSet
@@ -17,6 +20,7 @@ from repro.service.session import (
     build_engine,
     validate_engine_spec,
 )
+from tests.conftest import raw_snapshot
 
 REPT_SPEC = {"kind": "rept", "m": 8, "c": 16, "seed": 5}
 
@@ -326,3 +330,149 @@ class TestDurability:
         records, log = read_jsonl_records(tmp_path / "audit.jsonl")
         assert [list(r) for r in records] == EDGES[:4]
         assert log.skipped == 0
+
+
+_shape_rng = random.Random(11)
+#: One stream for the frame-shape tests: small ids, so closures are common.
+SHAPE_STREAM = [(_shape_rng.randrange(40), _shape_rng.randrange(40)) for _ in range(600)]
+SHAPE_SPEC = {"kind": "rept", "m": 4, "c": 6, "seed": 11}
+FRAME = 50
+
+
+def _shape_records(shape):
+    """The stream's records as a frame shape sends them: ``[u, v]`` with int
+    ids, ``[u, v, t]``, or ``[u, v]`` with every fifth ``u`` a string id."""
+    if shape == "int-pairs":
+        return [[u, v] for u, v in SHAPE_STREAM]
+    if shape == "timestamped":
+        return [[u, v, float(k)] for k, (u, v) in enumerate(SHAPE_STREAM)]
+    return [[u if k % 5 else f"n{u}", v] for k, (u, v) in enumerate(SHAPE_STREAM)]
+
+
+def _shape_frames(shape):
+    records = _shape_records(shape)
+    return [records[start : start + FRAME] for start in range(0, len(records), FRAME)]
+
+
+def _answers(engine, nodes):
+    return engine.query_global(), engine.query_local(nodes)
+
+
+def _shape_session(tmp_path, shape):
+    spec = validate_engine_spec(SHAPE_SPEC)
+    return StreamSession(
+        tenant=shape,
+        spec=spec,
+        engine=build_engine(spec),
+        checkpoint_dir=tmp_path / shape,
+    )
+
+
+def _snapshot(engine):
+    return [raw_snapshot(part) for part in engine.state.snapshot()]
+
+
+SHAPES = ("int-pairs", "timestamped", "mixed-ids")
+PROBES = list(range(10)) + ["n1", "n2"]
+
+
+class TestFrameShapes:
+    """All-int ``[u, v]`` frames are encoded as they arrive, in one compiled
+    walk; ``[u, v, t]`` frames and frames with other ids go through
+    ``_frame_pairs``.  Either way a tenant answers as before."""
+
+    def test_every_shape_answers_like_the_serial_state_set(self):
+        answers = {}
+        for shape in SHAPES:
+            engine = build_engine(validate_engine_spec(SHAPE_SPEC))
+            reference = GroupStateSet(ReptConfig(m=4, c=6, seed=11))
+            delivered = 0
+            for frame in _shape_frames(shape):
+                assert engine.ingest_frame(frame) == len(frame)
+                delivered += reference.process_edges([(r[0], r[1]) for r in frame])
+            answers[shape] = _answers(engine, PROBES)
+            estimate = reference.estimate(delivered)
+            assert answers[shape] == (
+                {
+                    "global_count": estimate.global_count,
+                    "edges_processed": delivered,
+                    "edges_stored": estimate.edges_stored,
+                },
+                {
+                    "counts": [[node, estimate.local_count(node)] for node in PROBES],
+                    "edges_processed": delivered,
+                },
+            )
+        assert answers["int-pairs"] == answers["timestamped"]
+        assert answers["int-pairs"][0]["global_count"] > 0
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_tenant_restores_from_its_checkpoint_bit_identically(self, tmp_path, shape):
+        frames = _shape_frames(shape)
+
+        async def first_life():
+            session = _shape_session(tmp_path, shape)
+            session.start()
+            for frame in frames[:5]:
+                await session.offer(frame)
+            await session.queue.join()
+            session.checkpoint()
+            at_checkpoint = _snapshot(session.engine)
+            for frame in frames[5:]:
+                await session.offer(frame)
+            await session.queue.join()
+            return at_checkpoint, session.engine
+
+        async def second_life():
+            session = _shape_session(tmp_path, shape)
+            offset = session.recover()
+            restored = _snapshot(session.engine)
+            session.start()
+            for frame in frames[5:]:
+                await session.offer(frame)
+            await session.queue.join()
+            return offset, restored, session.engine
+
+        at_checkpoint, first = asyncio.run(first_life())
+        offset, restored, second = asyncio.run(second_life())
+        assert offset == 5 * FRAME
+        assert restored == at_checkpoint
+        assert _snapshot(second) == _snapshot(first)
+        assert _answers(second, PROBES) == _answers(first, PROBES)
+
+    def test_only_all_int_pair_frames_skip_frame_pairs(self, monkeypatch):
+        calls = []
+        frame_pairs = session_mod._frame_pairs
+
+        def spy(frame):
+            calls.append(frame)
+            return frame_pairs(frame)
+
+        monkeypatch.setattr(session_mod, "_frame_pairs", spy)
+        for shape in SHAPES:
+            engine = build_engine(validate_engine_spec(SHAPE_SPEC))
+            frames = _shape_frames(shape)
+            del calls[:]
+            for frame in frames:
+                engine.ingest_frame(frame)
+            compiled = shape == "int-pairs" and engine.state.kernel == "cc"
+            assert calls == ([] if compiled else frames)
+
+    @pytest.mark.parametrize(
+        "frame, record",
+        [
+            ([[1]], "[1]"),
+            ([[1, 2, 3, 4]], "[1, 2, 3, 4]"),
+            ([5], "5"),
+            ([[1, 2], [2, 3], [1]], "[1]"),
+            ([[1, 2], 5], "5"),
+        ],
+    )
+    def test_malformed_records_keep_their_error(self, frame, record):
+        engine = build_engine(validate_engine_spec(SHAPE_SPEC))
+        engine.ingest_frame(_shape_frames("int-pairs")[0])
+        before = (_snapshot(engine), engine.delivered)
+        message = f"frame record is not [u, v(, t)]: {record}"
+        with pytest.raises(ServiceError, match=f"^{re.escape(message)}$"):
+            engine.ingest_frame(frame)
+        assert (_snapshot(engine), engine.delivered) == before
