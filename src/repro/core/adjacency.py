@@ -10,7 +10,7 @@ which hashes each record's edge key to the group's slot and runs the
 closure+store step, advances every group of a state set over a whole
 encoded batch in one call (:func:`ingest_batch`, the groups on threads
 of their own when they have enough records left and the room to store
-them), or over one record of the per-edge path, without touching a
+them), a per-edge record being a one-record call, without touching a
 Python object:
 
 ``GroupArrays``
@@ -36,7 +36,8 @@ Python object:
 
     Growth is amortised doubling with contiguous reallocation, and the
     compiled calls never allocate.  Node capacity is ensured before a
-    batch, from the largest id it references.  A node that gains a slot
+    batch, from the largest id it references, and the compiled entry
+    refuses a record past it.  A node that gains a slot
     moves its block to the end of the cell pool, or grows it in place if
     it ends the pool; the cells it leaves are zeroed and counted dead.  A
     compiled entry that would run out of room stops before the record (or
@@ -48,8 +49,10 @@ Python object:
     resumes one group at a time (:meth:`GroupArrays.append_edges`).  The
     edge columns double with their half-edges, and the cell pool doubles
     or, when its dead cells outnumber the live ones, is compacted in one
-    pass.  The per-edge call reports a group short of room instead of
-    writing, so the caller makes the same room and calls again.  The group's state
+    pass.  A one-record call of the per-edge path changes every group or
+    none, and it does not say which group was short, so when it is
+    refused every group grows its node columns to both ids and makes room
+    for one stored record before the call runs once more.  The group's state
     record (:class:`~repro.core.kernel.GroupRecord`) holds the columns' addresses
     and capacities; every growth and compaction rewrites it, a reset hands
     it on to the new columns, and it is never pickled.  There is no
@@ -516,7 +519,8 @@ class NativeProcessorGroup(ProcessorGroup):
         arrays = self._arrays
         if self._entry is None:
             self._entry = kernel_mod.EdgeEntry([arrays.record])
-        (stored,) = ingest_batch(self._entry, [arrays], cu, cv, keys)
+        stored = arrays.n_edges
+        ingest_batch(self._entry, [arrays], cu, cv, keys)
         return arrays.edge_rows(stored)
 
     # -- the kernel primitives: columns, fold and reset -------------------------
@@ -617,34 +621,33 @@ def ingest_batch(
     cu: Sequence[int],
     cv: Sequence[int],
     keys: np.ndarray,
-) -> List[int]:
+) -> None:
     """Advance the groups of ``entry`` over one encoded batch.
 
     ``arrays[k]`` holds the columns of the entry's group ``k``.  Node
     columns first grow to the largest id the batch references, not to the
     whole shared interner.  Then one compiled call runs every group's
-    record loop, on threads where a group has enough records left and the
-    room to store them (:func:`~repro.core.kernel.run_groups`); each group
-    that stopped short gets room for one stored record, here on the
-    calling thread, and the call runs again from where each group stopped.
-    Returns each group's number of stored edges before the batch (see
-    :meth:`GroupArrays.edge_rows`).
+    record loop from the batch's first record, on threads where a group
+    has enough records left and the room to store them
+    (:func:`~repro.core.kernel.run_groups`); each group that stopped short
+    gets room for one stored record, here on the calling thread, and the
+    call runs again from where each group stopped.
     """
-    stored = [group.n_edges for group in arrays]
     n = len(cu)
     if len(cv) != n or len(keys) != n:
         raise ValueError("an encoded batch needs one cv entry and one key per cu entry")
     if not n:
-        return stored
+        return
     cu = np.ascontiguousarray(cu, np.int64)
     cv = np.ascontiguousarray(cv, np.int64)
     keys = np.ascontiguousarray(keys, np.uint64)
     top = max(int(cu.max()), int(cv.max())) + 1
     for group in arrays:
         group.ensure_nodes(top)
-    entry.stops.fill(0)
     starts = [-1] * len(arrays)
-    while kernel_mod.run_groups(entry, n, cu, cv, keys):
+    fresh = True
+    while kernel_mod.run_groups(entry, n, cu, cv, keys, fresh):
+        fresh = False
         stops = entry.stops.tolist()
         for group, start, stop in zip(arrays, starts, stops):
             if stop < n:
@@ -652,7 +655,6 @@ def ingest_batch(
                     raise RuntimeError("a compiled call found no room after growth")
                 group.make_room()
         starts = stops
-    return stored
 
 
 def make_processor_group(

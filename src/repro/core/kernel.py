@@ -29,33 +29,31 @@ the fused closure+store step.  The step stores the edge unless its slot
 is virtual or the group's sampled set ``E(i)`` already holds it, which
 the closure walk of the record's own slot shows for free: each group
 decides first occurrence from its own stored edges.  Before each record
-on a real slot the loop checks the room a store needs — one edge row,
-and for each endpoint that gains the slot its whole block of cells plus
-one — and only when room is short looks the edge up, so a held edge
-never stops it; it stops before the first record that does not fit,
-returning its index (``n`` when every record ran).  Two entries run it,
-both over the group records of one state set (:class:`EdgeEntry`):
+the loop checks that both ids lie inside the group's node columns and,
+on a real slot, the room a store needs — one edge row, and for each
+endpoint that gains the slot its whole block of cells plus one — and
+only when room is short looks the edge up, so a held edge never stops
+it; it stops before the first record that does not fit, returning its
+index (``n`` when every record ran).
 
-* ``rept_ingest_groups`` is the batch path (:func:`run_groups`): one call
-  per encoded batch whatever the number of groups, each group running the
-  loop from its own resume index and writing back where it stopped.  A
-  state set's groups share no state, so the call runs them on threads —
-  one per group that has at least :data:`THREAD_FLOOR` records left and
-  room to store as many edges, up to the :data:`CPUS` this process may
-  use, the calling thread taking the first group — and joins every thread
-  before it returns; a thread that cannot be started leaves its groups to
-  the others.  Python grows the groups that stopped, on the calling
-  thread, and calls again, so every record runs exactly once in every
-  group;
-* ``rept_ingest_edge`` is the per-edge path (called by
-  :meth:`~repro.core.state.GroupStateSet.process_edge`): one call per
-  record whatever the number of groups.  It checks every group's room
-  first, the cells both endpoints may need included, and, if any is
-  short, changes nothing and asks the caller to grow; otherwise it runs
-  the loop over the one record in each group, on the calling thread.
-
-A batch stop and a per-edge shortfall take the same growth step
-(:meth:`~repro.core.adjacency.GroupArrays.make_room`).
+One entry runs it, ``rept_ingest_groups``, over the group records of one
+state set (:class:`EdgeEntry`): one call per encoded batch whatever the
+number of groups (:func:`run_groups`), each group running the loop from
+its own resume index and writing back where it stopped.  Before any
+group runs, the call checks every unfinished group's next record the
+same way, and if one does not fit it runs no group, so a call changes
+every group or none at its first record.  A state set's groups share no
+state, so the call runs them on threads — one per group that has at
+least :data:`THREAD_FLOOR` records left and room to store as many edges,
+up to the :data:`CPUS` this process may use, the calling thread taking
+the first group — and joins every thread before it returns; a thread
+that cannot be started leaves its groups to the others.  Python grows
+the groups that stopped, on the calling thread
+(:meth:`~repro.core.adjacency.GroupArrays.make_room`), and calls again,
+so every record runs exactly once in every group.  A per-edge record
+(:meth:`~repro.core.state.GroupStateSet.process_edge`) is a one-record
+call on the calling thread: all or nothing across the groups, and when
+refused every group grows and the call runs once more.
 
 Selection is requested as ``kernel="auto"|"python"|"native"`` on
 :class:`~repro.core.config.ReptConfig` and resolved once per state set by
@@ -84,7 +82,7 @@ cell scans, all of which read the group's record:
 
 * the bulk edge append (the record step's store and the bulk append
   share one edge insert), which stops where the cells run out like the
-  batch entry;
+  record entry;
 * the cell fold, which adds ``τ_v`` or ``η_v`` entries onto the cells of
   nodes that already hold the slot — a processor keeps them only for
   nodes an edge of ``E(i)`` touches, so the fold never gains a cell — and
@@ -102,10 +100,10 @@ cell scans, all of which read the group's record:
   fresh columns and leaves the dead cells behind.
 
 No compiled function allocates: node columns are ensured by the Python
-wrapper before the call, from the largest id a batch references; edge
-rows (with their half-edges) and the cell pool grow wherever a call
-stopped short or, on the per-edge path, reported which groups lack room.
-So no Python runs and no column grows off the calling thread.  The
+wrapper before a batch, from the largest id it references, and on the
+per-edge path after a refused call; edge rows (with their half-edges)
+and the cell pool grow wherever a call stopped short.  So no Python runs
+and no column grows off the calling thread.  The
 library is built with ``-pthread`` (:data:`CFLAGS`), and the cached build
 is named by a hash of the compiler, the flags and the source.
 """
@@ -482,22 +480,23 @@ static inline i64 rept_slot(const rept_group *g, uint64_t key)
     return (i64)(h % (uint64_t)g->m);
 }
 
-/* Whether the record {x, y} on slot fits: a virtual slot stores nothing,
- * and a real one needs room unless E(i) already holds the edge, which is
- * looked up only when room is short. */
+/* Whether the record {x, y} on slot fits: both ids lie inside the node
+ * columns, and a virtual slot stores nothing while a real one needs room
+ * unless E(i) already holds the edge, which is looked up only when room
+ * is short. */
 static inline i64 rept_record_fits(const rept_group *g, i64 x, i64 y, i64 slot, const i64 *st)
 {
-    return slot >= g->group_size
-        || rept_store_room(g, x, y, slot, st)
-        || rept_find_edge(g, slot, x, y) >= 0;
+    return (x > y ? x : y) < g->node_cap
+        && (slot >= g->group_size
+            || rept_store_room(g, x, y, slot, st)
+            || rept_find_edge(g, slot, x, y) >= 0);
 }
 
 /* The one record loop: the closure+store step of one group over records
  * start..n-1 with canonical edge keys keys[k], each hashed to its slot
- * here.  Node columns must cover every id; a record that may store is
- * checked for room first, and the loop stops before the first one that
- * does not fit.  Returns the index of that record, or n: the caller grows
- * the group and calls again from there. */
+ * here.  Each record is checked first, and the loop stops before the
+ * first one that does not fit.  Returns the index of that record, or n:
+ * the caller grows the group and calls again from there. */
 static i64 rept_records(
     const rept_group *group, i64 start, i64 n,
     const i64 *cu, const i64 *cv, const uint64_t *keys)
@@ -516,13 +515,11 @@ static i64 rept_records(
     return k;
 }
 
-/* The groups of one state set (EdgeEntry in Python): a flag per group
- * for the per-edge entry, and for the batch entry a record index per group
- * and the number of threads its last call started. */
+/* The groups of one state set (EdgeEntry in Python): a record index per
+ * group and the number of threads the last call started. */
 typedef struct {
     i64 n_groups;
     rept_group *const *groups;
-    u8 *stored_flags;
     i64 *stops;
     i64 threads;
 } rept_edge_entry;
@@ -567,27 +564,48 @@ static inline i64 rept_room_for(const rept_group *g, i64 count)
     return g->edge_cap - g->meta[N_EDGES] >= count;
 }
 
-/* The batch entry: each group k of a state set runs rept_records over
- * records stops[k]..n-1 of an encoded batch and writes where it stopped
- * back to stops[k].  A group earns a thread when it has at least
- * thread_floor records left and room to store thread_floor more edges:
- * the call runs on min(such groups, max_threads) threads, the calling
- * thread included and taking the first group, and every thread it starts
- * is joined before it returns; a thread that cannot be started leaves its
- * groups to the others.  Returns the number of groups that stopped short:
- * the caller grows those and calls again. */
+/* The one record entry: each group k of a state set runs rept_records
+ * over records stops[k]..n-1 of an encoded batch and writes where it
+ * stopped back to stops[k]; fresh zeroes every stop first.  All or
+ * nothing at the call's first record: unless every unfinished group's
+ * next record fits, no group runs, no thread starts, and every unfinished
+ * group counts as stopped, so a one-record call changes every group or
+ * none.  A group earns a thread when it has at least thread_floor records
+ * left and room to store thread_floor more edges: the call runs on
+ * min(such groups, max_threads) threads, the calling thread included and
+ * taking the first group, and every thread it starts is joined before it
+ * returns; a thread that cannot be started leaves its groups to the
+ * others.  Returns the number of groups that stopped short: the caller
+ * grows those and calls again. */
 int64_t rept_ingest_groups(
     rept_edge_entry *entry, i64 n,
     const i64 *cu, const i64 *cv, const uint64_t *keys,
-    i64 thread_floor, i64 max_threads)
+    i64 thread_floor, i64 max_threads, i64 fresh)
 {
     rept_batch b = {entry, n, cu, cv, keys, 1};
     i64 n_groups = entry->n_groups;
+    rept_group *const *groups = entry->groups;
     i64 *stops = entry->stops;
+    i64 unfinished = 0;
+    i64 refused = 0;
+    for (i64 k = 0; k < n_groups; k++) {
+        if (fresh)
+            stops[k] = 0;
+        i64 at = stops[k];
+        if (at >= n)
+            continue;
+        const rept_group *g = groups[k];
+        unfinished++;
+        refused |= !rept_record_fits(g, cu[at], cv[at], rept_slot(g, keys[at]), g->meta);
+    }
+    if (refused) {
+        entry->threads = 0;
+        return unfinished;
+    }
     i64 earned = 0;
     for (i64 k = 0; k < n_groups; k++)
         earned += stops[k] < n && n - stops[k] >= thread_floor
-            && rept_room_for(entry->groups[k], thread_floor);
+            && rept_room_for(groups[k], thread_floor);
     i64 wanted = (earned < max_threads ? earned : max_threads) - 1;
     if (wanted > REPT_MAX_THREADS)
         wanted = REPT_MAX_THREADS;
@@ -605,42 +623,6 @@ int64_t rept_ingest_groups(
     for (i64 k = 0; k < n_groups; k++)
         short_of_room += stops[k] < n;
     return short_of_room;
-}
-
-/* The per-edge path: one interned record {iu, iv} with canonical edge key
- * key through every group of a state set.  All or nothing: unless every
- * group has room (node columns above both ids and, where it stores, one
- * more edge row and the cells both endpoints may need), it changes no
- * state, sets stored[k] to whether group k would store (its slot is real
- * and E(i) lacks the edge; an id past the node columns holds no slot),
- * and returns -1 so the caller grows those groups and calls again.
- * Otherwise each group runs rept_records over the one record and it
- * returns 0. */
-int64_t rept_ingest_edge(
-    const rept_edge_entry *entry, uint64_t key, i64 iu, i64 iv)
-{
-    i64 n_groups = entry->n_groups;
-    rept_group *const *groups = entry->groups;
-    u8 *stored = entry->stored_flags;
-    i64 top = iu > iv ? iu : iv;
-    i64 short_of_room = 0;
-    for (i64 k = 0; k < n_groups && !short_of_room; k++) {
-        const rept_group *g = groups[k];
-        short_of_room = top >= g->node_cap
-            || !rept_record_fits(g, iu, iv, rept_slot(g, key), g->meta);
-    }
-    if (short_of_room) {
-        for (i64 k = 0; k < n_groups; k++) {
-            const rept_group *g = groups[k];
-            i64 slot = rept_slot(g, key);
-            stored[k] = slot < g->group_size
-                && (top >= g->node_cap || rept_find_edge(g, slot, iu, iv) < 0);
-        }
-        return -1;
-    }
-    for (i64 k = 0; k < n_groups; k++)
-        rept_records(groups[k], 0, 1, &iu, &iv, &key);
-    return 0;
 }
 
 /* Cold-path bulk insert of id-ordered edges start..n-1 (us[k] < vs[k]) on
@@ -1001,11 +983,7 @@ def _build():
         "rept_ingest_groups": [
             ptr, i64,                     # entry, n
             ptr, ptr, ptr,                # cu, cv, keys
-            i64, i64,                     # thread floor, most threads
-        ],
-        "rept_ingest_edge": [
-            ptr, ctypes.c_uint64,         # entry, key
-            i64, i64,                     # iu, iv
+            i64, i64, i64,                # thread floor, most threads, fresh
         ],
         "rept_append_edges": [
             i64, i64, ptr, ptr, ptr,      # start, n, us, vs, ss
@@ -1213,60 +1191,87 @@ def bind_hash(record: GroupRecord, hash_function) -> None:
     record.m = hash_function.buckets
 
 
-class EdgeEntry(ctypes.Structure):
-    """The C ``rept_edge_entry`` of one state set: its group records.
-
-    ``ingest(address, key, iu, iv)`` is the compiled per-edge call
-    (``rept_ingest_edge``), :attr:`stored` the flag per group it writes
-    when it finds a group short of room;
-    :func:`run_groups` is the batch call over the same records, and
-    :attr:`stops` the record index per group it reads and writes.  The
-    entry keeps the records alive, so the addresses it holds stay valid as
-    long as it does; it is never pickled.
-    """
+class _EntryStruct(ctypes.Structure):
+    """The C ``rept_edge_entry``."""
 
     _fields_ = [
         ("n_groups", ctypes.c_int64),
         ("groups", ctypes.c_void_p),
-        ("stored_flags", ctypes.c_void_p),
-        ("stops_address", ctypes.c_void_p),
+        ("stops", ctypes.c_void_p),
         ("threads", ctypes.c_int64),
     ]
 
+
+class EdgeEntry:
+    """The compiled entry over the group records of one state set.
+
+    :attr:`call` is the compiled entry (``rept_ingest_groups``) over the C
+    ``rept_edge_entry`` at :attr:`address`, and :attr:`stops` the record
+    index per group it reads and writes; a batch calls it through
+    :func:`run_groups`.  A per-edge record is a one-record call: write the
+    record's interned ids and edge key into :attr:`u`, :attr:`v` and
+    :attr:`key` and call ``call(*edge_args)``, a fresh call on the calling
+    thread.  (A per-edge call reads five attributes of the entry, which
+    cost about three times as much on a ctypes structure, so the entry is
+    a plain object holding one.)  The entry keeps the records alive, so
+    the addresses it holds stay valid as long as it does; it is never
+    pickled.
+    """
+
     def __init__(self, records) -> None:
-        super().__init__()
         n = len(records)
         self.records = list(records)
-        pointers = (ctypes.c_void_p * n)(*map(ctypes.addressof, self.records))
-        #: Whether each group would store the record a -1 call turned down.
-        self.stored = bytearray(n)
-        view = (ctypes.c_uint8 * n).from_buffer(self.stored)
-        #: Where each group resumes a batch call, and then where it stopped.
-        self.stops = np.zeros(n, np.int64)
-        self._keep = (pointers, view)
         self.n_groups = n
-        self.groups = ctypes.addressof(pointers)
-        self.stored_flags = ctypes.addressof(view)
-        self.stops_address = self.stops.ctypes.data
-        self.address = ctypes.addressof(self)
-        self.ingest = _handle().rept_ingest_edge
-        self._batch = _handle().rept_ingest_groups
+        self._pointers = (ctypes.c_void_p * n)(*map(ctypes.addressof, self.records))
+        self.groups = ctypes.addressof(self._pointers)
+        #: Where each group resumes a call, and then where it stopped.
+        self.stops = np.zeros(n, np.int64)
+        self._struct = _EntryStruct(n, self.groups, self.stops.ctypes.data, 0)
+        self.address = ctypes.addressof(self._struct)
+        self.call = _handle().rept_ingest_groups
+        #: The one record of a per-edge call: its interned ids and edge key.
+        self.u = ctypes.c_int64()
+        self.v = ctypes.c_int64()
+        self.key = ctypes.c_uint64()
+        # Objects of the declared types pass ctypes' argument checks
+        # fastest: against these, a call cost about 0.4 µs more with Python
+        # ints and 0.27 µs more with byref() pointers (about 0.75 µs in
+        # all, held edge, 2-vCPU container).
+        address = ctypes.c_void_p
+        one = ctypes.c_int64(1)
+        #: The arguments of a fresh one-record call with one thread.
+        self.edge_args = (
+            address(self.address),
+            one,
+            *(address(ctypes.addressof(scalar)) for scalar in (self.u, self.v, self.key)),
+            one,
+            one,
+            one,
+        )
+
+    @property
+    def threads(self) -> int:
+        """The threads the last call started, the calling one aside."""
+        return self._struct.threads
 
 
-def run_groups(entry: EdgeEntry, n: int, cu, cv, keys) -> int:
+def run_groups(entry: EdgeEntry, n: int, cu, cv, keys, fresh: bool) -> int:
     """Run every group of ``entry`` over records ``entry.stops[k]..n-1`` of
-    one encoded batch, in one compiled call.
+    one encoded batch, in one compiled call; ``fresh`` starts every group
+    at record 0.
 
     ``keys`` holds the records' canonical uint64 edge keys, which each
-    group hashes to its slots; every group's node columns must cover every
-    id.  A group with at least :data:`THREAD_FLOOR` records left and room
-    to store as many edges earns a thread, up to :data:`CPUS` threads with
-    the calling one, and all are joined before the call returns
-    (:attr:`EdgeEntry.threads` counts the ones it started).  Each group's
-    stop index is written back to ``entry.stops``; returns the number of
-    groups that stopped short (see :func:`~repro.core.adjacency.ingest_batch`).
+    group hashes to its slots.  Unless every unfinished group's next record
+    fits (its ids inside the group's node columns, and room to store it),
+    no group runs.  A group with at least :data:`THREAD_FLOOR` records left
+    and room to store as many edges earns a thread, up to :data:`CPUS`
+    threads with the calling one, and all are joined before the call
+    returns (:attr:`EdgeEntry.threads` counts the ones it started).  Each
+    group's stop index is written back to ``entry.stops``; returns the
+    number of groups that stopped short (see
+    :func:`~repro.core.adjacency.ingest_batch`).
     """
-    return entry._batch(
+    return entry.call(
         entry.address,
         n,
         cu.ctypes.data,
@@ -1274,6 +1279,7 @@ def run_groups(entry: EdgeEntry, n: int, cu, cv, keys) -> int:
         keys.ctypes.data,
         THREAD_FLOOR,
         CPUS,
+        fresh,
     )
 
 

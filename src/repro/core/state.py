@@ -33,11 +33,11 @@ Two further exact optimisations serve the batched ingestion pipeline:
   :meth:`~repro.hashing.base.EdgeHashFunction.bucket`, is a one-record
   batch of that loop, so the two paths cannot drift apart.  The compiled
   kernel keeps the same guarantee with one record loop that hashes each
-  key in C, behind both its batch entry and the per-edge entry of
-  :meth:`GroupStateSet.process_edge`.  Each entry advances every group of
-  a state set in one call; the groups share no state, so the batch entry
-  runs them on threads of their own when they have enough records left
-  and the room to store them (see :mod:`repro.core.kernel`), and the
+  key in C, behind one entry that advances every group of a state set in
+  one call: over a batch, and over the one record of
+  :meth:`GroupStateSet.process_edge`.  The groups share no state, so a
+  call runs them on threads of their own when they have enough records
+  left and the room to store them (see :mod:`repro.core.kernel`), and the
   results do not depend on it.
 
 First occurrence
@@ -797,13 +797,15 @@ class GroupStateSet:
     def process_edge(self, u: NodeId, v: NodeId) -> None:
         """Advance every group with one raw edge (the per-edge path).
 
-        Interns once.  On a native state set one compiled call then hashes
-        the edge's key (:meth:`~repro.hashing.base.EdgeHashFunction._edge_key`,
-        which no seed enters) for every group and advances every group, so
-        a record that raises leaves every counter as it was.  When a group
-        lacks room the call changes nothing and says which groups would
-        store; their columns grow and the call runs again.  On the dict
-        kernel every group hashes the edge with
+        Interns once.  On a native state set the record is a one-record
+        call of the compiled entry that batches take: it hashes the edge's
+        key (:meth:`~repro.hashing.base.EdgeHashFunction._edge_key`, which
+        no seed enters) for every group and advances every group, or, when
+        any group lacks node columns or room for the record, none.  Then
+        every group grows its node columns to both ids and makes room for
+        one stored record, and the call runs again.  So a record that
+        raises leaves every counter as it was.  On the dict kernel every
+        group hashes the edge with
         :meth:`~repro.hashing.base.EdgeHashFunction.bucket` before any
         advances over the encoded record.
         """
@@ -816,14 +818,16 @@ class GroupStateSet:
         if self._native:
             key = groups[0].hash_function._edge_key(u, v)
             entry = self._edge_entry
-            if entry.ingest(entry.address, key, iu, iv) < 0:
+            entry.u.value = iu
+            entry.v.value = iv
+            entry.key.value = key
+            if entry.call(*entry.edge_args):
                 top = (iu if iu > iv else iv) + 1
-                for group, store in zip(groups, entry.stored):
+                for group in groups:
                     arrays = group._arrays
                     arrays.ensure_nodes(top)
-                    if store:
-                        arrays.make_room()
-                if entry.ingest(entry.address, key, iu, iv) < 0:
+                    arrays.make_room()
+                if entry.call(*entry.edge_args):
                     raise RuntimeError("the per-edge kernel call found no room after growth")
             return
         slots = [group.hash_function.bucket(u, v) for group in groups]
@@ -918,10 +922,11 @@ class GroupStateSet:
         from repro.core.adjacency import ingest_batch
 
         arrays = [group._arrays for group in self.groups]
-        stored = ingest_batch(self._edge_entry, arrays, batch.cu, batch.cv, batch.keys)
-        if not collect_stored:
+        starts = [group.n_edges for group in arrays] if collect_stored else None
+        ingest_batch(self._edge_entry, arrays, batch.cu, batch.cv, batch.keys)
+        if starts is None:
             return None
-        return [group.edge_rows(start) for group, start in zip(arrays, stored)]
+        return [group.edge_rows(start) for group, start in zip(arrays, starts)]
 
     # -- pane-delta protocol --------------------------------------------------
 

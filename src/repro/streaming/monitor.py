@@ -492,9 +492,6 @@ class WindowedTriangleMonitor:
             return []
         return self._seal_up_to_watermark()
 
-    def _pane_end(self, pane: int) -> float:
-        return self._origin + (pane + 1) * self.pane_seconds
-
     def _seal_up_to_watermark(self) -> List[MonitorWindowResult]:
         closed: List[MonitorWindowResult] = []
         if self._origin is None or not math.isfinite(self._watermark):

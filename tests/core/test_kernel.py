@@ -6,8 +6,9 @@ the C kernel advances a group's array state exactly like the pure-Python
 η metadata and stored-edge sets never depend on which kernel ran.  These
 tests cover the resolution rules (``auto`` fallback, explicit-request
 errors, the ``REPRO_KERNEL`` environment override), equality over an
-(m, c) grid that includes partial groups and η tracking, and the
-snapshot/merge paths crossing the kernel boundary.
+(m, c) grid that includes partial groups and η tracking, the
+snapshot/merge paths crossing the kernel boundary, and the compiled
+entry's refusal of a record past a group's node columns.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import random
 
 import pytest
 
+from repro.core import kernel as kernel_mod
+from repro.core.adjacency import ingest_batch
 from repro.core.config import ReptConfig
 from repro.core.interning import NodeInterner
 from repro.core.kernel import (
@@ -298,3 +301,61 @@ class TestSharedInternerFootprint:
         c.restore_portable(a.portable_state())
         c.merge_snapshots(a.snapshot())
         assert c.groups[0]._arrays.node_cap == 2048
+
+
+def _columns_of(state):
+    """Every column of every native group of ``state``, as lists."""
+    return [
+        {
+            name: column.tolist()
+            for name, column in vars(group._arrays).items()
+            if hasattr(column, "tolist")
+        }
+        for group in state.groups
+    ]
+
+
+@needs_cc
+class TestNodeColumnGuard:
+    """The compiled entry refuses a record whose id lies at or past a
+    group's node columns: Python sizes them before a batch, and the call
+    checks them too."""
+
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_a_record_past_the_node_columns_stops_the_call(self, at, clean_env):
+        config = ReptConfig(m=4, c=8, seed=SEED, track_eta=True)
+        native = GroupStateSet(config, kernel="native")
+        prefix = GroupStateSet(config, interner=native.interner, kernel="native")
+        python = GroupStateSet(config, kernel="python")
+        edges = _stream(num_records=200, num_nodes=30)
+        for state in (native, prefix, python):
+            state.process_edges(edges)
+        node_cap = native.groups[0]._arrays.node_cap
+        assert {group._arrays.node_cap for group in native.groups} == {node_cap}
+        # Ids up to the node columns' end, so a new node's id lies past it.
+        for node in range(1000, 1000 + node_cap):
+            native.interner.intern(node)
+        records = [(0, 1), (2, 3), (1, 4), (5, 6)]
+        records.insert(at, (2, "far"))
+        batch = native.encode(records)
+        assert native.interner.id_of("far") >= node_cap
+        entry = native._edge_entry
+        n = len(batch.cu)
+        short = kernel_mod.run_groups(entry, n, batch.cu, batch.cv, batch.keys, True)
+        # Every group stopped at that record and wrote nothing for it.
+        assert short == len(native.groups)
+        assert entry.stops.tolist() == [at] * len(native.groups)
+        assert entry.threads == 0
+        head = dataclasses.replace(batch, cu=batch.cu[:at], cv=batch.cv[:at], keys=batch.keys[:at])
+        prefix.ingest_encoded(head)
+        assert _columns_of(native) == _columns_of(prefix)
+        # The batch path grows the node columns and finishes the batch.
+        arrays = [group._arrays for group in native.groups]
+        ingest_batch(entry, arrays, batch.cu[at:], batch.cv[at:], batch.keys[at:])
+        assert all(group.node_cap > node_cap for group in arrays)
+        python.process_edges(records)
+        assert native.summaries() == python.summaries()
+        for n_group, p_group in zip(native.groups, python.groups):
+            assert sorted(map(repr, n_group.stored_edges())) == sorted(
+                map(repr, p_group.stored_edges())
+            )

@@ -241,9 +241,9 @@ def test_a_short_pool_mid_batch_ends_like_a_roomy_one(config_name, short, monkey
     calls = []
     run_groups = kernel_mod.run_groups
 
-    def spy(entry, n, *args):
-        starts = entry.stops.tolist()
-        short = run_groups(entry, n, *args)
+    def spy(entry, n, cu, cv, keys, fresh):
+        starts = [0] * entry.n_groups if fresh else entry.stops.tolist()
+        short = run_groups(entry, n, cu, cv, keys, fresh)
         for record, start, done in zip(entry.records, starts, entry.stops.tolist()):
             if start < n:
                 calls.append(

@@ -18,7 +18,8 @@ the parallel runs to the inline ones and to the dict kernel:
   stopped;
 * every call starts exactly the threads that rule gives: at the default
   floor none below 4096 records, none for a young state set whose groups
-  lack the room, and never more than ``CPUS`` less one;
+  lack the room, none for a call that refuses its first record, and
+  never more than ``CPUS`` less one;
 * a state set that ran a parallel batch forks, and the child runs another
   parallel batch and reaches the parent's state; after a parallel call
   the process has the threads it had before.
@@ -97,12 +98,12 @@ def _room_for(record, count):
     return record.edge_cap - n_edges >= count
 
 
-def _earned(entry, n):
+def _earned(entry, starts, n):
     """The groups that earn a thread in a call over ``n`` records."""
     floor = kernel_mod.THREAD_FLOOR
     return sum(
         start < n and n - start >= floor and _room_for(record, floor)
-        for record, start in zip(entry.records, entry.stops.tolist())
+        for record, start in zip(entry.records, starts)
     )
 
 
@@ -110,24 +111,30 @@ class _Calls:
     """Spies on the batch call: per call, the threads it started and each
     running group's ``(record, start, stop, n, room it lacked)``.  Checks
     that each call started one thread per group that earned one, up to
-    ``CPUS`` with the calling thread; :attr:`earned` keeps those counts."""
+    ``CPUS`` with the calling thread, and that a refused call (one in
+    which no group advanced) started none; :attr:`earned` keeps those
+    counts."""
 
     def __init__(self, monkeypatch):
         self.calls = []
         self.earned = []
         run_groups = kernel_mod.run_groups
 
-        def spy(entry, n, *args):
-            starts = entry.stops.tolist()
-            earned = _earned(entry, n)
-            short = run_groups(entry, n, *args)
-            assert entry.threads == max(0, min(earned, kernel_mod.CPUS) - 1)
-            self.earned.append(earned)
+        def spy(entry, n, cu, cv, keys, fresh):
+            starts = [0] * entry.n_groups if fresh else entry.stops.tolist()
+            earned = _earned(entry, starts, n)
+            short = run_groups(entry, n, cu, cv, keys, fresh)
             ran = [
                 (record, start, stop, n, stop < n and _short_of(record))
                 for record, start, stop in zip(entry.records, starts, entry.stops.tolist())
                 if start < n
             ]
+            refused = all(start == stop for _, start, stop, _, _ in ran)
+            if refused:
+                assert entry.threads == 0
+            else:
+                assert entry.threads == max(0, min(earned, kernel_mod.CPUS) - 1)
+            self.earned.append(earned)
             assert short == sum(stop < n for _, _, stop, _, _ in ran)
             self.calls.append((entry.threads, ran))
             return short

@@ -19,7 +19,12 @@ plus the group's one batch loop:
 * every group record holds its arrays' current addresses and capacities,
   the cell pool's included, across growth, ``restore_portable``,
   ``merge_snapshots`` and pickling;
-* a record that raises changes no stored edge and no counter.
+* pools that start at one node, one edge row and one cell make per-edge
+  records stop and grow all three, and still match the dict kernel;
+* a record that raises changes no stored edge and no counter, in any
+  group: when its key raises, and when growth raises after the call
+  refused a record that left every group short of node columns, or one
+  group short of edge rows or cells while the other had room.
 
 Under ``REPRO_KERNEL=python`` the ``auto`` side resolves to the dict
 groups too; the tests that need the compiled call skip.
@@ -36,9 +41,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import adjacency
 from repro.core.adjacency import GroupArrays
 from repro.core.config import ReptConfig
-from repro.core.kernel import RECORD_COLUMNS, native_available
+from repro.core.kernel import RECORD_COLUMNS, find_edges, native_available
 from repro.core.state import GroupStateSet
 from repro.exceptions import ConfigurationError
 from repro.hashing import SplitMixEdgeHash, TabulationEdgeHash, make_hash_function
@@ -268,25 +274,47 @@ def _growth_stream(seed, n=900, nodes=700):
     return out
 
 
+def _capacities(state):
+    return [
+        (group._arrays.node_cap, group._arrays.edge_cap, group._arrays.cell_cap)
+        for group in state.groups
+    ]
+
+
+@pytest.mark.parametrize("pools", ["default", "one-entry"])
 @pytest.mark.parametrize("hash_kind", HASH_KINDS)
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-def test_capacities_double_mid_stream(config_name, hash_kind):
+def test_capacities_double_mid_stream(config_name, hash_kind, pools, monkeypatch):
+    if pools == "one-entry":
+        for name in ("_INIT_NODES", "_INIT_EDGES", "_INIT_CELLS"):
+            monkeypatch.setattr(adjacency, name, 1)
     config = _config(config_name, True, hash_kind)
     native = GroupStateSet(config, kernel="auto")
     python = GroupStateSet(config, kernel="python")
     edges = _growth_stream(5)
+    # Which of node columns, edge rows and cells grew inside a per-edge call.
+    grew = set()
     for start in range(0, len(edges), 150):
         chunk = edges[start : start + 150]
         for u, v in chunk[:120]:
+            before = _capacities(native) if native.kernel != "python" else None
             native.process_edge(u, v)
             python.process_edge(u, v)
             _assert_records_fresh(native)
+            if before is not None:
+                for caps, after in zip(before, _capacities(native)):
+                    grew |= {
+                        name
+                        for name, old, new in zip(("nodes", "edges", "cells"), caps, after)
+                        if new != old
+                    }
         native.process_edges(chunk[120:])
         python.process_edges(chunk[120:])
         _assert_same(native, python)
     if native.kernel != "python":
         arrays = native.groups[0]._arrays
         assert arrays.node_cap >= 512 and arrays.edge_cap >= 256
+        assert grew == {"nodes", "edges", "cells"}
 
 
 @pytest.mark.parametrize("hash_kind", HASH_KINDS)
@@ -380,31 +408,90 @@ def test_a_record_whose_key_raises_changes_nothing(kernel):
     assert _state_columns(state) == before
 
 
+def _lacks(state, u, v):
+    """What each native group lacks to take record ``(u, v)``: ``"nodes"``,
+    ``"edges"`` or ``"cells"``, or None when the record fits (the room
+    check of the compiled entry, made here from the arrays)."""
+    iu, iv = state.interner.id_of(u), state.interner.id_of(v)
+    out = []
+    for group in state.groups:
+        arrays = group._arrays
+        slot = group.hash_function.bucket(u, v)
+        if max(iu, iv) >= arrays.node_cap:
+            out.append("nodes")
+        elif slot >= arrays.group_size or find_edges([slot], [iu], [iv], arrays.record)[0] >= 0:
+            out.append(None)
+        elif arrays.n_edges == arrays.edge_cap:
+            out.append("edges")
+        else:
+            bits = [int(arrays.node_bits[x]) for x in (iu, iv)]
+            need = sum(0 if b >> slot & 1 else b.bit_count() + 1 for b in bits)
+            out.append("cells" if int(arrays.meta[2]) + need > arrays.cell_cap else None)
+    return out
+
+
+def _grows(arrays, short, extra):
+    """Whether ``arrays.ensure_<short>(extra)`` grows a column."""
+    if short == "nodes":
+        return extra > arrays.node_cap
+    if short == "edges":
+        return arrays.n_edges + extra > arrays.edge_cap
+    return int(arrays.meta[2]) + extra > arrays.cell_cap
+
+
+def _record_short_of(short, native, python):
+    """Advance both state sets to where the next per-edge record leaves
+    ``native``'s groups short of ``short``, and return that record: every
+    group short of node columns, or the first group short of edge rows or
+    cells while the second has room."""
+    if short == "nodes":
+        for state in (native, python):
+            state.process_edges([(0, 1), (1, 2), (0, 2)])
+            # Ids past the groups' node columns, which cover the ids they reference.
+            for node in range(1000, 1200):
+                state.interner.intern(node)
+        assert _lacks(native, 1, 1150) == ["nodes", "nodes"]
+        return 1, 1150
+    roomy = native.groups[1]._arrays
+    roomy.ensure_edges(4096)
+    roomy.ensure_cells(4096)
+    rng = random.Random(3)
+    for _ in range(5000):
+        u, v = rng.randrange(40), rng.randrange(40)
+        if u == v:
+            continue
+        native.interner.intern(u)
+        native.interner.intern(v)
+        if _lacks(native, u, v) == [short, None]:
+            return u, v
+        native.process_edge(u, v)
+        python.process_edge(u, v)
+    raise AssertionError(f"no record left the first group short of {short}")
+
+
 @needs_cc
-def test_a_record_whose_growth_raises_changes_nothing(monkeypatch):
-    config = ReptConfig(m=3, c=6, seed=2, track_eta=True)
+@pytest.mark.parametrize("short", ["nodes", "edges", "cells"])
+def test_a_record_whose_growth_raises_changes_nothing(short, monkeypatch):
+    config = ReptConfig(m=4, c=8, seed=3, track_eta=True)
     native = _native_state(config)
     python = GroupStateSet(config, kernel="python")
-    for state in (native, python):
-        state.process_edges([(0, 1), (1, 2), (0, 2)])
-        # Ids past the groups' node columns, which cover the ids they reference.
-        for node in range(1000, 1200):
-            state.interner.intern(node)
+    u, v = _record_short_of(short, native, python)
     before = _state_columns(native)
-    grow = GroupArrays.ensure_nodes
+    grow = getattr(GroupArrays, f"ensure_{short}")
 
-    def refuse(self, n):
-        if n > self.node_cap:
+    def refuse(self, extra):
+        if _grows(self, short, extra):
             raise MemoryError("refused")
-        grow(self, n)
+        grow(self, extra)
 
-    monkeypatch.setattr(GroupArrays, "ensure_nodes", refuse)
+    monkeypatch.setattr(GroupArrays, f"ensure_{short}", refuse)
     with pytest.raises(MemoryError):
-        native.process_edge(1, 1150)
+        native.process_edge(u, v)
+    # No group ran the record, the one with room included.
     assert _state_columns(native) == before
-    monkeypatch.setattr(GroupArrays, "ensure_nodes", grow)
-    native.process_edge(1, 1150)
-    python.process_edge(1, 1150)
+    monkeypatch.setattr(GroupArrays, f"ensure_{short}", grow)
+    native.process_edge(u, v)
+    python.process_edge(u, v)
     _assert_same(native, python)
     _assert_records_fresh(native)
 
