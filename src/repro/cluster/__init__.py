@@ -1,6 +1,9 @@
 """Elastic shard runtime: live migration of processor-group shards.
 
-One shard = one processor group of a :class:`~repro.core.config.ReptConfig`.
+One shard = one processor group of a :class:`~repro.core.config.ReptConfig`,
+held as the :class:`~repro.core.state.GroupStateSet` of that one group, so
+a shard encodes, ingests, snapshots, restores and summarises exactly as the
+serial driver's state set does.
 The :class:`ShardMap` owns the versioned shard → worker assignment with
 deterministic minimal-movement rebalancing; :mod:`repro.cluster.worker`
 hosts shards in worker processes behind an ordered pipe protocol; and the

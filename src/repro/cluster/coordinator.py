@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.shard_map import ShardMap
-from repro.cluster.worker import ShardState, _encode_batch, worker_main
+from repro.cluster.worker import ShardState, worker_main
 from repro.core import portable
 from repro.core.combine import combine_group_estimates
 from repro.core.config import ReptConfig
@@ -358,9 +358,11 @@ class ElasticCoordinator:
         self.counters["routing_retries"] += 1
 
     def _apply_inline(self, seq: int, batch: list) -> None:
-        cu, cv, edge_keys = _encode_batch(self._inline_interner, batch)
-        for shard in self._inline.values():
-            shard.apply_encoded(seq, cu, cv, edge_keys)
+        # One encoding serves every inline shard, as on a worker.
+        shards = list(self._inline.values())
+        encoded = shards[0].state.encode(batch)
+        for shard in shards:
+            shard.apply_encoded(seq, encoded)
 
     # -- snapshots / durability ------------------------------------------------
 
@@ -671,8 +673,9 @@ class ElasticCoordinator:
         estimate.metadata["shard_map_epoch"] = float(self.shard_map.epoch)
         estimate.metadata["inline_shards"] = float(len(self._inline))
         estimate.metadata["degraded"] = 1.0 if self._inline else 0.0
-        # The coordinator's own resolution; remote hosts re-resolve locally
-        # but all kernels are bit-identical, so one label describes the run.
+        # Every host resolves by the state sets' rule (over the config's
+        # largest group) in its own process, and all kernels are
+        # bit-identical, so one label describes the run.
         from repro.core.kernel import resolve_kernel
 
         estimate.metadata["kernel"] = resolve_kernel(

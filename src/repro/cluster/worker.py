@@ -1,9 +1,13 @@
 """Shard-hosting worker runtime for the elastic coordinator.
 
-One worker process hosts any number of :class:`ShardState` objects — each
-a single processor group, which decides first occurrence from its own
-stored edges — and serves an ordered command protocol over a
-``multiprocessing`` pipe.
+One worker process hosts any number of :class:`ShardState` objects and
+serves an ordered command protocol over a ``multiprocessing`` pipe.  A
+shard is the :class:`~repro.core.state.GroupStateSet` of one group of the
+config: it encodes, ingests, snapshots, restores and summarises exactly
+as the serial driver's state set does, and decides first occurrence from
+its own stored edges.  The shards a worker hosts share its interning
+table and one kernel rule, so the worker encodes each batch once, with
+the first shard's state set, and every shard ingests that encoding.
 Because every shard's counters depend only on (stream, group hash seed,
 group size), a shard computes the same bits on any worker, and a shard
 restored from its portable snapshot continues bit-identically even though
@@ -41,9 +45,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.core import portable
 from repro.core.config import ReptConfig
 from repro.core.interning import NodeInterner
+from repro.core.state import EncodedBatch, GroupStateSet
 from repro.testing.faults import maybe_fail
 
 
@@ -61,6 +65,12 @@ class ShardState:
         shard keeps across migrations.
     interner:
         The hosting worker's shared interning table (private when omitted).
+
+    ``state`` is the :class:`~repro.core.state.GroupStateSet` of the
+    shard's one group.  Its kernel is resolved here, in the hosting
+    process, by the rule every state set of the config follows: compiled
+    handles do not travel, and all kernels are bit-identical, so a shard
+    may migrate between differently-resolved hosts freely.
     """
 
     def __init__(
@@ -69,58 +79,30 @@ class ShardState:
         shard_id: int,
         interner: Optional[NodeInterner] = None,
     ) -> None:
-        from repro.hashing import make_hash_function
-
-        sizes = config.group_sizes()
-        if not 0 <= shard_id < len(sizes):
-            raise ValueError(
-                f"shard_id {shard_id} out of range for {len(sizes)} groups"
-            )
-        self.config = config
         self.shard_id = shard_id
-        self.interner = interner if interner is not None else NodeInterner()
-        hash_function = make_hash_function(
-            config.hash_kind,
-            buckets=config.m,
-            seed=config.group_hash_seeds()[shard_id],
-        )
-        # Kernel resolution happens here, in the hosting process: compiled
-        # handles do not travel, and all kernels are bit-identical, so a
-        # shard may migrate between differently-resolved hosts freely.
-        from repro.core.adjacency import make_processor_group
-
-        self.group = make_processor_group(
-            hash_function=hash_function,
-            group_size=sizes[shard_id],
-            m=config.m,
-            track_local=config.track_local,
-            track_eta=bool(config.track_eta),
-            interner=self.interner,
-            kernel=getattr(config, "kernel", "auto"),
-        )
+        self.state = GroupStateSet(config, interner, group=shard_id)
         self.applied_seq = 0
 
     # -- ingestion ------------------------------------------------------------
 
-    def apply_encoded(self, seq: int, cu, cv, edge_keys) -> bool:
+    def apply_encoded(self, seq: int, batch: EncodedBatch) -> bool:
         """Advance the shard with one encoded batch; False = already applied.
 
-        ``cu``/``cv``/``edge_keys`` come from one per-worker encoding of the
-        raw batch (shared across all shards the worker hosts); the shard's
-        group hashes the keys to its slots and tests first occurrence
-        against its own stored edges, which travel with it on migration.
-        The sequence guard makes WAL replay after migration idempotent.
+        ``batch`` comes from one per-worker encoding of the raw batch
+        (shared across all shards the worker hosts); the shard's group
+        hashes the keys to its slots and tests first occurrence against its
+        own stored edges, which travel with it on migration.  The sequence
+        guard makes WAL replay after migration idempotent.
         """
         if seq <= self.applied_seq:
             return False
-        if cu:
-            self.group.process_encoded(cu, cv, edge_keys)
+        self.state.ingest_encoded(batch)
         self.applied_seq = seq
         return True
 
     def apply_raw(self, seq: int, edges: Sequence) -> bool:
-        """Encode and apply one raw batch (inline-host and test convenience)."""
-        return self.apply_encoded(seq, *_encode_batch(self.interner, edges))
+        """Encode and apply one raw batch (WAL replay and test convenience)."""
+        return self.apply_encoded(seq, self.state.encode(edges))
 
     # -- migration ------------------------------------------------------------
 
@@ -134,43 +116,31 @@ class ShardState:
         return {
             "shard_id": self.shard_id,
             "applied_seq": self.applied_seq,
-            "snapshot": self.group.snapshot(),
+            "snapshot": self.state.snapshot()[0],
         }
 
-    def restore(self, state: Dict[str, object]) -> None:
+    def restore(self, payload: Dict[str, object]) -> None:
         """Adopt a :meth:`portable` payload produced on any worker.
 
-        The parts are checked before anything changes; payloads earlier
+        The part is checked before anything changes; payloads earlier
         versions wrote (older per-shard checkpoints, with a ``seen`` part
         and possibly in the dict form) are read too.
         """
-        if state["shard_id"] != self.shard_id:
+        if payload["shard_id"] != self.shard_id:
             raise ValueError(
-                f"portable state is for shard {state['shard_id']}, "
+                f"portable state is for shard {payload['shard_id']}, "
                 f"this is shard {self.shard_id}"
             )
-        (part,) = portable.read_parts(
-            [state["snapshot"]], [self.group.part_shape], state.get("seen")
+        self.state.restore_portable(
+            {"snapshots": [payload["snapshot"]], "seen": payload.get("seen")}
         )
-        delta = portable.intern_group(part, self.interner)
-        self.group.reset()
-        self.group.merge_deltas(delta)
-        self.applied_seq = int(state["applied_seq"])
+        self.applied_seq = int(payload["applied_seq"])
 
     # -- aggregates -----------------------------------------------------------
 
     def summary(self):
         """Raw-keyed :class:`~repro.core.combine.GroupSummary` for this shard."""
-        is_complete = (
-            self.config.uses_groups and self.group.group_size == self.config.m
-        )
-        return self.group.summarise(is_complete)
-
-
-def _encode_batch(interner: NodeInterner, edges: Sequence):
-    cu, cv, _, _ = interner.encode_pairs(edges)
-    edge_keys = interner.edge_key_array(cu, cv) if cu else None
-    return cu, cv, edge_keys
+        return self.state.summaries()[0]
 
 
 def worker_main(conn, worker_id: int, config: ReptConfig) -> None:
@@ -194,11 +164,13 @@ def worker_main(conn, worker_id: int, config: ReptConfig) -> None:
             elif op == "batch":
                 _, seq, epoch, shard_ids, edges = message
                 maybe_fail("cluster-worker-batch", worker=worker_id, seq=seq)
-                cu, cv, edge_keys = _encode_batch(interner, edges)
+                # One encoding serves every hosted shard: they share the
+                # interner and the kernel rule.
+                batch = shards[shard_ids[0]].state.encode(edges) if shard_ids else None
                 applied = [
                     shard_id
                     for shard_id in shard_ids
-                    if shards[shard_id].apply_encoded(seq, cu, cv, edge_keys)
+                    if shards[shard_id].apply_encoded(seq, batch)
                 ]
                 conn.send(("ack", seq, epoch, applied))
             elif op == "snapshot":

@@ -62,7 +62,8 @@ Python object:
 
 ``NativeProcessorGroup``
     A drop-in :class:`~repro.core.state.ProcessorGroup` subclass backed by
-    ``GroupArrays``.  A standalone group (a cluster shard's, say) ingests a
+    ``GroupArrays``, built by :class:`~repro.core.state.GroupStateSet`
+    (a cluster shard's one group included).  A standalone group ingests a
     batch as the one-group case of :func:`ingest_batch`.  It supplies the
     three primitives every state boundary is built on (see
     :mod:`repro.core.portable`): ``columns`` reads the state as a
@@ -599,20 +600,25 @@ class NativeProcessorGroup(ProcessorGroup):
     def total_edges_stored(self) -> int:
         return int(self._arrays.edges_stored.sum())
 
-    def _local_sums(self, attribute: str, as_float: bool):
-        tau_cells, eta_cells = self._arrays.cells(take=False)
-        _, ids, values = tau_cells if attribute == "tau_local" else eta_cells
-        if not ids.size:
-            return {}
-        # Cells come node by node: sum each node's run.
-        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-        sums = np.add.reduceat(values, starts)
+    def _local_sums(self, as_float: bool):
         nodes = self.interner.nodes
         convert = float if as_float else int
-        return {
-            nodes[node]: convert(total)
-            for node, total in zip(ids[starts].tolist(), sums.tolist())
-        }
+        sums = []
+        # One compiled pass reads both: cells come node by node, so each
+        # node's run is summed.
+        for _, ids, values in self._arrays.cells(take=False):
+            if not ids.size:
+                sums.append({})
+                continue
+            starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+            totals = np.add.reduceat(values, starts)
+            sums.append(
+                {
+                    nodes[node]: convert(total)
+                    for node, total in zip(ids[starts].tolist(), totals.tolist())
+                }
+            )
+        return tuple(sums)
 
 
 def ingest_batch(
@@ -655,29 +661,3 @@ def ingest_batch(
                     raise RuntimeError("a compiled call found no room after growth")
                 group.make_room()
         starts = stops
-
-
-def make_processor_group(
-    hash_function: EdgeHashFunction,
-    group_size: int,
-    m: int,
-    track_local: bool = True,
-    track_eta: bool = False,
-    interner: Optional[NodeInterner] = None,
-    kernel: str = "auto",
-) -> ProcessorGroup:
-    """Build a processor group honouring a kernel request.
-
-    Resolves ``kernel`` (see :func:`repro.core.kernel.resolve_kernel`) for
-    this group's size in *this* process — worker processes re-resolve
-    locally, so a pool whose children cannot load the C kernel still runs
-    (the counters are bit-identical across kernels; only the top-level
-    estimate metadata records the driver's resolved label).
-    """
-    if kernel_mod.resolve_kernel(kernel, group_size) == "python":
-        return ProcessorGroup(
-            hash_function, group_size, m, track_local, track_eta, interner
-        )
-    return NativeProcessorGroup(
-        hash_function, group_size, m, track_local, track_eta, interner
-    )

@@ -36,7 +36,7 @@ rejects a block of counters the receiver does not track (its
 counters unless it tracks η, and ``η_v`` cells unless it tracks both.
 No run of the receiver's shape writes one, and the two kernels would
 fold it differently.  The reader also reads what earlier versions wrote
-(see :func:`read_parts`): the raw-keyed dict form, and a ``seen`` part
+(see :func:`read_state`): the raw-keyed dict form, and a ``seen`` part
 beside the groups — the set of distinct edges consumed, ``format``,
 ``nodes`` and ``pairs`` (``(2, n)``) — which it checks like any other
 part and then drops.
@@ -153,22 +153,16 @@ def portable_state(groups: Sequence[Part]) -> Dict[str, object]:
 def read_state(state, shapes: Sequence[Shape]) -> List[Part]:
     """Check a portable state against one :data:`Shape` per group.
 
-    Returns its group parts, see :func:`read_parts`.
+    Returns its group parts in the current layout.  ``state["seen"]`` is
+    the set of consumed edges earlier versions wrote beside the groups, if
+    any: it is checked, then dropped.  Those versions also wrote each group
+    as raw-keyed per-processor dicts, with ``seen`` as a list of raw node
+    pairs; such input is converted by :func:`_from_dict_form` first and
+    then checked like any other.
     """
     if not isinstance(state, dict) or "snapshots" not in state:
         raise ValueError("a portable state is a dict with 'snapshots'")
-    return read_parts(state["snapshots"], shapes, state.get("seen"))
-
-
-def read_parts(groups, shapes: Sequence[Shape], seen=None) -> List[Part]:
-    """Check group parts; returns them in the current layout.
-
-    ``seen`` is the set of consumed edges earlier versions wrote beside
-    the groups, if any: it is checked, then dropped.  Those versions also
-    wrote each group as raw-keyed per-processor dicts, with ``seen`` as a
-    list of raw node pairs; such input is converted by
-    :func:`_from_dict_form` first and then checked like any other.
-    """
+    groups, seen = state["snapshots"], state.get("seen")
     if isinstance(seen, list):
         groups = _from_dict_form(groups, seen)
     elif seen is not None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from repro.baselines.base import StreamingTriangleEstimator, TriangleEstimate
-from repro.core.combine import GroupSummary
 from repro.core.config import ReptConfig
 from repro.core.interning import NodeInterner
 from repro.core.state import GroupStateSet, ProcessorGroup
@@ -103,15 +102,6 @@ class ReptEstimator(StreamingTriangleEstimator):
         self.edges_processed += self._state.process_edges(edges)
 
     # -- estimation -----------------------------------------------------------
-
-    def group_summaries(self) -> List[GroupSummary]:
-        """Snapshot the counters of every group as plain :class:`GroupSummary`.
-
-        Local and η maps are only materialised when the configuration
-        actually tracks them — untracked runs skip the dict passes entirely
-        (see :meth:`ProcessorGroup.summarise`).
-        """
-        return self._state.summaries()
 
     def estimate(self) -> TriangleEstimate:
         estimate = self._state.estimate(self.edges_processed)

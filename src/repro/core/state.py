@@ -80,14 +80,16 @@ identity, not an approximation.
 Shared state abstraction
 ------------------------
 :class:`GroupStateSet` is the abstraction every REPT path builds on: the
-complete counter state of one :class:`~repro.core.config.ReptConfig` —
-every processor group and the shared interning table — with batch
-ingestion, snapshot/merge and summarisation in one place.  The estimator
-(:class:`~repro.core.rept.ReptEstimator`), the serial driver
-(:mod:`repro.core.parallel`), the durable runner and the service sessions
-each advance one through :meth:`GroupStateSet.process_edges`; the
-sliding-window monitor (:mod:`repro.streaming.monitor`) feeds shared
-encoded batches to one state set per open window.
+counter state of one :class:`~repro.core.config.ReptConfig` — every
+processor group, or one of them, and the shared interning table — with
+encoding, batch ingestion, snapshot/merge and summarisation in one place.
+The estimator (:class:`~repro.core.rept.ReptEstimator`), the serial
+driver (:mod:`repro.core.parallel`), the durable runner and the service
+sessions each advance one through :meth:`GroupStateSet.process_edges`;
+the sliding-window monitor (:mod:`repro.streaming.monitor`) feeds shared
+encoded batches to one state set per open window; and each shard of the
+elastic coordinator (:mod:`repro.cluster`) is the state set of its one
+group, fed one encoding per batch shared by the shards of its host.
 
 State format and pane deltas
 ----------------------------
@@ -537,20 +539,18 @@ class ProcessorGroup:
     def summarise(self, is_complete: bool) -> GroupSummary:
         """Detach the counters into a plain, picklable ``GroupSummary``.
 
-        Local and η aggregations only run when the group actually tracks
-        them — untracked runs skip the dict passes entirely.
+        Local aggregations only run when the group tracks them — untracked
+        runs skip the dict passes entirely — and both local sums come from
+        one read of the per-node counters.
         """
+        local_tau, local_eta = self._local_sums(as_float=True) if self.track_local else ({}, {})
         return GroupSummary(
             group_size=self.group_size,
             is_complete=is_complete,
             tau_sum=float(sum(self.tau_values())),
             eta_sum=float(sum(self.eta_values())) if self.track_eta else 0.0,
-            local_tau=self.local_tau_sums(as_float=True) if self.track_local else {},
-            local_eta=(
-                self.local_eta_sums(as_float=True)
-                if self.track_local and self.track_eta
-                else {}
-            ),
+            local_tau=local_tau,
+            local_eta=local_eta,
             edges_stored=self.total_edges_stored(),
         )
 
@@ -573,20 +573,24 @@ class ProcessorGroup:
         values directly (exact for counts below 2**53), saving the summary
         layer a second conversion pass.
         """
-        return self._local_sums("tau_local", as_float)
+        return self._local_sums(as_float)[0]
 
     def local_eta_sums(self, as_float: bool = False) -> "Dict[NodeId, Union[int, float]]":
         """Return ``Σ_i η_v(i)`` over this group's processors, per (raw) node."""
-        return self._local_sums("eta_local", as_float)
+        return self._local_sums(as_float)[1]
 
-    def _local_sums(self, attribute: str, as_float: bool) -> "Dict[NodeId, Union[int, float]]":
+    def _local_sums(self, as_float: bool) -> "Tuple[Dict[NodeId, Union[int, float]], ...]":
+        """The per-node ``τ_v`` and ``η_v`` sums, as two raw-keyed dicts."""
         zero = 0.0 if as_float else 0
-        sums: Dict[int, int] = {}
-        for processor in self.processors:
-            for node, value in getattr(processor, attribute).items():
-                sums[node] = sums.get(node, zero) + value
         nodes = self.interner.nodes
-        return {nodes[node]: value for node, value in sums.items()}
+        sums = []
+        for attribute in ("tau_local", "eta_local"):
+            totals: Dict[int, int] = {}
+            for processor in self.processors:
+                for node, value in getattr(processor, attribute).items():
+                    totals[node] = totals.get(node, zero) + value
+            sums.append({nodes[node]: value for node, value in totals.items()})
+        return tuple(sums)
 
     # -- raw-keyed introspection ----------------------------------------------
 
@@ -694,15 +698,17 @@ class EncodedBatch:
 
 
 class GroupStateSet:
-    """The complete mergeable counter state of one REPT configuration.
+    """The mergeable counter state of one REPT configuration.
 
     Owns the processor groups described by a
-    :class:`~repro.core.config.ReptConfig` and the interning table shared
-    by all of them.  This is the
-    abstraction shared by :class:`~repro.core.rept.ReptEstimator` and the
-    serial driver (one state set advanced in process), the durable runner
-    (one state set checkpointed between segments) and the windowed monitor
-    (one state set per open window).
+    :class:`~repro.core.config.ReptConfig` — all of them, or the one a
+    cluster shard holds — and the interning table shared by all of them.
+    This is the abstraction shared by
+    :class:`~repro.core.rept.ReptEstimator` and the serial driver (one
+    state set advanced in process), the durable runner (one state set
+    checkpointed between segments), the windowed monitor (one state set
+    per open window) and the elastic coordinator's shards (one state set
+    of one group each, see :class:`~repro.cluster.worker.ShardState`).
 
     Parameters
     ----------
@@ -715,14 +721,20 @@ class GroupStateSet:
         *interned* data between state sets (encoded batches, pane deltas)
         must share one; when omitted a private table is created.
     hash_functions:
-        Optional pre-built hash functions (one per group), letting many
-        state sets of the same config share the table-backed functions
+        Optional pre-built hash functions (one per held group), letting
+        many state sets of the same config share the table-backed functions
         instead of rebuilding them; must match the config's seeds.
     kernel:
         Optional override of the config's ingestion-kernel request
         (``"auto"``/``"python"``/``"native"``).  The request is resolved
-        once here — :attr:`kernel` holds the resolved label (``"python"`` or
+        once here, over the config's largest group even when the set holds
+        one — :attr:`kernel` holds the resolved label (``"python"`` or
         ``"cc"``), which is also recorded in estimate metadata.
+    group:
+        The index into ``config.group_sizes()`` of the one group to hold;
+        every group when omitted.  A one-group set of a config with more
+        groups gives its :meth:`summaries` and snapshots, but refuses
+        :meth:`estimate`: the estimate combines every group's summary.
     """
 
     #: Always empty: each group decides first occurrence from its own
@@ -735,57 +747,52 @@ class GroupStateSet:
         interner: Optional[NodeInterner] = None,
         hash_functions: Optional[Sequence[EdgeHashFunction]] = None,
         kernel: Optional[str] = None,
+        group: Optional[int] = None,
     ) -> None:
         # Local import: the hashing package depends only on repro.hashing
         # internals, but importing it lazily keeps this module importable
         # from anywhere in the package without ordering constraints.
         from repro.hashing import make_hash_function
+        from repro.core.kernel import resolve_kernel
 
         self.config = config
         self.interner = interner if interner is not None else NodeInterner()
         sizes = config.group_sizes()
-        if hash_functions is None:
-            seeds = config.group_hash_seeds()
-            hash_functions = [
-                make_hash_function(config.hash_kind, buckets=config.m, seed=seeds[i])
-                for i in range(len(sizes))
-            ]
-        elif len(hash_functions) != len(sizes):
-            raise ValueError(
-                f"expected {len(sizes)} hash functions, got {len(hash_functions)}"
-            )
-        from repro.core.kernel import resolve_kernel
-
+        # Resolved over the whole config, so a one-group set runs the
+        # kernel its config's full set runs.
         requested = kernel if kernel is not None else getattr(config, "kernel", "auto")
         self.kernel: str = resolve_kernel(requested, max(sizes))
         self._native = self.kernel != "python"
+        if group is not None and not 0 <= group < len(sizes):
+            raise ValueError(f"group {group} out of range for {len(sizes)} groups")
+        held = range(len(sizes)) if group is None else [group]
+        if hash_functions is None:
+            seeds = config.group_hash_seeds()
+            hash_functions = [
+                make_hash_function(config.hash_kind, buckets=config.m, seed=seeds[index])
+                for index in held
+            ]
+        elif len(hash_functions) != len(held):
+            raise ValueError(
+                f"expected {len(held)} hash functions, got {len(hash_functions)}"
+            )
         if self._native:
-            from repro.core.adjacency import NativeProcessorGroup
-
-            self.groups: List[ProcessorGroup] = [
-                NativeProcessorGroup(
-                    hash_function=hash_functions[index],
-                    group_size=size,
-                    m=config.m,
-                    track_local=config.track_local,
-                    track_eta=bool(config.track_eta),
-                    interner=self.interner,
-                )
-                for index, size in enumerate(sizes)
-            ]
-            self._bind_edge_entry()
+            from repro.core.adjacency import NativeProcessorGroup as group_class
         else:
-            self.groups = [
-                ProcessorGroup(
-                    hash_function=hash_functions[index],
-                    group_size=size,
-                    m=config.m,
-                    track_local=config.track_local,
-                    track_eta=bool(config.track_eta),
-                    interner=self.interner,
-                )
-                for index, size in enumerate(sizes)
-            ]
+            group_class = ProcessorGroup
+        self.groups: List[ProcessorGroup] = [
+            group_class(
+                hash_function=hash_function,
+                group_size=sizes[index],
+                m=config.m,
+                track_local=config.track_local,
+                track_eta=bool(config.track_eta),
+                interner=self.interner,
+            )
+            for hash_function, index in zip(hash_functions, held)
+        ]
+        if self._native:
+            self._bind_edge_entry()
 
     # -- ingestion -----------------------------------------------------------
 
@@ -1024,8 +1031,16 @@ class GroupStateSet:
         ]
 
     def estimate(self, edges_processed: int):
-        """Combine the current counters into a TriangleEstimate."""
+        """Combine the current counters into a TriangleEstimate.
+
+        Raises :class:`ValueError` on a set that holds one group of several.
+        """
         config = self.config
+        if len(self.groups) != len(config.group_sizes()):
+            raise ValueError(
+                "a state set holding one group of several has no estimate; "
+                "combine every group's summary"
+            )
         estimate = combine_group_estimates(
             self.summaries(),
             m=config.m,

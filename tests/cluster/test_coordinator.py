@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import pytest
 
-from repro.cluster import ElasticCoordinator
+from repro.cluster import ElasticCoordinator, ShardState, worker_main
 from repro.core.config import ReptConfig
+from repro.core.interning import NodeInterner
+from repro.core.kernel import native_available
 from repro.core.state import GroupStateSet
 from repro.exceptions import MembershipError
 
 from tests.cluster.conftest import assert_bit_identical, make_edges, serial_estimate
+from tests.conftest import raw_snapshot
 
 PROBE_NODES = (0, 1, 2, 17, 42)
 
@@ -169,3 +175,92 @@ class TestPortableState:
             feed(resumed, edges[700:])
             estimate = resumed.estimate()
         assert_bit_identical(estimate, reference, PROBE_NODES)
+
+
+#: Algorithm 1, complete groups, and a partial group with η tracked.
+SHARD_SHAPES = [(4, 2), (3, 9), (4, 6)]
+
+
+class TestShardState:
+    @pytest.mark.parametrize("kernel", ["python", "auto"])
+    @pytest.mark.parametrize("m,c", SHARD_SHAPES)
+    def test_a_shard_is_its_groups_state_set(self, m, c, kernel):
+        config = ReptConfig(m=m, c=c, seed=41, track_local=True, kernel=kernel)
+        edges = make_edges(800, nodes=60)
+        full = GroupStateSet(config)
+        full.process_edges(edges)
+        summaries = full.summaries()
+        for k in range(len(full.groups)):
+            shard = ShardState(config, k)
+            shard.apply_raw(1, edges[:400])
+            shard.apply_raw(2, edges[400:])
+            assert shard.state.kernel == full.kernel
+            assert shard.summary() == summaries[k]
+            assert raw_snapshot(shard.portable()["snapshot"]) == raw_snapshot(
+                full.snapshot()[k]
+            )
+            if len(full.groups) == 1:
+                # The one group of Algorithm 1 is every group.
+                got, want = shard.state.estimate(800), full.estimate(800)
+                assert (got.global_count, got.local_counts) == (
+                    want.global_count,
+                    want.local_counts,
+                )
+            else:
+                with pytest.raises(ValueError, match="one group of several"):
+                    shard.state.estimate(800)
+        with pytest.raises(ValueError, match="out of range"):
+            ShardState(config, len(full.groups))
+
+    def test_a_shard_runs_its_configs_kernel(self):
+        """Kernels resolve over the config's largest group, so the shard of
+        a small group runs what the serial state set runs."""
+        config = ReptConfig(m=64, c=72, seed=13)
+        assert config.group_sizes() == [64, 8]
+        serial = GroupStateSet(config)
+        shard = ShardState(config, 1)
+        assert shard.state.kernel == serial.kernel == "python"
+        assert type(shard.state.groups[0]) is type(serial.groups[1])
+
+    @pytest.mark.skipif(not native_available(), reason="no C compiler available")
+    def test_inline_shards_share_one_compiled_encoding(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        config = ReptConfig(m=4, c=12, seed=5, track_local=True, kernel="native")
+        edges = make_edges(900)
+        reference = serial_estimate(edges, config)
+        calls = []
+        encode_columns = NodeInterner._encode_columns
+
+        def spy(self, pairs):
+            calls.append(len(pairs))
+            return encode_columns(self, pairs)
+
+        monkeypatch.setattr(NodeInterner, "_encode_columns", spy)
+        with ElasticCoordinator(config, num_workers=0) as coord:
+            feed(coord, edges)
+            estimate = coord.estimate()
+        assert calls == [100] * 9
+        assert_bit_identical(estimate, reference, PROBE_NODES)
+
+    def test_a_worker_acks_a_batch_for_no_shard(self, small_config):
+        """A batch naming no shard is acknowledged with no ids; one naming
+        hosted shards with theirs."""
+        ours, theirs = multiprocessing.Pipe()
+        worker = threading.Thread(
+            target=worker_main, args=(theirs, 7, small_config), daemon=True
+        )
+        worker.start()
+        try:
+            ours.send(("assign", 1, None))
+            assert ours.recv() == ("ok", "assign", 1)
+            edges = make_edges(50)
+            ours.send(("batch", 1, 0, [], edges))
+            assert ours.recv() == ("ack", 1, 0, [])
+            ours.send(("batch", 1, 0, [1], edges))
+            assert ours.recv() == ("ack", 1, 0, [1])
+            ours.send(("stop",))
+            assert ours.recv() == ("bye", 7)
+        finally:
+            ours.close()
+            worker.join(timeout=10)
+        assert not worker.is_alive()

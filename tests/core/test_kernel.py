@@ -187,6 +187,29 @@ class TestKernelParity:
             assert p_group.tau_values() == n_group.tau_values()
             assert p_group.eta_values() == n_group.eta_values()
 
+    def test_an_estimate_reads_each_groups_cells_once(self, clean_env):
+        """``τ_v`` and ``η_v`` sums come from one compiled read per group."""
+        config = ReptConfig(m=4, c=6, seed=SEED, track_local=True)
+        assert config.track_eta
+        edges = _stream()
+        python = GroupStateSet(config, kernel="python")
+        native = GroupStateSet(config, kernel="native")
+        python.process_edges(edges)
+        native.process_edges(edges)
+        calls = []
+        read_cells = kernel_mod.read_cells
+
+        def spy(*args):
+            calls.append(args)
+            return read_cells(*args)
+
+        clean_env.setattr(kernel_mod, "read_cells", spy)
+        for _ in range(2):
+            calls.clear()
+            estimate = native.estimate(len(edges))
+            assert len(calls) == len(native.groups) == 2
+            _assert_identical(estimate, python.estimate(len(edges)))
+
     def test_snapshot_roundtrip_across_kernels(self, clean_env):
         """State snapshotted mid-stream under one kernel restores into the
         other and finishes bit-identically — snapshots are portable."""

@@ -176,7 +176,7 @@ def test_rejected_state_leaves_receiver_unchanged(rule, kernel):
 def test_rejected_shard_state_leaves_shard_unchanged():
     shard = ShardState(CONFIG, 0)
     shard.apply_raw(1, EDGES[:50])
-    before = (raw_snapshot(shard.group.snapshot()), shard.applied_seq)
+    before = (raw_snapshot(shard.state.snapshot()[0]), shard.applied_seq)
     for rule in (
         "position-outside-table",
         "seen-position-outside-table",
@@ -188,7 +188,7 @@ def test_rejected_shard_state_leaves_shard_unchanged():
         point["seen"] = state["seen"]
         with pytest.raises(ValueError, match=message):
             shard.restore(point)
-        assert (raw_snapshot(shard.group.snapshot()), shard.applied_seq) == before
+        assert (raw_snapshot(shard.state.snapshot()[0]), shard.applied_seq) == before
 
 
 def test_coordinator_rejects_before_touching_shards():
@@ -270,10 +270,10 @@ def test_untracked_counters_are_refused(rule, kernel):
 
     shard = ShardState(config, index)
     shard.apply_raw(1, TRACKED_EDGES[:150])
-    shard_before = (raw_snapshot(shard.group.snapshot()), shard.applied_seq)
+    shard_before = (raw_snapshot(shard.state.snapshot()[0]), shard.applied_seq)
     with pytest.raises(ValueError, match=message):
         shard.restore({"shard_id": index, "applied_seq": 9, "snapshot": part})
-    assert (raw_snapshot(shard.group.snapshot()), shard.applied_seq) == shard_before
+    assert (raw_snapshot(shard.state.snapshot()[0]), shard.applied_seq) == shard_before
 
     with ElasticCoordinator(config, num_workers=0) as coordinator:
         coordinator.submit(TRACKED_EDGES[:150])
@@ -342,7 +342,7 @@ def test_restore_replaces_existing_state(kernel):
     shard.apply_raw(1, EDGES[:50])
     point = {"shard_id": 1, "applied_seq": 2, "snapshot": state["snapshots"][1]}
     shard.restore(point)
-    assert raw_snapshot(shard.group.snapshot()) == raw_snapshot(fresh.snapshot()[1])
+    assert raw_snapshot(shard.state.snapshot()[0]) == raw_snapshot(fresh.snapshot()[1])
     assert set(shard.portable()) == {"shard_id", "applied_seq", "snapshot"}
 
 
